@@ -5,6 +5,8 @@ group-weight vector, compute exact fairness metrics, or run the sampled
 threshold audit with either weighted or attribute-specific data collection.
 """
 
+__version__ = "0.1.0"
+
 from .core import (
     AuditSample,
     FairnessInstance,
@@ -75,5 +77,3 @@ __all__ = [
     "separation_statistic",
     "weighted_marginal",
 ]
-
-__version__ = "0.1.0"

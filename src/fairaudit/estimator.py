@@ -71,6 +71,67 @@ def estimate_from_counts(
     return EstimatorValue(f1=f1, f2=f2)
 
 
+def term_weights(
+    w: GroupWeights, incl: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group normalizers (w_g / P[M_g>=2], w_g / P[M_g>=1]) of the F1 and F2 terms.
+
+    Zero-weight groups get 0 in both, whatever their inclusion probability.
+    """
+    warr = w.as_array()
+    incl_arr = np.asarray(incl, dtype=float)
+    p1, p2 = incl_arr[:, 0], incl_arr[:, 1]
+    active = warr > 0
+    bad = active & (p2 <= 0.0)
+    if np.any(bad):
+        raise ZeroInclusionProbability(int(np.argmax(bad)))
+    c1 = np.divide(warr, p2, out=np.zeros_like(warr), where=active)
+    c2 = np.divide(warr, p1, out=np.zeros_like(warr), where=active)
+    return c1, c2
+
+
+def _ratio_terms(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized terms (S/M)((S-1)/(M-1)), zero where M < 2, and S/M, zero where M = 0."""
+    s, m = np.asarray(s), np.asarray(m)
+    t2 = np.divide(s, m, out=np.zeros(s.shape), where=m >= 1)
+    t1 = np.divide(s - 1, m - 1, out=np.zeros(s.shape), where=m >= 2)
+    t1 *= t2
+    return t1, t2
+
+
+def estimate_rows(
+    s: np.ndarray, m: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """F1 and F2 of every row of (B, K) count matrices, one row per trial.
+
+    `weights` is the pair from `term_weights`.  Row b equals
+    `estimate_from_counts(s[b], m[b], w, incl)` up to summation order.
+    """
+    t1, t2 = _ratio_terms(s, m)
+    return t1 @ weights[0], t2 @ weights[1]
+
+
+def estimate_entries(
+    rows: np.ndarray,
+    groups: np.ndarray,
+    s: np.ndarray,
+    m: np.ndarray | int,
+    weights: tuple[np.ndarray, np.ndarray],
+    n_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """F1 and F2 of `n_rows` trials given only their groups with M_g > 0.
+
+    Entry i says that trial rows[i] saw s[i] ones in m[i] samples of group
+    groups[i] (`m` may be one count shared by every entry).  Groups a trial
+    did not sample contribute nothing, so the cost is proportional to the
+    number of entries, not to K.
+    """
+    t1, t2 = _ratio_terms(s, m)
+    f1 = np.bincount(rows, weights=t1 * weights[0][groups], minlength=n_rows)
+    f2 = np.bincount(rows, weights=t2 * weights[1][groups], minlength=n_rows)
+    return f1, f2
+
+
 def estimate(
     data: Sequence[Sequence[int]],
     w: GroupWeights,

@@ -64,20 +64,30 @@ def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMod
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     budget = 1.0 - alpha
-    gv = gap_vector(inst)
     w = inst.weights.as_array()
-    delta = np.asarray(gv.delta)
+    delta = np.abs(inst.mu_array() - average_quality(inst))
 
     if mode is CVaRMode.FRACTIONAL:
+        # Greedy fill in gap order.  Zero-weight groups carry no mass, so they
+        # are skipped rather than ending the fill.
         order = np.argsort(-delta, kind="stable")
-        used = 0.0
-        total = 0.0
-        for g in order:
-            take = min(w[g], budget - used)
+        order = order[w[order] > 0.0]
+        ws, ds = w[order], delta[order]
+        used = np.cumsum(ws)  # sequential sums, as a running total would give
+        room = budget - np.concatenate(([0.0], used[:-1]))
+        over = ws > room
+        # Groups before the first one that does not fit are taken whole.
+        j = int(np.argmax(over)) if over.any() else ws.size
+        total = float(np.cumsum(ws[:j] * ds[:j])[-1]) if j else 0.0
+        filled = float(used[j - 1]) if j else 0.0
+        # The boundary group is taken in part; rounding can leave a sliver of
+        # budget for the next one or two groups.
+        for g in range(j, ws.size):
+            take = min(ws[g], budget - filled)
             if take <= 0.0:
                 break
-            total += take * delta[g]
-            used += take
+            total += take * ds[g]
+            filled += take
         return float(total / budget)
 
     k = inst.k

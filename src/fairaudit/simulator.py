@@ -1,12 +1,15 @@
 """Monte Carlo harness for estimating the audit test's error probability.
 
 Error probability is the equal-prior average of the two conditional errors:
-p = (Pr[H1 | fair instance] + Pr[H0 | unfair instance]) / 2.  Trials are
-seeded as base_seed + trial_index (separate odd/even streams per side), so
-results are identical no matter how trials are distributed across workers.
+p = (Pr[H1 | fair instance] + Pr[H0 | unfair instance]) / 2.
 
-Worker count is capped by the FAIRAUDIT_THREADS environment variable; trials
-are reduced in trial-index order regardless of scheduling.
+Each side runs its trials in blocks of B = max(1, BLOCK_ELEMS // K) trials,
+drawn together as one count matrix (or, for the attribute-specific plan, as
+the included groups only).  Block i of side s (0 for the fair instance, 1
+for the unfair one) draws from its own generator,
+numpy.random.default_rng([base_seed, s, i]), so results depend only on
+(base_seed, side, block index, K, trials), not on the order in which blocks
+are evaluated.
 """
 
 from __future__ import annotations
@@ -14,28 +17,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+import platform
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .core import FairnessInstance
-from .cvar_test import Decision, Region, TestConfig, classify_region, run_test_synthetic
+from .cvar_test import Region, TestConfig, classify_region
 from .errors import ConfigError
+from .estimator import estimate_entries, estimate_rows, term_weights
+from .sampling import AttributeSpecificPlan, inclusion_array
 
-THREADS_ENV = "FAIRAUDIT_THREADS"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+# Count-matrix entries per block of trials: B = max(1, BLOCK_ELEMS // K).  It
+# keeps each per-block temporary at 64 KiB or less whenever K <= BLOCK_ELEMS,
+# so that blocks reuse freed heap memory instead of touching fresh pages.
+BLOCK_ELEMS = 2**13
+SEEDING_SCHEME = "numpy.random.default_rng([base_seed, side, block_index])"
 
 
 @dataclass(frozen=True)
@@ -45,34 +44,60 @@ class ErrorEstimate:
     trials: int
     frac_h1_given_h0: float
     frac_h0_given_h1: float
-    config: dict = field(default_factory=dict, compare=False)
 
 
-def _side_fraction(
-    inst: FairnessInstance,
-    cfg: TestConfig,
-    trials: int,
-    base_seed: int,
-    offset: int,
-    want: Decision,
-) -> float:
-    """Fraction of trials deciding `want`, seeds base_seed + 2*i + offset."""
+def _block_decider(
+    inst: FairnessInstance, cfg: TestConfig, block: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """A function (rng, size) -> H1 decisions of `size` <= block independent audits of inst."""
+    plan = cfg.plan
+    k = inst.k
+    if plan.k != k:
+        raise ValueError("plan and instance disagree on K")
+    weights = term_weights(inst.weights, inclusion_array(plan))
+    mu = inst.mu_array()
+    tau = cfg.threshold
 
-    def run_chunk(indices: Sequence[int]) -> int:
-        hits = 0
-        for i in indices:
-            rng = np.random.default_rng(base_seed + 2 * i + offset)
-            if run_test_synthetic(inst, cfg, rng).decision is want:
-                hits += 1
-        return hits
+    if isinstance(plan, AttributeSpecificPlan):
+        # Sparse: a trial samples only the groups it includes (about gamma of
+        # K), so only those get loss draws and estimator terms.
+        probs = plan.include_probs()
+        u = np.empty((block, k))  # reused, so large K does not fault in fresh pages per block
 
-    workers = _worker_count()
-    if workers == 1:
-        return run_chunk(range(trials)) / trials
-    chunks = [range(j, trials, workers) for j in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        totals = list(pool.map(run_chunk, chunks))
-    return sum(totals) / trials
+        def decide(rng: np.random.Generator, size: int) -> np.ndarray:
+            included = rng.random(out=u[:size]) < probs
+            rows, groups = np.divmod(np.flatnonzero(included), k)
+            s = rng.binomial(plan.block, mu[groups])
+            f1, f2 = estimate_entries(rows, groups, s, plan.block, weights, size)
+            return f1 - f2 * f2 >= tau
+
+    else:
+        v = plan.v.as_array()
+
+        def decide(rng: np.random.Generator, size: int) -> np.ndarray:
+            m = rng.multinomial(plan.budget, v, size=size)
+            s = rng.binomial(m, mu)
+            f1, f2 = estimate_rows(s, m, weights)
+            return f1 - f2 * f2 >= tau
+
+    return decide
+
+
+def _block_h1(decide, base_seed: int, side: int, index: int, size: int) -> int:
+    """Number of H1 decisions in one block of trials, drawn from the block's own generator."""
+    return int(np.count_nonzero(decide(np.random.default_rng([base_seed, side, index]), size)))
+
+
+def _side_h1(
+    inst: FairnessInstance, cfg: TestConfig, trials: int, base_seed: int, side: int
+) -> int:
+    """Number of H1 decisions in `trials` audits of inst, run block by block."""
+    b = max(1, BLOCK_ELEMS // inst.k)
+    decide = _block_decider(inst, cfg, b)
+    return sum(
+        _block_h1(decide, base_seed, side, index, min(b, trials - start))
+        for index, start in enumerate(range(0, trials, b))
+    )
 
 
 def estimate_error(
@@ -93,8 +118,8 @@ def estimate_error(
         raise ConfigError("h0 instance does not have zero CVaR fairness")
     if classify_region(h1_inst, cfg.alpha, cfg.epsilon) is not Region.P1:
         raise ConfigError("h1 instance does not have CVaR fairness >= epsilon")
-    frac_h1_h0 = _side_fraction(h0_inst, cfg, trials, base_seed, 0, Decision.H1)
-    frac_h0_h1 = _side_fraction(h1_inst, cfg, trials, base_seed, 1, Decision.H0)
+    frac_h1_h0 = _side_h1(h0_inst, cfg, trials, base_seed, 0) / trials
+    frac_h0_h1 = (trials - _side_h1(h1_inst, cfg, trials, base_seed, 1)) / trials
     p_hat = (frac_h1_h0 + frac_h0_h1) / 2.0
     return ErrorEstimate(
         p_err_hat=p_hat,
@@ -171,10 +196,23 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 
 def write_manifest(path: str, config: dict, base_seed: int) -> None:
-    """Write a JSON run manifest with a content hash of the configuration."""
+    """Write a JSON run manifest: configuration, its content hash, seeding, versions.
+
+    Holds no timestamps, so the same run always writes the same bytes.
+    """
     payload = json.dumps(config, sort_keys=True)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    manifest = {"base_seed": base_seed, "config": config, "config_sha256": digest}
+    manifest = {
+        "base_seed": base_seed,
+        "config": config,
+        "config_sha256": digest,
+        "seeding": {"scheme": SEEDING_SCHEME, "block_elems": BLOCK_ELEMS},
+        "versions": {
+            "fairaudit": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

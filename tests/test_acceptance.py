@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import _random_instances, record_criterion
 from fairaudit.adversarial import (
     build_hard_pair,
     build_mixture_family,
@@ -38,26 +38,6 @@ from fairaudit.simulator import Experiment, SweepPoint, estimate_error, threshol
 
 # ---------------------------------------------------------------------------
 # Shared fixtures (computed once, reused across criteria)
-
-_RANDOM_INSTANCES = None
-
-
-def _random_instances():
-    """1,000 random instances, K in 2..10, uniform or random-simplex weights."""
-    global _RANDOM_INSTANCES
-    if _RANDOM_INSTANCES is None:
-        rng = np.random.default_rng(2024)
-        out = []
-        for _ in range(1000):
-            k = int(rng.integers(2, 11))
-            if rng.random() < 0.5:
-                w = GroupWeights.uniform(k)
-            else:
-                w = GroupWeights(rng.dirichlet(np.ones(k)))
-            out.append(FairnessInstance(w, rng.random(k)))
-        _RANDOM_INSTANCES = out
-    return _RANDOM_INSTANCES
-
 
 _ENUM_SWEEP = None
 

@@ -1,6 +1,7 @@
 """Tests for the debiased statistic and its exhaustive-enumeration oracle."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.errors import InstanceTooLarge, ZeroInclusionProbability
 from fairaudit.estimator import (
     EstimatorValue,
+    _binom_pmf,
+    _count_vectors,
     estimate,
+    estimate_entries,
     estimate_from_counts,
+    estimate_rows,
     exact_moments,
+    term_weights,
 )
 from fairaudit.metrics import average_quality, separation_statistic
 from fairaudit.sampling import (
@@ -208,3 +214,74 @@ class TestExactMoments:
         plan = WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=0)
         with pytest.raises(ZeroInclusionProbability):
             exact_moments(inst, plan)
+
+
+def _random_counts(rng):
+    """Random weights (some zero), inclusion pairs and (B, K) count matrices."""
+    k = int(rng.integers(1, 9))
+    b = int(rng.integers(1, 6))
+    raw = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+    if not raw.any():
+        raw[0] = 1.0
+    w = GroupWeights(raw / raw.sum())
+    incl = np.sort(rng.uniform(0.05, 1.0, size=(k, 2)), axis=1)[:, ::-1]
+    incl[w.as_array() == 0.0] *= rng.random() < 0.5  # zero-weight: any inclusion
+    top = int(rng.choice([2, 5, 50, 10**6]))
+    m = rng.integers(0, top + 1, size=(b, k))
+    m[rng.random((b, k)) < 0.3] = rng.integers(0, 2)  # plenty of M_g in {0, 1}
+    s = rng.binomial(m, rng.random(k))
+    return w, [tuple(p) for p in incl], s, m
+
+
+class TestRowKernels:
+    def test_rows_match_scalar_estimator(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            w, incl, s, m = _random_counts(rng)
+            f1, f2 = estimate_rows(s, m, term_weights(w, incl))
+            for b in range(s.shape[0]):
+                ref = estimate_from_counts(s[b], m[b], w, incl)
+                assert f1[b] == pytest.approx(ref.f1, rel=1e-12, abs=0.0)
+                assert f2[b] == pytest.approx(ref.f2, rel=1e-12, abs=0.0)
+
+    def test_entries_match_rows(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            w, incl, s, m = _random_counts(rng)
+            weights = term_weights(w, incl)
+            rows, groups = np.nonzero(m)
+            e1, e2 = estimate_entries(
+                rows, groups, s[rows, groups], m[rows, groups], weights, s.shape[0]
+            )
+            f1, f2 = estimate_rows(s, m, weights)
+            np.testing.assert_allclose(e1, f1, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(e2, f2, rtol=1e-12, atol=0.0)
+
+    def test_zero_inclusion_rejected(self):
+        with pytest.raises(ZeroInclusionProbability):
+            term_weights(GroupWeights([0.5, 0.5]), [(1.0, 1.0), (0.5, 0.0)])
+
+    def test_mean_over_enumeration_is_exact_mean(self):
+        # Weighting the kernel's F by the exact law of (M, S) reproduces
+        # exact_moments' E[F] on every small plan and instance.
+        rng = np.random.default_rng(43)
+        for k, n in product((1, 2, 3), range(2, 7)):
+            raw = rng.dirichlet(np.ones(k))
+            if k == 3:
+                raw[2] = 0.0  # one zero-weight group
+            w = GroupWeights(raw / raw.sum())
+            inst = FairnessInstance(w, rng.random(k))
+            plans = _weighted_plans(w, n)
+            if n % 2 == 0:
+                plans.append(AttributeSpecificPlan(w=w, budget=n, gamma=n / 2))
+            for plan in plans:
+                weights = term_weights(w, inclusion_probabilities(plan))
+                mean = 0.0
+                for m, p_counts in _count_vectors(plan):
+                    s = np.array(list(product(*[range(mg + 1) for mg in m])))
+                    p = np.full(len(s), p_counts)
+                    for g in range(k):
+                        p *= np.asarray(_binom_pmf(int(m[g]), inst.mu[g]))[s[:, g]]
+                    f1, f2 = estimate_rows(s, np.broadcast_to(m, s.shape), weights)
+                    mean += float(p @ (f1 - f2 * f2))
+                assert mean == pytest.approx(exact_moments(inst, plan).e_f, abs=1e-12)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import _random_instances
 from fairaudit.core import FairnessInstance, GroupWeights
+from fairaudit.cvar_test import Region, classify_region
 from fairaudit.errors import InstanceTooLarge
 from fairaudit.metrics import (
     CVaRMode,
@@ -80,6 +82,24 @@ class TestMaxGap:
         assert abs(max_gap(inst) - eps) <= 1e-12
 
 
+def _fractional_loop(inst, alpha):
+    """Oracle: the greedy fill as a plain loop over groups in gap order."""
+    budget = 1.0 - alpha
+    w = inst.weights.as_array()
+    delta = np.abs(inst.mu_array() - average_quality(inst))
+    used = 0.0
+    total = 0.0
+    for g in np.argsort(-delta, kind="stable"):
+        if w[g] <= 0.0:
+            continue  # no mass to take; later groups may still have some
+        take = min(w[g], budget - used)
+        if take <= 0.0:
+            break
+        total += take * delta[g]
+        used += take
+    return float(total / budget)
+
+
 class TestCVaRFairness:
     def test_alpha_zero_is_average_gap(self):
         assert abs(cvar_fairness(FOUR_GROUP, 0.0) - 0.1875) <= 1e-12
@@ -140,6 +160,44 @@ class TestCVaRFairness:
             inst = FairnessInstance(GroupWeights.uniform(k), rng.random(k))
             for j in range(1, k + 1):
                 alpha = 1.0 - j / k
+                frac = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
+                exact = cvar_fairness(inst, alpha, CVaRMode.EXACT_SUBSET)
+                assert abs(frac - exact) <= 1e-12
+
+    def test_fractional_matches_loop_exactly(self):
+        for inst in _random_instances():
+            for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, alpha_star(inst)):
+                assert cvar_fairness(inst, alpha) == _fractional_loop(inst, alpha)
+
+    def test_fractional_matches_loop_with_zero_weights(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            k = int(rng.integers(2, 11))
+            w = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6)
+            if not w.any():
+                w[0] = 1.0
+            inst = FairnessInstance(GroupWeights(w / w.sum()), rng.random(k))
+            for alpha in (0.0, 0.3, 0.6, 0.9):
+                assert cvar_fairness(inst, alpha) == _fractional_loop(inst, alpha)
+
+    def test_zero_weight_group_does_not_stop_the_fill(self):
+        # The zero-weight group has the largest gap and comes first in gap
+        # order; it must be skipped, not end the fill at zero mass.
+        inst = FairnessInstance(GroupWeights([0.0, 0.5, 0.5]), [1.0, 0.0, 1.0])
+        frac = cvar_fairness(inst, 0.5, CVaRMode.FRACTIONAL)
+        assert frac == cvar_fairness(inst, 0.5, CVaRMode.EXACT_SUBSET) == 0.5
+        assert classify_region(inst, 0.5, 0.5) is Region.P1
+
+    def test_modes_agree_with_zero_weight_groups(self):
+        # Positive weights are quarters, so budgets 1/4..1 end on a group
+        # boundary and the relaxation is tight.
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            k = int(rng.integers(5, 9))
+            w = np.zeros(k)
+            w[rng.choice(k, size=4, replace=False)] = 0.25
+            inst = FairnessInstance(GroupWeights(w), rng.random(k))
+            for alpha in (0.0, 0.25, 0.5, 0.75):
                 frac = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
                 exact = cvar_fairness(inst, alpha, CVaRMode.EXACT_SUBSET)
                 assert abs(frac - exact) <= 1e-12

@@ -1,15 +1,19 @@
 """Tests for the Monte Carlo error-estimation harness."""
 
 import json
-import os
+import math
+import platform
 
 import numpy as np
 import pytest
 
+import fairaudit
+from fairaudit import simulator
 from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError
+from fairaudit.estimator import exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 from fairaudit.simulator import (
     Experiment,
@@ -26,6 +30,13 @@ def _hard_pair_cfg(k=4, eps=0.3, n=40):
     plan = WeightedPlan.from_weights(pair.p0.weights, 0.0, n)
     cfg = TestConfig(alpha=1.0 - 1.0 / k, epsilon=eps, plan=plan)
     return pair, cfg
+
+
+def _both_plans_cfgs(pair, n=40):
+    """Test configs at the hard pair's level: weighted, then attribute-specific (p = 1/2)."""
+    _, weighted = _hard_pair_cfg(k=pair.p0.k, n=n)
+    attr = AttributeSpecificPlan(w=pair.p0.weights, budget=4, gamma=2.0)
+    return weighted, TestConfig(alpha=weighted.alpha, epsilon=weighted.epsilon, plan=attr)
 
 
 class TestEstimateError:
@@ -60,21 +71,40 @@ class TestEstimateError:
         assert est.p_err_hat == 0.0
         assert est.stderr == 0.0
 
-    def test_worker_count_does_not_change_result(self):
-        pair, cfg = _hard_pair_cfg()
-        old = os.environ.get("FAIRAUDIT_THREADS")
-        try:
-            os.environ["FAIRAUDIT_THREADS"] = "1"
-            a = estimate_error(pair.p0, pair.p1, cfg, trials=300, base_seed=9)
-            os.environ["FAIRAUDIT_THREADS"] = "3"
-            b = estimate_error(pair.p0, pair.p1, cfg, trials=300, base_seed=9)
-        finally:
-            if old is None:
-                os.environ.pop("FAIRAUDIT_THREADS", None)
-            else:
-                os.environ["FAIRAUDIT_THREADS"] = old
-        assert a.p_err_hat == b.p_err_hat
-        assert a.frac_h1_given_h0 == b.frac_h1_given_h0
+    def test_blocks_are_independent_of_evaluation_order(self):
+        # Hits over 3B trials equal the hits of its three blocks run on
+        # their own, last block first, for both plans and both sides.
+        pair, _ = _hard_pair_cfg()
+        b = max(1, simulator.BLOCK_ELEMS // pair.p0.k)
+        for cfg in _both_plans_cfgs(pair):
+            for side, inst in ((0, pair.p0), (1, pair.p1)):
+                whole = simulator._side_h1(inst, cfg, 3 * b, 9, side)
+                decide = simulator._block_decider(inst, cfg, b)
+                parts = [simulator._block_h1(decide, 9, side, i, b) for i in (2, 1, 0)]
+                assert whole == sum(parts)
+                assert 0 < whole < 3 * b  # the check is not vacuous
+
+    def test_h1_rate_matches_exact_law(self):
+        # On a small instance the law of F is enumerable, so each plan's H1
+        # rate must match P[F >= tau] within sampling error.
+        w = GroupWeights([0.5, 0.3, 0.2])
+        inst = FairnessInstance(w, [0.2, 0.5, 0.9])
+        trials = 200_000
+        plans = (WeightedPlan.from_weights(w, 2.0 / 3.0, 6),
+                 AttributeSpecificPlan(w=w, budget=6, gamma=3.0))
+        for plan in plans:
+            law = exact_moments(inst, plan).distribution
+            f = np.array([value for value, _ in law])
+            prob = np.array([p for _, p in law])
+            # tau halfway across the first clear gap between positive atoms,
+            # so rounding in F cannot move a trial across it.
+            j = int(np.argmax((f[:-1] > 0) & (np.diff(f) > 1e-6)))
+            tau = (f[j] + f[j + 1]) / 2
+            q = float(prob[f >= tau].sum())
+            assert 0.2 < q < 0.8
+            cfg = TestConfig(alpha=0.0, epsilon=math.sqrt(2 * tau), plan=plan)
+            rate = simulator._side_h1(inst, cfg, trials, 13, 0) / trials
+            assert abs(rate - q) <= 5 * math.sqrt(q * (1 - q) / trials)
 
     def test_rejects_h0_instance_outside_p0(self):
         pair, cfg = _hard_pair_cfg()
@@ -161,6 +191,15 @@ class TestOutputs:
         assert data["base_seed"] == 5
         assert data["config"] == config
         assert len(data["config_sha256"]) == 64
+        assert data["seeding"] == {
+            "scheme": "numpy.random.default_rng([base_seed, side, block_index])",
+            "block_elems": simulator.BLOCK_ELEMS,
+        }
+        assert data["versions"] == {
+            "fairaudit": fairaudit.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_manifest_hash_tracks_config(self, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
