@@ -8,13 +8,11 @@ threshold audit with either weighted or attribute-specific data collection.
 __version__ = "0.1.0"
 
 from .core import (
-    AuditSample,
     FairnessInstance,
+    GroupCounts,
     GroupWeights,
     MetricKind,
-    RawRecord,
     empirical_instance,
-    records_to_samples,
 )
 from .cvar_test import (
     Decision,
@@ -45,15 +43,14 @@ from .sampling import (
 )
 
 __all__ = [
-    "AuditSample",
     "AttributeSpecificPlan",
     "CVaRMode",
     "Decision",
     "EstimatorValue",
     "FairnessInstance",
+    "GroupCounts",
     "GroupWeights",
     "MetricKind",
-    "RawRecord",
     "Region",
     "TestConfig",
     "TestOutcome",
@@ -70,7 +67,6 @@ __all__ = [
     "gap_vector",
     "inclusion_probabilities",
     "max_gap",
-    "records_to_samples",
     "run_test_dataset",
     "run_test_synthetic",
     "satisfies_tail_lemma",

@@ -3,9 +3,10 @@ Monte Carlo sweeps, and bound reports.
 
 Input data is UTF-8 CSV with header columns `group,label,prediction` (group
 is an arbitrary string; intersectional groups should be pre-joined by the
-user, e.g. "female|asian|20-30").  Group weights come from a flat key-value
-config file: uniform, empirical (sample proportions), or an explicit sidecar
-CSV `group,weight`.
+user, e.g. "female|asian|20-30").  The audit reduces it in one pass to
+per-group counts.  Group weights come from a flat key-value config file:
+uniform, empirical (sample proportions), or an explicit sidecar CSV
+`group,weight`.
 
 Exit codes are the machine contract: 0 = H0 (no violation detected),
 3 = H1 (violation detected), >= 64 = error.
@@ -15,20 +16,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .adversarial import build_hard_pair, build_mixture_family
 from .bounds import build_report, p_error_attr, p_error_weighted
-from .core import (
-    FairnessInstance,
-    GroupWeights,
-    MetricKind,
-    RawRecord,
-    records_to_samples,
-)
+from .core import GroupCounts, GroupWeights, MetricKind
 from .cvar_test import TestConfig, TestOutcome, run_test_dataset
 from .errors import ConfigError, FairauditError
 from .sampling import AttributeSpecificPlan, WeightedPlan, weighted_marginal
@@ -46,11 +44,19 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 
+# A '#' starts a comment at the start of a line or after whitespace, so
+# values such as paths may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+# Fast path for 0/1 cells; anything else goes through int() (so " 1" and
+# "+0" are accepted) and a range check.
+_BITS = {"0": 0, "1": 1}
+
+
 def read_config(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -60,68 +66,117 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def read_records(path: str) -> tuple[list[RawRecord], list[str]]:
-    """Read a data CSV; returns records with dense ids and the group-name table."""
+@contextmanager
+def _csv_columns(path: str, columns: tuple[str, ...]):
+    """Open a UTF-8 CSV; yields its reader, past the header, and the positions
+    of the named columns (the last one where a name repeats, as in
+    csv.DictReader).  Undecodable or unparsable input becomes a ConfigError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty file")
-        required = {"group", "label", "prediction"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise ConfigError(f"{path}: missing columns {sorted(missing)}")
-        rows = []
-        for lineno, row in enumerate(reader, 2):
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty file")
+            pos = {name: i for i, name in enumerate(header)}
+            missing = set(columns) - pos.keys()
+            if missing:
+                raise ConfigError(f"{path}: missing columns {sorted(missing)}")
+            yield reader, [pos[name] for name in columns]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _bad_row(path: str, lineno: int, row: list[str], exc: Exception) -> ConfigError:
+    reason = f"too few fields: {len(row)}" if isinstance(exc, IndexError) else exc
+    return ConfigError(f"{path}:{lineno}: bad row ({reason})")
+
+
+def _bit(cell: str, column: str) -> int:
+    value = int(cell)
+    if value not in (0, 1):
+        raise ValueError(f"{column} must be 0 or 1, got {value}")
+    return value
+
+
+def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
+    """Reduce a data CSV to per-group counts under the metric, in one pass.
+
+    Each group gets a dense id as it first appears; the counts come back
+    ordered by group name.  Blank lines are skipped.
+    """
+    ids: dict[str, int] = {}
+    group: list[int] = []
+    label: list[int] = []
+    prediction: list[int] = []
+    bits = _BITS.get
+    with _csv_columns(path, ("group", "label", "prediction")) as (reader, (gi, li, pi)):
+        for row in reader:
+            if not row:
+                continue
             try:
-                rows.append((row["group"], int(row["label"]), int(row["prediction"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad row ({exc})") from exc
-    names = sorted({g for g, _, _ in rows})
-    ids = {name: i for i, name in enumerate(names)}
-    records = [RawRecord(group=ids[g], label=y, prediction=yh) for g, y, yh in rows]
-    return records, names
+                g = row[gi]
+                y = bits(row[li])
+                if y is None:
+                    y = _bit(row[li], "label")
+                yh = bits(row[pi])
+                if yh is None:
+                    yh = _bit(row[pi], "prediction")
+            except (IndexError, ValueError) as exc:
+                raise _bad_row(path, reader.line_num, row, exc) from exc
+            gid = ids.get(g)
+            if gid is None:
+                gid = ids[g] = len(ids)
+            group.append(gid)
+            label.append(y)
+            prediction.append(yh)
+    if not ids:
+        raise ConfigError(f"{path}: no data rows")
+    return GroupCounts.from_rows(list(ids), group, label, prediction, metric)
 
 
-def read_weight_sidecar(path: str, names: list[str]) -> GroupWeights:
-    """Read a `group,weight` CSV aligned to the dense group-name table."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"group", "weight"} - set(reader.fieldnames):
-            raise ConfigError(f"{path}: expected columns group,weight")
-        table = {row["group"]: float(row["weight"]) for row in reader}
+def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
+    """Read a `group,weight` CSV aligned to the sorted group names."""
+    table: dict[str, float] = {}
+    with _csv_columns(path, ("group", "weight")) as (reader, (gi, wi)):
+        for row in reader:
+            if not row:
+                continue
+            try:
+                table[row[gi]] = float(row[wi])
+            except (IndexError, ValueError) as exc:
+                raise _bad_row(path, reader.line_num, row, exc) from exc
     missing = [n for n in names if n not in table]
     if missing:
         raise ConfigError(f"{path}: missing weights for groups {missing}")
     return GroupWeights([table[n] for n in names])
 
 
-def _resolve_weights(conf: dict[str, str], names: list[str], samples) -> GroupWeights:
+def _resolve_weights(conf: dict[str, str], counts: GroupCounts) -> GroupWeights:
     source = conf.get("weights", "uniform")
     if source == "uniform":
-        return GroupWeights.uniform(len(names))
+        return GroupWeights.uniform(counts.k)
     if source == "empirical":
-        counts = np.zeros(len(names))
-        for s in samples:
-            counts[s.group] += 1
-        if counts.sum() == 0:
+        total = counts.m.sum()
+        if total == 0:
             raise ConfigError("empirical weights need at least one sample")
-        return GroupWeights(counts / counts.sum())
-    return read_weight_sidecar(source, names)
+        return GroupWeights(counts.m / total)
+    return read_weight_sidecar(source, counts.names)
 
 
-def _build_plan(conf: dict[str, str], w: GroupWeights, n_samples: int):
-    kind = conf.get("plan", "weighted")
-    budget = int(conf.get("budget", n_samples))
+def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None):
+    """The named sampling plan; the attribute-specific gamma defaults to budget / 2."""
     if kind == "weighted":
-        eta = float(conf.get("eta", 2.0 / 3.0))
         return WeightedPlan.from_weights(w, eta, budget)
     if kind == "attr":
-        gamma = float(conf.get("gamma", budget / 2))
+        if gamma is None:
+            gamma = budget / 2
         return AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
     raise ConfigError(f"unknown plan {kind!r}")
 
 
-def _render_outcome(outcome: TestOutcome, names: list[str]) -> str:
+def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
     lines = [
         f"decision: {outcome.decision.value}",
         f"statistic: {outcome.statistic.f!r}",
@@ -138,19 +193,19 @@ def _render_outcome(outcome: TestOutcome, names: list[str]) -> str:
 
 def cmd_audit(args) -> int:
     conf = read_config(args.config)
-    records, names = read_records(args.input)
-    metric = MetricKind(conf.get("metric", "sp"))
-    samples = records_to_samples(records, metric)
-    w = _resolve_weights(conf, names, samples)
-    plan = _build_plan(conf, w, len(samples))
-    cfg = TestConfig(
-        alpha=float(conf["alpha"]),
-        epsilon=float(conf["epsilon"]),
-        plan=plan,
-        metric=metric,
+    counts = read_records(args.input, MetricKind(conf.get("metric", "sp")))
+    w = _resolve_weights(conf, counts)
+    gamma = conf.get("gamma")
+    plan = _make_plan(
+        conf.get("plan", "weighted"),
+        w,
+        int(conf.get("budget", counts.m.sum())),
+        float(conf.get("eta", 2.0 / 3.0)),
+        None if gamma is None else float(gamma),
     )
-    outcome = run_test_dataset(samples, w, cfg)
-    print(_render_outcome(outcome, names))
+    cfg = TestConfig(alpha=float(conf["alpha"]), epsilon=float(conf["epsilon"]), plan=plan)
+    outcome = run_test_dataset(counts, w, cfg)
+    print(_render_outcome(outcome, counts.names))
     return EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0
 
 
@@ -169,11 +224,7 @@ def cmd_synth(args) -> int:
         inst = family.member((1,) * len(family.q)) if args.side == "h1" else family.p0
     else:
         raise ConfigError(f"unknown kind {args.kind!r}")
-    if args.plan == "weighted":
-        plan = WeightedPlan.from_weights(inst.weights, args.eta, args.budget)
-    else:
-        gamma = args.gamma if args.gamma is not None else args.budget / 2
-        plan = AttributeSpecificPlan(w=inst.weights, budget=args.budget, gamma=gamma)
+    plan = _make_plan(args.plan, inst.weights, args.budget, args.eta, args.gamma)
     rng = np.random.default_rng(args.seed)
     m = plan.draw_counts(rng)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -202,16 +253,10 @@ def cmd_simulate(args) -> int:
     pair = build_hard_pair(k, epsilon)
     n_grid = [int(x) for x in conf["n_grid"].split(",")]
     plan_kind = conf.get("plan", "weighted")
+    eta = float(conf.get("eta", 2.0 / 3.0))
     points = []
     for n in n_grid:
-        if plan_kind == "weighted":
-            plan = WeightedPlan.from_weights(
-                pair.p0.weights, float(conf.get("eta", 2.0 / 3.0)), n
-            )
-        elif plan_kind == "attr":
-            plan = AttributeSpecificPlan(w=pair.p0.weights, budget=n, gamma=n / 2)
-        else:
-            raise ConfigError(f"unknown plan {plan_kind!r}")
+        plan = _make_plan(plan_kind, pair.p0.weights, n, eta, None)
         cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
         points.append(SweepPoint(axis_value=n, h0=pair.p0, h1=pair.p1, cfg=cfg))
     exp = Experiment(

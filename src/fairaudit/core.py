@@ -2,15 +2,17 @@
 
 Populations are modeled as a stochastic weight vector over K groups plus a
 per-group Bernoulli mean for the binary quality-of-service loss.  Audit data
-reduces to (group id, loss bit) pairs; everything else (features, raw labels)
-is either dropped or carried opaquely.
+reduces to per-group counts (`GroupCounts`): samples M_g and loss ones S_g,
+which are sufficient for the audit statistic.  Raw labels serve only metric
+conditioning; every other column is ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +35,8 @@ class GroupWeights:
         arr = np.asarray(w, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise WeightError("weights must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(arr)):
+            raise WeightError("weights must be finite")
         if np.any(arr < 0):
             raise WeightError("weights must be non-negative")
         total = float(arr.sum())
@@ -91,20 +95,6 @@ class FairnessInstance:
         return self._mu_arr  # read-only view cached at construction
 
 
-@dataclass(frozen=True)
-class AuditSample:
-    """One observation: a group id and a binary loss."""
-
-    group: int
-    loss: int
-
-    def __post_init__(self):
-        if self.loss not in (0, 1):
-            raise ValueError(f"loss must be 0 or 1, got {self.loss}")
-        if self.group < 0:
-            raise ValueError(f"group id must be non-negative, got {self.group}")
-
-
 class MetricKind(Enum):
     """How raw classifier records map to binary losses."""
 
@@ -112,49 +102,99 @@ class MetricKind(Enum):
     STATISTICAL_PARITY = "sp"  # loss = prediction, all rows
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """A raw classifier record: group, true label, prediction, opaque payload."""
-
-    group: int
-    label: int
-    prediction: int
-    payload: Any = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if self.prediction not in (0, 1):
-            raise ValueError(f"prediction must be 0 or 1, got {self.prediction}")
 
 
-def records_to_samples(records: Sequence[RawRecord], kind: MetricKind) -> list[AuditSample]:
-    """Convert raw records to audit samples under the chosen metric.
+def _count_array(values, what: str) -> np.ndarray:
+    """A read-only int64 copy of a 1-d sequence of integer counts."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be 1-d")
+    arr.flags.writeable = False
+    return arr
 
-    Equal opportunity keeps only label-0 rows; statistical parity keeps all
-    rows.  In both cases the loss bit is the prediction.
+
+@dataclass(frozen=True, eq=False)
+class GroupCounts:
+    """Per-group sufficient statistics of an audit dataset.
+
+    Group g (a dense id) is named `names[g]`; it has `m[g]` samples, of which
+    `s[g]` have loss 1.  Names are sorted and unique, so ids follow name
+    order.  The audit statistic depends on the data only through (s, m).
     """
-    if kind is MetricKind.EQUAL_OPPORTUNITY:
-        kept = [r for r in records if r.label == 0]
-        if not kept:
-            raise EmptyAfterConditioning("no records with label 0")
-    else:
-        kept = list(records)
-    return [AuditSample(group=r.group, loss=r.prediction) for r in kept]
+
+    names: tuple[str, ...]
+    s: np.ndarray
+    m: np.ndarray
+
+    def __init__(self, names: Sequence[str], s, m):
+        names_t = tuple(names)
+        s_arr = _count_array(s, "s")
+        m_arr = _count_array(m, "m")
+        if not (len(names_t) == s_arr.size == m_arr.size):
+            raise ValueError(
+                f"lengths differ: {len(names_t)} names, {s_arr.size} s, {m_arr.size} m"
+            )
+        if not all(map(operator.lt, names_t, names_t[1:])):
+            raise ValueError("group names must be sorted and unique")
+        if np.any(s_arr < 0) or np.any(s_arr > m_arr):
+            raise ValueError("counts must satisfy 0 <= s <= m")
+        object.__setattr__(self, "names", names_t)
+        object.__setattr__(self, "s", s_arr)
+        object.__setattr__(self, "m", m_arr)
+
+    @property
+    def k(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def from_rows(
+        cls,
+        names: Sequence[str],
+        group: Sequence[int],
+        label: Sequence[int],
+        prediction: Sequence[int],
+        kind: MetricKind,
+    ) -> "GroupCounts":
+        """Reduce per-row columns to per-group counts under the chosen metric.
+
+        `group` holds dense ids into `names`, which may be in any order (a
+        reader assigns ids as names first appear); the result is re-indexed
+        by sorted name.  Every named group is kept, even one whose rows
+        conditioning drops.  Equal opportunity keeps only label-0 rows;
+        statistical parity keeps all rows.  In both the loss is the prediction.
+        """
+        k = len(names)
+        group = np.asarray(group, dtype=np.int64)
+        label = np.asarray(label, dtype=np.int64)
+        loss = np.asarray(prediction, dtype=np.int64)
+        if not (group.shape == label.shape == loss.shape) or group.ndim != 1:
+            raise ValueError("group, label and prediction must be 1-d and equally long")
+        if group.size and (group.min() < 0 or group.max() >= k):
+            raise ValueError(f"group ids must lie in 0..{k - 1}")
+        for column, values in (("label", label), ("prediction", loss)):
+            if np.any((values != 0) & (values != 1)):
+                raise ValueError(f"{column} must be 0 or 1")
+        if kind is MetricKind.EQUAL_OPPORTUNITY:
+            keep = label == 0
+            if not keep.any():
+                raise EmptyAfterConditioning("no records with label 0")
+            group, loss = group[keep], loss[keep]
+        order = sorted(range(k), key=names.__getitem__)
+        m = np.bincount(group, minlength=k)[order]
+        s = np.bincount(group[loss == 1], minlength=k)[order]
+        return cls([names[g] for g in order], s, m)
 
 
-def empirical_instance(samples: Sequence[AuditSample], weights: GroupWeights) -> FairnessInstance:
+def empirical_instance(counts: GroupCounts, weights: GroupWeights) -> FairnessInstance:
     """Plug-in instance with per-group sample means (reporting helper only)."""
-    k = weights.k
-    counts = np.zeros(k, dtype=np.int64)
-    sums = np.zeros(k, dtype=np.int64)
-    for s in samples:
-        if s.group >= k:
-            raise ValueError(f"sample group {s.group} outside 0..{k - 1}")
-        counts[s.group] += 1
-        sums[s.group] += s.loss
-    missing = [g for g in range(k) if weights[g] > 0 and counts[g] == 0]
-    if missing:
-        raise MissingGroup(missing)
-    mu = [sums[g] / counts[g] if counts[g] > 0 else 0.0 for g in range(k)]
+    if counts.k != weights.k:
+        raise ValueError(f"counts cover {counts.k} groups, weights {weights.k}")
+    m = counts.m
+    missing = np.flatnonzero((weights.as_array() > 0) & (m == 0))
+    if missing.size:
+        raise MissingGroup(missing.tolist())
+    mu = np.divide(counts.s, m, out=np.zeros(m.shape), where=m > 0)
     return FairnessInstance(weights, mu)

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
 import numpy as np
 
-from .core import AuditSample, FairnessInstance, GroupWeights, MetricKind
+from .core import FairnessInstance, GroupCounts, GroupWeights
 from .errors import PlanMismatch
 from .estimator import EstimatorValue, estimate_from_counts
 from .metrics import CVaRMode, cvar_fairness
@@ -45,7 +43,6 @@ class TestConfig:
     alpha: float
     epsilon: float
     plan: SamplingPlan
-    metric: MetricKind | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
@@ -100,42 +97,37 @@ def run_test_synthetic(
     )
 
 
-def run_test_dataset(
-    samples: Sequence[AuditSample], w: GroupWeights, cfg: TestConfig
-) -> TestOutcome:
-    """Run the audit on externally collected samples.
+def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> TestOutcome:
+    """Run the audit on the per-group counts of externally collected data.
 
-    The caller asserts that the data were collected per cfg.plan; counts are
-    derived from the data and validated against the plan where possible.
+    The caller asserts that the data were collected per cfg.plan; the counts
+    are validated against the plan where possible.
     """
     plan = cfg.plan
-    k = w.k
-    m = [0] * k
-    s = [0] * k
-    for sample in samples:
-        if sample.group >= k:
-            raise ValueError(f"sample group {sample.group} outside 0..{k - 1}")
-        m[sample.group] += 1
-        s[sample.group] += sample.loss
+    if counts.k != w.k:
+        raise ValueError(f"counts cover {counts.k} groups, weights {w.k}")
+    m = counts.m
     if isinstance(plan, WeightedPlan):
-        if sum(m) != plan.budget:
+        total = int(m.sum())
+        if total != plan.budget:
             raise PlanMismatch(
-                f"weighted plan draws exactly n={plan.budget} samples, observed {sum(m)}"
+                f"weighted plan draws exactly n={plan.budget} samples, observed {total}"
             )
     elif isinstance(plan, AttributeSpecificPlan):
         block = plan.block
-        bad = [g for g in range(k) if m[g] not in (0, block)]
-        if bad:
+        bad = np.flatnonzero((m != 0) & (m != block))
+        if bad.size:
             raise PlanMismatch(
-                f"attribute-specific counts must be 0 or {block}; groups {bad} violate this"
+                f"attribute-specific counts must be 0 or {block}; "
+                f"groups {bad.tolist()} violate this"
             )
     incl = inclusion_array(plan)
-    stat = estimate_from_counts(s, m, w, incl)
+    stat = estimate_from_counts(counts.s, m, w, incl)
     return TestOutcome(
         decision=_decide(stat, cfg.threshold),
         statistic=stat,
         threshold=cfg.threshold,
-        counts=np.asarray(m, dtype=np.int64),
+        counts=m,
     )
 
 

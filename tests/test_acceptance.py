@@ -23,7 +23,7 @@ from fairaudit.adversarial import (
 )
 from fairaudit.bounds import le_cam_error_floor, p_error_attr, p_error_weighted, renyi_entropy
 from fairaudit.cli import EXIT_H0, EXIT_H1, main
-from fairaudit.core import FairnessInstance, GroupWeights, MetricKind, records_to_samples
+from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cli import read_records
 from fairaudit.cvar_test import Region, TestConfig, classify_region, run_test_dataset
 from fairaudit.estimator import exact_moments
@@ -381,12 +381,11 @@ def test_criterion_12_cli_round_trip(tmp_path, capsys):
     code = main(["audit", str(out_csv), str(conf)])
     out = capsys.readouterr().out
 
-    records, names = read_records(str(out_csv))
-    samples = records_to_samples(records, MetricKind.STATISTICAL_PARITY)
-    w = GroupWeights.uniform(len(names))
+    counts = read_records(str(out_csv))
+    w = GroupWeights.uniform(counts.k)
     plan = WeightedPlan.from_weights(w, 0.0, 400)
     outcome = run_test_dataset(
-        samples, w, TestConfig(alpha=0.875, epsilon=0.25, plan=plan)
+        counts, w, TestConfig(alpha=0.875, epsilon=0.25, plan=plan)
     )
     assert code == (EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0)
     assert f"statistic: {outcome.statistic.f!r}" in out

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from fairaudit.cli import (
+    EXIT_DATA,
     EXIT_H0,
     EXIT_H1,
     EXIT_USAGE,
@@ -13,9 +14,9 @@ from fairaudit.cli import (
     read_records,
     read_weight_sidecar,
 )
-from fairaudit.core import GroupWeights, MetricKind, records_to_samples
+from fairaudit.core import GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
-from fairaudit.errors import ConfigError
+from fairaudit.errors import ConfigError, WeightError
 from fairaudit.sampling import WeightedPlan
 
 
@@ -33,6 +34,13 @@ class TestReadConfig:
         conf = read_config(path)
         assert conf == {"alpha": "0.5", "epsilon": "0.3", "plan": "weighted"}
 
+    def test_hash_inside_value_is_not_a_comment(self, tmp_path):
+        path = _write(
+            tmp_path / "c.cfg",
+            "weights=/data/run#3/w.csv\nalpha=0.5 #note\n#x=1\n  # indented comment\n",
+        )
+        assert read_config(path) == {"weights": "/data/run#3/w.csv", "alpha": "0.5"}
+
     def test_rejects_bad_line(self, tmp_path):
         path = _write(tmp_path / "c.cfg", "alpha 0.5\n")
         with pytest.raises(ConfigError) as err:
@@ -46,13 +54,10 @@ class TestReadRecords:
             tmp_path / "d.csv",
             "group,label,prediction\nzeta,0,1\nalpha,0,0\nzeta,1,0\n",
         )
-        records, names = read_records(path)
-        assert names == ["alpha", "zeta"]
-        assert [(r.group, r.label, r.prediction) for r in records] == [
-            (1, 0, 1),
-            (0, 0, 0),
-            (1, 1, 0),
-        ]
+        counts = read_records(path)
+        assert counts.names == ("alpha", "zeta")
+        assert counts.m.tolist() == [1, 2]
+        assert counts.s.tolist() == [0, 1]
 
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label\ng0,0\n")
@@ -67,6 +72,41 @@ class TestReadRecords:
         assert ":2:" in str(err.value)
 
 
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "group,label,prediction\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_records(path)
+
+    def test_bad_label_reports_line(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "group,label,prediction\ng0,2,1\n")
+        with pytest.raises(ConfigError) as err:
+            read_records(path)
+        assert str(err.value) == f"{path}:2: bad row (label must be 0 or 1, got 2)"
+
+    def test_bad_prediction_reports_line(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n\ng1,1,-1\n")
+        with pytest.raises(ConfigError) as err:
+            read_records(path)
+        assert str(err.value) == f"{path}:4: bad row (prediction must be 0 or 1, got -1)"
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "label,prediction,group\n0,1,a\n0,1\n")
+        with pytest.raises(ConfigError, match=":3: bad row"):
+            read_records(path)
+
+    def test_lenient_cells_blank_lines_and_repeated_columns(self, tmp_path):
+        # int() accepts " 1" and "+0"; blank lines are skipped; a repeated
+        # column name means its last position.
+        path = _write(
+            tmp_path / "d.csv",
+            "group,label,prediction,label\n\na,x, 1,+0\n\nb,y,+0,1\n",
+        )
+        counts = read_records(path, MetricKind.EQUAL_OPPORTUNITY)
+        assert counts.names == ("a", "b")
+        assert counts.m.tolist() == [1, 0]
+        assert counts.s.tolist() == [1, 0]
+
+
 class TestReadWeightSidecar:
     def test_aligned_to_names(self, tmp_path):
         path = _write(tmp_path / "w.csv", "group,weight\nb,0.75\na,0.25\n")
@@ -76,6 +116,16 @@ class TestReadWeightSidecar:
     def test_missing_group(self, tmp_path):
         path = _write(tmp_path / "w.csv", "group,weight\na,1.0\n")
         with pytest.raises(ConfigError):
+            read_weight_sidecar(path, ["a", "b"])
+
+    def test_bad_weight_reports_line(self, tmp_path):
+        path = _write(tmp_path / "w.csv", "weight,group\n0.5,a\nabc,b\n")
+        with pytest.raises(ConfigError, match=":3: bad row"):
+            read_weight_sidecar(path, ["a", "b"])
+
+    def test_nan_weight_rejected(self, tmp_path):
+        path = _write(tmp_path / "w.csv", "group,weight\na,nan\nb,0.5\n")
+        with pytest.raises(WeightError, match="finite"):
             read_weight_sidecar(path, ["a", "b"])
 
 
@@ -122,6 +172,33 @@ class TestAudit:
         )
         assert main(["audit", data, conf]) == EXIT_H0
 
+    def test_header_only_exit_usage(self, tmp_path, capsys):
+        data = _write(tmp_path / "hdr.csv", "group,label,prediction\n")
+        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n")
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+
+    def test_sidecar_path_with_hash(self, tmp_path):
+        data = self._fair_csv(tmp_path)
+        run_dir = tmp_path / "run#3"
+        run_dir.mkdir()
+        sidecar = _write(run_dir / "w.csv", "group,weight\ng0,0.3\ng1,0.7\n")
+        conf = _write(
+            tmp_path / "c.cfg",
+            f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}  # sidecar\n",
+        )
+        assert main(["audit", data, conf]) == EXIT_H0
+
+    def test_nan_sidecar_weight_exit_data(self, tmp_path, capsys):
+        data = self._fair_csv(tmp_path)
+        sidecar = _write(tmp_path / "w.csv", "group,weight\ng0,nan\ng1,0.5\n")
+        conf = _write(
+            tmp_path / "c.cfg",
+            f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}\n",
+        )
+        assert main(["audit", data, conf]) == EXIT_DATA
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_equal_opportunity_conditioning(self, tmp_path, capsys):
         # Only the four label-0 rows survive EO conditioning; budget defaults
         # to the post-conditioning sample count, so the audit still runs.
@@ -156,12 +233,11 @@ class TestSynthRoundTrip:
         out = capsys.readouterr().out
 
         # Reproduce the outcome from the written file, in memory.
-        records, names = read_records(str(out_csv))
-        samples = records_to_samples(records, MetricKind.STATISTICAL_PARITY)
-        w = GroupWeights.uniform(len(names))
+        counts = read_records(str(out_csv))
+        w = GroupWeights.uniform(counts.k)
         plan = WeightedPlan.from_weights(w, 2.0 / 3.0, 200)
         cfg = TestConfig(alpha=0.75, epsilon=0.2, plan=plan)
-        outcome = run_test_dataset(samples, w, cfg)
+        outcome = run_test_dataset(counts, w, cfg)
 
         expected_code = EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0
         assert code == expected_code
@@ -196,9 +272,9 @@ class TestSynthRoundTrip:
             ]
         )
         assert code == 0
-        records, names = read_records(str(out_csv))
-        assert len(records) == 50
-        assert len(names) <= 8
+        counts = read_records(str(out_csv))
+        assert int(counts.m.sum()) == 50
+        assert counts.k <= 8
 
 
 class TestSimulate:

@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
+from fairaudit.cli import read_records
 from fairaudit.core import (
-    AuditSample,
     FairnessInstance,
+    GroupCounts,
     GroupWeights,
     MetricKind,
-    RawRecord,
     empirical_instance,
-    records_to_samples,
 )
 from fairaudit.errors import EmptyAfterConditioning, MissingGroup, WeightError
+
+SP = MetricKind.STATISTICAL_PARITY
+EO = MetricKind.EQUAL_OPPORTUNITY
+
+
+def _from_rows(rows, kind, k=None):
+    """Counts of (group id, label, prediction) rows; group g is named f"g{g}"."""
+    if k is None:
+        k = 1 + max((g for g, _, _ in rows), default=-1)
+    cols = [[r[i] for r in rows] for i in range(3)]
+    return GroupCounts.from_rows([f"g{g}" for g in range(k)], *cols, kind)
 
 
 class TestGroupWeights:
@@ -58,6 +68,11 @@ class TestGroupWeights:
         w = GroupWeights([1.0, 0.0])
         assert w[1] == 0.0
 
+    def test_rejects_non_finite(self):
+        for bad in ([float("nan"), 0.5], [float("inf"), 0.0], [0.5, float("-inf")]):
+            with pytest.raises(WeightError, match="finite"):
+                GroupWeights(bad)
+
 
 class TestFairnessInstance:
     def test_valid(self):
@@ -82,83 +97,139 @@ class TestFairnessInstance:
         assert np.array_equal(arr, [0.0, 1.0])
 
 
+class TestGroupCounts:
+    def test_fields(self):
+        c = GroupCounts(["a", "b"], [0, 2], [1, 3])
+        assert c.names == ("a", "b")
+        assert c.k == 2
+        assert c.s.dtype == np.int64 and c.m.dtype == np.int64
+        assert c.s.tolist() == [0, 2] and c.m.tolist() == [1, 3]
+
+    def test_arrays_read_only_copies(self):
+        m = np.array([1, 3])
+        c = GroupCounts(["a", "b"], [0, 2], m)
+        m[0] = 7
+        assert c.m.tolist() == [1, 3]
+        assert not c.s.flags.writeable and not c.m.flags.writeable
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            GroupCounts(["a", "b"], [0], [1, 1])
+        with pytest.raises(ValueError):
+            GroupCounts(["a"], [0, 0], [1, 1])
+
+    def test_rejects_s_outside_0_m(self):
+        with pytest.raises(ValueError):
+            GroupCounts(["a"], [2], [1])
+        with pytest.raises(ValueError):
+            GroupCounts(["a"], [-1], [1])
+
+    def test_rejects_unsorted_or_repeated_names(self):
+        with pytest.raises(ValueError):
+            GroupCounts(["b", "a"], [0, 0], [1, 1])
+        with pytest.raises(ValueError):
+            GroupCounts(["a", "a"], [0, 0], [1, 1])
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(ValueError):
+            GroupCounts(["a"], [0.5], [1])
+
+    def test_from_rows_orders_by_name(self):
+        c = GroupCounts.from_rows(["zeta", "alpha"], [0, 1, 0], [0, 0, 1], [1, 0, 0], SP)
+        assert c.names == ("alpha", "zeta")
+        assert c.m.tolist() == [1, 2]
+        assert c.s.tolist() == [0, 1]
+
+
 class TestAuditSample:
+    """Per-row invariants (a valid group id and a 0/1 loss), checked when rows
+    are reduced to counts."""
+
     def test_valid(self):
-        s = AuditSample(group=3, loss=1)
-        assert s.group == 3 and s.loss == 1
+        c = _from_rows([(3, 0, 1)], SP)
+        assert c.m.tolist() == [0, 0, 0, 1]
+        assert c.s.tolist() == [0, 0, 0, 1]
 
     def test_rejects_bad_loss(self):
         with pytest.raises(ValueError):
-            AuditSample(group=0, loss=2)
+            _from_rows([(0, 0, 2)], SP)
 
     def test_rejects_negative_group(self):
         with pytest.raises(ValueError):
-            AuditSample(group=-1, loss=0)
+            _from_rows([(-1, 0, 0)], SP, k=1)
 
 
 class TestRecordsToSamples:
+    """Metric conditioning of raw (group, label, prediction) rows."""
+
     def test_equal_opportunity_keeps_label_zero(self):
-        records = [
-            RawRecord(group=0, label=0, prediction=1),
-            RawRecord(group=0, label=1, prediction=1),
-        ]
-        out = records_to_samples(records, MetricKind.EQUAL_OPPORTUNITY)
-        assert out == [AuditSample(group=0, loss=1)]
+        c = _from_rows([(0, 0, 1), (0, 1, 1)], EO)
+        assert (c.m.tolist(), c.s.tolist()) == ([1], [1])
 
     def test_statistical_parity_keeps_all(self):
-        records = [RawRecord(group=1, label=1, prediction=0)]
-        out = records_to_samples(records, MetricKind.STATISTICAL_PARITY)
-        assert out == [AuditSample(group=1, loss=0)]
+        c = _from_rows([(1, 1, 0)], SP)
+        assert (c.m.tolist(), c.s.tolist()) == ([0, 1], [0, 0])
 
     def test_equal_opportunity_empty_raises(self):
-        records = [RawRecord(group=0, label=1, prediction=1)]
         with pytest.raises(EmptyAfterConditioning):
-            records_to_samples(records, MetricKind.EQUAL_OPPORTUNITY)
+            _from_rows([(0, 1, 1)], EO)
 
     def test_counts_per_metric(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 40))
-            records = [
-                RawRecord(
-                    group=int(rng.integers(0, 3)),
-                    label=int(rng.integers(0, 2)),
-                    prediction=int(rng.integers(0, 2)),
-                )
-                for _ in range(n)
-            ]
-            sp = records_to_samples(records, MetricKind.STATISTICAL_PARITY)
-            assert len(sp) == n
-            n_zero = sum(1 for r in records if r.label == 0)
+            rows = [tuple(int(x) for x in rng.integers(0, (3, 2, 2))) for _ in range(n)]
+            sp = _from_rows(rows, SP, k=3)
+            assert int(sp.m.sum()) == n
+            assert sp.m.tolist() == [sum(1 for r in rows if r[0] == g) for g in range(3)]
+            n_zero = sum(1 for r in rows if r[1] == 0)
             if n_zero == 0:
                 with pytest.raises(EmptyAfterConditioning):
-                    records_to_samples(records, MetricKind.EQUAL_OPPORTUNITY)
+                    _from_rows(rows, EO, k=3)
             else:
-                eo = records_to_samples(records, MetricKind.EQUAL_OPPORTUNITY)
-                assert len(eo) == n_zero
+                eo = _from_rows(rows, EO, k=3)
+                assert int(eo.m.sum()) == n_zero
+                assert eo.s.tolist() == [
+                    sum(r[2] for r in rows if r[0] == g and r[1] == 0) for g in range(3)
+                ]
 
-    def test_payload_is_opaque(self):
-        r = RawRecord(group=0, label=0, prediction=1, payload={"row": 17})
-        assert r == RawRecord(group=0, label=0, prediction=1)
+    def test_payload_is_opaque(self, tmp_path):
+        # Columns other than group, label and prediction do not affect the counts.
+        plain = tmp_path / "plain.csv"
+        plain.write_text("group,label,prediction\na,0,1\nb,1,0\n", encoding="utf-8")
+        extra = tmp_path / "extra.csv"
+        extra.write_text(
+            'payload,prediction,group,label\n"{""row"": 17}",1,a,0\n"x,y",0,b,1\n',
+            encoding="utf-8",
+        )
+        for kind in (SP, EO):
+            a, b = read_records(str(plain), kind), read_records(str(extra), kind)
+            assert a.names == b.names
+            assert a.m.tolist() == b.m.tolist() and a.s.tolist() == b.s.tolist()
 
 
 class TestEmpiricalInstance:
     def test_sample_mean(self):
-        samples = [AuditSample(0, 1), AuditSample(0, 1), AuditSample(0, 0)]
-        inst = empirical_instance(samples, GroupWeights([1.0]))
+        counts = _from_rows([(0, 0, 1), (0, 0, 1), (0, 0, 0)], SP)
+        inst = empirical_instance(counts, GroupWeights([1.0]))
         assert abs(inst.mu[0] - 2.0 / 3.0) <= 1e-15
 
     def test_two_groups(self):
-        samples = [AuditSample(0, 0), AuditSample(1, 1)]
-        inst = empirical_instance(samples, GroupWeights([0.5, 0.5]))
+        counts = _from_rows([(0, 0, 0), (1, 0, 1)], SP)
+        inst = empirical_instance(counts, GroupWeights([0.5, 0.5]))
         assert inst.mu == (0.0, 1.0)
 
     def test_missing_group(self):
-        samples = [AuditSample(0, 1)]
+        counts = _from_rows([(0, 0, 1)], SP, k=2)
         with pytest.raises(MissingGroup):
-            empirical_instance(samples, GroupWeights([0.5, 0.5]))
+            empirical_instance(counts, GroupWeights([0.5, 0.5]))
 
     def test_zero_weight_group_may_be_absent(self):
-        samples = [AuditSample(0, 1)]
-        inst = empirical_instance(samples, GroupWeights([1.0, 0.0]))
+        counts = _from_rows([(0, 0, 1)], SP, k=2)
+        inst = empirical_instance(counts, GroupWeights([1.0, 0.0]))
         assert inst.mu == (1.0, 0.0)
+
+    def test_group_count_mismatch(self):
+        counts = _from_rows([(0, 0, 1)], SP, k=2)
+        with pytest.raises(ValueError):
+            empirical_instance(counts, GroupWeights([1.0]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairaudit.core import AuditSample, FairnessInstance, GroupWeights
+from fairaudit.core import FairnessInstance, GroupCounts, GroupWeights
 from fairaudit.errors import PlanMismatch
 from fairaudit.cvar_test import (
     Decision,
@@ -100,11 +100,12 @@ class TestRunTestSynthetic:
 
 
 class TestRunTestDataset:
-    def _samples(self, per_group):
-        out = []
-        for g, losses in enumerate(per_group):
-            out.extend(AuditSample(group=g, loss=x) for x in losses)
-        return out
+    def _counts(self, per_group):
+        """Counts of per-group loss lists; group g is named f"g{g}"."""
+        names = [f"g{g}" for g in range(len(per_group))]
+        return GroupCounts(
+            names, [int(sum(x)) for x in per_group], [len(x) for x in per_group]
+        )
 
     def test_deterministic_two_group_h1(self):
         # F = 0.25 >= threshold 0.2.
@@ -112,8 +113,8 @@ class TestRunTestDataset:
         plan = WeightedPlan.from_weights(w, 0.0, 4)
         cfg = TestConfig(alpha=0.2, epsilon=0.7071067811865476, plan=plan)
         assert abs(cfg.threshold - 0.2) <= 1e-12
-        samples = self._samples([[0, 0], [1, 1]])
-        out = run_test_dataset(samples, w, cfg)
+        counts = self._counts([[0, 0], [1, 1]])
+        out = run_test_dataset(counts, w, cfg)
         assert out.decision is Decision.H1
         # The deterministic data make F exact up to inclusion normalization,
         # which only inflates it here (inclusion < 1 on both groups).
@@ -126,8 +127,8 @@ class TestRunTestDataset:
         plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)  # gamma*w = 1
         cfg = TestConfig(alpha=0.5, epsilon=1.0, plan=plan)
         assert cfg.threshold == 0.25
-        samples = self._samples([[0, 0], [1, 1]])
-        out = run_test_dataset(samples, w, cfg)
+        counts = self._counts([[0, 0], [1, 1]])
+        out = run_test_dataset(counts, w, cfg)
         assert out.statistic.f == 0.25
         assert out.decision is Decision.H1
 
@@ -137,7 +138,7 @@ class TestRunTestDataset:
         w = GroupWeights([0.5, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
-        out = run_test_dataset([], w, cfg)
+        out = run_test_dataset(self._counts([[], []]), w, cfg)
         assert out.decision is Decision.H0
         assert out.statistic.f == 0.0
 
@@ -146,21 +147,21 @@ class TestRunTestDataset:
         plan = WeightedPlan.from_weights(w, 0.0, 5)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
         with pytest.raises(PlanMismatch):
-            run_test_dataset(self._samples([[0, 0], [1, 1]]), w, cfg)
+            run_test_dataset(self._counts([[0, 0], [1, 1]]), w, cfg)
 
     def test_attr_partial_block_mismatch(self):
         w = GroupWeights([0.5, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
         with pytest.raises(PlanMismatch):
-            run_test_dataset(self._samples([[0], [1, 1]]), w, cfg)
+            run_test_dataset(self._counts([[0], [1, 1]]), w, cfg)
 
     def test_group_out_of_range(self):
         w = GroupWeights([1.0])
         plan = WeightedPlan.from_weights(w, 0.0, 1)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
         with pytest.raises(ValueError):
-            run_test_dataset([AuditSample(group=1, loss=0)], w, cfg)
+            run_test_dataset(self._counts([[], [0]]), w, cfg)
 
     def test_decision_monotone_in_epsilon(self):
         # Fixed data: raising epsilon raises the threshold, so the decision
@@ -169,13 +170,13 @@ class TestRunTestDataset:
         w = GroupWeights([0.5, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)
         for _ in range(30):
-            samples = self._samples(
+            counts = self._counts(
                 [list(rng.integers(0, 2, size=2)), list(rng.integers(0, 2, size=2))]
             )
             decided_h0 = False
             for eps in (0.05, 0.2, 0.5, 0.8, 1.0):
                 cfg = TestConfig(alpha=0.5, epsilon=eps, plan=plan)
-                out = run_test_dataset(samples, w, cfg)
+                out = run_test_dataset(counts, w, cfg)
                 if decided_h0:
                     assert out.decision is Decision.H0
                 decided_h0 = out.decision is Decision.H0
