@@ -36,8 +36,6 @@ from .metrics import (
 from .sampling import (
     AttributeSpecificPlan,
     WeightedPlan,
-    draw_counts,
-    inclusion_probabilities,
     satisfies_tail_lemma,
     weighted_marginal,
 )
@@ -59,13 +57,11 @@ __all__ = [
     "average_quality",
     "classify_region",
     "cvar_fairness",
-    "draw_counts",
     "empirical_instance",
     "estimate",
     "estimate_from_counts",
     "exact_moments",
     "gap_vector",
-    "inclusion_probabilities",
     "max_gap",
     "run_test_dataset",
     "run_test_synthetic",

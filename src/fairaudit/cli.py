@@ -176,6 +176,24 @@ def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float
     raise ConfigError(f"unknown plan {kind!r}")
 
 
+def _warn_if_clipped(plan) -> None:
+    """One stderr line when an attribute-specific plan caps some gamma * w_g at 1.
+
+    The estimator stays unbiased, but the plan then expects fewer samples
+    than its budget (the identity sum_g E[M_g] = n needs gamma * w_g <= 1).
+    """
+    if not isinstance(plan, AttributeSpecificPlan):
+        return
+    clipped = int(np.count_nonzero(plan.gamma * plan.w.as_array() > 1.0))
+    if clipped:
+        expected = plan.block * plan.expected_included()
+        print(
+            f"warning: attribute-specific plan clips {clipped} group(s) with gamma * w_g > 1; "
+            f"expects {expected!r} samples against a budget of {plan.budget}",
+            file=sys.stderr,
+        )
+
+
 def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
     lines = [
         f"decision: {outcome.decision.value}",
@@ -203,6 +221,7 @@ def cmd_audit(args) -> int:
         float(conf.get("eta", 2.0 / 3.0)),
         None if gamma is None else float(gamma),
     )
+    _warn_if_clipped(plan)
     cfg = TestConfig(alpha=float(conf["alpha"]), epsilon=float(conf["epsilon"]), plan=plan)
     outcome = run_test_dataset(counts, w, cfg)
     print(_render_outcome(outcome, counts.names))
@@ -254,9 +273,11 @@ def cmd_simulate(args) -> int:
     n_grid = [int(x) for x in conf["n_grid"].split(",")]
     plan_kind = conf.get("plan", "weighted")
     eta = float(conf.get("eta", 2.0 / 3.0))
+    gamma = float(conf["gamma"]) if "gamma" in conf else None
     points = []
     for n in n_grid:
-        plan = _make_plan(plan_kind, pair.p0.weights, n, eta, None)
+        plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)
+        _warn_if_clipped(plan)
         cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
         points.append(SweepPoint(axis_value=n, h0=pair.p0, h1=pair.p1, cfg=cfg))
     exp = Experiment(

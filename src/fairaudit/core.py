@@ -49,6 +49,15 @@ class GroupWeights:
         cached.flags.writeable = False
         object.__setattr__(self, "_arr", cached)
 
+    def __hash__(self) -> int:
+        # Computed once, on first use: plans hash their weights on every
+        # inclusion_array lookup, and K floats take about 1 ms at K=65536.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.w)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def k(self) -> int:
         return len(self.w)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import FairnessInstance, GroupWeights
 from .errors import InstanceTooLarge, ZeroInclusionProbability
-from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan, inclusion_probabilities
+from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan
 
 # Exhaustive enumeration limits for the exact-moment oracle.
 ENUM_MAX_K = 4
@@ -218,7 +218,7 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
     if plan.k != k:
         raise ValueError("plan and instance disagree on K")
     w = inst.weights
-    incl = inclusion_probabilities(plan)
+    incl = plan.inclusion_probabilities().tolist()
     for g in range(k):
         if w[g] > 0 and incl[g][1] <= 0.0:
             raise ZeroInclusionProbability(g)

@@ -9,7 +9,7 @@ Two plans are supported:
   n/gamma samples with probability min(gamma * w_g, 1), else none.
 
 Both plans expose the inclusion probabilities P[M_g >= 1] and P[M_g >= 2]
-that normalize the debiased estimator.
+that normalize the debiased estimator, as a (K, 2) array.
 """
 
 from __future__ import annotations
@@ -65,12 +65,10 @@ class WeightedPlan:
     def draw_counts(self, rng: np.random.Generator) -> np.ndarray:
         return rng.multinomial(self.budget, self.v.as_array())
 
-    def inclusion_probabilities(self) -> list[tuple[float, float]]:
+    def inclusion_probabilities(self) -> np.ndarray:
+        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array."""
         n = self.budget
-        out = []
-        for vg in self.v.w:
-            out.append(_binomial_inclusion(n, vg))
-        return out
+        return np.array([_binomial_inclusion(n, vg) for vg in self.v.w], dtype=float)
 
 
 def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
@@ -120,35 +118,35 @@ class AttributeSpecificPlan:
     def include_probs(self) -> np.ndarray:
         return np.minimum(self.gamma * self.w.as_array(), 1.0)
 
+    def expected_included(self) -> float:
+        """Expected number of included groups, sum_g min(gamma * w_g, 1).
+
+        Times the block n/gamma it is the expected sample count, which equals
+        the budget n only when no gamma * w_g exceeds 1.
+        """
+        return float(self.include_probs().sum())
+
     def draw_counts(self, rng: np.random.Generator) -> np.ndarray:
         include = rng.random(self.k) < self.include_probs()
         return np.where(include, self.block, 0)
 
-    def inclusion_probabilities(self) -> list[tuple[float, float]]:
+    def inclusion_probabilities(self) -> np.ndarray:
+        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array; both equal p_g."""
         if self.block < 2:
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
-        return [(float(p), float(p)) for p in self.include_probs()]
+        p = self.include_probs()
+        return np.stack([p, p], 1)
 
 
 SamplingPlan = WeightedPlan | AttributeSpecificPlan
 
 
-def draw_counts(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
-    """Draw one realization of per-group sample counts M_g."""
-    return plan.draw_counts(rng)
-
-
-def inclusion_probabilities(plan: SamplingPlan) -> list[tuple[float, float]]:
-    """Exact (P[M_g >= 1], P[M_g >= 2]) per group for the plan."""
-    return plan.inclusion_probabilities()
-
-
 @lru_cache(maxsize=256)
 def inclusion_array(plan: SamplingPlan) -> np.ndarray:
-    """inclusion_probabilities as a cached read-only (K, 2) array."""
-    arr = np.asarray(plan.inclusion_probabilities(), dtype=float)
+    """The plan's inclusion probabilities as a cached read-only (K, 2) array."""
+    arr = plan.inclusion_probabilities()
     arr.flags.writeable = False
     return arr
 

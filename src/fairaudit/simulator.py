@@ -3,13 +3,23 @@
 Error probability is the equal-prior average of the two conditional errors:
 p = (Pr[H1 | fair instance] + Pr[H0 | unfair instance]) / 2.
 
-Each side runs its trials in blocks of B = max(1, BLOCK_ELEMS // K) trials,
-drawn together as one count matrix (or, for the attribute-specific plan, as
-the included groups only).  Block i of side s (0 for the fair instance, 1
-for the unfair one) draws from its own generator,
-numpy.random.default_rng([base_seed, s, i]), so results depend only on
-(base_seed, side, block index, K, trials), not on the order in which blocks
-are evaluated.
+Each side runs its trials in blocks of B = max(1, BLOCK_ELEMS // E) trials,
+where E is the number of count entries a trial produces: K for the weighted
+plan, whose block is one (B, K) count matrix, and ceil(sum_g p_g) for the
+attribute-specific plan, whose block holds only the (trial, group) pairs it
+includes.  Block i of side s (0 for the fair instance, 1 for the unfair one)
+draws from its own generator, numpy.random.default_rng([base_seed, s, i]),
+so results depend only on (base_seed, side, block index, the plan and the
+instance, trials), not on the order in which blocks are evaluated.
+
+The attribute-specific draw costs O(included groups), not O(K): groups with
+p_g > 0 are split into classes by the binary exponent of p_g, so that within
+a class q = max p_g is less than twice any p_g.  Candidate (trial, group)
+positions of a class are the successes of Bernoulli(q) trials over its
+flattened B x n_class grid, found from Geometric(q) gaps; each candidate is
+kept with probability p_g / q.  Every group is then included in every trial
+independently with probability exactly p_g.  The plan-level set-up (term
+weights, classes, B) is built once per `estimate_error` call.
 """
 
 from __future__ import annotations
@@ -24,17 +34,21 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import FairnessInstance
+from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
 from .errors import ConfigError
 from .estimator import estimate_entries, estimate_rows, term_weights
-from .sampling import AttributeSpecificPlan, inclusion_array
+from .sampling import AttributeSpecificPlan, SamplingPlan, inclusion_array
 
-# Count-matrix entries per block of trials: B = max(1, BLOCK_ELEMS // K).  It
-# keeps each per-block temporary at 64 KiB or less whenever K <= BLOCK_ELEMS,
-# so that blocks reuse freed heap memory instead of touching fresh pages.
+# Count entries per block of trials: B = max(1, BLOCK_ELEMS // E).  It keeps
+# each per-block temporary at 64 KiB or less whenever E <= BLOCK_ELEMS, so
+# that blocks reuse freed heap memory instead of touching fresh pages.
 BLOCK_ELEMS = 2**13
 SEEDING_SCHEME = "numpy.random.default_rng([base_seed, side, block_index])"
+BLOCK_RULE = (
+    "B = max(1, block_elems // E) trials per block; E = K for the weighted plan, "
+    "ceil(sum_g p_g) for the attribute-specific plan"
+)
 
 
 @dataclass(frozen=True)
@@ -46,27 +60,99 @@ class ErrorEstimate:
     frac_h0_given_h1: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Setup:
+    """What every block of one plan needs, built once per sweep point."""
+
+    weights: tuple[np.ndarray, np.ndarray]  # per-group F1 and F2 normalizers
+    # Attribute-specific plan only: (members, q, p_g / q or None when all
+    # members have p_g = q) per inclusion class.
+    classes: tuple[tuple[np.ndarray, float, np.ndarray | None], ...]
+    block: int  # trials per block
+
+
+def _inclusion_classes(p: np.ndarray):
+    """Groups with p > 0, split by the binary exponent of p (see the module docstring).
+
+    Works with masks rather than a sort, so that it allocates few K-sized arrays.
+    """
+    _, exponent = np.frexp(p)
+    left = p > 0
+    classes = []
+    while left.any():
+        top = np.max(exponent, where=left, initial=np.iinfo(exponent.dtype).min)
+        in_class = left & (exponent == top)
+        left &= ~in_class
+        members = np.flatnonzero(in_class)
+        q = float(np.max(p, where=in_class, initial=0.0))
+        ratio = None if np.min(p, where=in_class, initial=q) == q else p[members] / q
+        classes.append((members, q, ratio))
+    return tuple(classes)
+
+
+def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
+    incl = inclusion_array(plan)
+    weights = term_weights(w, incl)
+    if isinstance(plan, AttributeSpecificPlan):
+        entries = max(1, math.ceil(plan.expected_included()))
+        return _Setup(weights, _inclusion_classes(incl[:, 0]), max(1, BLOCK_ELEMS // entries))
+    return _Setup(weights, (), max(1, BLOCK_ELEMS // plan.k))
+
+
+def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray:
+    """Sorted positions in [0, n) of the successes among n Bernoulli(q) trials.
+
+    The gaps between successes are Geometric(q); they are drawn in chunks
+    until their running sum passes n.  A gap is capped at n + 1, which is past
+    the end whatever precedes it, so the running sum cannot overflow int64
+    even when q is tiny.
+    """
+    mean = n * q
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
+    ends = []
+    end = 0
+    while end <= n:
+        gaps = rng.geometric(q, size=chunk)
+        np.clip(gaps, 1, n + 1, out=gaps)
+        part = np.cumsum(gaps)
+        part += end
+        ends.append(part)
+        end = int(part[-1])
+    ends = np.concatenate(ends)
+    return ends[: np.searchsorted(ends, n, side="right")] - 1
+
+
+def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, group) of every group that each of `size` trials includes."""
+    rows, groups = [], []
+    for members, q, ratio in classes:
+        row, j = np.divmod(_success_positions(rng, q, size * members.size), members.size)
+        if ratio is not None:
+            keep = rng.random(j.size) < ratio[j]
+            row, j = row[keep], j[keep]
+        rows.append(row)
+        groups.append(members[j])
+    return np.concatenate(rows), np.concatenate(groups)
+
+
 def _block_decider(
-    inst: FairnessInstance, cfg: TestConfig, block: int
+    inst: FairnessInstance, cfg: TestConfig, setup: _Setup
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """A function (rng, size) -> H1 decisions of `size` <= block independent audits of inst."""
+    """A function (rng, size) -> H1 decisions of `size` <= setup.block audits of inst."""
     plan = cfg.plan
-    k = inst.k
-    if plan.k != k:
+    if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
-    weights = term_weights(inst.weights, inclusion_array(plan))
+    weights = setup.weights
     mu = inst.mu_array()
     tau = cfg.threshold
 
     if isinstance(plan, AttributeSpecificPlan):
-        # Sparse: a trial samples only the groups it includes (about gamma of
-        # K), so only those get loss draws and estimator terms.
-        probs = plan.include_probs()
-        u = np.empty((block, k))  # reused, so large K does not fault in fresh pages per block
+        # Sparse: a trial samples only the groups it includes (about
+        # sum_g p_g of K), so only those get loss draws and estimator terms.
+        classes = setup.classes
 
         def decide(rng: np.random.Generator, size: int) -> np.ndarray:
-            included = rng.random(out=u[:size]) < probs
-            rows, groups = np.divmod(np.flatnonzero(included), k)
+            rows, groups = _included(rng, classes, size)
             s = rng.binomial(plan.block, mu[groups])
             f1, f2 = estimate_entries(rows, groups, s, plan.block, weights, size)
             return f1 - f2 * f2 >= tau
@@ -89,11 +175,16 @@ def _block_h1(decide, base_seed: int, side: int, index: int, size: int) -> int:
 
 
 def _side_h1(
-    inst: FairnessInstance, cfg: TestConfig, trials: int, base_seed: int, side: int
+    inst: FairnessInstance,
+    cfg: TestConfig,
+    setup: _Setup,
+    trials: int,
+    base_seed: int,
+    side: int,
 ) -> int:
     """Number of H1 decisions in `trials` audits of inst, run block by block."""
-    b = max(1, BLOCK_ELEMS // inst.k)
-    decide = _block_decider(inst, cfg, b)
+    b = setup.block
+    decide = _block_decider(inst, cfg, setup)
     return sum(
         _block_h1(decide, base_seed, side, index, min(b, trials - start))
         for index, start in enumerate(range(0, trials, b))
@@ -118,8 +209,10 @@ def estimate_error(
         raise ConfigError("h0 instance does not have zero CVaR fairness")
     if classify_region(h1_inst, cfg.alpha, cfg.epsilon) is not Region.P1:
         raise ConfigError("h1 instance does not have CVaR fairness >= epsilon")
-    frac_h1_h0 = _side_h1(h0_inst, cfg, trials, base_seed, 0) / trials
-    frac_h0_h1 = (trials - _side_h1(h1_inst, cfg, trials, base_seed, 1)) / trials
+    setup0 = _setup(cfg.plan, h0_inst.weights)
+    setup1 = setup0 if h1_inst.weights == h0_inst.weights else _setup(cfg.plan, h1_inst.weights)
+    frac_h1_h0 = _side_h1(h0_inst, cfg, setup0, trials, base_seed, 0) / trials
+    frac_h0_h1 = (trials - _side_h1(h1_inst, cfg, setup1, trials, base_seed, 1)) / trials
     p_hat = (frac_h1_h0 + frac_h0_h1) / 2.0
     return ErrorEstimate(
         p_err_hat=p_hat,
@@ -206,7 +299,11 @@ def write_manifest(path: str, config: dict, base_seed: int) -> None:
         "base_seed": base_seed,
         "config": config,
         "config_sha256": digest,
-        "seeding": {"scheme": SEEDING_SCHEME, "block_elems": BLOCK_ELEMS},
+        "seeding": {
+            "scheme": SEEDING_SCHEME,
+            "block_elems": BLOCK_ELEMS,
+            "block_rule": BLOCK_RULE,
+        },
         "versions": {
             "fairaudit": __version__,
             "numpy": np.__version__,

@@ -5,7 +5,7 @@ records a one-line verdict; the summary is printed at the end of the pytest
 run.  Criteria whose literal statement is unattainable (a provably false
 bound, or an infeasible sampling configuration) assert the documented actual
 behavior instead and say so in their verdict line; the analysis lives in the
-project decision ledger.
+"Deviations from the paper (decision ledger)" section of README.md.
 """
 
 import math
@@ -32,7 +32,6 @@ from fairaudit.sampling import (
     OPTIMAL_ETA,
     AttributeSpecificPlan,
     WeightedPlan,
-    inclusion_probabilities,
 )
 from fairaudit.simulator import Experiment, SweepPoint, estimate_error, threshold_sweep
 
@@ -124,7 +123,7 @@ def test_criterion_04_variance_lemmas():
     # the raw mean term only when seen once, so their variances are bounded
     # by twice the corresponding inclusion probability.
     for inst, plan, mom in _enumeration_sweep():
-        incl = inclusion_probabilities(plan)
+        incl = plan.inclusion_probabilities()
         for g in range(inst.k):
             p1, p2 = incl[g]
             assert mom.var_term1[g] <= 2.0 * p2 + 1e-10

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import csv
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from fairaudit.cli import (
     EXIT_H0,
     EXIT_H1,
     EXIT_USAGE,
+    _render_outcome,
     main,
     read_config,
     read_records,
@@ -17,7 +19,7 @@ from fairaudit.cli import (
 from fairaudit.core import GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
 from fairaudit.errors import ConfigError, WeightError
-from fairaudit.sampling import WeightedPlan
+from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 
 
 def _write(path, text):
@@ -211,6 +213,30 @@ class TestAudit:
         conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nmetric=eo\neta=0\n")
         assert main(["audit", data, conf]) == EXIT_H0
 
+    def test_clipped_attr_plan_warns(self, tmp_path, capsys):
+        # gamma * w = (4.5, 0.5): group a is clipped at 1, so the plan expects
+        # 1.5 groups of n/gamma = 2 samples, 3.0 samples against n = 10.
+        rows = ["group,label,prediction", "a,0,1", "a,0,0", "b,0,0", "b,0,0"]
+        data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
+        weights = _write(tmp_path / "w.csv", "group,weight\na,0.9\nb,0.1\n")
+        conf = _write(
+            tmp_path / "c.cfg",
+            f"alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=5\nweights={weights}\n",
+        )
+        code = main(["audit", data, conf])
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "warning: attribute-specific plan clips 1 group(s) with gamma * w_g > 1; "
+            "expects 3.0 samples against a budget of 10"
+        ]
+        w = GroupWeights([0.9, 0.1])
+        plan = AttributeSpecificPlan(w=w, budget=10, gamma=5.0)
+        outcome = run_test_dataset(
+            read_records(data), w, TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
+        )
+        assert out == _render_outcome(outcome, ("a", "b")) + "\n"
+        assert code == (EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0)
+
 
 class TestSynthRoundTrip:
     def test_audit_matches_in_memory_run(self, tmp_path, capsys):
@@ -302,6 +328,42 @@ class TestSimulate:
         assert (out1 / "manifest.json").read_bytes() == (
             out2 / "manifest.json"
         ).read_bytes()
+
+    def _attr_config(self, tmp_path, extra=""):
+        return _write(
+            tmp_path / "attr.cfg",
+            "k=8\nalpha=0.875\nepsilon=0.3\nplan=attr\nn_grid=8,16\n"
+            "trials=200\nbase_seed=4\n" + extra,
+        )
+
+    def test_gamma_key_sets_attr_plan(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "default", tmp_path / "gamma2"
+        assert main(["simulate", self._attr_config(tmp_path), "--out", str(out1)]) == 0
+        conf = self._attr_config(tmp_path, "gamma=2\n")
+        assert main(["simulate", conf, "--out", str(out2)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
+        assert json.loads((out2 / "manifest.json").read_text())["config"]["gamma"] == "2"
+
+    def test_clipped_gamma_warns(self, tmp_path, capsys):
+        # gamma = 16 against w_g = 1/8: all 8 groups clipped, 8 groups of
+        # n/gamma = 2 samples expected at n = 32 and 4 at n = 64.
+        conf = _write(
+            tmp_path / "c.cfg",
+            "k=8\nalpha=0.875\nepsilon=0.3\nplan=attr\nn_grid=32,64\n"
+            "gamma=16\ntrials=20\nbase_seed=4\n",
+        )
+        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: attribute-specific plan clips 8 group(s) with gamma * w_g > 1; "
+            f"expects {expected} samples against a budget of {n}"
+            for n, expected in ((32, 16.0), (64, 32.0))
+        ]
+
+    def test_gamma_with_fractional_block_rejected(self, tmp_path, capsys):
+        conf = self._attr_config(tmp_path, "gamma=3\n")  # 8 / 3 samples per group
+        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: n/gamma must be a positive integer")
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         conf = _write(

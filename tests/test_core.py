@@ -52,6 +52,13 @@ class TestGroupWeights:
         with pytest.raises(WeightError):
             GroupWeights([])
 
+    def test_equal_weights_hash_equal(self):
+        a, b = GroupWeights([0.25, 0.75]), GroupWeights([0.25, 0.75])
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a.w)
+        assert hash(a) == hash(a)  # the cached value on reuse
+        assert GroupWeights([0.75, 0.25]) != a
+
     def test_indexing_and_len(self):
         w = GroupWeights([0.25, 0.75])
         assert len(w) == 2

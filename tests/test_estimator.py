@@ -23,7 +23,6 @@ from fairaudit.metrics import average_quality, separation_statistic
 from fairaudit.sampling import (
     AttributeSpecificPlan,
     WeightedPlan,
-    inclusion_probabilities,
 )
 
 
@@ -179,7 +178,7 @@ class TestExactMoments:
         inst = FairnessInstance(w, [0.25, 0.75])
         plan = WeightedPlan.from_weights(w, 0.0, 3)
         mom = exact_moments(inst, plan)
-        incl = inclusion_probabilities(plan)
+        incl = plan.inclusion_probabilities()
         trials = 40_000
         rng = np.random.default_rng(25)
         observed: dict[float, int] = {}
@@ -275,7 +274,7 @@ class TestRowKernels:
             if n % 2 == 0:
                 plans.append(AttributeSpecificPlan(w=w, budget=n, gamma=n / 2))
             for plan in plans:
-                weights = term_weights(w, inclusion_probabilities(plan))
+                weights = term_weights(w, plan.inclusion_probabilities())
                 mean = 0.0
                 for m, p_counts in _count_vectors(plan):
                     s = np.array(list(product(*[range(mg + 1) for mg in m])))

@@ -11,9 +11,8 @@ from fairaudit.sampling import (
     OPTIMAL_ETA,
     AttributeSpecificPlan,
     WeightedPlan,
-    draw_counts,
+    _binomial_inclusion,
     inclusion_array,
-    inclusion_probabilities,
     satisfies_tail_lemma,
     weighted_marginal,
 )
@@ -91,6 +90,15 @@ class TestAttributeSpecificPlan:
         with pytest.raises(ValueError):
             AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=10, gamma=3.0)
 
+    def test_expected_included_counts_clipped_groups_once(self):
+        # gamma * w = (4.5, 0.5): the first group is clipped at 1, so the plan
+        # expects 1.5 groups of n/gamma = 2 samples, 3 samples against n = 10.
+        plan = AttributeSpecificPlan(w=GroupWeights([0.9, 0.1]), budget=10, gamma=5.0)
+        assert plan.expected_included() == 1.5
+        assert plan.block * plan.expected_included() == 3.0
+        unclipped = AttributeSpecificPlan(w=GroupWeights.uniform(10), budget=10, gamma=5.0)
+        assert unclipped.block * unclipped.expected_included() == pytest.approx(10.0)
+
     def test_budget_identity(self):
         # With gamma * w_g <= 1 for all g, E[sum M_g] = n.
         w = GroupWeights.uniform(10)
@@ -108,25 +116,25 @@ class TestAttributeSpecificPlan:
 class TestInclusionProbabilities:
     def test_weighted_half(self):
         plan = WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=4)
-        p1, p2 = inclusion_probabilities(plan)[0]
+        p1, p2 = plan.inclusion_probabilities()[0]
         assert abs(p1 - 0.9375) <= 1e-12
         assert abs(p2 - 0.6875) <= 1e-12
 
     def test_weighted_certain_group(self):
         plan = WeightedPlan(v=GroupWeights([1.0, 0.0]), budget=5)
-        assert inclusion_probabilities(plan)[0] == (1.0, 1.0)
+        assert tuple(plan.inclusion_probabilities()[0]) == (1.0, 1.0)
 
     def test_attr_plain(self):
         w = GroupWeights([0.1] + [0.9 / 9] * 9)
         plan = AttributeSpecificPlan(w=w, budget=10, gamma=5.0)
-        p1, p2 = inclusion_probabilities(plan)[0]
+        p1, p2 = plan.inclusion_probabilities()[0]
         assert abs(p1 - 0.5) <= 1e-12
         assert p1 == p2
 
     def test_attr_block_one_rejected(self):
         plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=4, gamma=4.0)
         with pytest.raises(EstimatorUndefined):
-            inclusion_probabilities(plan)
+            plan.inclusion_probabilities()
 
     def test_matches_direct_binomial_sum(self):
         # Cross-check the log1p/expm1 form against naive binomial tails.
@@ -135,7 +143,7 @@ class TestInclusionProbabilities:
             n = int(rng.integers(1, 30))
             v = float(rng.random())
             plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-            p1, p2 = inclusion_probabilities(plan)[0]
+            p1, p2 = plan.inclusion_probabilities()[0]
             q = (1.0 - v) ** n
             assert abs(p1 - (1.0 - q)) <= 1e-12
             assert abs(p2 - (1.0 - q - n * v * (1.0 - v) ** (n - 1))) <= 1e-12
@@ -146,7 +154,7 @@ class TestInclusionProbabilities:
         n = 10**6
         v = 1e-12
         plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-        p1, p2 = inclusion_probabilities(plan)[0]
+        p1, p2 = plan.inclusion_probabilities()[0]
         assert abs(p1 / (n * v) - 1.0) <= 1e-5
         assert abs(p2 / ((n * v) ** 2 / 2.0) - 1.0) <= 1e-4
 
@@ -155,7 +163,7 @@ class TestInclusionProbabilities:
             prev = (0.0, 0.0)
             for n in range(1, 30):
                 plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-                cur = inclusion_probabilities(plan)[0]
+                cur = plan.inclusion_probabilities()[0]
                 assert cur[0] >= prev[0] - 1e-15
                 assert cur[1] >= prev[1] - 1e-15
                 prev = cur
@@ -163,14 +171,14 @@ class TestInclusionProbabilities:
         prev = (0.0, 0.0)
         for v in np.linspace(0.01, 0.99, 25):
             plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-            cur = inclusion_probabilities(plan)[0]
+            cur = plan.inclusion_probabilities()[0]
             assert cur[0] >= prev[0] - 1e-15
             assert cur[1] >= prev[1] - 1e-15
             prev = cur
 
     def test_empirical_frequency_weighted(self):
         plan = WeightedPlan(v=GroupWeights([0.15, 0.85]), budget=8)
-        p1, p2 = inclusion_probabilities(plan)[0]
+        p1, p2 = plan.inclusion_probabilities()[0]
         trials = 100_000
         rng = np.random.default_rng(4)
         m0 = np.array([plan.draw_counts(rng)[0] for _ in range(trials)])
@@ -182,7 +190,7 @@ class TestInclusionProbabilities:
     def test_empirical_frequency_attr(self):
         w = GroupWeights([0.1, 0.4, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=6, gamma=3.0)
-        probs = inclusion_probabilities(plan)
+        probs = plan.inclusion_probabilities()
         trials = 100_000
         rng = np.random.default_rng(5)
         counts = np.array([plan.draw_counts(rng) for _ in range(trials)])
@@ -197,6 +205,28 @@ class TestInclusionProbabilities:
         assert arr.shape == (2, 2)
         assert not arr.flags.writeable
         assert inclusion_array(plan) is arr
+
+    def test_array_form_matches_per_group_scalars(self):
+        w = GroupWeights([0.5, 0.25, 0.125, 0.125, 0.0])
+        weighted = WeightedPlan.from_weights(w, OPTIMAL_ETA, 7)
+        attr = AttributeSpecificPlan(w=w, budget=12, gamma=6.0)  # clips group 0
+        for plan, rows in (
+            (weighted, [_binomial_inclusion(7, vg) for vg in weighted.v.w]),
+            (attr, [(float(p), float(p)) for p in attr.include_probs()]),
+        ):
+            arr = plan.inclusion_probabilities()
+            assert arr.shape == (5, 2) and arr.dtype == np.float64
+            assert [tuple(row) for row in arr.tolist()] == rows  # bit for bit
+
+    def test_inclusion_array_hits_for_equal_distinct_plans(self):
+        w = [0.25, 0.25, 0.5]
+        first = AttributeSpecificPlan(w=GroupWeights(w), budget=8, gamma=2.0)
+        arr = inclusion_array(first)
+        hits = inclusion_array.cache_info().hits
+        second = AttributeSpecificPlan(w=GroupWeights(w), budget=8, gamma=2.0)
+        assert second is not first and second.w is not first.w
+        assert inclusion_array(second) is arr
+        assert inclusion_array.cache_info().hits == hits + 1
 
 
 class TestTailLemma:
@@ -227,10 +257,3 @@ class TestTailLemma:
         with pytest.raises(TypeError):
             satisfies_tail_lemma(plan)
 
-
-def test_module_level_draw_counts_dispatch():
-    rng = np.random.default_rng(9)
-    wp = WeightedPlan(v=GroupWeights([0.4, 0.6]), budget=7)
-    assert draw_counts(wp, rng).sum() == 7
-    ap = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=4, gamma=2.0)
-    assert np.array_equal(draw_counts(ap, rng), [2, 2])

@@ -41,12 +41,13 @@ def _both_plans_cfgs(pair, n=40):
 
 class TestEstimateError:
     def test_deterministic_across_runs(self):
-        pair, cfg = _hard_pair_cfg()
-        a = estimate_error(pair.p0, pair.p1, cfg, trials=200, base_seed=7)
-        b = estimate_error(pair.p0, pair.p1, cfg, trials=200, base_seed=7)
-        assert a.p_err_hat == b.p_err_hat
-        assert a.frac_h1_given_h0 == b.frac_h1_given_h0
-        assert a.frac_h0_given_h1 == b.frac_h0_given_h1
+        pair, _ = _hard_pair_cfg()
+        for cfg in _both_plans_cfgs(pair):
+            a = estimate_error(pair.p0, pair.p1, cfg, trials=200, base_seed=7)
+            b = estimate_error(pair.p0, pair.p1, cfg, trials=200, base_seed=7)
+            assert a.p_err_hat == b.p_err_hat
+            assert a.frac_h1_given_h0 == b.frac_h1_given_h0
+            assert a.frac_h0_given_h1 == b.frac_h0_given_h1
 
     def test_seed_changes_result(self):
         pair, cfg = _hard_pair_cfg(n=20)
@@ -75,11 +76,12 @@ class TestEstimateError:
         # Hits over 3B trials equal the hits of its three blocks run on
         # their own, last block first, for both plans and both sides.
         pair, _ = _hard_pair_cfg()
-        b = max(1, simulator.BLOCK_ELEMS // pair.p0.k)
         for cfg in _both_plans_cfgs(pair):
+            setup = simulator._setup(cfg.plan, pair.p0.weights)
+            b = setup.block
             for side, inst in ((0, pair.p0), (1, pair.p1)):
-                whole = simulator._side_h1(inst, cfg, 3 * b, 9, side)
-                decide = simulator._block_decider(inst, cfg, b)
+                whole = simulator._side_h1(inst, cfg, setup, 3 * b, 9, side)
+                decide = simulator._block_decider(inst, cfg, setup)
                 parts = [simulator._block_h1(decide, 9, side, i, b) for i in (2, 1, 0)]
                 assert whole == sum(parts)
                 assert 0 < whole < 3 * b  # the check is not vacuous
@@ -103,8 +105,17 @@ class TestEstimateError:
             q = float(prob[f >= tau].sum())
             assert 0.2 < q < 0.8
             cfg = TestConfig(alpha=0.0, epsilon=math.sqrt(2 * tau), plan=plan)
-            rate = simulator._side_h1(inst, cfg, trials, 13, 0) / trials
+            setup = simulator._setup(plan, w)
+            rate = simulator._side_h1(inst, cfg, setup, trials, 13, 0) / trials
             assert abs(rate - q) <= 5 * math.sqrt(q * (1 - q) / trials)
+
+    def test_block_size_follows_entries_per_trial(self):
+        pair, _ = _hard_pair_cfg(k=64)
+        weighted, attr = _both_plans_cfgs(pair)
+        w = pair.p0.weights
+        assert simulator._setup(weighted.plan, w).block == simulator.BLOCK_ELEMS // 64
+        # p_g = 2/64 for all 64 groups: two included groups per trial.
+        assert simulator._setup(attr.plan, w).block == simulator.BLOCK_ELEMS // 2
 
     def test_rejects_h0_instance_outside_p0(self):
         pair, cfg = _hard_pair_cfg()
@@ -126,6 +137,60 @@ class TestEstimateError:
         est = estimate_error(pair.p0, pair.p1, cfg, trials=500, base_seed=3)
         p = est.p_err_hat
         assert abs(est.stderr - (p * (1 - p) / 500) ** 0.5) <= 1e-15
+
+
+class _ConstantGaps:
+    """A generator stand-in whose geometric draws are all `gap`."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.calls = 0
+
+    def geometric(self, q, size):
+        self.calls += 1
+        return np.full(size, self.gap, dtype=np.int64)
+
+
+class TestSparseDraw:
+    def test_inclusion_frequencies_match_p(self):
+        # Several binary-exponent classes (with p_g / q < 1 inside them),
+        # clipped and exact p_g = 1 groups, zero-weight groups and one p_g
+        # near 1e-300.
+        w = GroupWeights([0.5, 0.25, 0.1, 0.07, 0.045, 0.035, 0.0, 0.0, 2.5e-301])
+        plan = AttributeSpecificPlan(w=w, budget=8, gamma=4.0)
+        p = plan.include_probs()
+        assert p[0] == p[1] == 1.0 and p[6] == p[7] == 0.0 and 0.0 < p[8] < 1e-299
+        classes = simulator._inclusion_classes(p)
+        assert len(classes) == 4
+        assert sorted(g for members, _, _ in classes for g in members.tolist()) == [
+            0, 1, 2, 3, 4, 5, 8]
+        rng = np.random.default_rng(31)
+        trials, hits = 0, np.zeros(w.k)
+        for size in (1, 7, 50_000, 150_000):
+            rows, groups = simulator._included(rng, classes, size)
+            assert rows.min() >= 0 and rows.max() < size
+            pairs = rows * w.k + groups
+            assert np.unique(pairs).size == pairs.size  # a group at most once per trial
+            hits += np.bincount(groups, minlength=w.k)
+            trials += size
+        assert hits[0] == hits[1] == trials
+        assert hits[6] == hits[7] == hits[8] == 0
+        sigma = np.sqrt(p * (1 - p) / trials)
+        assert np.all(np.abs(hits / trials - p) <= 5 * sigma)
+
+    def test_gaps_topped_up_until_past_the_grid(self):
+        # Unit gaps: every one of the n trials succeeds, which needs far
+        # more gaps than the chunk sized for q = 0.001.
+        rng = _ConstantGaps(1)
+        assert np.array_equal(simulator._success_positions(rng, 0.001, 1000), np.arange(1000))
+        assert rng.calls > 1
+
+    def test_huge_gaps_capped(self):
+        # Gaps of int64 max (numpy's value for a tiny q) would overflow the
+        # running sum; capped, they land past the end.
+        rng = _ConstantGaps(np.iinfo(np.int64).max)
+        assert simulator._success_positions(rng, 1e-300, 10**6).size == 0
+        assert rng.calls == 1
 
 
 def _sweep_experiment(grid, trials=150, base_seed=5, target=0.1):
@@ -194,6 +259,8 @@ class TestOutputs:
         assert data["seeding"] == {
             "scheme": "numpy.random.default_rng([base_seed, side, block_index])",
             "block_elems": simulator.BLOCK_ELEMS,
+            "block_rule": "B = max(1, block_elems // E) trials per block; E = K for the "
+            "weighted plan, ceil(sum_g p_g) for the attribute-specific plan",
         }
         assert data["versions"] == {
             "fairaudit": fairaudit.__version__,
