@@ -23,6 +23,8 @@ from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan, inclusi
 
 # Numeric tolerance used when classifying instances into the composite regions.
 REGION_TOL = 1e-12
+# Offending groups named in a plan-mismatch error; the rest are counted.
+MISMATCH_NAMES_SHOWN = 5
 
 
 class Decision(Enum):
@@ -117,9 +119,12 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
         block = plan.block
         bad = np.flatnonzero((m != 0) & (m != block))
         if bad.size:
+            # Name a few, so the message stays one readable line at any K.
+            shown = ", ".join(repr(counts.names[g]) for g in bad[:MISMATCH_NAMES_SHOWN])
+            if bad.size > MISMATCH_NAMES_SHOWN:
+                shown += f" ... ({bad.size} groups in all)"
             raise PlanMismatch(
-                f"attribute-specific counts must be 0 or {block}; "
-                f"groups {bad.tolist()} violate this"
+                f"attribute-specific counts must be 0 or {block}; groups {shown} violate this"
             )
     incl = inclusion_array(plan)
     stat = estimate_from_counts(counts.s, m, w, incl)

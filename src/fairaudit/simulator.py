@@ -19,7 +19,12 @@ positions of a class are the successes of Bernoulli(q) trials over its
 flattened B x n_class grid, found from Geometric(q) gaps; each candidate is
 kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
-weights, classes, B) is built once per `estimate_error` call.
+weights, classes, B) is built once per budget and shared by both sides.
+
+`threshold_sweep` checks that each point's fair instance lies in P0 and its
+unfair one in P1 before it runs any trial, classifying each distinct
+(instance, alpha, epsilon) once, so one bad point fails the whole sweep up
+front and points that share their instances do not pay for the check again.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from . import __version__
 from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
-from .errors import ConfigError
+from .errors import ConfigError, ZeroInclusionProbability
 from .estimator import estimate_entries, estimate_rows, term_weights
 from .sampling import AttributeSpecificPlan, SamplingPlan, inclusion_array
 
@@ -74,29 +79,42 @@ class _Setup:
 def _inclusion_classes(p: np.ndarray):
     """Groups with p > 0, split by the binary exponent of p (see the module docstring).
 
-    Works with masks rather than a sort, so that it allocates few K-sized arrays.
+    Classes come in descending order of exponent, members in ascending order.
     """
-    _, exponent = np.frexp(p)
-    left = p > 0
+    ids = np.flatnonzero(p > 0)
+    if not ids.size:
+        return ()
+    pos = p if ids.size == p.size else p[ids]
+    top = math.frexp(pos.max())[1]
+    # The exponent rises with p, so when the extremes share it, all do.
+    if math.frexp(pos.min())[1] == top:
+        splits = [(ids, pos)]  # one class, as under uniform weights
+    else:
+        step = top - np.frexp(pos)[1]  # 0 in the top class
+        in_class = (step == s for s in np.flatnonzero(np.bincount(step)))
+        splits = [(ids[mask], pos[mask]) for mask in in_class]
     classes = []
-    while left.any():
-        top = np.max(exponent, where=left, initial=np.iinfo(exponent.dtype).min)
-        in_class = left & (exponent == top)
-        left &= ~in_class
-        members = np.flatnonzero(in_class)
-        q = float(np.max(p, where=in_class, initial=0.0))
-        ratio = None if np.min(p, where=in_class, initial=q) == q else p[members] / q
-        classes.append((members, q, ratio))
+    for members, pm in splits:
+        q = float(pm.max())
+        classes.append((members, q, None if pm.min() == q else pm / q))
     return tuple(classes)
 
 
 def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     incl = inclusion_array(plan)
-    weights = term_weights(w, incl)
-    if isinstance(plan, AttributeSpecificPlan):
-        entries = max(1, math.ceil(plan.expected_included()))
-        return _Setup(weights, _inclusion_classes(incl[:, 0]), max(1, BLOCK_ELEMS // entries))
-    return _Setup(weights, (), max(1, BLOCK_ELEMS // plan.k))
+    if not isinstance(plan, AttributeSpecificPlan):
+        return _Setup(term_weights(w, incl), (), max(1, BLOCK_ELEMS // plan.k))
+    # Both columns are p_g under this plan, so one normalizer w_g / p_g
+    # serves the F1 and the F2 terms (the values term_weights gives).
+    p = incl[:, 0].copy()
+    warr = w.as_array()
+    active = warr > 0
+    bad = active & (p <= 0.0)
+    if bad.any():
+        raise ZeroInclusionProbability(int(np.argmax(bad)))
+    c = np.divide(warr, p, out=np.zeros_like(warr), where=active)
+    entries = max(1, math.ceil(float(p.sum())))
+    return _Setup((c, c), _inclusion_classes(p), max(1, BLOCK_ELEMS // entries))
 
 
 def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray:
@@ -191,6 +209,19 @@ def _side_h1(
     )
 
 
+def _classify(inst: FairnessInstance, cfg: TestConfig) -> Region:
+    return classify_region(inst, cfg.alpha, cfg.epsilon)
+
+
+def _check_regions(region, h0_inst: FairnessInstance, h1_inst: FairnessInstance,
+                   cfg: TestConfig) -> None:
+    """Raise ConfigError unless region(., cfg) puts h0_inst in P0 and h1_inst in P1."""
+    if region(h0_inst, cfg) is not Region.P0:
+        raise ConfigError("h0 instance does not have zero CVaR fairness")
+    if region(h1_inst, cfg) is not Region.P1:
+        raise ConfigError("h1 instance does not have CVaR fairness >= epsilon")
+
+
 def estimate_error(
     h0_inst: FairnessInstance,
     h1_inst: FairnessInstance,
@@ -205,10 +236,18 @@ def estimate_error(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if classify_region(h0_inst, cfg.alpha, cfg.epsilon) is not Region.P0:
-        raise ConfigError("h0 instance does not have zero CVaR fairness")
-    if classify_region(h1_inst, cfg.alpha, cfg.epsilon) is not Region.P1:
-        raise ConfigError("h1 instance does not have CVaR fairness >= epsilon")
+    _check_regions(_classify, h0_inst, h1_inst, cfg)
+    return _estimate(h0_inst, h1_inst, cfg, trials, base_seed)
+
+
+def _estimate(
+    h0_inst: FairnessInstance,
+    h1_inst: FairnessInstance,
+    cfg: TestConfig,
+    trials: int,
+    base_seed: int,
+) -> ErrorEstimate:
+    """`estimate_error` without its input checks, for callers that made them."""
     setup0 = _setup(cfg.plan, h0_inst.weights)
     setup1 = setup0 if h1_inst.weights == h0_inst.weights else _setup(cfg.plan, h1_inst.weights)
     frac_h1_h0 = _side_h1(h0_inst, cfg, setup0, trials, base_seed, 0) / trials
@@ -264,11 +303,27 @@ class SweepResult:
 
 
 def threshold_sweep(exp: Experiment) -> SweepResult:
-    """Evaluate every grid point; deterministic given base_seed."""
+    """Evaluate every grid point; deterministic given base_seed.
+
+    Every point's instances are checked as `estimate_error` checks them
+    before any point runs.  Each distinct (instance, alpha, epsilon) is
+    classified once, keyed on the instance object: hashing K loss means
+    would cost about as much as the classification.
+    """
+    regions: dict[tuple[int, float, float], Region] = {}
+
+    def region(inst: FairnessInstance, cfg: TestConfig) -> Region:
+        key = (id(inst), cfg.alpha, cfg.epsilon)
+        if key not in regions:
+            regions[key] = _classify(inst, cfg)
+        return regions[key]
+
+    for point in exp.points:
+        _check_regions(region, point.h0, point.h1, point.cfg)
     rows = []
     n_hat = None
     for point in exp.points:
-        est = estimate_error(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed)
+        est = _estimate(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed)
         rows.append((point.axis_value, est))
         if n_hat is None and est.p_err_hat <= exp.target:
             n_hat = point.axis_value

@@ -237,6 +237,24 @@ class TestAudit:
         assert out == _render_outcome(outcome, ("a", "b")) + "\n"
         assert code == (EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0)
 
+    def test_attr_plan_mismatch_names_a_few_groups(self, tmp_path, capsys):
+        # 3000 groups against blocks of n/gamma = 2: every odd group has 3 rows.
+        lines = ["group,label,prediction"]
+        for g in range(3000):
+            lines.extend([f"g{g:04d},0,0"] * (3 if g % 2 else 2))
+        data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
+        conf = _write(
+            tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=3000\ngamma=1500\n"
+        )
+        assert main(["audit", data, conf]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err) < 200  # one short line, not one entry per offending group
+        assert err == (
+            "error: attribute-specific counts must be 0 or 2; groups 'g0001', 'g0003', "
+            "'g0005', 'g0007', 'g0009' ... (1500 groups in all) violate this\n"
+        )
+
 
 class TestSynthRoundTrip:
     def test_audit_matches_in_memory_run(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo error-estimation harness."""
 
+import dataclasses
 import json
 import math
 import platform
@@ -12,9 +13,9 @@ from fairaudit import simulator
 from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
-from fairaudit.errors import ConfigError
-from fairaudit.estimator import exact_moments
-from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
+from fairaudit.errors import ConfigError, ZeroInclusionProbability
+from fairaudit.estimator import exact_moments, term_weights
+from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
     SweepPoint,
@@ -193,6 +194,101 @@ class TestSparseDraw:
         assert rng.calls == 1
 
 
+def _classes_oracle(p):
+    """The inclusion classes by masked reductions, one pass per class (reference)."""
+    _, exponent = np.frexp(p)
+    left = p > 0
+    classes = []
+    while left.any():
+        top = np.max(exponent, where=left, initial=np.iinfo(exponent.dtype).min)
+        in_class = left & (exponent == top)
+        left &= ~in_class
+        members = np.flatnonzero(in_class)
+        q = float(np.max(p, where=in_class, initial=0.0))
+        ratio = None if np.min(p, where=in_class, initial=q) == q else p[members] / q
+        classes.append((members, q, ratio))
+    return tuple(classes)
+
+
+def _setup_oracle(plan, w):
+    """The attribute-specific set-up from the general-purpose pieces (reference)."""
+    incl = inclusion_array(plan)
+    weights = term_weights(w, incl)
+    entries = max(1, math.ceil(plan.expected_included()))
+    return weights, _classes_oracle(incl[:, 0]), max(1, simulator.BLOCK_ELEMS // entries)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_classes(got, want):
+    assert len(got) == len(want)
+    for (members, q, ratio), (members_o, q_o, ratio_o) in zip(got, want):
+        assert _same_bits(members, members_o)
+        assert q == q_o
+        assert (ratio is None) == (ratio_o is None)
+        if ratio is not None:
+            assert _same_bits(ratio, ratio_o)
+
+
+def _random_weights(rng):
+    """Raw weights mixing ties, zeros, wide spreads and tiny (down to subnormal) values."""
+    k = int(rng.integers(1, 400))
+    style = rng.integers(5)
+    if style == 0:  # all tied: a single class
+        raw = np.ones(k)
+    elif style == 1:  # a few distinct values, many ties
+        raw = rng.choice([1.0, 1.5, 2.0, 3.0, 4.0, 7.9], size=k)
+    else:  # spread over up to 60 octaves
+        raw = np.exp2(-rng.random(k) * rng.choice([1, 8, 60]))
+    raw[rng.random(k) < rng.choice([0.0, 0.1, 0.5])] = 0.0
+    tiny = rng.random(k) < rng.choice([0.0, 0.02])
+    raw[tiny] = rng.choice([1e-300, 3e-310, 5e-324], size=int(tiny.sum()))
+    if not raw.any():
+        raw[0] = 1.0
+    return raw / raw.sum()
+
+
+class TestSetupMatchesOracle:
+    def test_classes_of_random_vectors(self):
+        rng = np.random.default_rng(404)
+        edge = np.array([1.0, 0.5, 0.25, 0.75, 1e-300, 5e-324, 2.2250738585072014e-308, 0.0])
+        for _ in range(400):
+            p = np.minimum(_random_weights(rng) * rng.choice([1.0, 10.0, 1e3]), 1.0)
+            if rng.random() < 0.3:
+                p[rng.integers(p.size, size=3)] = rng.choice(edge, size=3)
+            _assert_same_classes(simulator._inclusion_classes(p), _classes_oracle(p))
+        assert simulator._inclusion_classes(np.zeros(5)) == _classes_oracle(np.zeros(5)) == ()
+
+    def test_attr_setup_of_random_plans(self):
+        rng = np.random.default_rng(405)
+        zero_inclusion = 0
+        for _ in range(320):
+            raw = _random_weights(rng)
+            block = int(rng.integers(2, 5))
+            budget = int(rng.integers(1, 3 * raw.size))  # clips groups when gamma * w_g > 1
+            if rng.random() < 0.1:
+                # gamma = 1/block < 1 takes the smallest subnormal w_g to p_g = 0.
+                budget, raw = 1, np.append(raw, 5e-324)
+            w = GroupWeights(raw)
+            plan = AttributeSpecificPlan(w=w, budget=budget, gamma=budget / block)
+            try:
+                want = _setup_oracle(plan, w)
+            except ZeroInclusionProbability as exc:
+                zero_inclusion += 1
+                with pytest.raises(ZeroInclusionProbability) as got:
+                    simulator._setup(plan, w)
+                assert got.value.group == exc.group
+                continue
+            got = simulator._setup(plan, w)
+            assert _same_bits(got.weights[0], want[0][0])
+            assert _same_bits(got.weights[1], want[0][1])
+            _assert_same_classes(got.classes, want[1])
+            assert got.block == want[2]
+        assert 0 < zero_inclusion < 320
+
+
 def _sweep_experiment(grid, trials=150, base_seed=5, target=0.1):
     pair = build_hard_pair(8, 0.3)
     points = []
@@ -231,8 +327,97 @@ class TestThresholdSweep:
         with pytest.raises(ConfigError):
             _sweep_experiment([])
 
+    @staticmethod
+    def _count_classifications(monkeypatch):
+        calls = []
+        classify = simulator.classify_region
+
+        def counted(inst, alpha, epsilon):
+            calls.append((inst, alpha, epsilon))
+            return classify(inst, alpha, epsilon)
+
+        monkeypatch.setattr(simulator, "classify_region", counted)
+        return calls
+
+    def test_each_instance_classified_once_per_sweep(self, monkeypatch):
+        calls = self._count_classifications(monkeypatch)
+        threshold_sweep(_sweep_experiment([50, 100, 200, 400], trials=10))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("other_pair, other_eps", [(True, 0.3), (False, 0.2)])
+    def test_distinct_instances_classified_apart(self, monkeypatch, other_pair, other_eps):
+        # Equal by value, a second pair is still a distinct instance, and the
+        # same pair at another epsilon is a distinct check.
+        calls = self._count_classifications(monkeypatch)
+        exp = _sweep_experiment([50, 100, 200, 400], trials=10)
+        pair = build_hard_pair(8, 0.3) if other_pair else None
+        points = tuple(
+            SweepPoint(
+                axis_value=pt.axis_value,
+                h0=pair.p0 if pair else pt.h0,
+                h1=pair.p1 if pair else pt.h1,
+                cfg=TestConfig(alpha=pt.cfg.alpha, epsilon=other_eps, plan=pt.cfg.plan),
+            ) if i % 2 else pt
+            for i, pt in enumerate(exp.points)
+        )
+        threshold_sweep(dataclasses.replace(exp, points=points))
+        assert len(calls) == 4
+
+    def test_bad_last_point_fails_before_any_block(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(simulator, "_side_h1", lambda *args: runs.append(args) or 0)
+        exp = _sweep_experiment([50, 100, 200])
+        last = exp.points[-1]
+        bad = dataclasses.replace(last, h1=last.h0)  # the fair instance is not in P1
+        with pytest.raises(ConfigError, match="h1 instance does not have CVaR fairness"):
+            threshold_sweep(dataclasses.replace(exp, points=exp.points[:-1] + (bad,)))
+        assert runs == []
+
+
+def _attr_wide_sweep(w, mu_hot, trials=32, base_seed=20261018):
+    """The benchmark's attribute-specific sweep shape at K = w.k: a quarter of the groups hot."""
+    k, hot = w.k, w.k // 4
+    h0 = FairnessInstance(w, [0.5] * k)
+    h1 = FairnessInstance(w, [mu_hot] * hot + [0.5] * (k - hot))
+    points = tuple(
+        SweepPoint(axis_value=n, h0=h0, h1=h1, cfg=TestConfig(
+            alpha=0.75, epsilon=0.3, plan=AttributeSpecificPlan(w=w, budget=n, gamma=n / 2)))
+        for n in (600, 1200, 3000)
+    )
+    return Experiment(axis="n", points=points, trials=trials, base_seed=base_seed)
+
+
+# sweep.csv of `_attr_wide_sweep` at K = 4096, recorded before the attribute
+# plan's set-up was rewritten; a set-up change must not alter the streams.
+_ATTR_WIDE_GOLDEN = {
+    "uniform": (
+        "n,p_err_hat,stderr,frac_h1_given_h0,frac_h0_given_h1,trials,n_hat\n"
+        "600,0.25,0.07654655446197431,0.21875,0.28125,32,3000\n"
+        "1200,0.203125,0.07112164631262939,0.1875,0.21875,32,3000\n"
+        "3000,0.046875,0.037365481386150375,0.09375,0.0,32,3000\n"
+    ),
+    "three_classes": (
+        "n,p_err_hat,stderr,frac_h1_given_h0,frac_h0_given_h1,trials,n_hat\n"
+        "600,0.265625,0.07807615660666674,0.375,0.15625,32,3000\n"
+        "1200,0.21875,0.07307924583542855,0.3125,0.125,32,3000\n"
+        "3000,0.0625,0.0427908248050911,0.125,0.0,32,3000\n"
+    ),
+}
+
 
 class TestOutputs:
+    @pytest.mark.parametrize("shape", sorted(_ATTR_WIDE_GOLDEN))
+    def test_attr_sweep_matches_recorded_bytes(self, tmp_path, shape):
+        k = 4096
+        if shape == "uniform":
+            w, mu_hot = GroupWeights.uniform(k), 0.9
+        else:  # w_g proportional to 1..7: classes {1}, {2, 3}, {4..7}, thinned within
+            raw = 1.0 + np.arange(k) % 7
+            w, mu_hot = GroupWeights(raw / raw.sum()), 0.95
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(threshold_sweep(_attr_wide_sweep(w, mu_hot)), str(path))
+        assert path.read_bytes() == _ATTR_WIDE_GOLDEN[shape].encode("utf-8")
+
     def test_csv_byte_identical(self, tmp_path):
         result = threshold_sweep(_sweep_experiment([50, 200]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
