@@ -15,7 +15,9 @@ Exit codes are the machine contract: 0 = H0 (no violation detected),
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import re
 import sys
 from contextlib import contextmanager
@@ -28,7 +30,7 @@ from .adversarial import build_hard_pair, build_mixture_family
 from .bounds import build_report, p_error_attr, p_error_weighted
 from .core import GroupCounts, GroupWeights, MetricKind
 from .cvar_test import TestConfig, TestOutcome, run_test_dataset
-from .errors import ConfigError, FairauditError
+from .errors import ConfigError, FairauditError, shown_groups
 from .sampling import AttributeSpecificPlan, WeightedPlan, weighted_marginal
 from .simulator import (
     Experiment,
@@ -67,11 +69,12 @@ def read_config(path: str) -> dict[str, str]:
 
 
 @contextmanager
-def _csv_columns(path: str, columns: tuple[str, ...]):
-    """Open a UTF-8 CSV; yields its reader, past the header, and the positions
-    of the named columns (the last one where a name repeats, as in
-    csv.DictReader).  Undecodable or unparsable input becomes a ConfigError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _csv_columns(path: str, data: bytes, columns: tuple[str, ...]):
+    """Parse a file's bytes as a UTF-8 CSV; yields its reader, past the header,
+    and the positions of the named columns (the last one where a name repeats,
+    as in csv.DictReader).  Undecodable or unparsable input becomes a
+    ConfigError naming `path`."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -100,18 +103,156 @@ def _bit(cell: str, column: str) -> int:
     return value
 
 
-def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
-    """Reduce a data CSV to per-group counts under the metric, in one pass.
+# --- The vectorised reader for plain CSVs -----------------------------------
+#
+# The csv module parses a plain CSV exactly as splitting its lines on "," does,
+# so such a file can be reduced with whole-array numpy operations.  Anything
+# else raises _NotPlain and goes through csv.reader, which also gives every
+# error message; so the two paths agree on every input.
 
-    Each group gets a dense id as it first appears; the counts come back
-    ordered by group name.  Blank lines are skipped.
+# A packed group name: up to 8 UTF-8 bytes in a big-endian uint64, NUL-padded.
+# With NUL bytes excluded, the keys sort as the names do (UTF-8 byte order is
+# code point order, and a prefix packs to the smaller key).
+_KEY_BYTES = 8
+_COMMA, _LF, _CR, _ZERO = b",\n\r0"
+
+
+class _NotPlain(Exception):
+    """The input needs csv.reader: the vectorised reader does not cover it."""
+
+
+def _plain_cells(data: bytes, columns: tuple[str, ...]):
+    """The cells of the named columns of a plain CSV.
+
+    Plain means: valid UTF-8 with no BOM, NUL byte or quote; lines end in
+    "\n" or "\r\n" (the last one may end the file instead); the header names
+    every column once and includes `columns`; every line, the header too, has
+    as many cells as the header and is no longer than csv.field_size_limit().
+    Returns the bytes as a uint8 array and, per named column, the start and
+    end offsets of its cells, one per data row.  Raises _NotPlain for
+    anything else, including a file without data rows.
     """
+    if data.startswith(codecs.BOM_UTF8) or b'"' in data or b"\0" in data:
+        raise _NotPlain
+    has_cr = b"\r" in data
+    if has_cr and data.count(b"\r") != data.count(b"\r\n"):
+        raise _NotPlain
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    header = data[: data.index(b"\n")].removesuffix(b"\r").decode("utf-8").split(",")
+    ncol = len(header)
+    if len(set(header)) < ncol or not set(columns) <= set(header):
+        raise _NotPlain
+    text = np.frombuffer(data, np.uint8)
+    is_delim = text == _COMMA
+    is_delim |= text == _LF
+    delims = np.flatnonzero(is_delim)
+    del is_delim
+    delims = delims.astype(np.int32 if text.size < 2**31 else np.int64)
+    rows = delims.size // ncol - 1
+    # Every line has ncol - 1 commas iff the delimiters fill an (rows + 1, ncol)
+    # grid whose last column holds every newline.
+    if (
+        rows < 1
+        or delims.size % ncol
+        or data.count(b"\n") != rows + 1
+        or not np.all(text[delims[ncol - 1 :: ncol]] == _LF)
+    ):
+        raise _NotPlain
+    lines = delims.reshape(-1, ncol)
+    line_end = lines[:, -1]
+    if int(np.diff(line_end).max(initial=line_end[0])) > csv.field_size_limit():
+        raise _NotPlain
+    lines = lines[1:]
+    cells = []
+    for name in columns:
+        c = header.index(name)
+        start = line_end[:-1] + 1 if c == 0 else lines[:, c - 1] + 1
+        end = lines[:, c]
+        if has_cr and c == ncol - 1:
+            end = end - (text[end - 1] == _CR)
+        cells.append((start, end))
+    return text, cells
+
+
+def _packed_keys(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The packed keys of the cells text[start:end]; _NotPlain if one is too long."""
+    length = end - start
+    if int(length.max()) > _KEY_BYTES:
+        raise _NotPlain
+    # The 8 bytes that end where a cell ends, shifted left past the bytes
+    # before the cell (a shift by 64 gives 0).  A cell ends at offset 8 or
+    # later, since the header in front of it has two named columns.
+    words = np.ndarray((text.size - _KEY_BYTES + 1,), ">u8", text, strides=(1,))
+    shift = (_KEY_BYTES - length).astype(np.uint64)
+    shift *= np.uint64(8)
+    return words[end - _KEY_BYTES] << shift
+
+
+def _name_keys(names: Sequence[str]) -> np.ndarray:
+    """The packed keys of group names; _NotPlain if one is long or holds a NUL."""
+    # NUL-separated, after 8 NULs so that every name ends at offset 8 or later.
+    text = np.frombuffer(("\0" * _KEY_BYTES + "\0".join(names) + "\0").encode(), np.uint8)
+    nul = np.flatnonzero(text == 0)[_KEY_BYTES - 1 :]
+    if nul.size != len(names) + 1:
+        raise _NotPlain
+    return _packed_keys(text, nul[:-1] + 1, nul[1:])
+
+
+def _key_names(keys: np.ndarray) -> list[str]:
+    """The group names of packed keys (an "S8" view drops the NUL padding)."""
+    return [b.decode("utf-8") for b in keys.astype(">u8").view(f"S{_KEY_BYTES}").tolist()]
+
+
+def _sorted_runs(keys: np.ndarray):
+    """The argsort of keys, the sorted keys, and where each run of equal keys starts."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return order, keys, first
+
+
+def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """0/1 cells as uint8; _NotPlain unless every cell is a literal "0" or "1"."""
+    bits = text[start] - np.uint8(_ZERO)
+    if not np.all(end - start == 1) or np.any(bits > 1):
+        raise _NotPlain
+    return bits
+
+
+def _records_plain(data: bytes, metric: MetricKind) -> GroupCounts:
+    text, (group, label, prediction) = _plain_cells(data, ("group", "label", "prediction"))
+    keys = _packed_keys(text, *group)
+    y, yh = _bits(text, *label), _bits(text, *prediction)
+    del text, group, label, prediction
+    # Dense ids in key order, hence in name order: an argsort-based inverse,
+    # freeing its temporaries as it goes (np.unique's costs peak memory).
+    order, keys, first = _sorted_runs(keys)
+    names = _key_names(keys[first])
+    del keys
+    ids = np.cumsum(first, dtype=np.int32)
+    ids -= 1
+    inverse = np.empty_like(ids)
+    inverse[order] = ids
+    del order, ids
+    return GroupCounts.from_rows(names, inverse, y, yh, metric)
+
+
+def _records_csv(path: str, data: bytes, metric: MetricKind) -> GroupCounts:
+    """The csv.reader path: reads every input, and words every error."""
     ids: dict[str, int] = {}
     group: list[int] = []
     label: list[int] = []
     prediction: list[int] = []
     bits = _BITS.get
-    with _csv_columns(path, ("group", "label", "prediction")) as (reader, (gi, li, pi)):
+    with _csv_columns(path, data, ("group", "label", "prediction")) as (reader, (gi, li, pi)):
         for row in reader:
             if not row:
                 continue
@@ -136,10 +277,50 @@ def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) 
     return GroupCounts.from_rows(list(ids), group, label, prediction, metric)
 
 
-def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
-    """Read a `group,weight` CSV aligned to the sorted group names."""
+def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
+    """Reduce a data CSV to per-group counts under the metric.
+
+    The counts come back ordered by group name.  Blank lines are skipped.
+    A plain CSV (see _plain_cells) with group names of at most 8 bytes and
+    label and prediction cells that are all a literal 0 or 1 is reduced with
+    numpy; any other input goes through csv.reader, with the same result.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return _records_plain(data, metric)
+    except _NotPlain:
+        return _records_csv(path, data, metric)
+
+
+def _missing_weights(path: str, missing: list[str]) -> ConfigError:
+    return ConfigError(f"{path}: missing weights for groups {shown_groups(missing)}")
+
+
+def _sidecar_plain(path: str, data: bytes, names: Sequence[str]) -> np.ndarray:
+    text, (group, weight) = _plain_cells(data, ("group", "weight"))
+    keys = _packed_keys(text, *group)
+    del text, group
+    try:
+        # Iterating memoryviews builds no lists of offsets.
+        values = np.array([float(data[a:b]) for a, b in zip(*map(memoryview, weight))])
+    except ValueError:
+        raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
+    order, keys, first = _sorted_runs(keys)
+    starts = np.flatnonzero(first)
+    # The last row of a repeated group wins.
+    keys, rows = keys[starts], np.maximum.reduceat(order, starts)
+    want = _name_keys(names)
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    missing = np.flatnonzero(keys[at] != want)
+    if missing.size:
+        raise _missing_weights(path, [names[g] for g in missing.tolist()])
+    return values[rows[at]]
+
+
+def _sidecar_csv(path: str, data: bytes, names: Sequence[str]) -> list[float]:
+    """The csv.reader path for a weight sidecar."""
     table: dict[str, float] = {}
-    with _csv_columns(path, ("group", "weight")) as (reader, (gi, wi)):
+    with _csv_columns(path, data, ("group", "weight")) as (reader, (gi, wi)):
         for row in reader:
             if not row:
                 continue
@@ -149,8 +330,23 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
                 raise _bad_row(path, reader.line_num, row, exc) from exc
     missing = [n for n in names if n not in table]
     if missing:
-        raise ConfigError(f"{path}: missing weights for groups {missing}")
-    return GroupWeights([table[n] for n in names])
+        raise _missing_weights(path, missing)
+    return [table[n] for n in names]
+
+
+def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
+    """Read a `group,weight` CSV aligned to the sorted group names.
+
+    The last row of a repeated group wins.  A plain file (see _plain_cells)
+    is matched to `names` by packed keys when every name has at most 8 bytes;
+    any other input goes through csv.reader, with the same result.
+    """
+    data = Path(path).read_bytes()
+    try:
+        weights = _sidecar_plain(path, data, names)
+    except _NotPlain:
+        weights = _sidecar_csv(path, data, names)
+    return GroupWeights(weights)
 
 
 def _resolve_weights(conf: dict[str, str], counts: GroupCounts) -> GroupWeights:
@@ -202,10 +398,11 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
         f"f2: {outcome.statistic.f2!r}",
         f"threshold: {outcome.threshold!r}",
     ]
-    for g, name in enumerate(names):
-        m = outcome.counts[g]
-        warn = "  (warning: fewer than 2 samples)" if m < 2 else ""
-        lines.append(f"count[{name}]: {m}{warn}")
+    warn = "  (warning: fewer than 2 samples)"
+    lines += [
+        f"count[{name}]: {m}{warn if m < 2 else ''}"
+        for name, m in zip(names, outcome.counts.tolist())
+    ]
     return "\n".join(lines)
 
 

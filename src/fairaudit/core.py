@@ -186,15 +186,16 @@ class GroupCounts:
         for column, values in (("label", label), ("prediction", loss)):
             if np.any((values != 0) & (values != 1)):
                 raise ValueError(f"{column} must be 0 or 1")
+        if kind is MetricKind.EQUAL_OPPORTUNITY and not np.any(label == 0):
+            raise EmptyAfterConditioning("no records with label 0")
+        # Rows per (group, label, loss), in one pass over the rows.
+        cells = np.bincount(4 * group + 2 * label + loss, minlength=4 * k).reshape(k, 2, 2)
         if kind is MetricKind.EQUAL_OPPORTUNITY:
-            keep = label == 0
-            if not keep.any():
-                raise EmptyAfterConditioning("no records with label 0")
-            group, loss = group[keep], loss[keep]
-        order = sorted(range(k), key=names.__getitem__)
-        m = np.bincount(group, minlength=k)[order]
-        s = np.bincount(group[loss == 1], minlength=k)[order]
-        return cls([names[g] for g in order], s, m)
+            cells = cells[:, :1]
+        order = np.array(sorted(range(k), key=names.__getitem__), dtype=np.intp)
+        m = cells.sum(axis=(1, 2))[order]
+        s = cells[:, :, 1].sum(axis=1)[order]
+        return cls([names[g] for g in order.tolist()], s, m)
 
 
 def empirical_instance(counts: GroupCounts, weights: GroupWeights) -> FairnessInstance:

@@ -16,15 +16,13 @@ from enum import Enum
 import numpy as np
 
 from .core import FairnessInstance, GroupCounts, GroupWeights
-from .errors import PlanMismatch
+from .errors import PlanMismatch, shown_groups
 from .estimator import EstimatorValue, estimate_from_counts
 from .metrics import CVaRMode, cvar_fairness
 from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan, inclusion_array
 
 # Numeric tolerance used when classifying instances into the composite regions.
 REGION_TOL = 1e-12
-# Offending groups named in a plan-mismatch error; the rest are counted.
-MISMATCH_NAMES_SHOWN = 5
 
 
 class Decision(Enum):
@@ -119,12 +117,10 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
         block = plan.block
         bad = np.flatnonzero((m != 0) & (m != block))
         if bad.size:
-            # Name a few, so the message stays one readable line at any K.
-            shown = ", ".join(repr(counts.names[g]) for g in bad[:MISMATCH_NAMES_SHOWN])
-            if bad.size > MISMATCH_NAMES_SHOWN:
-                shown += f" ... ({bad.size} groups in all)"
+            names = [counts.names[g] for g in bad.tolist()]
             raise PlanMismatch(
-                f"attribute-specific counts must be 0 or {block}; groups {shown} violate this"
+                f"attribute-specific counts must be 0 or {block}; "
+                f"groups {shown_groups(names)} violate this"
             )
     incl = inclusion_array(plan)
     stat = estimate_from_counts(counts.s, m, w, incl)

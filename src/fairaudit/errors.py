@@ -1,5 +1,17 @@
 """Exception hierarchy shared across the package."""
 
+# Groups named in an error about many groups; the rest are only counted.
+MISMATCH_NAMES_SHOWN = 5
+
+
+def shown_groups(groups) -> str:
+    """The first MISMATCH_NAMES_SHOWN groups, then `... (N groups in all)` if
+    there are more, so that the message stays one readable line at any K."""
+    shown = ", ".join(repr(g) for g in groups[:MISMATCH_NAMES_SHOWN])
+    if len(groups) > MISMATCH_NAMES_SHOWN:
+        shown += f" ... ({len(groups)} groups in all)"
+    return shown
+
 
 class FairauditError(Exception):
     """Base class for all package-specific errors."""
@@ -18,7 +30,7 @@ class MissingGroup(FairauditError):
 
     def __init__(self, groups):
         self.groups = tuple(groups)
-        super().__init__(f"no samples for positive-weight groups: {self.groups}")
+        super().__init__(f"no samples for positive-weight groups: {shown_groups(self.groups)}")
 
 
 class InstanceTooLarge(FairauditError):

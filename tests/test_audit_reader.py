@@ -1,30 +1,41 @@
-"""The columnar audit path against the per-row oracle, and malformed-input fuzzing.
+"""The audit readers against the per-row oracle, and malformed-input fuzzing.
 
 `_oracle_counts` is the row path the reader replaced: `csv.DictReader`,
 per-row `int()` and 0/1 checks, and per-group counts in dicts.  Random CSVs
 (shuffled and extra columns, a repeated column, blank lines, quoted fields,
-lenient integer cells, both metrics) must reduce to exactly the oracle's
-counts, and `fairaudit audit` must print exactly what the oracle's counts
-give.  Every malformed input must end in an `error:` line and an exit code
->= 64, never a traceback.
+lenient integer cells, both metrics; half of them plain, so that the
+vectorised reader takes them) must reduce to exactly the oracle's counts,
+and `fairaudit audit` must print exactly what the oracle's counts give.
+The vectorised reader must agree with the csv.reader path on edge cases and
+on the benchmark's own input.  Every malformed input must end in an
+`error:` line and an exit code >= 64, never a traceback.
 """
 
+import codecs
 import csv
+import importlib.util
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairaudit.cli import _render_outcome, main, read_records
+from fairaudit import cli
+from fairaudit.cli import _render_outcome, main, read_records, read_weight_sidecar
 from fairaudit.core import GroupCounts, GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
-from fairaudit.errors import EmptyAfterConditioning
+from fairaudit.errors import EmptyAfterConditioning, FairauditError
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 
 SP = MetricKind.STATISTICAL_PARITY
 EO = MetricKind.EQUAL_OPPORTUNITY
 
-# Group names that exercise quoting and non-ASCII text.
-NAME_POOL = ["a", "b b", "c,d", 'e"f', "g\nh", "ü", "x|y|z", " lead", "trail ", "#7"]
+# Group names that exercise quoting, non-ASCII text, prefixes and length.
+NAME_POOL = ["a", "b b", "c,d", 'e"f', "g\nh", "ü", "x|y|z", " lead", "trail ", "#7",
+             "", "a ", "ab", "z", "nine byte", "ßüß"]
+# Names a plain file can hold: no comma, quote or newline; at most 8 bytes.
+PLAIN_NAMES = [n for n in NAME_POOL if len(n.encode()) <= 8 and not set(n) & set(',"\n')]
+PAYLOADS = ["", "free text", "a,b", 'say "hi"', "two\nlines"]
 # Cells int() reads as 0 or 1, beyond the literal "0" and "1".
 ZERO_CELLS = ["0", "0", "0", "+0", " 0", "00"]
 ONE_CELLS = ["1", "1", "1", " 1", "+1", "1 "]
@@ -50,10 +61,16 @@ def _oracle_counts(path, kind):
     return names, [s[n] for n in names], [m[n] for n in names]
 
 
-def _write_random_csv(path, rng, block=None):
-    """A random data CSV; with `block`, every group has 0 or `block` label-0 rows."""
-    k = int(rng.integers(1, len(NAME_POOL) + 1))
-    names = [str(x) for x in rng.choice(NAME_POOL, size=k, replace=False)]
+def _write_random_csv(path, rng, block=None, plain=False):
+    """A random data CSV; with `block`, every group has 0 or `block` label-0 rows.
+
+    A plain file has no repeated column, blank line or quoted field, only
+    literal 0/1 cells and names of at most 8 bytes, and may lack the final
+    newline: the vectorised reader takes it.
+    """
+    pool = PLAIN_NAMES if plain else NAME_POOL
+    k = int(rng.integers(1, len(pool) + 1))
+    names = [str(x) for x in rng.choice(pool, size=k, replace=False)]
     rows = []
     for name in names:
         n0 = block * int(rng.integers(0, 2)) if block else int(rng.integers(0, 6))
@@ -63,48 +80,60 @@ def _write_random_csv(path, rng, block=None):
     columns = ["group", "label", "prediction", "payload", "score"]
     columns = [columns[i] for i in rng.permutation(len(columns))]
     # A decoy copy of a data column before the real one; the last one counts.
-    decoy = str(rng.choice(["group", "label", "prediction"]))
-    header = [decoy] + columns
+    header = columns if plain else [str(rng.choice(["group", "label", "prediction"]))] + columns
+    zeros, ones = (["0"], ["1"]) if plain else (ZERO_CELLS, ONE_CELLS)
     lines = []
     for name, label in rows:
         pred = int(rng.integers(0, 2))
         cell = {
             "group": name,
-            "label": str(rng.choice(ONE_CELLS if label else ZERO_CELLS)),
-            "prediction": str(rng.choice(ONE_CELLS if pred else ZERO_CELLS)),
-            "payload": str(rng.choice(["", "free text", "a,b", 'say "hi"', "two\nlines"])),
+            "label": str(rng.choice(ones if label else zeros)),
+            "prediction": str(rng.choice(ones if pred else zeros)),
+            "payload": str(rng.choice(PAYLOADS[:2] if plain else PAYLOADS)),
             "score": repr(float(rng.random())),
         }
-        lines.append(["junk"] + [cell[c] for c in columns])
-    quoting = csv.QUOTE_ALL if rng.random() < 0.5 else csv.QUOTE_MINIMAL
+        lines.append(([] if plain else ["junk"]) + [cell[c] for c in columns])
+    quoting = csv.QUOTE_ALL if not plain and rng.random() < 0.5 else csv.QUOTE_MINIMAL
     terminator = str(rng.choice(["\r\n", "\n"]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=quoting, lineterminator=terminator)
-        writer.writerow(header)
-        for line in lines:
-            if rng.random() < 0.2:
-                fh.write(terminator)  # blank line
-            writer.writerow(line)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, quoting=quoting, lineterminator=terminator)
+    writer.writerow(header)
+    for line in lines:
+        if not plain and rng.random() < 0.2:
+            out.write(terminator)  # blank line
+        writer.writerow(line)
+    text = out.getvalue()
+    if plain and rng.random() < 0.3:
+        text = text.removesuffix(terminator)
+    path.write_bytes(text.encode("utf-8"))
 
 
 class TestReducerMatchesOracle:
     @pytest.mark.parametrize("kind", [SP, EO])
     def test_counts_equal_oracle(self, tmp_path, kind):
         rng = np.random.default_rng(41 if kind is SP else 42)
+        plain_checked = 0
         for i in range(150):
             path = tmp_path / f"d{i}.csv"
-            _write_random_csv(path, rng)
+            plain = i % 2 == 0
+            _write_random_csv(path, rng, plain=plain)
             names, s, m = _oracle_counts(path, kind)
             if not names:
                 continue  # no rows at all: covered by the fuzz table
-            if sum(m) == 0 and kind is EO:
-                with pytest.raises(EmptyAfterConditioning):
-                    read_records(str(path), kind)
-                continue
-            counts = read_records(str(path), kind)
-            assert counts.names == tuple(names)
-            assert counts.s.tolist() == s
-            assert counts.m.tolist() == m
+            readers = [lambda: read_records(str(path), kind)]
+            if plain:  # the vectorised reader must take it, not fall back
+                readers.append(lambda: cli._records_plain(path.read_bytes(), kind))
+            for reader in readers:
+                if sum(m) == 0 and kind is EO:
+                    with pytest.raises(EmptyAfterConditioning):
+                        reader()
+                    continue
+                counts = reader()
+                assert counts.names == tuple(names)
+                assert counts.s.tolist() == s
+                assert counts.m.tolist() == m
+            plain_checked += plain
+        assert plain_checked >= 60
 
     def test_audit_output_equals_oracle_render(self, tmp_path, capsys):
         checked = 0
@@ -113,7 +142,7 @@ class TestReducerMatchesOracle:
             kind = SP if i % 2 else EO
             attr = i % 6 == 0  # always with EO, which drops the label-1 rows
             path = tmp_path / f"d{i}.csv"
-            _write_random_csv(path, rng, block=2 if attr else None)
+            _write_random_csv(path, rng, block=2 if attr else None, plain=i % 4 < 2)
             names, s, m = _oracle_counts(path, kind)
             if not names or sum(m) == 0:
                 continue
@@ -128,7 +157,7 @@ class TestReducerMatchesOracle:
             cfg_path.write_text("\n".join(conf) + "\n", encoding="utf-8")
 
             code = main(["audit", str(path), str(cfg_path)])
-            out = capsys.readouterr().out
+            out, err = capsys.readouterr()
 
             expected = GroupCounts(names, s, m)
             if weights == "uniform":
@@ -141,9 +170,13 @@ class TestReducerMatchesOracle:
                 eta = float(conf[-1].split("=")[1])
                 plan = WeightedPlan.from_weights(w, eta, sum(m))
             alpha = float(conf[0].split("=")[1])
-            outcome = run_test_dataset(
-                expected, w, TestConfig(alpha=alpha, epsilon=0.3, plan=plan)
-            )
+            try:
+                outcome = run_test_dataset(
+                    expected, w, TestConfig(alpha=alpha, epsilon=0.3, plan=plan)
+                )
+            except FairauditError as exc:  # such as a group no plan draws twice
+                assert (code, out, err) == (65, "", f"error: {exc}\n")
+                continue
             assert out == _render_outcome(outcome, names) + "\n"
             assert code == (3 if outcome.decision.value == "H1" else 0)
             checked += 1
@@ -182,6 +215,9 @@ FUZZ_CASES = [
      "group,weight\ng0,inf\ng1,0.5\n"),
     ("sidecar_no_weight_column", (HEADER + "g0,0,1\n").encode(), BASE_CFG, "group,w\ng0,1\n"),
     ("sidecar_short_row", (HEADER + "g0,0,1\n").encode(), BASE_CFG, "group,weight\ng0\n"),
+    ("sidecar_missing_many_groups",
+     (HEADER + "".join(f"g{g:04d},0,1\n" for g in range(3000))).encode(), BASE_CFG,
+     "group,weight\ng0000,1.0\n"),
 ]
 
 
@@ -201,3 +237,203 @@ def test_malformed_input_fails_cleanly(tmp_path, capsys, data, conf, sidecar):
     err = capsys.readouterr().err
     assert code >= 64
     assert err.startswith("error: ")
+    assert len(err) < 400  # one line, however many groups are at fault
+
+
+def _not_plain(*args):
+    raise cli._NotPlain
+
+
+def _audit(argv, capsys):
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def _outcome(read):
+    """Counts as lists, or the error's type and message."""
+    try:
+        counts = read()
+    except FairauditError as exc:
+        return type(exc), str(exc)
+    return counts.names, counts.s.tolist(), counts.m.tolist()
+
+
+def _is_plain(read):
+    try:
+        read()
+    except cli._NotPlain:
+        return False
+    except FairauditError:
+        pass  # taken by the vectorised reader, and rejected on its merits
+    return True
+
+
+ROWS = "a,0,1\nb,1,0\nb,0,1\na,0,0\n"
+LONG = "x" * 200_000
+
+# (case id, data CSV bytes, whether the vectorised reader takes it)
+EDGE_CASES = [
+    ("nul_byte", (HEADER + "a\0b,0,1\n" + ROWS).encode(), False),
+    ("bom", codecs.BOM_UTF8 + (HEADER + ROWS).encode(), False),
+    ("lone_cr_line_ends", (HEADER + ROWS).replace("\n", "\r").encode(), False),
+    ("lone_cr_one_line", (HEADER + "a,0,1\rb,0,0\n" + ROWS).encode(), False),
+    ("lone_cr_in_a_cell", ("group,label,prediction,note\n" + "a,0,1,x\ry\n"
+                           + ROWS.replace("\n", ",\n")).encode(), False),
+    ("crlf", (HEADER + ROWS).replace("\n", "\r\n").encode(), True),
+    ("crlf_and_lf", (HEADER + "a,1,1\r\n" + ROWS).encode(), True),
+    ("no_final_newline", (HEADER + ROWS).removesuffix("\n").encode(), True),
+    ("crlf_no_final_newline", (HEADER + ROWS).replace("\n", "\r\n")[:-2].encode(), True),
+    ("empty_group_name", (HEADER + ",0,1\n,1,0\n" + ROWS).encode(), True),
+    ("prefix_names", (HEADER + "ab,0,1\na ,0,0\na,0,1\nab,0,0\na ,0,1\n").encode(), True),
+    ("umlaut_after_z", (HEADER + "z,0,1\nü,0,0\nüz,0,1\nzz,0,0\n").encode(), True),
+    ("eight_byte_names", (HEADER + "abcdefgh,0,1\nßüßü,0,0\n" + ROWS).encode(), True),
+    ("nine_byte_name", (HEADER + "abcdefghi,0,1\n" + ROWS).encode(), False),
+    ("long_line_ignored_column", ("group,label,prediction,note\n" + f"a,0,1,{LONG}\n"
+                                  + ROWS.replace("\n", ",\n")).encode(), False),
+    ("long_line_under_the_limit", ("group,label,prediction,note\n" + f"a,0,1,{LONG[:100_000]}\n"
+                                   + ROWS.replace("\n", ",\n")).encode(), True),
+    ("extra_trailing_cell", (HEADER + "a,0,1,extra\n" + ROWS).encode(), False),
+    # Two short lines whose commas add up to one full line.
+    ("row_split_over_two_lines", ("group,label,prediction,note\n" + "a,0\n1,x\n"
+                                  + ROWS.replace("\n", ",\n")).encode(), False),
+    ("trailing_empty_column", ("group,label,prediction,\n" + ROWS.replace("\n", ",\n")).encode(),
+     True),
+    ("space_one", (HEADER + "a, 1,0\n" + ROWS).encode(), False),
+    ("plus_zero", (HEADER + "a,+0,1\n" + ROWS).encode(), False),
+    ("two_digit_cell", (HEADER + "a,0,01\n" + ROWS).encode(), False),
+    ("cell_2", (HEADER + "a,2,1\n" + ROWS).encode(), False),
+    ("blank_line", (HEADER + "a,0,1\n\n" + ROWS).encode(), False),
+    ("blank_header", ("\n" + HEADER + ROWS).encode(), False),
+    ("repeated_column", ("group,label,prediction,label\n" + ROWS.replace("\n", ",1\n")).encode(),
+     False),
+    ("missing_column", ("group,label\n" + "a,0\n").encode(), False),
+    ("quoted_name", (HEADER + '"a",0,1\n' + ROWS).encode(), False),
+    ("short_row", (HEADER + "a,0\n" + ROWS).encode(), False),
+    ("header_only", HEADER.encode(), False),
+    ("header_only_no_newline", HEADER.strip().encode(), False),
+    ("invalid_utf8", (HEADER + ROWS).encode() + b"\xff,0,1\n", False),
+    ("all_label_1", (HEADER + "a,1,1\nb,1,0\n").encode(), True),
+    ("columns_reordered", ("prediction,group,label\n" + "1,a,0\n0,b,0\n1,b,1\n").encode(), True),
+]
+
+
+@pytest.mark.parametrize("kind", [SP, EO])
+@pytest.mark.parametrize(
+    "data, plain", [c[1:] for c in EDGE_CASES], ids=[c[0] for c in EDGE_CASES]
+)
+def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, plain, kind):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    assert _is_plain(lambda: cli._records_plain(data, kind)) == plain
+    assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
+        lambda: cli._records_csv(str(path), data, kind)
+    )
+    conf = tmp_path / "c.cfg"
+    conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nmetric={kind.value}\n", encoding="utf-8")
+    argv = ["audit", str(path), str(conf)]
+    got = _audit(argv, capsys)
+    monkeypatch.setattr(cli, "_plain_cells", _not_plain)
+    assert got == _audit(argv, capsys)
+
+
+def _spell(value, how):
+    """A weight cell float() reads as `value`."""
+    text = repr(value)
+    if how == "space":
+        return f" {text}"
+    if how == "underscore" and text[:2] == "0." and text[2:4].isdigit():
+        return f"0.{text[2]}_{text[3:]}"
+    if how == "arabic_indic":  # non-ASCII digits: float() of str reads them
+        return text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return text
+
+
+class TestSidecarMatchesCsvReader:
+    def _check(self, tmp_path, text, names, plain):
+        path = tmp_path / "w.csv"
+        path.write_bytes(text.encode("utf-8"))
+        data = path.read_bytes()
+        assert _is_plain(lambda: cli._sidecar_plain(str(path), data, names)) == plain
+
+        def weights(read):
+            try:
+                return read()
+            except FairauditError as exc:
+                return type(exc), str(exc)
+
+        fast = weights(lambda: read_weight_sidecar(str(path), names).w)
+        assert fast == weights(lambda: GroupWeights(cli._sidecar_csv(str(path), data, names)).w)
+        return fast
+
+    def test_random_sidecars(self, tmp_path):
+        rng = np.random.default_rng(44)
+        plain_checked = 0
+        for _ in range(120):
+            names = sorted(rng.choice(PLAIN_NAMES, size=int(rng.integers(1, 6)), replace=False))
+            w = rng.dirichlet(np.ones(len(names)))
+            rows = [(n, repr(float(x))) for n, x in zip(names, w)]
+            # Earlier rows of a repeated group, and groups the data lacks.
+            rows = [(n, repr(float(rng.random()))) for n in rng.choice(names, 2)] + rows
+            rows += [(n, "nan") for n in rng.choice(["extra", "q r"], int(rng.integers(0, 3)))]
+            order = rng.permutation(len(rows))
+            last = {n: i for i, n in enumerate(n for n, _ in (rows[j] for j in order))}
+            rows = [rows[j] for j in order]
+            # The last row of each group must carry its weight.
+            for n, x in zip(names, w):
+                rows[last[n]] = (n, _spell(float(x), str(rng.choice(
+                    ["plain", "plain", "space", "underscore", "arabic_indic"]))))
+            columns = ["group", "weight"] if rng.random() < 0.7 else ["weight", "note", "group"]
+            lines = [",".join(columns)]
+            for n, cell in rows:
+                lines.append(",".join({"group": n, "weight": cell, "note": ""}[c] for c in columns))
+            text = "\n".join(lines) + "\n"
+            plain = all(cell.isascii() for _, cell in rows)
+            got = self._check(tmp_path, text, tuple(names), plain)
+            assert got == pytest.approx(tuple(float(x) for x in w), rel=1e-12, abs=0)
+            plain_checked += plain
+        assert plain_checked >= 40
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ("group,weight\na,1_0\nb,0\na,0.5\nb, 0.5\n", True),
+            ("group,weight\na,0.5\nb,\u0661\nb,0.5\n", False),
+            ("group,weight\na,0.5\nb,0.5\nc,nan\n", True),
+            ("group,weight\na,nan\nb,0.5\n", True),
+            ("group,weight\na,inf\nb,0.5\n", True),
+            ("group,weight\na,-inf\nb,0.5\n", True),
+            ("group,weight\na,0.25\nb,0.5\n", True),
+            ("group,weight\na,0.5\nb,abc\n", False),
+            ("group,weight\na,0.5\n", True),
+            ("group,weight\n\na,0.5\nb,0.5\n", False),
+            ("group,weight\r\na,0.5\r\nb,0.5", True),
+            ('group,weight\n"a",0.5\nb,0.5\n', False),
+            ("weight,group\n0.5,a\n0.5,b\n0.5\n", False),
+        ],
+    )
+    def test_spellings_and_errors(self, tmp_path, text, plain):
+        self._check(tmp_path, text, ("a", "b"), plain)
+
+    def test_long_data_names_fall_back(self, tmp_path):
+        self._check(tmp_path, "group,weight\nnine byte,0.5\nb,0.5\n", ("b", "nine byte"), False)
+        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), False)
+
+
+def _load_bench_inputs():
+    """bench/inputs.py, the benchmark's seeded input generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("fairaudit_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_audit_input_same_on_both_paths(tmp_path, capsys, monkeypatch):
+    expect = _load_bench_inputs().generate("audit_eo_wide", 1, tmp_path)
+    data = (tmp_path / "data.csv").read_bytes()
+    counts = cli._records_plain(data, EO)  # the vectorised reader takes both files
+    cli._sidecar_plain("w", (tmp_path / "weights.csv").read_bytes(), counts.names)
+    fast = _audit(expect["argv"], capsys)
+    assert fast[0] == expect["exit_code"]
+    monkeypatch.setattr(cli, "_plain_cells", _not_plain)
+    assert _audit(expect["argv"], capsys) == fast

@@ -237,6 +237,40 @@ class TestAudit:
         assert out == _render_outcome(outcome, ("a", "b")) + "\n"
         assert code == (EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0)
 
+    def test_stdout_golden(self, tmp_path, capsys):
+        # The literal output, so that a change in the rendering shows.
+        data = _write(
+            tmp_path / "data.csv",
+            "group,label,prediction\nb,0,1\na,0,1\na,1,0\nc d,0,0\na,0,0\nb,0,1\n",
+        )
+        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\n")
+        assert main(["audit", data, conf]) == EXIT_H1
+        assert capsys.readouterr().out == (
+            "decision: H1\n"
+            "statistic: 0.2763606483980859\n"
+            "f1: 0.5137420718816067\n"
+            "f2: 0.48721804511278194\n"
+            "threshold: 0.0225\n"
+            "count[a]: 3\n"
+            "count[b]: 2\n"
+            "count[c d]: 1  (warning: fewer than 2 samples)\n"
+        )
+
+    def test_sidecar_missing_groups_named_a_few(self, tmp_path, capsys):
+        lines = ["group,label,prediction"] + [f"g{g:04d},0,0" for g in range(3000)]
+        data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
+        for name, sidecar in [("plain", "group,weight\ng0000,1.0\n"),
+                              ("quoted", 'group,weight\n"g0000",1.0\n')]:
+            side = _write(tmp_path / f"{name}.csv", sidecar)
+            conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={side}\n")
+            assert main(["audit", data, conf]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                f"error: {side}: missing weights for groups 'g0001', 'g0002', 'g0003', "
+                "'g0004', 'g0005' ... (2999 groups in all)\n"
+            )
+
     def test_attr_plan_mismatch_names_a_few_groups(self, tmp_path, capsys):
         # 3000 groups against blocks of n/gamma = 2: every odd group has 3 rows.
         lines = ["group,label,prediction"]

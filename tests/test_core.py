@@ -231,6 +231,15 @@ class TestEmpiricalInstance:
         with pytest.raises(MissingGroup):
             empirical_instance(counts, GroupWeights([0.5, 0.5]))
 
+    def test_missing_group_message_names_a_few(self):
+        counts = _from_rows([(0, 0, 1)], SP, k=3000)
+        with pytest.raises(MissingGroup) as err:
+            empirical_instance(counts, GroupWeights.uniform(3000))
+        assert err.value.groups == tuple(range(1, 3000))
+        assert str(err.value) == (
+            "no samples for positive-weight groups: 1, 2, 3, 4, 5 ... (2999 groups in all)"
+        )
+
     def test_zero_weight_group_may_be_absent(self):
         counts = _from_rows([(0, 0, 1)], SP, k=2)
         inst = empirical_instance(counts, GroupWeights([1.0, 0.0]))
