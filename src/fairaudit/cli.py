@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
-import io
 import re
 import sys
 from contextlib import contextmanager
@@ -52,6 +51,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 # Fast path for 0/1 cells; anything else goes through int() (so " 1" and
 # "+0" are accepted) and a range check.
 _BITS = {"0": 0, "1": 1}
+_RECORD_COLUMNS = ("group", "label", "prediction")
+_SIDECAR_COLUMNS = ("group", "weight")
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -69,12 +70,11 @@ def read_config(path: str) -> dict[str, str]:
 
 
 @contextmanager
-def _csv_columns(path: str, data: bytes, columns: tuple[str, ...]):
-    """Parse a file's bytes as a UTF-8 CSV; yields its reader, past the header,
-    and the positions of the named columns (the last one where a name repeats,
-    as in csv.DictReader).  Undecodable or unparsable input becomes a
-    ConfigError naming `path`."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+def _csv_columns(path: str, columns: tuple[str, ...]):
+    """Open a UTF-8 CSV; yields its reader, past the header, and the positions
+    of the named columns (the last one where a name repeats, as in
+    csv.DictReader).  Undecodable or unparsable input becomes a ConfigError."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -107,13 +107,19 @@ def _bit(cell: str, column: str) -> int:
 #
 # The csv module parses a plain CSV exactly as splitting its lines on "," does,
 # so such a file can be reduced with whole-array numpy operations.  Anything
-# else raises _NotPlain and goes through csv.reader, which also gives every
-# error message; so the two paths agree on every input.
+# else raises _NotPlain and goes through csv.reader, which streams the file
+# and gives every error message; so the two paths agree on every input.
 
-# A packed group name: up to 8 UTF-8 bytes in a big-endian uint64, NUL-padded.
-# With NUL bytes excluded, the keys sort as the names do (UTF-8 byte order is
-# code point order, and a prefix packs to the smaller key).
-_KEY_BYTES = 8
+# A packed group name: its UTF-8 bytes in big-endian uint64 words, NUL-padded,
+# one array per word.  With NUL bytes excluded, the word tuples sort as the
+# names do (UTF-8 byte order is code point order, and a prefix packs to the
+# smaller tuple).  Names of up to _KEY_WORDS words are packed, which covers
+# pre-joined intersectional names such as "female|asian|20-30".
+_WORD = 8
+_KEY_WORDS = 4
+_SCAN_BYTES = 1 << 18
+# An odd multiplier for hashing key words (the 64-bit golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"
 
 
@@ -121,8 +127,41 @@ class _NotPlain(Exception):
     """The input needs csv.reader: the vectorised reader does not cover it."""
 
 
+def _plain_header(data: bytes, columns: tuple[str, ...]) -> list[str]:
+    """The header of a file that may be plain, from its first _SCAN_BYTES
+    bytes; _NotPlain if these already show that it is not, or that its first
+    group name (in the first of `columns`) is too long to pack."""
+    if data.startswith(codecs.BOM_UTF8):
+        raise _NotPlain
+    first_lines = data[:_SCAN_BYTES].split(b"\n", 2)
+    if len(first_lines) == 1 and len(data) > _SCAN_BYTES:
+        raise _NotPlain  # a header longer than the head
+    header = first_lines[0].removesuffix(b"\r").decode("utf-8", "replace").split(",")
+    ncol = len(header)
+    if len(set(header)) < ncol or not set(columns) <= set(header):
+        raise _NotPlain
+    if len(first_lines) > 1:
+        row = first_lines[1].removesuffix(b"\r").split(b",")
+        if len(row) == ncol and len(row[header.index(columns[0])]) > _WORD * _KEY_WORDS:
+            raise _NotPlain
+    return header
+
+
+def _read_plain(path: str, columns: tuple[str, ...]) -> bytes:
+    """The bytes of a file; _NotPlain, with only its head read, if that shows
+    that the file is not plain (see _plain_header).  A path that is not a
+    regular file, such as a pipe, is not opened here: csv.reader streams it."""
+    if not Path(path).is_file():
+        raise _NotPlain
+    with open(path, "rb") as fh:
+        _plain_header(fh.read(_SCAN_BYTES), columns)
+        fh.seek(0)
+        return fh.read()
+
+
 def _plain_cells(data: bytes, columns: tuple[str, ...]):
-    """The cells of the named columns of a plain CSV.
+    """The cells of the named columns of a plain CSV; the first of `columns`
+    holds group names.
 
     Plain means: valid UTF-8 with no BOM, NUL byte or quote; lines end in
     "\n" or "\r\n" (the last one may end the file instead); the header names
@@ -132,7 +171,9 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
     end offsets of its cells, one per data row.  Raises _NotPlain for
     anything else, including a file without data rows.
     """
-    if data.startswith(codecs.BOM_UTF8) or b'"' in data or b"\0" in data:
+    header = _plain_header(data, columns)
+    ncol = len(header)
+    if b'"' in data or b"\0" in data:
         raise _NotPlain
     has_cr = b"\r" in data
     if has_cr and data.count(b"\r") != data.count(b"\r\n"):
@@ -142,26 +183,33 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
             data.decode("utf-8")
         except UnicodeDecodeError:
             raise _NotPlain from None
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    header = data[: data.index(b"\n")].removesuffix(b"\r").decode("utf-8").split(",")
-    ncol = len(header)
-    if len(set(header)) < ncol or not set(columns) <= set(header):
-        raise _NotPlain
     text = np.frombuffer(data, np.uint8)
-    is_delim = text == _COMMA
-    is_delim |= text == _LF
-    delims = np.flatnonzero(is_delim)
-    del is_delim
-    delims = delims.astype(np.int32 if text.size < 2**31 else np.int64)
+    # Without a final newline, the end of the file ends the last line.
+    open_end = not data.endswith(b"\n")
+    newlines = data.count(b"\n")
+    delims = np.empty(
+        data.count(b",") + newlines + open_end, np.int32 if text.size < 2**31 else np.int64
+    )
+    # The comma and newline offsets, a block at a time to bound the temporaries.
+    filled = 0
+    for at in range(0, text.size, _SCAN_BYTES):
+        block = text[at : at + _SCAN_BYTES]
+        is_delim = block == _COMMA
+        is_delim |= block == _LF
+        found = np.flatnonzero(is_delim)
+        found += at
+        delims[filled : filled + found.size] = found
+        filled += found.size
+    if open_end:
+        delims[-1] = text.size
     rows = delims.size // ncol - 1
     # Every line has ncol - 1 commas iff the delimiters fill an (rows + 1, ncol)
-    # grid whose last column holds every newline.
+    # grid whose last column holds every newline (and the end, if open).
     if (
         rows < 1
         or delims.size % ncol
-        or data.count(b"\n") != rows + 1
-        or not np.all(text[delims[ncol - 1 :: ncol]] == _LF)
+        or newlines != rows + 1 - open_end
+        or not np.all(text[delims[ncol - 1 : delims.size - open_end : ncol]] == _LF)
     ):
         raise _NotPlain
     lines = delims.reshape(-1, ncol)
@@ -180,43 +228,121 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
     return text, cells
 
 
-def _packed_keys(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The packed keys of the cells text[start:end]; _NotPlain if one is too long."""
+def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The packed keys of the cells text[start:end], a word at a time, in as
+    few words as the longest cell needs; _NotPlain if one is too long."""
     length = end - start
-    if int(length.max()) > _KEY_BYTES:
+    longest = int(length.max())
+    if longest > _WORD * _KEY_WORDS:
         raise _NotPlain
-    # The 8 bytes that end where a cell ends, shifted left past the bytes
-    # before the cell (a shift by 64 gives 0).  A cell ends at offset 8 or
-    # later, since the header in front of it has two named columns.
-    words = np.ndarray((text.size - _KEY_BYTES + 1,), ">u8", text, strides=(1,))
-    shift = (_KEY_BYTES - length).astype(np.uint64)
-    shift *= np.uint64(8)
-    return words[end - _KEY_BYTES] << shift
+    words = max(1, -(-longest // _WORD))
+    # Word j holds cell bytes [8j, 8j + 8): the 8 bytes of text that end where
+    # that chunk ends, shifted left past the bytes before the chunk (a shift by
+    # 64 gives 0, for a chunk past the cell's end).  Every chunk ends at offset
+    # 8 or later, since the header in front of a cell has two named columns.
+    view = np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
+    last = end - _WORD
+    for j in range(words):
+        yield _key_word(view, start, last, length, j, j == words - 1)
 
 
-def _name_keys(names: Sequence[str]) -> np.ndarray:
+def _key_word(view, start, last, length, j: int, is_last: bool) -> np.ndarray:
+    """Word j of the packed keys of _key_words."""
+    if is_last:
+        at = last
+    else:
+        at = start + _WORD * j
+        np.minimum(at, last, out=at)
+    word = view[at]
+    del at
+    # In place: the big-endian value, in native byte order.
+    word = word.byteswap(inplace=True).view(word.dtype.newbyteorder())
+    shift = length - _WORD * j
+    np.clip(shift, 0, _WORD, out=shift)
+    shift -= _WORD
+    shift *= -8
+    # Shifting casts `shift` a buffer at a time: no uint64 copy of it.
+    return np.left_shift(word, shift, out=word, dtype=np.uint64, casting="unsafe")
+
+
+def _packed_keys(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> list[np.ndarray]:
+    """All the words of the packed keys of the cells text[start:end]."""
+    return list(_key_words(text, start, end))
+
+
+def _name_keys(names: Sequence[str]) -> list[np.ndarray]:
     """The packed keys of group names; _NotPlain if one is long or holds a NUL."""
     # NUL-separated, after 8 NULs so that every name ends at offset 8 or later.
-    text = np.frombuffer(("\0" * _KEY_BYTES + "\0".join(names) + "\0").encode(), np.uint8)
-    nul = np.flatnonzero(text == 0)[_KEY_BYTES - 1 :]
+    text = np.frombuffer(("\0" * _WORD + "\0".join(names) + "\0").encode(), np.uint8)
+    nul = np.flatnonzero(text == 0)[_WORD - 1 :]
     if nul.size != len(names) + 1:
         raise _NotPlain
     return _packed_keys(text, nul[:-1] + 1, nul[1:])
 
 
-def _key_names(keys: np.ndarray) -> list[str]:
-    """The group names of packed keys (an "S8" view drops the NUL padding)."""
-    return [b.decode("utf-8") for b in keys.astype(">u8").view(f"S{_KEY_BYTES}").tolist()]
+def _key_bytes(keys, words: int) -> np.ndarray:
+    """Packed keys as "S" strings of `words` words (zero words pad short keys):
+    one array that sorts and compares as the names do."""
+    packed = np.zeros((keys[0].size, words), ">u8")
+    for j, word in enumerate(keys):
+        packed[:, j] = word
+    return packed.view(f"S{_WORD * words}").ravel()
 
 
-def _sorted_runs(keys: np.ndarray):
-    """The argsort of keys, the sorted keys, and where each run of equal keys starts."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.empty(keys.size, bool)
+def _key_names(keys) -> list[str]:
+    """The group names of packed keys (an "S" view drops the NUL padding)."""
+    return [b.decode("utf-8") for b in _key_bytes(keys, len(keys)).tolist()]
+
+
+def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The distinct packed keys of the cells text[start:end], in name order,
+    and each cell's index among them.
+
+    A one-word key is its own sort key.  Longer keys are sorted by a hash of
+    their words, one uint64 per cell, and equal hashes are then checked to be
+    equal names, a word at a time; so no more than one word per cell is held
+    beside the hash.  A collision raises _NotPlain.
+    """
+    key = None
+    for word in _key_words(text, start, end):
+        if key is None:
+            key, words = word, 1
+        else:
+            key *= _MIX
+            key ^= word
+            words += 1
+    # An argsort-based inverse, freeing its temporaries as it goes
+    # (np.unique's costs peak memory).
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, bool)
     first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return order, keys, first
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if words == 1:
+        distinct = [key[first]]
+    del key
+    if words > 1:
+        differs = np.empty(first.size - 1, bool)
+        for word in _key_words(text, start, end):
+            word = word[order]
+            np.not_equal(word[1:], word[:-1], out=differs)
+            del word
+            if np.any(differs > first[1:]):
+                raise _NotPlain  # two names with one hash: csv.reader takes the file
+        del differs
+    ids = np.cumsum(first, dtype=np.int32)
+    ids -= 1
+    if words > 1:  # the keys themselves, and the ids from hash order to name order
+        firsts = order[first]
+        distinct = _packed_keys(text, start[firsts], end[firsts])
+        rank = np.lexsort(distinct[::-1])
+        distinct = [word[rank] for word in distinct]
+        position = np.empty_like(ids, shape=rank.size)
+        position[rank] = np.arange(rank.size, dtype=ids.dtype)
+        ids = position[ids]
+    inverse = np.empty_like(ids)
+    inverse[order] = ids
+    return distinct, inverse
 
 
 def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -227,32 +353,26 @@ def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _records_plain(data: bytes, metric: MetricKind) -> GroupCounts:
-    text, (group, label, prediction) = _plain_cells(data, ("group", "label", "prediction"))
-    keys = _packed_keys(text, *group)
+def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
+    # The file's bytes live only as long as `text`.
+    text, (group, label, prediction) = _plain_cells(
+        _read_plain(path, _RECORD_COLUMNS), _RECORD_COLUMNS
+    )
     y, yh = _bits(text, *label), _bits(text, *prediction)
-    del text, group, label, prediction
-    # Dense ids in key order, hence in name order: an argsort-based inverse,
-    # freeing its temporaries as it goes (np.unique's costs peak memory).
-    order, keys, first = _sorted_runs(keys)
-    names = _key_names(keys[first])
-    del keys
-    ids = np.cumsum(first, dtype=np.int32)
-    ids -= 1
-    inverse = np.empty_like(ids)
-    inverse[order] = ids
-    del order, ids
-    return GroupCounts.from_rows(names, inverse, y, yh, metric)
+    del label, prediction
+    distinct, inverse = _factorise(text, *group)
+    del text, group
+    return GroupCounts.from_rows(_key_names(distinct), inverse, y, yh, metric)
 
 
-def _records_csv(path: str, data: bytes, metric: MetricKind) -> GroupCounts:
+def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
     """The csv.reader path: reads every input, and words every error."""
     ids: dict[str, int] = {}
     group: list[int] = []
     label: list[int] = []
     prediction: list[int] = []
     bits = _BITS.get
-    with _csv_columns(path, data, ("group", "label", "prediction")) as (reader, (gi, li, pi)):
+    with _csv_columns(path, _RECORD_COLUMNS) as (reader, (gi, li, pi)):
         for row in reader:
             if not row:
                 continue
@@ -281,35 +401,40 @@ def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) 
     """Reduce a data CSV to per-group counts under the metric.
 
     The counts come back ordered by group name.  Blank lines are skipped.
-    A plain CSV (see _plain_cells) with group names of at most 8 bytes and
+    A plain CSV (see _plain_cells) with group names of at most 32 bytes and
     label and prediction cells that are all a literal 0 or 1 is reduced with
-    numpy; any other input goes through csv.reader, with the same result.
+    numpy; any other input is streamed through csv.reader, with the same result.
     """
-    data = Path(path).read_bytes()
     try:
-        return _records_plain(data, metric)
+        return _records_plain(path, metric)
     except _NotPlain:
-        return _records_csv(path, data, metric)
+        pass  # csv.reader streams the file
+    return _records_csv(path, metric)
 
 
 def _missing_weights(path: str, missing: list[str]) -> ConfigError:
     return ConfigError(f"{path}: missing weights for groups {shown_groups(missing)}")
 
 
-def _sidecar_plain(path: str, data: bytes, names: Sequence[str]) -> np.ndarray:
-    text, (group, weight) = _plain_cells(data, ("group", "weight"))
-    keys = _packed_keys(text, *group)
+def _sidecar_plain(path: str, names: Sequence[str]) -> np.ndarray:
+    data = _read_plain(path, _SIDECAR_COLUMNS)
+    text, (group, weight) = _plain_cells(data, _SIDECAR_COLUMNS)
+    keys, inverse = _factorise(text, *group)
     del text, group
     try:
         # Iterating memoryviews builds no lists of offsets.
         values = np.array([float(data[a:b]) for a, b in zip(*map(memoryview, weight))])
     except ValueError:
         raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
-    order, keys, first = _sorted_runs(keys)
-    starts = np.flatnonzero(first)
     # The last row of a repeated group wins.
-    keys, rows = keys[starts], np.maximum.reduceat(order, starts)
+    rows = np.zeros(keys[0].size, np.intp)
+    np.maximum.at(rows, inverse, np.arange(inverse.size))
     want = _name_keys(names)
+    if len(keys) == len(want) == 1:
+        keys, want = keys[0], want[0]
+    else:
+        words = max(len(keys), len(want))
+        keys, want = _key_bytes(keys, words), _key_bytes(want, words)
     at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     missing = np.flatnonzero(keys[at] != want)
     if missing.size:
@@ -317,10 +442,10 @@ def _sidecar_plain(path: str, data: bytes, names: Sequence[str]) -> np.ndarray:
     return values[rows[at]]
 
 
-def _sidecar_csv(path: str, data: bytes, names: Sequence[str]) -> list[float]:
+def _sidecar_csv(path: str, names: Sequence[str]) -> list[float]:
     """The csv.reader path for a weight sidecar."""
     table: dict[str, float] = {}
-    with _csv_columns(path, data, ("group", "weight")) as (reader, (gi, wi)):
+    with _csv_columns(path, _SIDECAR_COLUMNS) as (reader, (gi, wi)):
         for row in reader:
             if not row:
                 continue
@@ -338,15 +463,15 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
     """Read a `group,weight` CSV aligned to the sorted group names.
 
     The last row of a repeated group wins.  A plain file (see _plain_cells)
-    is matched to `names` by packed keys when every name has at most 8 bytes;
-    any other input goes through csv.reader, with the same result.
+    is matched to `names` by packed keys when every name has at most 32
+    bytes; any other input is streamed through csv.reader, with the same
+    result.
     """
-    data = Path(path).read_bytes()
     try:
-        weights = _sidecar_plain(path, data, names)
+        return GroupWeights(_sidecar_plain(path, names))
     except _NotPlain:
-        weights = _sidecar_csv(path, data, names)
-    return GroupWeights(weights)
+        pass  # csv.reader streams the file
+    return GroupWeights(_sidecar_csv(path, names))
 
 
 def _resolve_weights(conf: dict[str, str], counts: GroupCounts) -> GroupWeights:

@@ -15,6 +15,8 @@ import codecs
 import csv
 import importlib.util
 import io
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +34,10 @@ EO = MetricKind.EQUAL_OPPORTUNITY
 
 # Group names that exercise quoting, non-ASCII text, prefixes and length.
 NAME_POOL = ["a", "b b", "c,d", 'e"f', "g\nh", "ü", "x|y|z", " lead", "trail ", "#7",
-             "", "a ", "ab", "z", "nine byte", "ßüß"]
-# Names a plain file can hold: no comma, quote or newline; at most 8 bytes.
-PLAIN_NAMES = [n for n in NAME_POOL if len(n.encode()) <= 8 and not set(n) & set(',"\n')]
+             "", "a ", "ab", "z", "nine byte", "ßüß", "female|asian|20-30",
+             "female|asian|20-30|", "x" * 32, "y" * 33]
+# Names a plain file can hold: no comma, quote or newline; at most 32 bytes.
+PLAIN_NAMES = [n for n in NAME_POOL if len(n.encode()) <= 32 and not set(n) & set(',"\n')]
 PAYLOADS = ["", "free text", "a,b", 'say "hi"', "two\nlines"]
 # Cells int() reads as 0 or 1, beyond the literal "0" and "1".
 ZERO_CELLS = ["0", "0", "0", "+0", " 0", "00"]
@@ -65,7 +68,7 @@ def _write_random_csv(path, rng, block=None, plain=False):
     """A random data CSV; with `block`, every group has 0 or `block` label-0 rows.
 
     A plain file has no repeated column, blank line or quoted field, only
-    literal 0/1 cells and names of at most 8 bytes, and may lack the final
+    literal 0/1 cells and names of at most 32 bytes, and may lack the final
     newline: the vectorised reader takes it.
     """
     pool = PLAIN_NAMES if plain else NAME_POOL
@@ -122,7 +125,7 @@ class TestReducerMatchesOracle:
                 continue  # no rows at all: covered by the fuzz table
             readers = [lambda: read_records(str(path), kind)]
             if plain:  # the vectorised reader must take it, not fall back
-                readers.append(lambda: cli._records_plain(path.read_bytes(), kind))
+                readers.append(lambda: cli._records_plain(str(path), kind))
             for reader in readers:
                 if sum(m) == 0 and kind is EO:
                     with pytest.raises(EmptyAfterConditioning):
@@ -287,7 +290,20 @@ EDGE_CASES = [
     ("prefix_names", (HEADER + "ab,0,1\na ,0,0\na,0,1\nab,0,0\na ,0,1\n").encode(), True),
     ("umlaut_after_z", (HEADER + "z,0,1\nü,0,0\nüz,0,1\nzz,0,0\n").encode(), True),
     ("eight_byte_names", (HEADER + "abcdefgh,0,1\nßüßü,0,0\n" + ROWS).encode(), True),
-    ("nine_byte_name", (HEADER + "abcdefghi,0,1\n" + ROWS).encode(), False),
+    ("nine_byte_name", (HEADER + "abcdefghi,0,1\n" + ROWS).encode(), True),
+    # Names of 2, 3 and 4 words, prefixes of each other at word boundaries.
+    ("joined_names", (HEADER + "female|asian|20-30,0,1\nfemale|asian|20-3,0,0\n"
+                      + "female|a,0,1\nfemale|asian|20-30,0,0\n" + "ü" * 16 + ",0,1\n"
+                      + "female|asian|20-30|rural|low,0,1\n" + ROWS).encode(), True),
+    ("words_differ_past_the_first", (HEADER + "abcdefghX,0,1\nabcdefghY,0,0\nabcdefgh,0,1\n"
+                                     + "abcdefghX,0,1\nabcdefghXabcdefgh,0,1\n").encode(), True),
+    ("thirty_two_byte_name", (HEADER + "x" * 32 + ",0,1\n" + ROWS).encode(), True),
+    ("thirty_three_byte_name", (HEADER + "x" * 33 + ",0,1\n" + ROWS).encode(), False),
+    ("thirty_three_byte_name_last", (HEADER + ROWS + "x" * 33 + ",0,1\n").encode(), False),
+    ("header_longer_than_the_head", ("group,label,prediction," + "h" * 300_000 + "\n"
+                                     + ROWS.replace("\n", ",\n")).encode(), False),
+    ("thirty_two_byte_name_crlf_last_column", ("label,prediction,group\r\n0,1," + "x" * 32
+                                               + "\r\n1,0,a\r\n").encode(), True),
     ("long_line_ignored_column", ("group,label,prediction,note\n" + f"a,0,1,{LONG}\n"
                                   + ROWS.replace("\n", ",\n")).encode(), False),
     ("long_line_under_the_limit", ("group,label,prediction,note\n" + f"a,0,1,{LONG[:100_000]}\n"
@@ -324,9 +340,9 @@ EDGE_CASES = [
 def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, plain, kind):
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    assert _is_plain(lambda: cli._records_plain(data, kind)) == plain
+    assert _is_plain(lambda: cli._records_plain(str(path), kind)) == plain
     assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
-        lambda: cli._records_csv(str(path), data, kind)
+        lambda: cli._records_csv(str(path), kind)
     )
     conf = tmp_path / "c.cfg"
     conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nmetric={kind.value}\n", encoding="utf-8")
@@ -334,6 +350,47 @@ def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, pl
     got = _audit(argv, capsys)
     monkeypatch.setattr(cli, "_plain_cells", _not_plain)
     assert got == _audit(argv, capsys)
+
+
+def test_long_first_name_rejected_from_the_head(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER + "x" * 33 + ",0,1\n" + ROWS * 100_000).encode())
+    with pytest.raises(cli._NotPlain):
+        cli._read_plain(str(path), cli._RECORD_COLUMNS)
+    assert read_records(str(path)).names == ("a", "b", "x" * 33)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_streams_through_csv_reader(tmp_path):
+    data = (HEADER + ROWS * 20_000).encode()  # more than a pipe buffers
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    counts = read_records(str(pipe))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    assert _outcome(lambda: counts) == _outcome(lambda: read_records(str(path)))
+
+
+@pytest.mark.parametrize("kind", [SP, EO])
+def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
+    """With a multiplier of 0 the hash of a two-word key is its last word."""
+    monkeypatch.setattr(cli, "_MIX", np.uint64(0))
+    path = tmp_path / "data.csv"
+    # Hash order is the reverse of name order: the ids must be re-ranked.
+    path.write_bytes((HEADER + "abcdefgh2,0,1\nzzzzzzzz1,0,0\nabcdefgh2,0,0\n").encode())
+    counts = cli._records_plain(str(path), kind)
+    assert _outcome(lambda: counts) == _outcome(lambda: cli._records_csv(str(path), kind))
+    # Two names, one hash: csv.reader takes the file.
+    path.write_bytes((HEADER + "abcdefgh1,0,1\nzzzzzzzz1,0,0\nabcdefgh1,0,0\n").encode())
+    with pytest.raises(cli._NotPlain):
+        cli._records_plain(str(path), kind)
+    assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
+        lambda: cli._records_csv(str(path), kind)
+    )
 
 
 def _spell(value, how):
@@ -352,8 +409,7 @@ class TestSidecarMatchesCsvReader:
     def _check(self, tmp_path, text, names, plain):
         path = tmp_path / "w.csv"
         path.write_bytes(text.encode("utf-8"))
-        data = path.read_bytes()
-        assert _is_plain(lambda: cli._sidecar_plain(str(path), data, names)) == plain
+        assert _is_plain(lambda: cli._sidecar_plain(str(path), names)) == plain
 
         def weights(read):
             try:
@@ -362,7 +418,7 @@ class TestSidecarMatchesCsvReader:
                 return type(exc), str(exc)
 
         fast = weights(lambda: read_weight_sidecar(str(path), names).w)
-        assert fast == weights(lambda: GroupWeights(cli._sidecar_csv(str(path), data, names)).w)
+        assert fast == weights(lambda: GroupWeights(cli._sidecar_csv(str(path), names)).w)
         return fast
 
     def test_random_sidecars(self, tmp_path):
@@ -414,8 +470,20 @@ class TestSidecarMatchesCsvReader:
     def test_spellings_and_errors(self, tmp_path, text, plain):
         self._check(tmp_path, text, ("a", "b"), plain)
 
+    def test_joined_names_match_word_by_word(self, tmp_path):
+        names = ("b", "female|asian|20-3", "female|asian|20-30")
+        text = ("group,weight\nfemale|asian|20-30,0.75\nfemale|asian|20-3,0.5\nb,0.25\n"
+                "female|asian|20-30,0.25\nfemale|asian|20-30|x,nan\n")
+        assert self._check(tmp_path, text, names, True) == (0.25, 0.5, 0.25)
+        # Sidecar names of one word, data names of three, and back.
+        self._check(tmp_path, "group,weight\nb,0.5\nc,0.5\n", names, True)
+        self._check(tmp_path, text, ("b", "c"), True)
+        self._check(tmp_path, text, ("b", "female|asian|20-31"), True)
+
     def test_long_data_names_fall_back(self, tmp_path):
-        self._check(tmp_path, "group,weight\nnine byte,0.5\nb,0.5\n", ("b", "nine byte"), False)
+        long = "x" * 33
+        self._check(tmp_path, f"group,weight\n{long},0.5\nb,0.5\n", ("b", long), False)
+        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", long), False)
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), False)
 
 
@@ -430,9 +498,8 @@ def _load_bench_inputs():
 
 def test_benchmark_audit_input_same_on_both_paths(tmp_path, capsys, monkeypatch):
     expect = _load_bench_inputs().generate("audit_eo_wide", 1, tmp_path)
-    data = (tmp_path / "data.csv").read_bytes()
-    counts = cli._records_plain(data, EO)  # the vectorised reader takes both files
-    cli._sidecar_plain("w", (tmp_path / "weights.csv").read_bytes(), counts.names)
+    counts = cli._records_plain(str(tmp_path / "data.csv"), EO)  # the vectorised reader
+    cli._sidecar_plain(str(tmp_path / "weights.csv"), counts.names)  # takes both files
     fast = _audit(expect["argv"], capsys)
     assert fast[0] == expect["exit_code"]
     monkeypatch.setattr(cli, "_plain_cells", _not_plain)
