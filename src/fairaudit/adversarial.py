@@ -76,9 +76,10 @@ def hellinger_sq(a: FairnessInstance, b: FairnessInstance) -> float:
     if a.weights != b.weights:
         raise WeightMismatch("instances must share group weights")
     total = 0.0
+    mu_a, mu_b = a.mu_array().tolist(), b.mu_array().tolist()
     for g in range(a.k):
         wg = a.weights[g]
-        pa, pb = a.mu[g], b.mu[g]
+        pa, pb = mu_a[g], mu_b[g]
         total += wg * (
             (math.sqrt(pa) - math.sqrt(pb)) ** 2
             + (math.sqrt(1.0 - pa) - math.sqrt(1.0 - pb)) ** 2
@@ -104,7 +105,7 @@ class MixtureFamily:
         if len(u) != len(self.q) or any(x not in (-1, 1) for x in u):
             raise ValueError("u must be a +/-1 vector over Q")
         w = self.p0.weights
-        mu = list(self.p0.mu)
+        mu = self.p0.mu_array().tolist()
         for pos, g in enumerate(self.q):
             mu[g] = 0.5 + self.tau * self.eps_g[pos] * u[pos] / w[g]
         return FairnessInstance(w, mu)
@@ -123,7 +124,7 @@ def build_mixture_family(k: int, w: GroupWeights, alpha: float, epsilon: float) 
     """
     if w.k != k:
         raise ValueError("weight vector length must equal k")
-    if any(abs(wg - 1.0 / k) > 1e-12 for wg in w.w):
+    if np.any(np.abs(w.as_array() - 1.0 / k) > 1e-12):
         raise NonUniformWeights("mixture construction requires uniform weights")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -25,8 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversarial import build_hard_pair, build_mixture_family
-from .bounds import build_report, p_error_attr, p_error_weighted
 from .core import GroupCounts, GroupWeights, MetricKind
 from .cvar_test import TestConfig, TestOutcome, run_test_dataset
 from .errors import ConfigError, FairauditError, shown_groups
@@ -556,6 +554,8 @@ def _group_name(g: int, k: int) -> str:
 
 
 def cmd_synth(args) -> int:
+    from .adversarial import build_hard_pair, build_mixture_family
+
     k = args.k
     if args.kind == "hardpair":
         pair = build_hard_pair(k, args.epsilon)
@@ -568,11 +568,12 @@ def cmd_synth(args) -> int:
     plan = _make_plan(args.plan, inst.weights, args.budget, args.eta, args.gamma)
     rng = np.random.default_rng(args.seed)
     m = plan.draw_counts(rng)
+    mu = inst.mu_array().tolist()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "label", "prediction"])
         for g in range(k):
-            bits = rng.binomial(1, inst.mu[g], size=int(m[g]))
+            bits = rng.binomial(1, mu[g], size=int(m[g]))
             for bit in bits:
                 writer.writerow([_group_name(g, k), 0, int(bit)])
     print(f"wrote {int(m.sum())} rows to {args.out}")
@@ -580,6 +581,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .adversarial import build_hard_pair
+
     conf = read_config(args.config)
     trials = int(conf.get("trials", "0"))
     if trials < 1:
@@ -615,6 +618,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import build_report, p_error_attr, p_error_weighted
+
     w = GroupWeights.uniform(args.k)
     report = build_report(w, args.alpha, args.epsilon, args.delta)
     print(f"K: {args.k}")

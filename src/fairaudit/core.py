@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,14 +26,20 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_RENORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GroupWeights:
-    """A stochastic vector w over dense group ids 0..K-1."""
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    w: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupWeights:
+    """A stochastic vector w over dense group ids 0..K-1.
+
+    Holds one read-only float64 array; the tuple `w` is built on first access.
+    """
 
     def __init__(self, w: Sequence[float]):
-        arr = np.asarray(w, dtype=float)
+        arr = np.array(w, dtype=float)  # a copy: the caller's array stays theirs
         if arr.ndim != 1 or arr.size < 1:
             raise WeightError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
@@ -44,64 +51,102 @@ class GroupWeights:
             raise WeightError(f"weights sum to {total}, not 1")
         if total != 1.0:
             arr = arr / total
-        object.__setattr__(self, "w", tuple(float(x) for x in arr))
-        cached = np.asarray(self.w, dtype=float)
-        cached.flags.writeable = False
-        object.__setattr__(self, "_arr", cached)
+        object.__setattr__(self, "_arr", _read_only(arr))
+
+    @cached_property
+    def w(self) -> tuple[float, ...]:
+        return tuple(self._arr.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._arr, other._arr)
 
     def __hash__(self) -> int:
-        # Computed once, on first use: plans hash their weights on every
-        # inclusion_array lookup, and K floats take about 1 ms at K=65536.
+        # The hash of the tuple `w`, computed once without keeping the tuple:
+        # plans hash their weights on every inclusion_array lookup.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(self.w)
+            h = hash(tuple(self._arr.tolist()))
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __repr__(self) -> str:
+        return f"GroupWeights(w={self.w!r})"
+
     @property
     def k(self) -> int:
-        return len(self.w)
+        return self._arr.size
 
     @staticmethod
     def uniform(k: int) -> "GroupWeights":
-        return GroupWeights([1.0 / k] * k)
+        # k < 1 gives no groups, which the constructor rejects.
+        return GroupWeights(np.full(max(k, 0), 1.0 / k))
 
     def as_array(self) -> np.ndarray:
-        return self._arr  # read-only view cached at construction
+        return self._arr
 
     def __len__(self) -> int:
-        return len(self.w)
+        return self._arr.size
 
     def __getitem__(self, g: int) -> float:
-        return self.w[g]
+        return self._arr.item(g)
 
 
-@dataclass(frozen=True)
+def _means_array(mu) -> np.ndarray:
+    """A float64 copy of `mu`, each element converted as float() converts it."""
+    try:
+        arr = np.array(mu)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    # Anything else (strings, objects, generators, nested or 0-d input) takes
+    # the element-wise path, which raises what float() raises.
+    return np.array([float(x) for x in mu], dtype=float)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class FairnessInstance:
-    """Ground truth: group weights plus per-group Bernoulli loss means."""
+    """Ground truth: group weights plus per-group Bernoulli loss means.
+
+    Holds the means as one read-only float64 array; the tuple `mu` is built
+    on first access.
+    """
 
     weights: GroupWeights
-    mu: tuple[float, ...]
 
     def __init__(self, weights: GroupWeights, mu: Sequence[float]):
-        mu_t = tuple(float(x) for x in mu)
-        if len(mu_t) != weights.k:
+        arr = _means_array(mu)
+        if arr.size != weights.k:
             raise ValueError("mu length must match number of groups")
-        for x in mu_t:
-            if not (0.0 <= x <= 1.0):
-                raise ValueError(f"group mean {x} outside [0, 1]")
+        bad = ~((arr >= 0.0) & (arr <= 1.0))
+        if bad.any():
+            raise ValueError(f"group mean {arr.item(int(np.argmax(bad)))} outside [0, 1]")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mu", mu_t)
-        cached = np.asarray(mu_t, dtype=float)
-        cached.flags.writeable = False
-        object.__setattr__(self, "_mu_arr", cached)
+        object.__setattr__(self, "_mu_arr", _read_only(arr))
+
+    @cached_property
+    def mu(self) -> tuple[float, ...]:
+        return tuple(self._mu_arr.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights and np.array_equal(self._mu_arr, other._mu_arr)
+
+    def __hash__(self) -> int:
+        return hash((self.weights, tuple(self._mu_arr.tolist())))
+
+    def __repr__(self) -> str:
+        return f"FairnessInstance(weights={self.weights!r}, mu={self.mu!r})"
 
     @property
     def k(self) -> int:
         return self.weights.k
 
     def mu_array(self) -> np.ndarray:
-        return self._mu_arr  # read-only view cached at construction
+        return self._mu_arr
 
 
 class MetricKind(Enum):
@@ -111,6 +156,10 @@ class MetricKind(Enum):
     STATISTICAL_PARITY = "sp"  # loss = prediction, all rows
 
 
+
+
+class _UnsortedNames(ValueError):
+    """Group names that are not strictly increasing."""
 
 
 def _count_array(values, what: str) -> np.ndarray:
@@ -147,7 +196,7 @@ class GroupCounts:
                 f"lengths differ: {len(names_t)} names, {s_arr.size} s, {m_arr.size} m"
             )
         if not all(map(operator.lt, names_t, names_t[1:])):
-            raise ValueError("group names must be sorted and unique")
+            raise _UnsortedNames("group names must be sorted and unique")
         if np.any(s_arr < 0) or np.any(s_arr > m_arr):
             raise ValueError("counts must satisfy 0 <= s <= m")
         object.__setattr__(self, "names", names_t)
@@ -192,10 +241,16 @@ class GroupCounts:
         cells = np.bincount(4 * group + 2 * label + loss, minlength=4 * k).reshape(k, 2, 2)
         if kind is MetricKind.EQUAL_OPPORTUNITY:
             cells = cells[:, :1]
+        m = cells.sum(axis=(1, 2))
+        s = cells[:, :, 1].sum(axis=1)
+        try:
+            # The vectorised reader hands names in sorted order; the
+            # constructor's check then is the only pass over them.
+            return cls(names, s, m)
+        except _UnsortedNames:
+            pass
         order = np.array(sorted(range(k), key=names.__getitem__), dtype=np.intp)
-        m = cells.sum(axis=(1, 2))[order]
-        s = cells[:, :, 1].sum(axis=1)[order]
-        return cls([names[g] for g in order.tolist()], s, m)
+        return cls([names[g] for g in order.tolist()], s[order], m[order])
 
 
 def empirical_instance(counts: GroupCounts, weights: GroupWeights) -> FairnessInstance:

@@ -218,6 +218,7 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
     if plan.k != k:
         raise ValueError("plan and instance disagree on K")
     w = inst.weights
+    mu = inst.mu_array().tolist()
     incl = plan.inclusion_probabilities().tolist()
     for g in range(k):
         if w[g] > 0 and incl[g][1] <= 0.0:
@@ -231,7 +232,7 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
     dist: dict[float, float] = {}
 
     for m, p_counts in _count_vectors(plan):
-        pmfs = [_binom_pmf(int(m[g]), inst.mu[g]) for g in range(k)]
+        pmfs = [_binom_pmf(int(m[g]), mu[g]) for g in range(k)]
         for s in product(*[range(int(m[g]) + 1) for g in range(k)]):
             p = p_counts
             for g in range(k):

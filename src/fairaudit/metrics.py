@@ -43,7 +43,7 @@ def gap_vector(inst: FairnessInstance) -> GapVector:
     """Per-group absolute gaps Delta(g) = |mu_g - Lbar|."""
     lbar = average_quality(inst)
     delta = np.abs(inst.mu_array() - lbar)
-    return GapVector(delta=tuple(float(d) for d in delta), lbar=lbar)
+    return GapVector(delta=tuple(delta.tolist()), lbar=lbar)
 
 
 def max_gap(inst: FairnessInstance) -> float:

@@ -68,7 +68,8 @@ class WeightedPlan:
     def inclusion_probabilities(self) -> np.ndarray:
         """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array."""
         n = self.budget
-        return np.array([_binomial_inclusion(n, vg) for vg in self.v.w], dtype=float)
+        v = self.v.as_array().tolist()
+        return np.array([_binomial_inclusion(n, vg) for vg in v], dtype=float)
 
 
 def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
@@ -162,7 +163,7 @@ def satisfies_tail_lemma(plan: WeightedPlan) -> list[bool | None]:
         raise TypeError("tail lemma applies to weighted plans only")
     n = plan.budget
     report: list[bool | None] = []
-    for vg, (p1, p2) in zip(plan.v.w, plan.inclusion_probabilities()):
+    for vg, (p1, p2) in zip(plan.v.as_array().tolist(), plan.inclusion_probabilities()):
         if n < 2 or n * vg > 1:
             report.append(None)
         else:

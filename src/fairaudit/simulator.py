@@ -29,8 +29,6 @@ front and points that share their instances do not pay for the check again.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import platform
 from dataclasses import dataclass
@@ -43,7 +41,7 @@ from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
 from .errors import ConfigError, ZeroInclusionProbability
 from .estimator import estimate_entries, estimate_rows, term_weights
-from .sampling import AttributeSpecificPlan, SamplingPlan, inclusion_array
+from .sampling import AttributeSpecificPlan, SamplingPlan
 
 # Count entries per block of trials: B = max(1, BLOCK_ELEMS // E).  It keeps
 # each per-block temporary at 64 KiB or less whenever E <= BLOCK_ELEMS, so
@@ -101,7 +99,9 @@ def _inclusion_classes(p: np.ndarray):
 
 
 def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
-    incl = inclusion_array(plan)
+    # Built once per point, so it skips inclusion_array's cache: a cached
+    # (K, 2) array per sweep point would outlive the sweep.
+    incl = plan.inclusion_probabilities()
     if not isinstance(plan, AttributeSpecificPlan):
         return _Setup(term_weights(w, incl), (), max(1, BLOCK_ELEMS // plan.k))
     # Both columns are p_g under this plan, so one normalizer w_g / p_g
@@ -348,6 +348,9 @@ def write_manifest(path: str, config: dict, base_seed: int) -> None:
 
     Holds no timestamps, so the same run always writes the same bytes.
     """
+    import hashlib
+    import json
+
     payload = json.dumps(config, sort_keys=True)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     manifest = {

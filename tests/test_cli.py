@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -455,3 +458,16 @@ class TestBounds:
                 next(line for line in text.splitlines() if line.startswith("n_attr"))
             )
         assert outputs[0] == outputs[1]
+
+
+def test_cli_import_loads_only_shared_modules():
+    # A subcommand imports what only it needs (adversarial, bounds) when it
+    # runs.  The simulator stays a module-level import: the benchmark's tracer
+    # (bench/worker.py) looks up each module it traces in sys.modules.
+    code = (
+        "import sys, fairaudit.cli; "
+        "print(*(f'fairaudit.{m}' in sys.modules for m in ('adversarial', 'bounds', 'simulator')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -1,5 +1,7 @@
 """Tests for the shared domain types."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,176 @@ class TestFairnessInstance:
         assert np.array_equal(arr, [0.0, 1.0])
 
 
+def _weights_reference(w):
+    """GroupWeights' checks and tuple as a per-element loop (reference)."""
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise WeightError("weights must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise WeightError("weights must be finite")
+    if np.any(arr < 0):
+        raise WeightError("weights must be non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise WeightError(f"weights sum to {total}, not 1")
+    if total != 1.0:
+        arr = arr / total
+    return tuple(float(x) for x in arr)
+
+
+def _means_reference(k, mu):
+    """FairnessInstance's checks and tuple as a per-element loop (reference)."""
+    mu_t = tuple(float(x) for x in mu)
+    if len(mu_t) != k:
+        raise ValueError("mu length must match number of groups")
+    for x in mu_t:
+        if not (0.0 <= x <= 1.0):
+            raise ValueError(f"group mean {x} outside [0, 1]")
+    return mu_t
+
+
+def _outcome(build):
+    """("ok", the bit patterns of the tuple) or (exception type, message)."""
+    try:
+        values = build()
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return "ok", [x.hex() for x in values]
+
+
+# Inputs as factories, so that each side gets its own generator.
+_WEIGHT_INPUTS = {
+    "list": lambda: [0.25, 0.75],
+    "tuple": lambda: (0.25, 0.75),
+    "array": lambda: np.array([0.25, 0.75]),
+    "float32_array": lambda: np.array([0.1, 0.9], dtype=np.float32),
+    "int": lambda: [1],
+    "ints": lambda: [1, 0],
+    "int_array": lambda: np.array([0, 1, 0]),
+    "bool": lambda: [True, False],
+    "numpy_scalars": lambda: [np.float64(0.5), np.float32(0.5)],
+    "numpy_scalar": lambda: np.float64(1.0),
+    "scalar": lambda: 1.0,
+    "generator": lambda: (x for x in [0.5, 0.5]),
+    "strings": lambda: ["0.5", "0.5"],
+    "none": lambda: [None, 1.0],
+    "nan": lambda: [float("nan"), 0.5],
+    "inf": lambda: [float("inf"), 0.0],
+    "neg_inf": lambda: [0.5, float("-inf")],
+    "negative": lambda: [1.5, -0.5],
+    "negative_zero": lambda: [-0.0, 1.0],
+    "off_sum": lambda: [0.5, 0.6],
+    "small_drift": lambda: [0.5, 0.5 + 1e-10],
+    "tenths": lambda: [0.1] * 10,
+    "empty": lambda: [],
+    "empty_array": lambda: np.zeros(0),
+    "two_d": lambda: [[0.5, 0.5]],
+    "two_d_array": lambda: np.full((2, 2), 0.25),
+    "ragged": lambda: [[0.5], 0.5],
+    "dirichlet": lambda: np.random.default_rng(3).dirichlet(np.ones(257)),
+}
+
+_MEAN_INPUTS = {
+    "list": lambda: [0.5, 0.9],
+    "tuple": lambda: (0.0, 1.0),
+    "array": lambda: np.array([0.25, 0.75]),
+    "float32_array": lambda: np.array([0.1, 0.9], dtype=np.float32),
+    "ints": lambda: [0, 1],
+    "int_array": lambda: np.array([1, 0], dtype=np.int8),
+    "bool": lambda: [True, False],
+    "bool_array": lambda: np.array([False, True]),
+    "numpy_scalars": lambda: [np.float64(0.5), np.float32(0.1)],
+    "numpy_scalar": lambda: np.float64(0.5),
+    "scalar": lambda: 0.5,
+    "generator": lambda: (x for x in [0.5, 0.9]),
+    "strings": lambda: ["0.5", "0.25"],
+    "string": lambda: "01",
+    "none": lambda: [None, 0.5],
+    "complex": lambda: [0.5 + 0j, 0.5],
+    "huge_int": lambda: [2**70, 0],
+    "above_one": lambda: [0.5, 1.1],
+    "first_bad_named": lambda: [-0.1, 2.0],
+    "nan": lambda: [float("nan"), 2.0],
+    "inf": lambda: [0.5, float("inf")],
+    "nan_array": lambda: np.array([0.5, np.nan]),
+    "negative_zero": lambda: [-0.0, 0.5],
+    "short": lambda: [0.5],
+    "long": lambda: [0.5, 0.5, 0.5],
+    "bad_and_short": lambda: [1.5],
+    "empty": lambda: [],
+    "nested": lambda: [[0.5], [0.5]],
+    "ragged": lambda: [[0.5], 0.5],
+    "row": lambda: np.array([[0.5, 0.9]]),
+}
+
+
+class TestConstructorParity:
+    """GroupWeights and FairnessInstance accept, reject and store exactly what
+    the per-element loops they replaced did."""
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHT_INPUTS))
+    def test_weights(self, name):
+        make = _WEIGHT_INPUTS[name]
+        assert _outcome(lambda: GroupWeights(make()).w) == _outcome(
+            lambda: _weights_reference(make())
+        )
+
+    @pytest.mark.parametrize("name", sorted(_MEAN_INPUTS))
+    def test_means(self, name):
+        make, w = _MEAN_INPUTS[name], GroupWeights([0.5, 0.5])
+        assert _outcome(lambda: FairnessInstance(w, make()).mu) == _outcome(
+            lambda: _means_reference(2, make())
+        )
+
+    def test_uniform(self):
+        for k in (1, 3, 10, 4097):
+            assert _outcome(lambda: GroupWeights.uniform(k).w) == _outcome(
+                lambda: _weights_reference([1.0 / k] * k)
+            )
+        for k in (-2, 0):
+            want = _outcome(lambda: _weights_reference([1.0 / k] * k))
+            assert _outcome(lambda: GroupWeights.uniform(k).w) == want
+
+    def test_arrays_match_tuples(self):
+        w = GroupWeights(np.random.default_rng(5).dirichlet(np.ones(64)))
+        inst = FairnessInstance(w, np.random.default_rng(6).random(64))
+        assert w.as_array().tolist() == list(w.w)
+        assert inst.mu_array().tolist() == list(inst.mu)
+        assert [w[g] for g in range(64)] == list(w.w)
+        assert type(w[0]) is float and type(inst.mu[0]) is float
+
+    def test_equal_objects_compare_and_hash_equal(self):
+        a, b = GroupWeights([0.25, 0.75]), GroupWeights(np.array([0.25, 0.75]))
+        assert a == b and hash(a) == hash(b) == hash(a.w)
+        assert a != GroupWeights([0.25, 0.25, 0.5]) and a != (0.25, 0.75)
+        x, y = FairnessInstance(a, [0.5, 0.9]), FairnessInstance(b, (0.5, 0.9))
+        assert x is not y and x == y and hash(x) == hash(y) == hash((a, x.mu))
+        assert x != FairnessInstance(a, [0.5, 0.8])
+        assert x != FairnessInstance(GroupWeights([0.75, 0.25]), [0.5, 0.9])
+
+    def test_input_arrays_copied(self):
+        raw, mu = np.array([0.25, 0.75]), np.array([0.5, 0.9])
+        w = GroupWeights(raw)
+        inst = FairnessInstance(w, mu)
+        assert raw.flags.writeable and mu.flags.writeable
+        raw[0], mu[0] = 0.5, 0.0
+        assert w.w == (0.25, 0.75) and inst.mu == (0.5, 0.9)
+        assert not w.as_array().flags.writeable and not inst.mu_array().flags.writeable
+
+    def test_frozen(self):
+        w = GroupWeights([1.0])
+        inst = FairnessInstance(w, [0.5])
+        for obj, attr in ((w, "w"), (inst, "mu"), (inst, "weights")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, attr, None)
+
+    def test_repr(self):
+        inst = FairnessInstance(GroupWeights([0.5, 0.5]), [0.0, 1.0])
+        assert repr(inst) == (
+            "FairnessInstance(weights=GroupWeights(w=(0.5, 0.5)), mu=(0.0, 1.0))"
+        )
+
+
 class TestGroupCounts:
     def test_fields(self):
         c = GroupCounts(["a", "b"], [0, 2], [1, 3])
@@ -146,6 +318,28 @@ class TestGroupCounts:
         assert c.names == ("alpha", "zeta")
         assert c.m.tolist() == [1, 2]
         assert c.s.tolist() == [0, 1]
+
+    def test_from_rows_same_counts_in_any_name_order(self):
+        # Sorted names take the path without a sort; first-appearance order
+        # (as the csv.reader path hands them) is sorted first.
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            k = int(rng.integers(1, 40))
+            names = sorted({f"g{x}" for x in rng.integers(0, 10**6, k)})
+            k = len(names)
+            rows = rng.integers(0, (k, 2, 2), size=(int(rng.integers(1, 200)), 3))
+            want = GroupCounts.from_rows(names, *rows.T, SP)
+            perm = rng.permutation(k)
+            shuffled = [names[g] for g in perm]
+            rank = np.argsort(perm)  # the shuffled id of each sorted id
+            got = GroupCounts.from_rows(shuffled, rank[rows[:, 0]], *rows[:, 1:].T, SP)
+            assert got.names == want.names == tuple(names)
+            assert got.m.tolist() == want.m.tolist() and got.s.tolist() == want.s.tolist()
+
+    def test_from_rows_rejects_repeated_names(self):
+        for names in (["a", "a"], ["b", "a", "b"]):
+            with pytest.raises(ValueError, match="sorted and unique"):
+                GroupCounts.from_rows(names, [0, 1], [0, 0], [1, 0], SP)
 
 
 class TestAuditSample:

@@ -363,6 +363,18 @@ class TestThresholdSweep:
         threshold_sweep(dataclasses.replace(exp, points=points))
         assert len(calls) == 4
 
+    def test_sweep_pins_no_per_point_arrays(self):
+        # Each point builds its plan's inclusion probabilities once, outside
+        # inclusion_array's process-lifetime cache; nor does a sweep build the
+        # per-group tuples of its weights and instances.
+        w = GroupWeights.uniform(4096)
+        exp = _attr_wide_sweep(w, 0.9, trials=1, grid=range(600, 600 + 2 * 64, 2))
+        inclusion_array.cache_clear()  # earlier tests may have filled it to its maxsize
+        assert len(threshold_sweep(exp).rows) == 64
+        assert inclusion_array.cache_info().currsize == 0
+        h0, h1 = exp.points[0].h0, exp.points[0].h1
+        assert "w" not in vars(w) and "mu" not in vars(h0) and "mu" not in vars(h1)
+
     def test_bad_last_point_fails_before_any_block(self, monkeypatch):
         runs = []
         monkeypatch.setattr(simulator, "_side_h1", lambda *args: runs.append(args) or 0)
@@ -374,7 +386,7 @@ class TestThresholdSweep:
         assert runs == []
 
 
-def _attr_wide_sweep(w, mu_hot, trials=32, base_seed=20261018):
+def _attr_wide_sweep(w, mu_hot, trials=32, base_seed=20261018, grid=(600, 1200, 3000)):
     """The benchmark's attribute-specific sweep shape at K = w.k: a quarter of the groups hot."""
     k, hot = w.k, w.k // 4
     h0 = FairnessInstance(w, [0.5] * k)
@@ -382,7 +394,7 @@ def _attr_wide_sweep(w, mu_hot, trials=32, base_seed=20261018):
     points = tuple(
         SweepPoint(axis_value=n, h0=h0, h1=h1, cfg=TestConfig(
             alpha=0.75, epsilon=0.3, plan=AttributeSpecificPlan(w=w, budget=n, gamma=n / 2)))
-        for n in (600, 1200, 3000)
+        for n in grid
     )
     return Experiment(axis="n", points=points, trials=trials, base_seed=base_seed)
 
