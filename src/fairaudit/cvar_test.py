@@ -122,7 +122,9 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
                 f"attribute-specific counts must be 0 or {block}; "
                 f"groups {shown_groups(names)} violate this"
             )
-    incl = inclusion_array(plan)
+    # One lookup per audit, so it skips inclusion_array's cache: a one-shot
+    # process can never hit it, and a cached (K, 2) array would outlive the audit.
+    incl = plan.inclusion_probabilities()
     stat = estimate_from_counts(counts.s, m, w, incl)
     return TestOutcome(
         decision=_decide(stat, cfg.threshold),

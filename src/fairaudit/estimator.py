@@ -106,9 +106,11 @@ def estimate_rows(
 
     `weights` is the pair from `term_weights`.  Row b equals
     `estimate_from_counts(s[b], m[b], w, incl)` up to summation order.
+    The row sums run in numpy's own einsum loop, not in BLAS, so their bits
+    do not depend on the BLAS thread count.
     """
     t1, t2 = _ratio_terms(s, m)
-    return t1 @ weights[0], t2 @ weights[1]
+    return np.einsum("bk,k->b", t1, weights[0]), np.einsum("bk,k->b", t2, weights[1])
 
 
 def estimate_entries(
@@ -126,9 +128,17 @@ def estimate_entries(
     did not sample contribute nothing, so the cost is proportional to the
     number of entries, not to K.
     """
-    t1, t2 = _ratio_terms(s, m)
-    f1 = np.bincount(rows, weights=t1 * weights[0][groups], minlength=n_rows)
-    f2 = np.bincount(rows, weights=t2 * weights[1][groups], minlength=n_rows)
+    if np.ndim(m) == 0:
+        # One M for every entry: each term is looked up by S in a table of
+        # M + 1 entries, which holds the values _ratio_terms gives per entry.
+        t1, t2 = _ratio_terms(np.arange(m + 1), m)
+        t1, t2 = t1[s], t2[s]
+    else:
+        t1, t2 = _ratio_terms(s, m)
+    c1 = weights[0][groups]
+    c2 = c1 if weights[1] is weights[0] else weights[1][groups]
+    f1 = np.bincount(rows, weights=t1 * c1, minlength=n_rows)
+    f2 = np.bincount(rows, weights=t2 * c2, minlength=n_rows)
     return f1, f2
 
 

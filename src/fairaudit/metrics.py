@@ -21,6 +21,8 @@ from .errors import InstanceTooLarge
 
 # Largest K for which exact subset enumeration is allowed.
 EXACT_SUBSET_MAX_K = 25
+# Groups per step of the fractional fill, which stops at the boundary group.
+FILL_CHUNK = 4096
 
 
 class CVaRMode(Enum):
@@ -36,7 +38,9 @@ class GapVector:
 
 def average_quality(inst: FairnessInstance) -> float:
     """Weighted average quality of service Lbar = sum_g w_g mu_g."""
-    return float(np.dot(inst.weights.as_array(), inst.mu_array()))
+    # einsum sums in numpy's own loop, so the bits do not depend on the BLAS
+    # thread count as np.dot's do.
+    return float(np.einsum("i,i->", inst.weights.as_array(), inst.mu_array()))
 
 
 def gap_vector(inst: FairnessInstance) -> GapVector:
@@ -49,6 +53,49 @@ def gap_vector(inst: FairnessInstance) -> GapVector:
 def max_gap(inst: FairnessInstance) -> float:
     """Largest per-group gap, max_g |mu_g - Lbar|."""
     return max(gap_vector(inst).delta)
+
+
+def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
+    """sum_g take_g * delta_g of the greedy fill of `budget` in descending gap order.
+
+    Groups are taken whole until the first one that does not fit, which is
+    taken in part.  Zero-weight groups carry no mass, so they are skipped
+    rather than ending the fill.  The sorted order is walked FILL_CHUNK groups
+    at a time and stops at the chunk that holds the boundary group.  The mass
+    and total carried from earlier chunks are added to a chunk's first element
+    before its cumsum, so every partial sum is the one a sequential loop gives.
+    """
+    order = np.argsort(-delta, kind="stable")
+    if not (w > 0.0).all():
+        order = order[w[order] > 0.0]
+    filled = total = 0.0
+    for start in range(0, order.size, FILL_CHUNK):
+        idx = order[start : start + FILL_CHUNK]
+        ws = w[idx]
+        used = ws.copy()
+        used[0] += filled
+        np.cumsum(used, out=used)
+        room = budget - np.concatenate(([filled], used[:-1]))
+        over = ws > room
+        j = int(np.argmax(over)) if over.any() else ws.size
+        if j:
+            taken = ws[:j] * delta[idx[:j]]
+            taken[0] += total
+            total = float(np.cumsum(taken)[-1])
+            filled = float(used[j - 1])
+        if j < ws.size:
+            break
+    else:
+        return total
+    # The boundary group is taken in part; rounding can leave a sliver of
+    # budget for the next one or two groups.
+    for g in order[start + j :]:
+        take = min(w[g], budget - filled)
+        if take <= 0.0:
+            break
+        total += take * delta[g]
+        filled += take
+    return total
 
 
 def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMode.FRACTIONAL) -> float:
@@ -65,30 +112,11 @@ def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMod
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     budget = 1.0 - alpha
     w = inst.weights.as_array()
-    delta = np.abs(inst.mu_array() - average_quality(inst))
+    delta = inst.mu_array() - average_quality(inst)
+    np.abs(delta, out=delta)
 
     if mode is CVaRMode.FRACTIONAL:
-        # Greedy fill in gap order.  Zero-weight groups carry no mass, so they
-        # are skipped rather than ending the fill.
-        order = np.argsort(-delta, kind="stable")
-        order = order[w[order] > 0.0]
-        ws, ds = w[order], delta[order]
-        used = np.cumsum(ws)  # sequential sums, as a running total would give
-        room = budget - np.concatenate(([0.0], used[:-1]))
-        over = ws > room
-        # Groups before the first one that does not fit are taken whole.
-        j = int(np.argmax(over)) if over.any() else ws.size
-        total = float(np.cumsum(ws[:j] * ds[:j])[-1]) if j else 0.0
-        filled = float(used[j - 1]) if j else 0.0
-        # The boundary group is taken in part; rounding can leave a sliver of
-        # budget for the next one or two groups.
-        for g in range(j, ws.size):
-            take = min(ws[g], budget - filled)
-            if take <= 0.0:
-                break
-            total += take * ds[g]
-            filled += take
-        return float(total / budget)
+        return float(_fractional_fill(w, delta, budget) / budget)
 
     k = inst.k
     if k > EXACT_SUBSET_MAX_K:
@@ -132,5 +160,5 @@ def separation_statistic(inst: FairnessInstance) -> float:
     """
     w = inst.weights.as_array()
     mu = inst.mu_array()
-    lbar = float(np.dot(w, mu))
-    return float(np.dot(w, mu * mu) - lbar * lbar)
+    lbar = float(np.einsum("i,i->", w, mu))
+    return float(np.einsum("i,i->", w, mu * mu) - lbar * lbar)

@@ -117,7 +117,9 @@ class AttributeSpecificPlan:
         return int(round(self.budget / self.gamma))
 
     def include_probs(self) -> np.ndarray:
-        return np.minimum(self.gamma * self.w.as_array(), 1.0)
+        """p_g = min(gamma * w_g, 1) per group."""
+        p = self.gamma * self.w.as_array()
+        return np.minimum(p, 1.0, out=p)
 
     def expected_included(self) -> float:
         """Expected number of included groups, sum_g min(gamma * w_g, 1).
@@ -131,12 +133,16 @@ class AttributeSpecificPlan:
         include = rng.random(self.k) < self.include_probs()
         return np.where(include, self.block, 0)
 
-    def inclusion_probabilities(self) -> np.ndarray:
-        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array; both equal p_g."""
+    def require_estimable(self) -> None:
+        """Raise EstimatorUndefined unless every included group is sampled at least twice."""
         if self.block < 2:
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
+
+    def inclusion_probabilities(self) -> np.ndarray:
+        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array; both equal p_g."""
+        self.require_estimable()
         p = self.include_probs()
         return np.stack([p, p], 1)
 

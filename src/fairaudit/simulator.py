@@ -19,12 +19,22 @@ positions of a class are the successes of Bernoulli(q) trials over its
 flattened B x n_class grid, found from Geometric(q) gaps; each candidate is
 kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
-weights, classes, B) is built once per budget and shared by both sides.
+weights, classes, B) is built once per budget and shared by both sides; it
+reads p straight from the plan's `include_probs()`, without a (K, 2)
+inclusion array.  Every entry of an attribute-specific block has M = n/gamma,
+so `estimate_entries` looks its terms up by S in a table of M + 1 values
+with the bits of the per-entry division.
+
+The weighted plan's row sums run in numpy's own einsum loop, not in BLAS
+(the sparse path sums with bincount), so F does not depend on the BLAS
+thread count.
 
 `threshold_sweep` checks that each point's fair instance lies in P0 and its
 unfair one in P1 before it runs any trial, classifying each distinct
 (instance, alpha, epsilon) once, so one bad point fails the whole sweep up
 front and points that share their instances do not pay for the check again.
+The check's CVaR fill (`metrics.cvar_fairness`) walks the groups in gap
+order in chunks and stops at the one that holds the boundary group.
 """
 
 from __future__ import annotations
@@ -101,12 +111,14 @@ def _inclusion_classes(p: np.ndarray):
 def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     # Built once per point, so it skips inclusion_array's cache: a cached
     # (K, 2) array per sweep point would outlive the sweep.
-    incl = plan.inclusion_probabilities()
     if not isinstance(plan, AttributeSpecificPlan):
+        incl = plan.inclusion_probabilities()
         return _Setup(term_weights(w, incl), (), max(1, BLOCK_ELEMS // plan.k))
-    # Both columns are p_g under this plan, so one normalizer w_g / p_g
-    # serves the F1 and the F2 terms (the values term_weights gives).
-    p = incl[:, 0].copy()
+    # P[M_g >= 1] = P[M_g >= 2] = p_g under this plan, so p is read as one
+    # vector, and one normalizer w_g / p_g serves the F1 and the F2 terms
+    # (the values term_weights gives).
+    plan.require_estimable()
+    p = plan.include_probs()
     warr = w.as_array()
     active = warr > 0
     bad = active & (p <= 0.0)
@@ -127,17 +139,19 @@ def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray
     """
     mean = n * q
     chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
-    ends = []
+    parts = []
     end = 0
     while end <= n:
-        gaps = rng.geometric(q, size=chunk)
-        np.clip(gaps, 1, n + 1, out=gaps)
+        gaps = rng.geometric(q, size=chunk)  # each gap is at least 1
+        np.minimum(gaps, n + 1, out=gaps)
         part = np.cumsum(gaps)
         part += end
-        ends.append(part)
+        parts.append(part)
         end = int(part[-1])
-    ends = np.concatenate(ends)
-    return ends[: np.searchsorted(ends, n, side="right")] - 1
+    ends = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    ends = ends[: np.searchsorted(ends, n, side="right")]
+    ends -= 1
+    return ends
 
 
 def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +164,8 @@ def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray,
             row, j = row[keep], j[keep]
         rows.append(row)
         groups.append(members[j])
+    if len(rows) == 1:
+        return rows[0], groups[0]
     return np.concatenate(rows), np.concatenate(groups)
 
 

@@ -22,7 +22,7 @@ from fairaudit.cli import (
 from fairaudit.core import GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
 from fairaudit.errors import ConfigError, WeightError
-from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
+from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 
 
 def _write(path, text):
@@ -273,6 +273,22 @@ class TestAudit:
                 f"error: {side}: missing weights for groups 'g0001', 'g0002', 'g0003', "
                 "'g0004', 'g0005' ... (2999 groups in all)\n"
             )
+
+    @pytest.mark.parametrize("plan", ["plan=weighted\neta=0\n", "plan=attr\nbudget=8\ngamma=4\n"],
+                             ids=["weighted", "attr"])
+    def test_audit_pins_no_inclusion_array(self, tmp_path, capsys, plan):
+        # An audit looks its plan's inclusion probabilities up once, outside
+        # inclusion_array's process-lifetime cache.
+        lines = ["group,label,prediction"]
+        for g in ("g0", "g1", "g2", "g3"):
+            lines.extend(f"{g},0,{int(g == 'g3')}" for _ in range(2))
+        data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
+        budget = "" if "budget" in plan else "budget=8\n"
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\n{plan}{budget}")
+        inclusion_array.cache_clear()
+        assert main(["audit", data, conf]) in (EXIT_H0, EXIT_H1)
+        assert "decision:" in capsys.readouterr().out
+        assert inclusion_array.cache_info().currsize == 0
 
     def test_attr_plan_mismatch_names_a_few_groups(self, tmp_path, capsys):
         # 3000 groups against blocks of n/gamma = 2: every odd group has 3 rows.

@@ -1,6 +1,9 @@
 """Tests for the debiased statistic and its exhaustive-enumeration oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -11,6 +14,7 @@ from fairaudit.errors import InstanceTooLarge, ZeroInclusionProbability
 from fairaudit.estimator import (
     EstimatorValue,
     _binom_pmf,
+    _ratio_terms,
     _count_vectors,
     estimate,
     estimate_entries,
@@ -260,6 +264,64 @@ class TestRowKernels:
         with pytest.raises(ZeroInclusionProbability):
             term_weights(GroupWeights([0.5, 0.5]), [(1.0, 1.0), (0.5, 0.0)])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_entries_table_matches_ratio_terms_bit_for_bit(self, m):
+        # With one M for every entry, the terms come from a table of M + 1
+        # entries; each must carry the bits _ratio_terms gives per entry, so
+        # that the bincount sums are unchanged.
+        rng = np.random.default_rng(44 + m)
+        for _ in range(50):
+            k, n_rows = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            n = int(rng.integers(1, 300))
+            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
+            s = rng.integers(0, m + 1, n)
+            c1, c2 = rng.random(k), rng.random(k)
+            for weights in ((c1, c2), (c1, c1), (c1, c1.copy())):
+                ref = _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows)
+                for got in (estimate_entries(rows, groups, s, m, weights, n_rows),
+                            estimate_entries(rows, groups, s, np.full(n, m), weights, n_rows)):
+                    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+    def test_entries_with_per_entry_m_match_ratio_terms_bit_for_bit(self):
+        rng = np.random.default_rng(49)
+        for _ in range(100):
+            k, n_rows, n = int(rng.integers(1, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 300))
+            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
+            m = rng.integers(1, 9, n)
+            s = rng.binomial(m, rng.random(n))
+            c = rng.random(k)
+            for weights in ((c, rng.random(k)), (c, c)):
+                ref = _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows)
+                got = estimate_entries(rows, groups, s, m, weights, n_rows)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+    def test_statistic_bits_do_not_depend_on_blas_threads(self):
+        # np.dot and @ hand long products to BLAS, whose summation order (and
+        # so the last bits) changes with its thread count; the statistic's
+        # reductions run in numpy's own loops.
+        code = (
+            "import numpy as np\n"
+            "from fairaudit.core import FairnessInstance, GroupWeights\n"
+            "from fairaudit.estimator import estimate_rows\n"
+            "from fairaudit.metrics import average_quality, separation_statistic\n"
+            "rng = np.random.default_rng(5)\n"
+            "k = 65536\n"
+            "raw = rng.random(k)\n"
+            "inst = FairnessInstance(GroupWeights(raw / raw.sum()), rng.random(k))\n"
+            "m = rng.integers(0, 4, (1, k))\n"
+            "f1, f2 = estimate_rows(rng.binomial(m, 0.5), m, (rng.random(k), rng.random(k)))\n"
+            "print(average_quality(inst).hex(), separation_statistic(inst).hex(),"
+            " float(f1[0]).hex(), float(f2[0]).hex())\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            outs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True, env=env).stdout)
+        assert len(outs[0].split()) == 4
+        assert outs[0] == outs[1]
+
     def test_mean_over_enumeration_is_exact_mean(self):
         # Weighting the kernel's F by the exact law of (M, S) reproduces
         # exact_moments' E[F] on every small plan and instance.
@@ -284,3 +346,11 @@ class TestRowKernels:
                     f1, f2 = estimate_rows(s, np.broadcast_to(m, s.shape), weights)
                     mean += float(p @ (f1 - f2 * f2))
                 assert mean == pytest.approx(exact_moments(inst, plan).e_f, abs=1e-12)
+
+
+def _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows):
+    """estimate_entries as it was before the table: _ratio_terms on every entry."""
+    t1, t2 = _ratio_terms(s, m)
+    f1 = np.bincount(rows, weights=t1 * weights[0][groups], minlength=n_rows)
+    f2 = np.bincount(rows, weights=t2 * weights[1][groups], minlength=n_rows)
+    return f1, f2

@@ -8,6 +8,7 @@ from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import Region, classify_region
 from fairaudit.errors import InstanceTooLarge
 from fairaudit.metrics import (
+    FILL_CHUNK,
     CVaRMode,
     alpha_star,
     average_quality,
@@ -206,6 +207,145 @@ class TestCVaRFairness:
         inst = FairnessInstance(GroupWeights.uniform(4), [0.7] * 4)
         for alpha in (0.0, 0.5, 0.99):
             assert cvar_fairness(inst, alpha) == 0.0
+
+
+def _vectorised_fill(inst, alpha):
+    """Oracle: the fractional fill as one pass over all K groups.
+
+    This is the fill before it was walked in chunks: one gather, cumsum and
+    comparison over every group in gap order.
+    """
+    budget = 1.0 - alpha
+    w = inst.weights.as_array()
+    delta = np.abs(inst.mu_array() - average_quality(inst))
+    order = np.argsort(-delta, kind="stable")
+    order = order[w[order] > 0.0]
+    ws, ds = w[order], delta[order]
+    used = np.cumsum(ws)
+    room = budget - np.concatenate(([0.0], used[:-1]))
+    over = ws > room
+    j = int(np.argmax(over)) if over.any() else ws.size
+    total = float(np.cumsum(ws[:j] * ds[:j])[-1]) if j else 0.0
+    filled = float(used[j - 1]) if j else 0.0
+    for g in range(j, ws.size):
+        take = min(ws[g], budget - filled)
+        if take <= 0.0:
+            break
+        total += take * ds[g]
+        filled += take
+    return float(total / budget)
+
+
+def _assert_fill_matches(inst, alphas):
+    for alpha in alphas:
+        assert cvar_fairness(inst, alpha).hex() == _vectorised_fill(inst, alpha).hex(), alpha
+
+
+def _tied_hot_instance(hot, zero):
+    """2^14 positive-weight groups plus zero-weight ones at the indices `zero`.
+
+    The first `hot` groups have mu = 0.9 and the rest 0.1 or 0.2.  Every
+    positive weight is 2^-14, so prefix masses are exact.  The hot groups tie
+    on the largest gap and keep their index order in the stable sort, so
+    `zero` places zero-weight groups at known positions of the fill.
+    """
+    k = 2**14 + len(zero)
+    w = np.ones(k)
+    w[list(zero)] = 0.0
+    w /= w.sum()
+    mu = np.where(np.arange(k) < hot, 0.9, 0.1 + 0.1 * (np.arange(k) % 2))
+    inst = FairnessInstance(GroupWeights(w), mu)
+    assert average_quality(inst) < 0.5  # so the hot groups have the largest gap
+    return inst
+
+
+class TestChunkedFill:
+    """The chunked fill gives the one-pass fill's bits (float.hex), chunk edges included."""
+
+    ALPHAS = (0.0, 1e-12, 0.001, 0.3, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("k", [FILL_CHUNK - 1, FILL_CHUNK, FILL_CHUNK + 1,
+                                   3 * FILL_CHUNK + 17, 65536])
+    def test_matches_one_pass_fill_around_chunk_sizes(self, k):
+        rng = np.random.default_rng(k)
+        raws = [np.ones(k), rng.dirichlet(np.ones(k)), 1.0 + np.arange(k) % 7,
+                rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)]
+        for raw in raws:
+            w = GroupWeights(raw / raw.sum())
+            for mu in (rng.random(k), rng.choice([0.1, 0.5, 0.52, 0.9], size=k)):
+                _assert_fill_matches(FairnessInstance(w, mu), self.ALPHAS)
+
+    def test_boundary_at_chunk_edges_with_exact_prefix_mass(self):
+        # Uniform weights 2^-16: 1 - alpha = t / K is exactly the mass of the
+        # first t groups, so the boundary group gets zero room.
+        k = 65536
+        rng = np.random.default_rng(7)
+        w = GroupWeights.uniform(k)
+        ends = (1, FILL_CHUNK - 1, FILL_CHUNK, FILL_CHUNK + 1, 2 * FILL_CHUNK, 3 * FILL_CHUNK + 5)
+        for mu in (rng.random(k), rng.choice([0.2, 0.9], size=k)):
+            inst = FairnessInstance(w, mu)
+            _assert_fill_matches(inst, [1.0 - t / k for t in ends])
+            _assert_fill_matches(inst, [1.0 - (t + 0.5) / k for t in ends])
+
+    def test_zero_weight_groups_before_at_and_after_the_boundary(self):
+        hot = FILL_CHUNK + 100
+        edge = FILL_CHUNK  # a chunk edge inside the hot groups
+        placements = {
+            "none": (),
+            "before": (3, edge - 2, edge + 7),
+            "at": (edge - 1, edge),
+            "after": (edge + 1, edge + 2),
+            "run across the edge": tuple(range(edge - 40, edge + 40)),
+            "first": (0,),
+        }
+        for name, zero in placements.items():
+            inst = _tied_hot_instance(hot, zero)
+            w = inst.weights.as_array()
+            # 1 - alpha: exactly the mass of the first `edge` groups, that
+            # mass plus half a group, and a budget ending past the hot groups.
+            prefix = float(w[:edge].sum())
+            assert 1.0 - (1.0 - prefix) == prefix
+            alphas = [1.0 - prefix, 1.0 - prefix - w.max() / 2, 1.0 - float(w[: hot + 9].sum())]
+            _assert_fill_matches(inst, alphas + list(self.ALPHAS))
+            assert cvar_fairness(inst, 1.0 - prefix) > 0.0, name
+
+    def test_zero_weight_group_after_a_rounding_sliver(self):
+        # Taking the boundary group in part can leave a sliver of budget; a
+        # zero-weight group next in gap order must be skipped, not end the
+        # fill, so the positive group after it takes the sliver.
+        rng = np.random.default_rng(16)
+        seen = 0
+        for _ in range(400):
+            k = int(rng.integers(3, 12))
+            raw = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6)
+            if not raw.any():
+                raw[0] = 1.0
+            inst = FairnessInstance(GroupWeights(raw / raw.sum()), rng.random(k))
+            for alpha in rng.random(20):
+                _assert_fill_matches(inst, [alpha])
+                seen += _sliver_then_zero(inst, alpha)
+        assert seen > 0
+
+
+def _sliver_then_zero(inst, alpha):
+    """Whether the fill leaves a sliver after the boundary group and a zero-weight group comes next."""
+    budget = 1.0 - alpha
+    w = inst.weights.as_array()
+    delta = np.abs(inst.mu_array() - average_quality(inst))
+    order = np.argsort(-delta, kind="stable")
+    filled = 0.0
+    for i, g in enumerate(order):
+        if w[g] <= 0.0:
+            continue
+        take = min(w[g], budget - filled)
+        if take <= 0.0:
+            return False
+        filled += take
+        if take < w[g]:  # the boundary group
+            rest = order[i + 1:]
+            return bool(filled < budget and rest.size and w[rest[0]] == 0.0
+                        and (w[rest] > 0.0).any())
+    return False
 
 
 class TestAlphaStar:
