@@ -44,6 +44,17 @@ def shannon_entropy(w: GroupWeights) -> float:
     return float(-np.sum(support * np.log2(support)))
 
 
+def _tilt_sums(w: GroupWeights, v: GroupWeights) -> tuple[float, float]:
+    """(sum_g w_g^2 / v_g^2, sum_g w_g^2 / v_g) over the groups with w_g > 0."""
+    warr = w.as_array()
+    varr = v.as_array()
+    mask = warr > 0
+    return (
+        float(np.sum(warr[mask] ** 2 / varr[mask] ** 2)),
+        float(np.sum(warr[mask] ** 2 / varr[mask])),
+    )
+
+
 @dataclass(frozen=True)
 class PErrorBound:
     value: float
@@ -61,13 +72,9 @@ def p_error_weighted(
     64e * sum w^2/v^2 / ((1-a)^2 e^4 n^2)  +  128e * sum w^2/v / ((1-a)^2 e^4 n).
     Returned unclamped; check `.vacuous`.
     """
-    warr = w.as_array()
-    varr = v.as_array()
-    if np.any((warr > 0) & (varr <= 0)):
+    if np.any((w.as_array() > 0) & (v.as_array() <= 0)):
         raise ValueError("v must be positive wherever w is positive")
-    mask = warr > 0
-    s_vv = float(np.sum(warr[mask] ** 2 / varr[mask] ** 2))
-    s_v = float(np.sum(warr[mask] ** 2 / varr[mask]))
+    s_vv, s_v = _tilt_sums(w, v)
     c = (1.0 - alpha) ** 2 * epsilon**4
     value = 64.0 * math.e * s_vv / (c * n * n) + 128.0 * math.e * s_v / (c * n)
     return PErrorBound(value)
@@ -106,12 +113,9 @@ def n_required(kind: str, *, w: GroupWeights | None = None, k: int | None = None
     if kind == "weighted_opt":
         if w is None:
             raise ValueError("weighted_opt requires w")
-        v = weighted_marginal(w, OPTIMAL_ETA)
-        warr = w.as_array()
-        varr = v.as_array()
-        mask = warr > 0
-        a1 = 64.0 * math.e * float(np.sum(warr[mask] ** 2 / varr[mask] ** 2)) / c
-        a2 = 128.0 * math.e * float(np.sum(warr[mask] ** 2 / varr[mask])) / c
+        s_vv, s_v = _tilt_sums(w, weighted_marginal(w, OPTIMAL_ETA))
+        a1 = 64.0 * math.e * s_vv / c
+        a2 = 128.0 * math.e * s_v / c
         # delta = a1/n^2 + a2/n  =>  delta n^2 - a2 n - a1 = 0
         n = (a2 + math.sqrt(a2 * a2 + 4.0 * delta * a1)) / (2.0 * delta)
         return SampleSize(n=math.ceil(n), order_only=False)

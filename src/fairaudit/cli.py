@@ -28,7 +28,7 @@ import numpy as np
 from .core import GroupCounts, GroupWeights, MetricKind
 from .cvar_test import TestConfig, TestOutcome, run_test_dataset
 from .errors import ConfigError, FairauditError, shown_groups
-from .sampling import AttributeSpecificPlan, WeightedPlan, weighted_marginal
+from .sampling import OPTIMAL_ETA, AttributeSpecificPlan, WeightedPlan, weighted_marginal
 from .simulator import (
     Experiment,
     SweepPoint,
@@ -51,10 +51,18 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 _BITS = {"0": 0, "1": 1}
 _RECORD_COLUMNS = ("group", "label", "prediction")
 _SIDECAR_COLUMNS = ("group", "weight")
+# The config keys each subcommand reads; any other key is an error.
+_AUDIT_KEYS = frozenset("alpha epsilon metric plan budget eta gamma weights".split())
+_SIMULATE_KEYS = frozenset(
+    "k alpha epsilon n_grid trials base_seed target instance plan eta gamma".split()
+)
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' starts a comment."""
+def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
+    """Parse a flat key=value config file; '#' starts a comment.
+
+    A key outside `keys` is a ConfigError that names its line.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -62,8 +70,10 @@ def read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -485,12 +495,12 @@ def _resolve_weights(conf: dict[str, str], counts: GroupCounts) -> GroupWeights:
 
 
 def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None):
-    """The named sampling plan; the attribute-specific gamma defaults to budget / 2."""
+    """The named sampling plan; without gamma, the attribute-specific plan's default."""
     if kind == "weighted":
         return WeightedPlan.from_weights(w, eta, budget)
     if kind == "attr":
         if gamma is None:
-            gamma = budget / 2
+            return AttributeSpecificPlan.default(w, budget)
         return AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
     raise ConfigError(f"unknown plan {kind!r}")
 
@@ -530,7 +540,7 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
 
 
 def cmd_audit(args) -> int:
-    conf = read_config(args.config)
+    conf = read_config(args.config, _AUDIT_KEYS)
     counts = read_records(args.input, MetricKind(conf.get("metric", "sp")))
     w = _resolve_weights(conf, counts)
     gamma = conf.get("gamma")
@@ -538,7 +548,7 @@ def cmd_audit(args) -> int:
         conf.get("plan", "weighted"),
         w,
         int(conf.get("budget", counts.m.sum())),
-        float(conf.get("eta", 2.0 / 3.0)),
+        float(conf.get("eta", OPTIMAL_ETA)),
         None if gamma is None else float(gamma),
     )
     _warn_if_clipped(plan)
@@ -583,10 +593,8 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     from .adversarial import build_hard_pair
 
-    conf = read_config(args.config)
+    conf = read_config(args.config, _SIMULATE_KEYS)
     trials = int(conf.get("trials", "0"))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     base_seed = int(conf.get("base_seed", "0"))
     k = int(conf["k"])
     alpha = float(conf["alpha"])
@@ -597,7 +605,7 @@ def cmd_simulate(args) -> int:
     pair = build_hard_pair(k, epsilon)
     n_grid = [int(x) for x in conf["n_grid"].split(",")]
     plan_kind = conf.get("plan", "weighted")
-    eta = float(conf.get("eta", 2.0 / 3.0))
+    eta = float(conf.get("eta", OPTIMAL_ETA))
     gamma = float(conf["gamma"]) if "gamma" in conf else None
     points = []
     for n in n_grid:
@@ -635,7 +643,7 @@ def cmd_bounds(args) -> int:
     row("n_converse_maxgap", report.n_converse_maxgap)
     row("n_converse_cvar", report.n_converse_cvar)
     if args.n:
-        v = weighted_marginal(w, 2.0 / 3.0)
+        v = weighted_marginal(w, OPTIMAL_ETA)
         for n in args.n:
             pw = p_error_weighted(w, v, n, args.alpha, args.epsilon)
             pa = p_error_attr(n, args.alpha, args.epsilon)
@@ -662,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--epsilon", type=float, required=True)
     p_synth.add_argument("--alpha", type=float, default=0.5)
     p_synth.add_argument("--plan", choices=["weighted", "attr"], default="weighted")
-    p_synth.add_argument("--eta", type=float, default=2.0 / 3.0)
+    p_synth.add_argument("--eta", type=float, default=OPTIMAL_ETA)
     p_synth.add_argument("--gamma", type=float, default=None)
     p_synth.add_argument("--budget", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=0)

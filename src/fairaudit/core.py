@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import EmptyAfterConditioning, MissingGroup, WeightError
 
-# Weight vectors must sum to 1 within this tolerance after normalization.
-WEIGHT_SUM_TOL = 1e-12
 # If the raw sum is off by at most this much we silently renormalize
 # (tolerates text-parsed weights); beyond it we raise.
 WEIGHT_RENORM_TOL = 1e-9

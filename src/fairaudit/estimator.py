@@ -53,41 +53,38 @@ def estimate_from_counts(
     sarr = np.asarray(s, dtype=float)
     marr = np.asarray(m, dtype=float)
     incl_arr = np.asarray(incl, dtype=float)
-    p1, p2 = incl_arr[:, 0], incl_arr[:, 1]
+    c1, c2 = _term_weights(warr, incl_arr[:, 0], incl_arr[:, 1])
     active = warr > 0  # zero-weight groups contribute identically zero
-    bad = active & (p2 <= 0.0)
-    if np.any(bad):
-        raise ZeroInclusionProbability(int(np.argmax(bad)))
     mask2 = active & (marr >= 2)
     mask1 = active & (marr >= 1)
     f1 = float(
         np.sum(
-            (warr[mask2] / p2[mask2])
+            c1[mask2]
             * (sarr[mask2] / marr[mask2])
             * ((sarr[mask2] - 1.0) / (marr[mask2] - 1.0))
         )
     )
-    f2 = float(np.sum((warr[mask1] / p1[mask1]) * (sarr[mask1] / marr[mask1])))
+    f2 = float(np.sum(c2[mask1] * (sarr[mask1] / marr[mask1])))
     return EstimatorValue(f1=f1, f2=f2)
 
 
-def term_weights(
-    w: GroupWeights, incl: Sequence[tuple[float, float]]
+def _term_weights(
+    w: np.ndarray, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group normalizers (w_g / P[M_g>=2], w_g / P[M_g>=1]) of the F1 and F2 terms.
 
-    Zero-weight groups get 0 in both, whatever their inclusion probability.
+    `p1` and `p2` are P[M_g>=1] and P[M_g>=2].  Zero-weight groups get 0 in
+    both, whatever their inclusion probability.  When `p1 is p2`, as under
+    the attribute-specific plan, one array serves both terms.
     """
-    warr = w.as_array()
-    incl_arr = np.asarray(incl, dtype=float)
-    p1, p2 = incl_arr[:, 0], incl_arr[:, 1]
-    active = warr > 0
+    active = w > 0
     bad = active & (p2 <= 0.0)
     if np.any(bad):
         raise ZeroInclusionProbability(int(np.argmax(bad)))
-    c1 = np.divide(warr, p2, out=np.zeros_like(warr), where=active)
-    c2 = np.divide(warr, p1, out=np.zeros_like(warr), where=active)
-    return c1, c2
+    c1 = np.divide(w, p2, out=np.zeros_like(w), where=active)
+    if p1 is p2:
+        return c1, c1
+    return c1, np.divide(w, p1, out=np.zeros_like(w), where=active)
 
 
 def _ratio_terms(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +101,7 @@ def estimate_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """F1 and F2 of every row of (B, K) count matrices, one row per trial.
 
-    `weights` is the pair from `term_weights`.  Row b equals
+    `weights` is the pair from `_term_weights`.  Row b equals
     `estimate_from_counts(s[b], m[b], w, incl)` up to summation order.
     The row sums run in numpy's own einsum loop, not in BLAS, so their bits
     do not depend on the BLAS thread count.
@@ -117,28 +114,23 @@ def estimate_entries(
     rows: np.ndarray,
     groups: np.ndarray,
     s: np.ndarray,
-    m: np.ndarray | int,
-    weights: tuple[np.ndarray, np.ndarray],
+    m: int,
+    c: np.ndarray,
     n_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """F1 and F2 of `n_rows` trials given only their groups with M_g > 0.
 
-    Entry i says that trial rows[i] saw s[i] ones in m[i] samples of group
-    groups[i] (`m` may be one count shared by every entry).  Groups a trial
-    did not sample contribute nothing, so the cost is proportional to the
-    number of entries, not to K.
+    Entry i says that trial rows[i] saw s[i] ones in the m samples of group
+    groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
+    attribute-specific plan).  Groups a trial did not sample contribute
+    nothing, so the cost is proportional to the number of entries, not to K.
+    Each term is looked up by S in a table of m + 1 entries, which holds the
+    values _ratio_terms gives per entry.
     """
-    if np.ndim(m) == 0:
-        # One M for every entry: each term is looked up by S in a table of
-        # M + 1 entries, which holds the values _ratio_terms gives per entry.
-        t1, t2 = _ratio_terms(np.arange(m + 1), m)
-        t1, t2 = t1[s], t2[s]
-    else:
-        t1, t2 = _ratio_terms(s, m)
-    c1 = weights[0][groups]
-    c2 = c1 if weights[1] is weights[0] else weights[1][groups]
-    f1 = np.bincount(rows, weights=t1 * c1, minlength=n_rows)
-    f2 = np.bincount(rows, weights=t2 * c2, minlength=n_rows)
+    t1, t2 = _ratio_terms(np.arange(m + 1), m)
+    cg = c[groups]
+    f1 = np.bincount(rows, weights=t1[s] * cg, minlength=n_rows)
+    f2 = np.bincount(rows, weights=t2[s] * cg, minlength=n_rows)
     return f1, f2
 
 

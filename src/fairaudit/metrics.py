@@ -43,16 +43,21 @@ def average_quality(inst: FairnessInstance) -> float:
     return float(np.einsum("i,i->", inst.weights.as_array(), inst.mu_array()))
 
 
+def _gaps(inst: FairnessInstance, lbar: float) -> np.ndarray:
+    """The per-group gaps |mu_g - lbar| as a fresh array."""
+    delta = inst.mu_array() - lbar
+    return np.abs(delta, out=delta)
+
+
 def gap_vector(inst: FairnessInstance) -> GapVector:
     """Per-group absolute gaps Delta(g) = |mu_g - Lbar|."""
     lbar = average_quality(inst)
-    delta = np.abs(inst.mu_array() - lbar)
-    return GapVector(delta=tuple(delta.tolist()), lbar=lbar)
+    return GapVector(delta=tuple(_gaps(inst, lbar).tolist()), lbar=lbar)
 
 
 def max_gap(inst: FairnessInstance) -> float:
     """Largest per-group gap, max_g |mu_g - Lbar|."""
-    return max(gap_vector(inst).delta)
+    return float(_gaps(inst, average_quality(inst)).max())
 
 
 def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
@@ -112,8 +117,7 @@ def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMod
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     budget = 1.0 - alpha
     w = inst.weights.as_array()
-    delta = inst.mu_array() - average_quality(inst)
-    np.abs(delta, out=delta)
+    delta = _gaps(inst, average_quality(inst))
 
     if mode is CVaRMode.FRACTIONAL:
         return float(_fractional_fill(w, delta, budget) / budget)
@@ -141,15 +145,12 @@ def alpha_star(inst: FairnessInstance) -> float:
     the smallest weight (largest alpha*).  Requires that some positive-weight
     group attains the max.
     """
-    gv = gap_vector(inst)
-    delta = np.asarray(gv.delta)
+    delta = _gaps(inst, average_quality(inst))
     w = inst.weights.as_array()
-    dmax = delta.max()
-    candidates = [g for g in range(inst.k) if delta[g] == dmax and w[g] > 0]
-    if not candidates:
+    candidates = w[(delta == delta.max()) & (w > 0)]
+    if not candidates.size:
         raise ValueError("no positive-weight group attains the maximum gap")
-    g_star = min(candidates, key=lambda g: w[g])
-    return float(1.0 - w[g_star])
+    return float(1.0 - candidates.min())
 
 
 def separation_statistic(inst: FairnessInstance) -> float:
@@ -158,7 +159,6 @@ def separation_statistic(inst: FairnessInstance) -> float:
     This is the population quantity the audit statistic estimates; it
     satisfies D >= (1 - alpha) * cvar_fairness(inst, alpha)^2 for every alpha.
     """
-    w = inst.weights.as_array()
     mu = inst.mu_array()
-    lbar = float(np.einsum("i,i->", w, mu))
-    return float(np.einsum("i,i->", w, mu * mu) - lbar * lbar)
+    lbar = average_quality(inst)
+    return float(np.einsum("i,i->", inst.weights.as_array(), mu * mu) - lbar * lbar)

@@ -21,16 +21,20 @@ kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
 weights, classes, B) is built once per budget and shared by both sides; it
 reads p straight from the plan's `include_probs()`, without a (K, 2)
-inclusion array.  Every entry of an attribute-specific block has M = n/gamma,
-so `estimate_entries` looks its terms up by S in a table of M + 1 values
-with the bits of the per-entry division.
+inclusion array.  The term weights w_g / P[M_g >= .] come from the
+estimator's one normalizer, which also serves the audit; under this plan
+P[M_g >= 1] = P[M_g >= 2] = p_g, so one array serves the F1 and the F2
+terms.  Every entry of an attribute-specific block has M = n/gamma, so
+`estimate_entries` looks its terms up by S in a table of M + 1 values with
+the bits of the per-entry division.
 
 The weighted plan's row sums run in numpy's own einsum loop, not in BLAS
 (the sparse path sums with bincount), so F does not depend on the BLAS
 thread count.
 
-`threshold_sweep` checks that each point's fair instance lies in P0 and its
-unfair one in P1 before it runs any trial, classifying each distinct
+`threshold_sweep` is the one entry point: `estimate_error` is the single row
+of a one-point sweep.  It checks that each point's fair instance lies in P0
+and its unfair one in P1 before it runs any trial, classifying each distinct
 (instance, alpha, epsilon) once, so one bad point fails the whole sweep up
 front and points that share their instances do not pay for the check again.
 The check's CVaR fill (`metrics.cvar_fairness`) walks the groups in gap
@@ -49,8 +53,8 @@ import numpy as np
 from . import __version__
 from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
-from .errors import ConfigError, ZeroInclusionProbability
-from .estimator import estimate_entries, estimate_rows, term_weights
+from .errors import ConfigError
+from .estimator import _term_weights, estimate_entries, estimate_rows
 from .sampling import AttributeSpecificPlan, SamplingPlan
 
 # Count entries per block of trials: B = max(1, BLOCK_ELEMS // E).  It keeps
@@ -113,20 +117,16 @@ def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     # (K, 2) array per sweep point would outlive the sweep.
     if not isinstance(plan, AttributeSpecificPlan):
         incl = plan.inclusion_probabilities()
-        return _Setup(term_weights(w, incl), (), max(1, BLOCK_ELEMS // plan.k))
+        weights = _term_weights(w.as_array(), incl[:, 0], incl[:, 1])
+        return _Setup(weights, (), max(1, BLOCK_ELEMS // plan.k))
     # P[M_g >= 1] = P[M_g >= 2] = p_g under this plan, so p is read as one
-    # vector, and one normalizer w_g / p_g serves the F1 and the F2 terms
-    # (the values term_weights gives).
+    # vector, and one normalizer w_g / p_g serves the F1 and the F2 terms.
     plan.require_estimable()
     p = plan.include_probs()
-    warr = w.as_array()
-    active = warr > 0
-    bad = active & (p <= 0.0)
-    if bad.any():
-        raise ZeroInclusionProbability(int(np.argmax(bad)))
-    c = np.divide(warr, p, out=np.zeros_like(warr), where=active)
     entries = max(1, math.ceil(float(p.sum())))
-    return _Setup((c, c), _inclusion_classes(p), max(1, BLOCK_ELEMS // entries))
+    return _Setup(
+        _term_weights(w.as_array(), p, p), _inclusion_classes(p), max(1, BLOCK_ELEMS // entries)
+    )
 
 
 def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray:
@@ -176,7 +176,6 @@ def _block_decider(
     plan = cfg.plan
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
-    weights = setup.weights
     mu = inst.mu_array()
     tau = cfg.threshold
 
@@ -184,15 +183,17 @@ def _block_decider(
         # Sparse: a trial samples only the groups it includes (about
         # sum_g p_g of K), so only those get loss draws and estimator terms.
         classes = setup.classes
+        c = setup.weights[0]
 
         def decide(rng: np.random.Generator, size: int) -> np.ndarray:
             rows, groups = _included(rng, classes, size)
             s = rng.binomial(plan.block, mu[groups])
-            f1, f2 = estimate_entries(rows, groups, s, plan.block, weights, size)
+            f1, f2 = estimate_entries(rows, groups, s, plan.block, c, size)
             return f1 - f2 * f2 >= tau
 
     else:
         v = plan.v.as_array()
+        weights = setup.weights
 
         def decide(rng: np.random.Generator, size: int) -> np.ndarray:
             m = rng.multinomial(plan.budget, v, size=size)
@@ -225,19 +226,6 @@ def _side_h1(
     )
 
 
-def _classify(inst: FairnessInstance, cfg: TestConfig) -> Region:
-    return classify_region(inst, cfg.alpha, cfg.epsilon)
-
-
-def _check_regions(region, h0_inst: FairnessInstance, h1_inst: FairnessInstance,
-                   cfg: TestConfig) -> None:
-    """Raise ConfigError unless region(., cfg) puts h0_inst in P0 and h1_inst in P1."""
-    if region(h0_inst, cfg) is not Region.P0:
-        raise ConfigError("h0 instance does not have zero CVaR fairness")
-    if region(h1_inst, cfg) is not Region.P1:
-        raise ConfigError("h1 instance does not have CVaR fairness >= epsilon")
-
-
 def estimate_error(
     h0_inst: FairnessInstance,
     h1_inst: FairnessInstance,
@@ -247,13 +235,12 @@ def estimate_error(
 ) -> ErrorEstimate:
     """Monte Carlo estimate of the equal-prior error probability.
 
-    Requires h0_inst to lie in P0 and h1_inst in P1(epsilon) at cfg's alpha;
-    otherwise the error probability is not the quantity the bounds control.
+    The single row of a one-point `threshold_sweep`: requires h0_inst to lie
+    in P0 and h1_inst in P1(epsilon) at cfg's alpha; otherwise the error
+    probability is not the quantity the bounds control.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    _check_regions(_classify, h0_inst, h1_inst, cfg)
-    return _estimate(h0_inst, h1_inst, cfg, trials, base_seed)
+    point = SweepPoint(axis_value=cfg.plan.budget, h0=h0_inst, h1=h1_inst, cfg=cfg)
+    return threshold_sweep(Experiment("n", (point,), trials, base_seed)).rows[0][1]
 
 
 def _estimate(
@@ -263,7 +250,11 @@ def _estimate(
     trials: int,
     base_seed: int,
 ) -> ErrorEstimate:
-    """`estimate_error` without its input checks, for callers that made them."""
+    """One sweep point's error estimate; its instances are already checked.
+
+    Each call builds and frees its own K-sized set-up, so a sweep holds one
+    point's set-up at a time.
+    """
     setup0 = _setup(cfg.plan, h0_inst.weights)
     setup1 = setup0 if h1_inst.weights == h0_inst.weights else _setup(cfg.plan, h1_inst.weights)
     frac_h1_h0 = _side_h1(h0_inst, cfg, setup0, trials, base_seed, 0) / trials
@@ -305,7 +296,7 @@ class Experiment:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.points:
             raise ConfigError("sweep grid must be non-empty")
 
@@ -321,21 +312,25 @@ class SweepResult:
 def threshold_sweep(exp: Experiment) -> SweepResult:
     """Evaluate every grid point; deterministic given base_seed.
 
-    Every point's instances are checked as `estimate_error` checks them
-    before any point runs.  Each distinct (instance, alpha, epsilon) is
-    classified once, keyed on the instance object: hashing K loss means
-    would cost about as much as the classification.
+    Before any point runs, every point's h0 instance must lie in P0 and its
+    h1 instance in P1(epsilon) at the point's alpha, or ConfigError is raised.
+    Each distinct (instance, alpha, epsilon) is classified once, keyed on the
+    instance object: hashing K loss means would cost about as much as the
+    classification.
     """
     regions: dict[tuple[int, float, float], Region] = {}
 
-    def region(inst: FairnessInstance, cfg: TestConfig) -> Region:
+    def require(inst: FairnessInstance, cfg: TestConfig, want: Region, message: str) -> None:
         key = (id(inst), cfg.alpha, cfg.epsilon)
         if key not in regions:
-            regions[key] = _classify(inst, cfg)
-        return regions[key]
+            regions[key] = classify_region(inst, cfg.alpha, cfg.epsilon)
+        if regions[key] is not want:
+            raise ConfigError(message)
 
     for point in exp.points:
-        _check_regions(region, point.h0, point.h1, point.cfg)
+        require(point.h0, point.cfg, Region.P0, "h0 instance does not have zero CVaR fairness")
+        require(point.h1, point.cfg, Region.P1,
+                "h1 instance does not have CVaR fairness >= epsilon")
     rows = []
     n_hat = None
     for point in exp.points:

@@ -13,6 +13,7 @@ from fairaudit.cli import (
     EXIT_H0,
     EXIT_H1,
     EXIT_USAGE,
+    _AUDIT_KEYS,
     _render_outcome,
     main,
     read_config,
@@ -36,7 +37,7 @@ class TestReadConfig:
             tmp_path / "c.cfg",
             "alpha = 0.5\nepsilon=0.3  # inline comment\n\n# full comment\nplan=weighted\n",
         )
-        conf = read_config(path)
+        conf = read_config(path, _AUDIT_KEYS)
         assert conf == {"alpha": "0.5", "epsilon": "0.3", "plan": "weighted"}
 
     def test_hash_inside_value_is_not_a_comment(self, tmp_path):
@@ -44,12 +45,17 @@ class TestReadConfig:
             tmp_path / "c.cfg",
             "weights=/data/run#3/w.csv\nalpha=0.5 #note\n#x=1\n  # indented comment\n",
         )
-        assert read_config(path) == {"weights": "/data/run#3/w.csv", "alpha": "0.5"}
+        assert read_config(path, _AUDIT_KEYS) == {"weights": "/data/run#3/w.csv", "alpha": "0.5"}
+
+    def test_rejects_unknown_key(self, tmp_path):
+        path = _write(tmp_path / "c.cfg", "alpha=0.5\n alhpa = 0.5\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: unknown key 'alhpa'$"):
+            read_config(path, _AUDIT_KEYS)
 
     def test_rejects_bad_line(self, tmp_path):
         path = _write(tmp_path / "c.cfg", "alpha 0.5\n")
         with pytest.raises(ConfigError) as err:
-            read_config(path)
+            read_config(path, _AUDIT_KEYS)
         assert ":1:" in str(err.value)
 
 
@@ -215,6 +221,16 @@ class TestAudit:
         data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
         conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nmetric=eo\neta=0\n")
         assert main(["audit", data, conf]) == EXIT_H0
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # A misspelt metric=eo would otherwise audit statistical parity.
+        rows = ["group,label,prediction", "g0,0,0", "g0,1,1", "g1,0,1", "g1,1,1"]
+        data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
+        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n# eo\nmetirc=eo\neta=0\n")
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {conf}:4: unknown key 'metirc'\n"
 
     def test_clipped_attr_plan_warns(self, tmp_path, capsys):
         # gamma * w = (4.5, 0.5): group a is clipped at 1, so the plan expects
@@ -442,6 +458,15 @@ class TestSimulate:
             "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=0\n",
         )
         assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"
+                      "trails=100\nbase_seed=4\n")
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {conf}:5: unknown key 'trails'\n"
+        assert not out.exists()
 
 
 class TestBounds:

@@ -16,12 +16,12 @@ from fairaudit.estimator import (
     _binom_pmf,
     _ratio_terms,
     _count_vectors,
+    _term_weights,
     estimate,
     estimate_entries,
     estimate_from_counts,
     estimate_rows,
     exact_moments,
-    term_weights,
 )
 from fairaudit.metrics import average_quality, separation_statistic
 from fairaudit.sampling import (
@@ -236,64 +236,99 @@ def _random_counts(rng):
     return w, [tuple(p) for p in incl], s, m
 
 
+def _weights_of(w, incl):
+    """The (F1, F2) normalizer pair of weights w and inclusion pairs incl."""
+    incl = np.asarray(incl, dtype=float)
+    return _term_weights(w.as_array(), incl[:, 0], incl[:, 1])
+
+
+def _random_attr_counts(rng, k):
+    """Dirichlet weights and one random attribute-specific plan's counts at K groups."""
+    w = GroupWeights(rng.dirichlet(np.ones(k)))
+    block = int(rng.integers(2, 7))
+    plan = AttributeSpecificPlan(w=w, budget=block * k // 4, gamma=k / 4)
+    p = plan.include_probs()
+    m = np.where(rng.random(k) < p, block, 0)
+    s = rng.binomial(m, rng.random(k))
+    return w, p, s, m
+
+
 class TestRowKernels:
     def test_rows_match_scalar_estimator(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             w, incl, s, m = _random_counts(rng)
-            f1, f2 = estimate_rows(s, m, term_weights(w, incl))
+            f1, f2 = estimate_rows(s, m, _weights_of(w, incl))
             for b in range(s.shape[0]):
                 ref = estimate_from_counts(s[b], m[b], w, incl)
                 assert f1[b] == pytest.approx(ref.f1, rel=1e-12, abs=0.0)
                 assert f2[b] == pytest.approx(ref.f2, rel=1e-12, abs=0.0)
 
     def test_entries_match_rows(self):
+        # The sparse kernel's form: every sampled group has the same M, and
+        # one normalizer serves both terms.
         rng = np.random.default_rng(42)
         for _ in range(300):
             w, incl, s, m = _random_counts(rng)
-            weights = term_weights(w, incl)
+            block = int(rng.integers(1, 8))
+            m = np.where(m > 0, block, 0)
+            s = rng.binomial(m, rng.random(m.shape[1]))
+            p = np.asarray(incl)[:, 1]
+            weights = _term_weights(w.as_array(), p, p)
+            assert weights[0] is weights[1]
             rows, groups = np.nonzero(m)
-            e1, e2 = estimate_entries(
-                rows, groups, s[rows, groups], m[rows, groups], weights, s.shape[0]
-            )
+            e1, e2 = estimate_entries(rows, groups, s[rows, groups], block, weights[0], s.shape[0])
             f1, f2 = estimate_rows(s, m, weights)
             np.testing.assert_allclose(e1, f1, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(e2, f2, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("k", [16384, 65536])
+    def test_kernels_agree_at_benchmark_scale(self, k):
+        # The audit kernel, the sparse kernel with every group in row 0, and
+        # the dense kernel on one row sum the same terms in different orders.
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            w, p, s, m = _random_attr_counts(rng, k)
+            ref = estimate_from_counts(s, m, w, np.stack([p, p], 1))
+            groups = np.flatnonzero(m)
+            assert groups.size > k // 16  # many groups sampled, as on the benchmark
+            weights = _term_weights(w.as_array(), p, p)
+            sparse = estimate_entries(np.zeros_like(groups), groups, s[groups], int(m.max()),
+                                      weights[0], 1)
+            dense = estimate_rows(s[None], m[None], weights)
+            for f1, f2 in (sparse, dense):
+                assert float(f1[0]) == pytest.approx(ref.f1, rel=1e-11, abs=0.0)
+                assert float(f2[0]) == pytest.approx(ref.f2, rel=1e-11, abs=0.0)
+
     def test_zero_inclusion_rejected(self):
-        with pytest.raises(ZeroInclusionProbability):
-            term_weights(GroupWeights([0.5, 0.5]), [(1.0, 1.0), (0.5, 0.0)])
+        with pytest.raises(ZeroInclusionProbability) as err:
+            _term_weights(np.array([0.5, 0.5]), np.array([1.0, 0.5]), np.array([1.0, 0.0]))
+        assert err.value.group == 1
+
+    def test_one_normalizer_when_both_probabilities_are_one_array(self):
+        w = np.array([0.5, 0.0, 0.5])
+        p = np.array([0.25, 0.0, 1.0])
+        c1, c2 = _term_weights(w, p, p)
+        assert c1 is c2
+        assert c1.tolist() == [2.0, 0.0, 0.5]
+        d1, d2 = _term_weights(w, p, p.copy())
+        assert d1 is not d2 and d1.tobytes() == d2.tobytes() == c1.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_entries_table_matches_ratio_terms_bit_for_bit(self, m):
-        # With one M for every entry, the terms come from a table of M + 1
-        # entries; each must carry the bits _ratio_terms gives per entry, so
-        # that the bincount sums are unchanged.
+        # The terms come from a table of M + 1 entries; each must carry the
+        # bits _ratio_terms gives per entry, so that the bincount sums are
+        # unchanged.
         rng = np.random.default_rng(44 + m)
         for _ in range(50):
             k, n_rows = int(rng.integers(1, 40)), int(rng.integers(1, 9))
             n = int(rng.integers(1, 300))
             rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
             s = rng.integers(0, m + 1, n)
-            c1, c2 = rng.random(k), rng.random(k)
-            for weights in ((c1, c2), (c1, c1), (c1, c1.copy())):
-                ref = _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows)
-                for got in (estimate_entries(rows, groups, s, m, weights, n_rows),
-                            estimate_entries(rows, groups, s, np.full(n, m), weights, n_rows)):
-                    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
-
-    def test_entries_with_per_entry_m_match_ratio_terms_bit_for_bit(self):
-        rng = np.random.default_rng(49)
-        for _ in range(100):
-            k, n_rows, n = int(rng.integers(1, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 300))
-            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
-            m = rng.integers(1, 9, n)
-            s = rng.binomial(m, rng.random(n))
             c = rng.random(k)
-            for weights in ((c, rng.random(k)), (c, c)):
-                ref = _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows)
-                got = estimate_entries(rows, groups, s, m, weights, n_rows)
-                assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+            ref = _entries_by_ratio_terms(rows, groups, s, np.full(n, m), c, n_rows)
+            got = estimate_entries(rows, groups, s, m, c, n_rows)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_statistic_bits_do_not_depend_on_blas_threads(self):
         # np.dot and @ hand long products to BLAS, whose summation order (and
@@ -336,7 +371,7 @@ class TestRowKernels:
             if n % 2 == 0:
                 plans.append(AttributeSpecificPlan(w=w, budget=n, gamma=n / 2))
             for plan in plans:
-                weights = term_weights(w, plan.inclusion_probabilities())
+                weights = _weights_of(w, plan.inclusion_probabilities())
                 mean = 0.0
                 for m, p_counts in _count_vectors(plan):
                     s = np.array(list(product(*[range(mg + 1) for mg in m])))
@@ -348,9 +383,9 @@ class TestRowKernels:
                 assert mean == pytest.approx(exact_moments(inst, plan).e_f, abs=1e-12)
 
 
-def _entries_by_ratio_terms(rows, groups, s, m, weights, n_rows):
+def _entries_by_ratio_terms(rows, groups, s, m, c, n_rows):
     """estimate_entries as it was before the table: _ratio_terms on every entry."""
     t1, t2 = _ratio_terms(s, m)
-    f1 = np.bincount(rows, weights=t1 * weights[0][groups], minlength=n_rows)
-    f2 = np.bincount(rows, weights=t2 * weights[1][groups], minlength=n_rows)
+    f1 = np.bincount(rows, weights=t1 * c[groups], minlength=n_rows)
+    f2 = np.bincount(rows, weights=t2 * c[groups], minlength=n_rows)
     return f1, f2

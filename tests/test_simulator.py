@@ -14,7 +14,7 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, ZeroInclusionProbability
-from fairaudit.estimator import exact_moments, term_weights
+from fairaudit.estimator import exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -210,10 +210,21 @@ def _classes_oracle(p):
     return tuple(classes)
 
 
+def _normalizers_oracle(w, incl):
+    """(w_g / P[M_g>=2], w_g / P[M_g>=1]), 0 for zero-weight groups (reference)."""
+    warr = w.as_array()
+    active = warr > 0
+    bad = active & (incl[:, 1] <= 0.0)
+    if np.any(bad):
+        raise ZeroInclusionProbability(int(np.argmax(bad)))
+    return tuple(np.divide(warr, incl[:, col], out=np.zeros_like(warr), where=active)
+                 for col in (1, 0))
+
+
 def _setup_oracle(plan, w):
     """The attribute-specific set-up from the general-purpose pieces (reference)."""
     incl = inclusion_array(plan)
-    weights = term_weights(w, incl)
+    weights = _normalizers_oracle(w, incl)
     entries = max(1, math.ceil(plan.expected_included()))
     return weights, _classes_oracle(incl[:, 0]), max(1, simulator.BLOCK_ELEMS // entries)
 
