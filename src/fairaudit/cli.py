@@ -77,6 +77,34 @@ def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
     return out
 
 
+_REQUIRED = object()
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+_EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated integers"}
+
+
+def _setting(conf: dict[str, str], path: str, key: str, parse, default=_REQUIRED):
+    """conf[key] read by `parse` (int, float or _int_list), or `default` when absent.
+
+    A missing required key, or a value `parse` rejects, is a ConfigError that
+    names the file and the key.
+    """
+    if key not in conf:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        return default
+    try:
+        return parse(conf[key])
+    except ValueError:
+        raise ConfigError(
+            f"{path}: {key} must be {_EXPECTED[parse]}, got {conf[key]!r}"
+        ) from None
+
+
 @contextmanager
 def _csv_columns(path: str, columns: tuple[str, ...]):
     """Open a UTF-8 CSV; yields its reader, past the header, and the positions
@@ -540,19 +568,24 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
 
 
 def cmd_audit(args) -> int:
-    conf = read_config(args.config, _AUDIT_KEYS)
+    path = args.config
+    conf = read_config(path, _AUDIT_KEYS)
+    alpha = _setting(conf, path, "alpha", float)
+    epsilon = _setting(conf, path, "epsilon", float)
+    budget = _setting(conf, path, "budget", int, None)
+    eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
+    gamma = _setting(conf, path, "gamma", float, None)
     counts = read_records(args.input, MetricKind(conf.get("metric", "sp")))
     w = _resolve_weights(conf, counts)
-    gamma = conf.get("gamma")
     plan = _make_plan(
         conf.get("plan", "weighted"),
         w,
-        int(conf.get("budget", counts.m.sum())),
-        float(conf.get("eta", OPTIMAL_ETA)),
-        None if gamma is None else float(gamma),
+        int(counts.m.sum()) if budget is None else budget,
+        eta,
+        gamma,
     )
     _warn_if_clipped(plan)
-    cfg = TestConfig(alpha=float(conf["alpha"]), epsilon=float(conf["epsilon"]), plan=plan)
+    cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
     outcome = run_test_dataset(counts, w, cfg)
     print(_render_outcome(outcome, counts.names))
     return EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0
@@ -593,20 +626,21 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     from .adversarial import build_hard_pair
 
-    conf = read_config(args.config, _SIMULATE_KEYS)
-    trials = int(conf.get("trials", "0"))
-    base_seed = int(conf.get("base_seed", "0"))
-    k = int(conf["k"])
-    alpha = float(conf["alpha"])
-    epsilon = float(conf["epsilon"])
-    target = float(conf.get("target", "0.1"))
+    path = args.config
+    conf = read_config(path, _SIMULATE_KEYS)
+    trials = _setting(conf, path, "trials", int, 0)
+    base_seed = _setting(conf, path, "base_seed", int, 0)
+    k = _setting(conf, path, "k", int)
+    alpha = _setting(conf, path, "alpha", float)
+    epsilon = _setting(conf, path, "epsilon", float)
+    target = _setting(conf, path, "target", float, 0.1)
+    n_grid = _setting(conf, path, "n_grid", _int_list)
+    eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
+    gamma = _setting(conf, path, "gamma", float, None)
     if conf.get("instance", "hardpair") != "hardpair":
         raise ConfigError("only instance=hardpair sweeps are supported")
     pair = build_hard_pair(k, epsilon)
-    n_grid = [int(x) for x in conf["n_grid"].split(",")]
     plan_kind = conf.get("plan", "weighted")
-    eta = float(conf.get("eta", OPTIMAL_ETA))
-    gamma = float(conf["gamma"]) if "gamma" in conf else None
     points = []
     for n in n_grid:
         plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)

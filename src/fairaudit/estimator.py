@@ -77,6 +77,11 @@ def _term_weights(
     both, whatever their inclusion probability.  When `p1 is p2`, as under
     the attribute-specific plan, one array serves both terms.
     """
+    if w.min() > 0:  # every group is active: plain division, same bits
+        if p2.min() <= 0.0:
+            raise ZeroInclusionProbability(int(np.argmax(p2 <= 0.0)))
+        c1 = w / p2
+        return (c1, c1) if p1 is p2 else (c1, w / p1)
     active = w > 0
     bad = active & (p2 <= 0.0)
     if np.any(bad):
@@ -114,7 +119,7 @@ def estimate_entries(
     rows: np.ndarray,
     groups: np.ndarray,
     s: np.ndarray,
-    m: int,
+    terms: tuple[np.ndarray, np.ndarray],
     c: np.ndarray,
     n_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,10 +129,11 @@ def estimate_entries(
     groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
     attribute-specific plan).  Groups a trial did not sample contribute
     nothing, so the cost is proportional to the number of entries, not to K.
-    Each term is looked up by S in a table of m + 1 entries, which holds the
-    values _ratio_terms gives per entry.
+    Each term is looked up by S in `terms`, the tables
+    `_ratio_terms(np.arange(m + 1), m)`, which hold the values _ratio_terms
+    gives per entry; a caller builds them once per block size m.
     """
-    t1, t2 = _ratio_terms(np.arange(m + 1), m)
+    t1, t2 = terms
     cg = c[groups]
     f1 = np.bincount(rows, weights=t1[s] * cg, minlength=n_rows)
     f2 = np.bincount(rows, weights=t2[s] * cg, minlength=n_rows)

@@ -21,12 +21,24 @@ kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
 weights, classes, B) is built once per budget and shared by both sides; it
 reads p straight from the plan's `include_probs()`, without a (K, 2)
-inclusion array.  The term weights w_g / P[M_g >= .] come from the
+inclusion array, and when every p_g > 0 a class of all K groups keeps no
+member array.  The term weights w_g / P[M_g >= .] come from the
 estimator's one normalizer, which also serves the audit; under this plan
 P[M_g >= 1] = P[M_g >= 2] = p_g, so one array serves the F1 and the F2
 terms.  Every entry of an attribute-specific block has M = n/gamma, so
 `estimate_entries` looks its terms up by S in a table of M + 1 values with
-the bits of the per-entry division.
+the bits of the per-entry division, built once per budget.
+
+Both draws of an attribute-specific block replay numpy's own samplers as
+whole-array operations, with numpy's values and with the generator left in
+numpy's state.  A Geometric(q) gap with q < 1/3 is numpy's ceil(-E /
+log1p(-q)) of one standard exponential E (q >= 1/3 keeps `rng.geometric`).
+A loss count Binomial(M, mu) with min(mu, 1 - mu) * M <= 30 is numpy's
+inversion of one uniform, through small tables with one row per distinct
+mean; more than 8 means, a mean of 0, a larger min(mu, 1 - mu) * M or
+numpy's rare second uniform send the block to `rng.binomial`.  The replays
+sample the same laws on any numpy; they give numpy's exact streams on numpy
+2.4.6, which the tests pin.
 
 The weighted plan's row sums run in numpy's own einsum loop, not in BLAS
 (the sparse path sums with bincount), so F does not depend on the BLAS
@@ -54,7 +66,7 @@ from . import __version__
 from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
 from .errors import ConfigError
-from .estimator import _term_weights, estimate_entries, estimate_rows
+from .estimator import _ratio_terms, _term_weights, estimate_entries, estimate_rows
 from .sampling import AttributeSpecificPlan, SamplingPlan
 
 # Count entries per block of trials: B = max(1, BLOCK_ELEMS // E).  It keeps
@@ -66,6 +78,14 @@ BLOCK_RULE = (
     "B = max(1, block_elems // E) trials per block; E = K for the weighted plan, "
     "ceil(sum_g p_g) for the attribute-specific plan"
 )
+# numpy's Generator.geometric(q) inverts one standard exponential when
+# q < 1/3 and searches with one uniform otherwise (1/3 itself searches).
+_GEOMETRIC_SEARCH_FROM = 1.0 / 3.0
+# Generator.binomial(m, mu) inverts one uniform per draw when
+# min(mu, 1 - mu) * m is at most this.
+_BINOMIAL_INVERSION_MAX = 30.0
+# Distinct loss means the replayed binomial draw keeps tables for.
+_MAX_MEANS = 8
 
 
 @dataclass(frozen=True)
@@ -82,21 +102,27 @@ class _Setup:
     """What every block of one plan needs, built once per sweep point."""
 
     weights: tuple[np.ndarray, np.ndarray]  # per-group F1 and F2 normalizers
-    # Attribute-specific plan only: (members, q, p_g / q or None when all
-    # members have p_g = q) per inclusion class.
-    classes: tuple[tuple[np.ndarray, float, np.ndarray | None], ...]
+    # Attribute-specific plan only: (members or None for all K groups, their
+    # number, q, p_g / q or None when all members have p_g = q) per inclusion
+    # class, and the estimator's S-indexed term tables for M = n/gamma.
+    classes: tuple[tuple[np.ndarray | None, int, float, np.ndarray | None], ...]
+    terms: tuple[np.ndarray, np.ndarray] | None
     block: int  # trials per block
 
 
 def _inclusion_classes(p: np.ndarray):
     """Groups with p > 0, split by the binary exponent of p (see the module docstring).
 
-    Classes come in descending order of exponent, members in ascending order.
+    Classes come in descending order of exponent, members in ascending order;
+    a class of all K groups has None for its members.
     """
-    ids = np.flatnonzero(p > 0)
-    if not ids.size:
-        return ()
-    pos = p if ids.size == p.size else p[ids]
+    if p.min() > 0:
+        ids, pos = None, p
+    else:
+        ids = np.flatnonzero(p > 0)
+        if not ids.size:
+            return ()
+        pos = p[ids]
     top = math.frexp(pos.max())[1]
     # The exponent rises with p, so when the extremes share it, all do.
     if math.frexp(pos.min())[1] == top:
@@ -104,11 +130,13 @@ def _inclusion_classes(p: np.ndarray):
     else:
         step = top - np.frexp(pos)[1]  # 0 in the top class
         in_class = (step == s for s in np.flatnonzero(np.bincount(step)))
-        splits = [(ids[mask], pos[mask]) for mask in in_class]
+        splits = [
+            (np.flatnonzero(mask) if ids is None else ids[mask], pos[mask]) for mask in in_class
+        ]
     classes = []
     for members, pm in splits:
         q = float(pm.max())
-        classes.append((members, q, None if pm.min() == q else pm / q))
+        classes.append((members, pm.size, q, None if pm.min() == q else pm / q))
     return tuple(classes)
 
 
@@ -118,15 +146,33 @@ def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     if not isinstance(plan, AttributeSpecificPlan):
         incl = plan.inclusion_probabilities()
         weights = _term_weights(w.as_array(), incl[:, 0], incl[:, 1])
-        return _Setup(weights, (), max(1, BLOCK_ELEMS // plan.k))
+        return _Setup(weights, (), None, max(1, BLOCK_ELEMS // plan.k))
     # P[M_g >= 1] = P[M_g >= 2] = p_g under this plan, so p is read as one
     # vector, and one normalizer w_g / p_g serves the F1 and the F2 terms.
     plan.require_estimable()
     p = plan.include_probs()
     entries = max(1, math.ceil(float(p.sum())))
     return _Setup(
-        _term_weights(w.as_array(), p, p), _inclusion_classes(p), max(1, BLOCK_ELEMS // entries)
+        _term_weights(w.as_array(), p, p),
+        _inclusion_classes(p),
+        _ratio_terms(np.arange(plan.block + 1), plan.block),
+        max(1, BLOCK_ELEMS // entries),
     )
+
+
+def _inverted_geometric(rng: np.random.Generator, step: float, size: int, cap: int) -> np.ndarray:
+    """`rng.geometric(q, size)` capped at `cap`, for q < 1/3; `step` is -log1p(-q).
+
+    numpy draws such a gap as ceil(-E / log1p(-q)) from one standard
+    exponential E; the same division and ceiling over the whole array give
+    the same values and leave the generator in the same state.
+    """
+    z = rng.standard_exponential(size)
+    with np.errstate(over="ignore"):  # E / a subnormal q is inf, capped below
+        z /= step
+    np.ceil(z, out=z)
+    np.minimum(z, cap, out=z)
+    return z.astype(np.int64)
 
 
 def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray:
@@ -139,11 +185,15 @@ def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray
     """
     mean = n * q
     chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
+    step = -math.log1p(-q) if q < _GEOMETRIC_SEARCH_FROM else None
     parts = []
     end = 0
     while end <= n:
-        gaps = rng.geometric(q, size=chunk)  # each gap is at least 1
-        np.minimum(gaps, n + 1, out=gaps)
+        if step is None:
+            gaps = rng.geometric(q, size=chunk)  # each gap is at least 1
+            np.minimum(gaps, n + 1, out=gaps)
+        else:
+            gaps = _inverted_geometric(rng, step, chunk, n + 1)
         part = np.cumsum(gaps)
         part += end
         parts.append(part)
@@ -157,16 +207,122 @@ def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray
 def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(trial, group) of every group that each of `size` trials includes."""
     rows, groups = [], []
-    for members, q, ratio in classes:
-        row, j = np.divmod(_success_positions(rng, q, size * members.size), members.size)
+    for members, count, q, ratio in classes:
+        row, j = np.divmod(_success_positions(rng, q, size * count), count)
         if ratio is not None:
             keep = rng.random(j.size) < ratio[j]
             row, j = row[keep], j[keep]
         rows.append(row)
-        groups.append(members[j])
+        groups.append(j if members is None else members[j])
     if len(rows) == 1:
         return rows[0], groups[0]
     return np.concatenate(rows), np.concatenate(groups)
+
+
+def _mean_codes(mu: np.ndarray):
+    """(codes, means) with mu == means[codes], codes None when all K means are equal.
+
+    Found by one masked pass per distinct mean; None when there are more than
+    _MAX_MEANS of them.
+    """
+    means = [float(mu[0])]
+    left = mu != mu[0]
+    if not left.any():
+        return None, means
+    codes = left.astype(np.int8)  # code 1 until a later mean's pass
+    while left.any():
+        if len(means) == _MAX_MEANS:
+            return None
+        mean = float(mu[int(np.argmax(left))])
+        same = mu == mean
+        if len(means) > 1:
+            np.copyto(codes, len(means), where=same)
+        means.append(mean)
+        left ^= same  # every group of this mean is still left
+    return codes, means
+
+
+def _inversion_thresholds(mean: float, m: int) -> list[float] | None:
+    """numpy's thresholds px_0..px_bound for inverting Binomial(m, min(mean, 1 - mean)).
+
+    None when numpy does not invert one uniform per draw of this mean.  The
+    arithmetic is numpy's, in numpy's order: px_0 = exp(m * log1p(-p)), not
+    q**m or exp(m * log(q)), which differ in the last bit.  `math` calls the
+    same libm as numpy's C code, where numpy's own exp and log1p ufuncs can
+    differ in the last bit.
+    """
+    p = mean if mean <= 0.5 else 1.0 - mean
+    if mean == 0.0 or p * m > _BINOMIAL_INVERSION_MAX:
+        return None
+    q = 1.0 - p
+    mp = m * p
+    bound = int(min(m, mp + 10.0 * math.sqrt(mp * q + 1)))
+    px = [math.exp(m * math.log1p(-p))]
+    for x in range(1, bound + 1):
+        px.append(((m - x + 1) * p * px[-1]) / (x * q))
+    return px
+
+
+def _loss_sampler(
+    mu: np.ndarray, m: int
+) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
+    """A function (rng, groups) -> `rng.binomial(m, mu[groups])`, with its values and stream.
+
+    For each draw, numpy takes one uniform U and returns the first x with
+    U - px_0 - ... - px_(x-1) <= px_x (m - x when mean > 1/2), drawing U again
+    if no x up to its bound qualifies.  Once an x qualifies every later one
+    does, so X is the number of thresholds U passes; the replay subtracts
+    them from all the block's uniforms at once.  Thresholds and results live
+    in tables with one row per distinct mean, and each group holds its row's
+    int8 code.  A redraw (about one in 1e16 draws) restores the generator and
+    hands the block to `rng.binomial`, as do instances with more than
+    _MAX_MEANS means, a mean of 0 (which numpy draws no uniform for) or one
+    that numpy does not invert.
+    """
+    found = _mean_codes(mu)
+    thresholds = None if found is None else [_inversion_thresholds(v, m) for v in found[1]]
+
+    def reference(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
+        return rng.binomial(m, mu[groups])
+
+    if thresholds is None or None in thresholds:
+        return reference
+    codes, means = found
+    steps = max(map(len, thresholds))
+    width = steps + 1  # X = steps means some mean's thresholds all passed
+    # Step x compares with column x; past a mean's bound, inf stops its X at
+    # bound + 1, whose result is the redraw mark -1.
+    table = np.full((steps, len(means)), np.inf)
+    results = np.full((len(means), width), -1, dtype=np.int64)
+    for c, (mean, px) in enumerate(zip(means, thresholds)):
+        table[: len(px), c] = px
+        x = np.arange(len(px))
+        results[c, : len(px)] = m - x if mean > 0.5 else x
+    results = results.ravel()
+    table_steps = list(table) if codes is not None else [float(t) for t in table[:, 0]]
+
+    def draw(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
+        state = rng.bit_generator.state
+        u = rng.random(groups.size)
+        if codes is None:
+            x = np.zeros(groups.size, dtype=np.intp)
+            step_values = table_steps
+        else:
+            code = codes.take(groups)
+            x = np.multiply(code, width, dtype=np.intp)
+            step_values = [t.take(code) for t in table_steps]
+        last = len(step_values) - 1
+        for i, t in enumerate(step_values):
+            x += u > t
+            if i < last:
+                u -= t
+        s = results.take(x)
+        if s.size and s.min() < 0:  # numpy drew some U again
+            rng.bit_generator.state = state
+            return reference(rng, groups)
+        return s
+
+    return draw
 
 
 def _block_decider(
@@ -182,13 +338,14 @@ def _block_decider(
     if isinstance(plan, AttributeSpecificPlan):
         # Sparse: a trial samples only the groups it includes (about
         # sum_g p_g of K), so only those get loss draws and estimator terms.
-        classes = setup.classes
+        classes, terms = setup.classes, setup.terms
         c = setup.weights[0]
+        losses = _loss_sampler(mu, plan.block)
 
         def decide(rng: np.random.Generator, size: int) -> np.ndarray:
             rows, groups = _included(rng, classes, size)
-            s = rng.binomial(plan.block, mu[groups])
-            f1, f2 = estimate_entries(rows, groups, s, plan.block, c, size)
+            s = losses(rng, groups)
+            f1, f2 = estimate_entries(rows, groups, s, terms, c, size)
             return f1 - f2 * f2 >= tau
 
     else:

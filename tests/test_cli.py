@@ -232,6 +232,31 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == f"error: {conf}:4: unknown key 'metirc'\n"
 
+    @pytest.mark.parametrize("key", ["alpha", "epsilon"])
+    def test_missing_key_rejected(self, tmp_path, capsys, key):
+        data = _write(tmp_path / "data.csv", "group,label,prediction\ng0,0,0\ng1,0,1\n")
+        text = "".join(f"{k}={v}\n" for k, v in (("alpha", 0.5), ("epsilon", 0.3)) if k != key)
+        conf = _write(tmp_path / "c.cfg", text)
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {conf}: missing key {key!r}\n"
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("alpha", "half", "a number"),
+        ("epsilon", "0.3.1", "a number"),
+        ("budget", "1e3", "an integer"),
+        ("eta", "2/3", "a number"),
+        ("gamma", "", "a number"),
+    ])
+    def test_bad_number_rejected(self, tmp_path, capsys, key, value, expected):
+        # Checked before the data CSV is read, which here does not exist.
+        settings = {"alpha": "0.5", "epsilon": "0.3", key: value}
+        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
+        want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
+        assert capsys.readouterr().err == want
+
     def test_clipped_attr_plan_warns(self, tmp_path, capsys):
         # gamma * w = (4.5, 0.5): group a is clipped at 1, so the plan expects
         # 1.5 groups of n/gamma = 2 samples, 3.0 samples against n = 10.
@@ -459,6 +484,39 @@ class TestSimulate:
         )
         assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+    _SETTINGS = {"k": "8", "alpha": "0.875", "epsilon": "0.3", "n_grid": "50,100",
+                 "trials": "20"}
+
+    @pytest.mark.parametrize("key", ["k", "alpha", "epsilon", "n_grid"])
+    def test_missing_key_rejected(self, tmp_path, capsys, key):
+        text = "".join(f"{k}={v}\n" for k, v in self._SETTINGS.items() if k != key)
+        conf = _write(tmp_path / "exp.cfg", text)
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {conf}: missing key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("k", "8.0", "an integer"),
+        ("trials", "1e3", "an integer"),
+        ("base_seed", "0x10", "an integer"),
+        ("n_grid", "50,1e3", "comma-separated integers"),
+        ("n_grid", "50,,100", "comma-separated integers"),
+        ("alpha", "7/8", "a number"),
+        ("epsilon", "", "a number"),
+        ("target", "10%", "a number"),
+        ("eta", "two thirds", "a number"),
+        ("gamma", "n/2", "a number"),
+    ])
+    def test_bad_number_rejected(self, tmp_path, capsys, key, value, expected):
+        conf = _write(tmp_path / "exp.cfg",
+                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"

@@ -277,7 +277,8 @@ class TestRowKernels:
             weights = _term_weights(w.as_array(), p, p)
             assert weights[0] is weights[1]
             rows, groups = np.nonzero(m)
-            e1, e2 = estimate_entries(rows, groups, s[rows, groups], block, weights[0], s.shape[0])
+            e1, e2 = estimate_entries(rows, groups, s[rows, groups], _table(block), weights[0],
+                                      s.shape[0])
             f1, f2 = estimate_rows(s, m, weights)
             np.testing.assert_allclose(e1, f1, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(e2, f2, rtol=1e-12, atol=0.0)
@@ -293,8 +294,8 @@ class TestRowKernels:
             groups = np.flatnonzero(m)
             assert groups.size > k // 16  # many groups sampled, as on the benchmark
             weights = _term_weights(w.as_array(), p, p)
-            sparse = estimate_entries(np.zeros_like(groups), groups, s[groups], int(m.max()),
-                                      weights[0], 1)
+            sparse = estimate_entries(np.zeros_like(groups), groups, s[groups],
+                                      _table(int(m.max())), weights[0], 1)
             dense = estimate_rows(s[None], m[None], weights)
             for f1, f2 in (sparse, dense):
                 assert float(f1[0]) == pytest.approx(ref.f1, rel=1e-11, abs=0.0)
@@ -304,6 +305,24 @@ class TestRowKernels:
         with pytest.raises(ZeroInclusionProbability) as err:
             _term_weights(np.array([0.5, 0.5]), np.array([1.0, 0.5]), np.array([1.0, 0.0]))
         assert err.value.group == 1
+
+    def test_zero_inclusion_rejected_when_every_weight_is_positive(self):
+        with pytest.raises(ZeroInclusionProbability) as err:
+            _term_weights(np.array([0.25, 0.5, 0.25]), np.ones(3), np.array([1.0, 0.5, 0.0]))
+        assert err.value.group == 2
+
+    def test_plain_division_when_every_weight_is_positive(self):
+        # With no zero weight the normalizers skip the mask; the bits are
+        # those of the masked division.
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            k = int(rng.integers(1, 300))
+            w, p1, p2 = rng.random(k) + 1e-3, rng.random(k) + 1e-9, rng.random(k) + 1e-9
+            masked = [np.divide(w, p, out=np.zeros_like(w), where=w > 0) for p in (p2, p1)]
+            got = _term_weights(w, p1, p2)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in masked]
+            c1, c2 = _term_weights(w, p1, p1)
+            assert c1 is c2 and c1.tobytes() == masked[1].tobytes()
 
     def test_one_normalizer_when_both_probabilities_are_one_array(self):
         w = np.array([0.5, 0.0, 0.5])
@@ -327,7 +346,7 @@ class TestRowKernels:
             s = rng.integers(0, m + 1, n)
             c = rng.random(k)
             ref = _entries_by_ratio_terms(rows, groups, s, np.full(n, m), c, n_rows)
-            got = estimate_entries(rows, groups, s, m, c, n_rows)
+            got = estimate_entries(rows, groups, s, _table(m), c, n_rows)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_statistic_bits_do_not_depend_on_blas_threads(self):
@@ -381,6 +400,11 @@ class TestRowKernels:
                     f1, f2 = estimate_rows(s, np.broadcast_to(m, s.shape), weights)
                     mean += float(p @ (f1 - f2 * f2))
                 assert mean == pytest.approx(exact_moments(inst, plan).e_f, abs=1e-12)
+
+
+def _table(m):
+    """estimate_entries' S-indexed term tables for block size m."""
+    return _ratio_terms(np.arange(m + 1), m)
 
 
 def _entries_by_ratio_terms(rows, groups, s, m, c, n_rows):

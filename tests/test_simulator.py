@@ -14,7 +14,7 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, ZeroInclusionProbability
-from fairaudit.estimator import exact_moments
+from fairaudit.estimator import _ratio_terms, exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -141,15 +141,32 @@ class TestEstimateError:
 
 
 class _ConstantGaps:
-    """A generator stand-in whose geometric draws are all `gap`."""
+    """A generator stand-in whose Geometric(q) gaps are all `gap`.
 
-    def __init__(self, gap):
-        self.gap = gap
-        self.calls = 0
+    numpy searches with a uniform for q >= 1/3 (faked by `geometric`) and
+    inverts a standard exponential E as ceil(E / -log1p(-q)) below 1/3 (faked
+    by an E that inverts to `gap`).
+    """
+
+    def __init__(self, gap, q):
+        self.gap, self.q = gap, q
+        self.calls = {"geometric": 0, "standard_exponential": 0}
 
     def geometric(self, q, size):
-        self.calls += 1
+        assert q == self.q
+        self.calls["geometric"] += 1
         return np.full(size, self.gap, dtype=np.int64)
+
+    def standard_exponential(self, size):
+        self.calls["standard_exponential"] += 1
+        return np.full(size, (self.gap - 0.5) * -math.log1p(-self.q))
+
+    def method(self):
+        """The one draw method used, which must be the one numpy uses at q."""
+        used = [name for name, calls in self.calls.items() if calls]
+        assert len(used) == 1
+        assert used[0] == ("geometric" if self.q >= 1 / 3 else "standard_exponential")
+        return self.calls[used[0]]
 
 
 class TestSparseDraw:
@@ -163,7 +180,7 @@ class TestSparseDraw:
         assert p[0] == p[1] == 1.0 and p[6] == p[7] == 0.0 and 0.0 < p[8] < 1e-299
         classes = simulator._inclusion_classes(p)
         assert len(classes) == 4
-        assert sorted(g for members, _, _ in classes for g in members.tolist()) == [
+        assert sorted(g for members, _, _, _ in classes for g in members.tolist()) == [
             0, 1, 2, 3, 4, 5, 8]
         rng = np.random.default_rng(31)
         trials, hits = 0, np.zeros(w.k)
@@ -181,17 +198,198 @@ class TestSparseDraw:
 
     def test_gaps_topped_up_until_past_the_grid(self):
         # Unit gaps: every one of the n trials succeeds, which needs far
-        # more gaps than the chunk sized for q = 0.001.
-        rng = _ConstantGaps(1)
-        assert np.array_equal(simulator._success_positions(rng, 0.001, 1000), np.arange(1000))
-        assert rng.calls > 1
+        # more gaps than the chunk sized for q (inverted, then searched).
+        for q in (0.001, 0.5):
+            rng = _ConstantGaps(1, q)
+            assert np.array_equal(simulator._success_positions(rng, q, 1000), np.arange(1000))
+            assert rng.method() > 1
 
     def test_huge_gaps_capped(self):
         # Gaps of int64 max (numpy's value for a tiny q) would overflow the
         # running sum; capped, they land past the end.
-        rng = _ConstantGaps(np.iinfo(np.int64).max)
-        assert simulator._success_positions(rng, 1e-300, 10**6).size == 0
-        assert rng.calls == 1
+        for q in (1e-300, 0.5):
+            rng = _ConstantGaps(np.iinfo(np.int64).max, q)
+            assert simulator._success_positions(rng, q, 10**6).size == 0
+            assert rng.method() == 1
+
+
+# The draw replays give numpy's values only as long as numpy's samplers
+# stay as they were when the replays were written.
+_STREAMS_NOTE = (
+    f"the replayed draws follow numpy 2.4.6's samplers; numpy {np.__version__} "
+    "draws differently"
+)
+
+
+def _pair_of_generators(seed):
+    """Two generators in one state, part-way into their stream."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    a.random(3)
+    b.random(3)
+    return a, b
+
+
+def _same_stream(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+class TestDrawReplays:
+    """Each replay against the numpy call it stands for: values and generator state."""
+
+    Q_EDGES = [5e-324, 1e-300, 1e-12, 1e-6, 0.001, 0.1, 0.25, 0.3333,
+               math.nextafter(1 / 3, 0), 1 / 3, math.nextafter(1 / 3, 1), 0.5, 0.9, 1.0]
+
+    @pytest.mark.parametrize("q", [1e-300, 3e-310, 5e-324, 1e-15, 1e-12, 0.001, 0.1, 0.3333,
+                                   math.nextafter(1 / 3, 0)])
+    def test_inverted_geometric_matches_generator(self, q):
+        # Near q = 1e-15 the gaps are about 1e15, where one ulp of E / step
+        # is 1/8: a division rounded differently moves many ceilings.
+        assert q < 1 / 3
+        for seed, size, cap in ((1, 1, 2), (2, 5000, 10**6), (3, 777, 7), (4, 0, 5),
+                                (8, 5000, 2**62)):
+            a, b = _pair_of_generators(seed)
+            got = simulator._inverted_geometric(a, -math.log1p(-q), size, cap)
+            want = np.minimum(b.geometric(q, size=size), cap)
+            assert got.dtype == want.dtype, _STREAMS_NOTE
+            assert np.array_equal(got, want), _STREAMS_NOTE
+            assert _same_stream(a, b), _STREAMS_NOTE
+
+    @pytest.mark.parametrize("q", Q_EDGES)
+    def test_success_positions_match_geometric_gaps(self, q):
+        # The positions as drawn before the replay: rng.geometric chunks.
+        def reference(rng, n):
+            mean = n * q
+            chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
+            gaps = []
+            while sum(gaps) <= n:
+                gaps += np.minimum(rng.geometric(q, size=chunk), n + 1).tolist()
+            ends = np.cumsum(gaps) - 1
+            return ends[ends < n]
+
+        for seed, n in ((5, 1), (6, 40), (7, 20_000)):
+            a, b = _pair_of_generators(seed)
+            got = simulator._success_positions(a, q, n)
+            assert np.array_equal(got, reference(b, n)), _STREAMS_NOTE
+            assert _same_stream(a, b), _STREAMS_NOTE
+
+    @staticmethod
+    def _check_losses(mu, m, seed, replayed=True):
+        draw = simulator._loss_sampler(np.asarray(mu, dtype=float), m)
+        assert (draw.__name__ == "draw") == replayed
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 6000):
+            groups = rng.integers(0, len(mu), size)
+            a, b = _pair_of_generators([seed, size])
+            got = draw(a, groups)
+            want = b.binomial(m, np.asarray(mu)[groups])
+            assert got.dtype == want.dtype, _STREAMS_NOTE
+            assert np.array_equal(got, want), _STREAMS_NOTE
+            assert _same_stream(a, b), _STREAMS_NOTE
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 25, 40])
+    def test_losses_at_edge_means(self, m):
+        edges = [1.0, 1 - 1e-9, 1e-9, 0.5, math.nextafter(0.5, 1), math.nextafter(0.5, 0),
+                 5e-324, 0.9]
+        for i, mean in enumerate(edges):
+            self._check_losses([mean], m, seed=[m, i])
+        self._check_losses(edges, m, seed=m)  # eight means, one table row each
+
+    def test_losses_of_random_instances(self):
+        rng = np.random.default_rng(77)
+        for case in range(120):
+            m = int(rng.choice([1, 2, 3, 4, 7, 12, 25, 40, 300]))
+            means = rng.random(int(rng.integers(1, 9)))
+            if m == 300:
+                means *= 0.1  # p * m <= 30
+            mu = rng.choice(means, size=int(rng.integers(1, 500)))
+            self._check_losses(mu, m, seed=case)
+
+    @pytest.mark.parametrize("mu, m", [
+        (np.linspace(0.05, 0.95, 9), 2),  # more than 8 means
+        ([0.5, 0.0, 0.9], 2),  # numpy draws no uniform for a mean of 0
+        ([0.5, 0.25], 121),  # 0.25 * 121 > 30: not an inversion
+        ([0.9], 301),  # (1 - 0.9) * 301 > 30
+    ])
+    def test_losses_fall_back_to_generator(self, mu, m):
+        self._check_losses(mu, m, seed=78, replayed=False)
+
+    def test_losses_redraw_restores_the_stream(self, monkeypatch):
+        # Thresholds cut at px_0 make most draws pass every threshold, the
+        # case where numpy draws U again; the block must then come from
+        # rng.binomial, from the state before the replay's uniforms.
+        real = simulator._inversion_thresholds
+        monkeypatch.setattr(simulator, "_inversion_thresholds",
+                            lambda mean, m: real(mean, m)[:1])
+        self._check_losses([0.3, 0.6], 40, seed=79)
+
+    @staticmethod
+    def _next_uniform_is(u):
+        """A generator whose next `random()` is u, a multiple of 2**-53 in [0, 1).
+
+        PCG64 steps its state by state * mult + inc and outputs (high ^ low)
+        rotated by the top 6 bits; from state 0, inc becomes the state, and
+        with a zero high word the output is inc itself.
+        """
+        out = int(u * 2.0**53) << 11
+        rng = np.random.Generator(np.random.PCG64(0))
+        state = rng.bit_generator.state
+        state["state"] = {"state": 0, "inc": out}
+        rng.bit_generator.state = state
+        return rng
+
+    def test_losses_at_threshold_boundaries(self):
+        # A uniform exactly at px_0 gives X = 0 and the next double up does
+        # not; for px_0 >= 1/2 both are uniforms numpy can draw, so a
+        # threshold one ulp off shows.  Both the ufuncs np.exp and np.log1p
+        # and the formula exp(m * log(q)) give a different px_0 in some of
+        # these cases.
+        ufunc_differs = log_differs = 0
+        for m in (2, 3, 7, 12, 25, 40, 60):
+            for mean in (0.001, 0.004, 0.01, 0.3 / m, 0.5 / m, 1 - 0.004, 1 - 0.5 / m):
+                px0 = simulator._inversion_thresholds(mean, m)[0]
+                p = mean if mean <= 0.5 else 1.0 - mean
+                ufunc_differs += float(np.exp(m * np.log1p(-p))) != px0
+                log_differs += math.exp(m * math.log(1.0 - p)) != px0
+                assert px0 >= 0.5
+                draw = simulator._loss_sampler(np.array([mean]), m)
+                for u in (px0, math.nextafter(px0, 1.0)):
+                    a, b = self._next_uniform_is(u), self._next_uniform_is(u)
+                    got, want = draw(a, np.zeros(1, np.intp)), b.binomial(m, [mean])
+                    assert np.array_equal(got, want), _STREAMS_NOTE
+                    assert _same_stream(a, b), _STREAMS_NOTE
+        assert ufunc_differs > 0 and log_differs > 0
+
+    @pytest.mark.parametrize("m, mean", [(12, 0.2), (20, 0.0375), (100, 0.05), (1000, 0.001)])
+    def test_losses_after_a_true_redraw(self, m, mean):
+        # The largest uniform passes every threshold numpy has for these
+        # (rounding leaves the remainder above the last one), so numpy draws
+        # a second uniform; the replay must hand that block to rng.binomial.
+        # At (20, 0.0375) one threshold past numpy's bound would take it.
+        u = 1.0 - 2.0**-53
+        a, b, c = (self._next_uniform_is(u) for _ in range(3))
+        want = b.binomial(m, [mean, mean])
+        c.random(3)
+        assert _same_stream(b, c)  # one redraw: three uniforms for two draws
+        assert np.array_equal(simulator._loss_sampler(np.array([mean]), m)(a, np.zeros(2, np.intp)),
+                              want), _STREAMS_NOTE
+        assert _same_stream(a, b), _STREAMS_NOTE
+
+    def test_hard_pairs_take_the_replay(self):
+        for k, eps in ((2, 0.25), (16, 0.3), (4096, 0.1)):
+            pair = build_hard_pair(k, eps)
+            for inst in (pair.p0, pair.p1):
+                for m in (1, 2, 7, 60):
+                    assert simulator._loss_sampler(inst.mu_array(), m).__name__ == "draw"
+
+    def test_mean_codes(self):
+        mu = np.array([0.5, 0.9, 0.5, 0.1, 0.9])
+        codes, means = simulator._mean_codes(mu)
+        assert np.array_equal(np.asarray(means)[codes], mu)
+        assert means == [0.5, 0.9, 0.1] and codes.dtype == np.int8
+        assert simulator._mean_codes(np.full(3, 0.25)) == (None, [0.25])
+        assert simulator._mean_codes(np.arange(9) / 8) is None
+        codes, means = simulator._mean_codes(np.arange(8) / 8)
+        assert codes.tolist() == list(range(8))
 
 
 def _classes_oracle(p):
@@ -233,9 +431,13 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_same_classes(got, want):
+def _assert_same_classes(got, want, k):
     assert len(got) == len(want)
-    for (members, q, ratio), (members_o, q_o, ratio_o) in zip(got, want):
+    for (members, count, q, ratio), (members_o, q_o, ratio_o) in zip(got, want):
+        assert count == members_o.size
+        if members is None:  # all K groups
+            assert count == k
+            members = np.arange(k)
         assert _same_bits(members, members_o)
         assert q == q_o
         assert (ratio is None) == (ratio_o is None)
@@ -269,7 +471,7 @@ class TestSetupMatchesOracle:
             p = np.minimum(_random_weights(rng) * rng.choice([1.0, 10.0, 1e3]), 1.0)
             if rng.random() < 0.3:
                 p[rng.integers(p.size, size=3)] = rng.choice(edge, size=3)
-            _assert_same_classes(simulator._inclusion_classes(p), _classes_oracle(p))
+            _assert_same_classes(simulator._inclusion_classes(p), _classes_oracle(p), p.size)
         assert simulator._inclusion_classes(np.zeros(5)) == _classes_oracle(np.zeros(5)) == ()
 
     def test_attr_setup_of_random_plans(self):
@@ -295,8 +497,10 @@ class TestSetupMatchesOracle:
             got = simulator._setup(plan, w)
             assert _same_bits(got.weights[0], want[0][0])
             assert _same_bits(got.weights[1], want[0][1])
-            _assert_same_classes(got.classes, want[1])
+            _assert_same_classes(got.classes, want[1], w.k)
             assert got.block == want[2]
+            want_terms = _ratio_terms(np.arange(plan.block + 1), plan.block)
+            assert [t.tobytes() for t in got.terms] == [t.tobytes() for t in want_terms]
         assert 0 < zero_inclusion < 320
 
 
@@ -439,7 +643,9 @@ class TestOutputs:
             w, mu_hot = GroupWeights(raw / raw.sum()), 0.95
         path = tmp_path / "sweep.csv"
         write_sweep_csv(threshold_sweep(_attr_wide_sweep(w, mu_hot)), str(path))
-        assert path.read_bytes() == _ATTR_WIDE_GOLDEN[shape].encode("utf-8")
+        assert path.read_bytes() == _ATTR_WIDE_GOLDEN[shape].encode("utf-8"), (
+            "recorded with numpy 2.4.6, whose samplers the sweep's draws replay; "
+            f"numpy is {np.__version__}")
 
     def test_csv_byte_identical(self, tmp_path):
         result = threshold_sweep(_sweep_experiment([50, 200]))
