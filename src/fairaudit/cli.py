@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -103,6 +104,16 @@ def _setting(conf: dict[str, str], path: str, key: str, parse, default=_REQUIRED
         raise ConfigError(
             f"{path}: {key} must be {_EXPECTED[parse]}, got {conf[key]!r}"
         ) from None
+
+
+def _choice(conf: dict[str, str], path: str, key: str, choices: tuple[str, ...]) -> str:
+    """conf[key], choices[0] when absent; any other value is a ConfigError."""
+    value = conf.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(
+            f"{path}: {key} must be one of {', '.join(map(repr, choices))}, got {value!r}"
+        )
+    return value
 
 
 @contextmanager
@@ -222,22 +233,19 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
     text = np.frombuffer(data, np.uint8)
     # Without a final newline, the end of the file ends the last line.
     open_end = not data.endswith(b"\n")
-    newlines = data.count(b"\n")
-    delims = np.empty(
-        data.count(b",") + newlines + open_end, np.int32 if text.size < 2**31 else np.int64
-    )
+    offset = np.int32 if text.size < 2**31 else np.int64
     # The comma and newline offsets, a block at a time to bound the temporaries.
-    filled = 0
+    found, newlines = [], 0
     for at in range(0, text.size, _SCAN_BYTES):
         block = text[at : at + _SCAN_BYTES]
-        is_delim = block == _COMMA
-        is_delim |= block == _LF
-        found = np.flatnonzero(is_delim)
-        found += at
-        delims[filled : filled + found.size] = found
-        filled += found.size
+        is_delim = block == _LF
+        newlines += int(np.count_nonzero(is_delim))
+        is_delim |= block == _COMMA
+        found.append(np.add(np.flatnonzero(is_delim), at, dtype=offset, casting="same_kind"))
     if open_end:
-        delims[-1] = text.size
+        found.append(np.array([text.size], offset))
+    delims = np.concatenate(found)
+    del found
     rows = delims.size // ncol - 1
     # Every line has ncol - 1 commas iff the delimiters fill an (rows + 1, ncol)
     # grid whose last column holds every newline (and the end, if open).
@@ -326,8 +334,9 @@ def _key_bytes(keys, words: int) -> np.ndarray:
 
 
 def _key_names(keys) -> list[str]:
-    """The group names of packed keys (an "S" view drops the NUL padding)."""
-    return [b.decode("utf-8") for b in _key_bytes(keys, len(keys)).tolist()]
+    """The group names of packed keys (an "S" view drops the NUL padding),
+    decoded at once: plain cells hold no ","."""
+    return b",".join(_key_bytes(keys, len(keys)).tolist()).decode("utf-8").split(",")
 
 
 def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -510,8 +519,7 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
     return GroupWeights(_sidecar_csv(path, names))
 
 
-def _resolve_weights(conf: dict[str, str], counts: GroupCounts) -> GroupWeights:
-    source = conf.get("weights", "uniform")
+def _resolve_weights(source: str, counts: GroupCounts) -> GroupWeights:
     if source == "uniform":
         return GroupWeights.uniform(counts.k)
     if source == "empirical":
@@ -559,11 +567,16 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
         f"f2: {outcome.statistic.f2!r}",
         f"threshold: {outcome.threshold!r}",
     ]
-    warn = "  (warning: fewer than 2 samples)"
-    lines += [
-        f"count[{name}]: {m}{warn if m < 2 else ''}"
-        for name, m in zip(names, outcome.counts.tolist())
-    ]
+    if names:
+        # One tail per distinct count, put between the names.
+        warn = "  (warning: fewer than 2 samples)"
+        values, which = np.unique(outcome.counts, return_inverse=True)
+        tails = [f"]: {m}{warn if m < 2 else ''}\ncount[" for m in values.tolist()]
+        parts = [""] * (2 * len(names))
+        parts[0::2] = names
+        parts[1::2] = map(tails.__getitem__, which.tolist())
+        parts[-1] = parts[-1].removesuffix("\ncount[")
+        lines.append("count[" + "".join(parts))
     return "\n".join(lines)
 
 
@@ -575,10 +588,15 @@ def cmd_audit(args) -> int:
     budget = _setting(conf, path, "budget", int, None)
     eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
     gamma = _setting(conf, path, "gamma", float, None)
-    counts = read_records(args.input, MetricKind(conf.get("metric", "sp")))
-    w = _resolve_weights(conf, counts)
+    metric = MetricKind(_choice(conf, path, "metric", ("sp", "eo")))
+    plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
+    source = conf.get("weights", "uniform")
+    if source not in ("uniform", "empirical") and not os.path.exists(source):
+        raise ConfigError(f"{path}: weights file not found: {source!r}")
+    counts = read_records(args.input, metric)
+    w = _resolve_weights(source, counts)
     plan = _make_plan(
-        conf.get("plan", "weighted"),
+        plan_kind,
         w,
         int(counts.m.sum()) if budget is None else budget,
         eta,
@@ -637,10 +655,9 @@ def cmd_simulate(args) -> int:
     n_grid = _setting(conf, path, "n_grid", _int_list)
     eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
     gamma = _setting(conf, path, "gamma", float, None)
-    if conf.get("instance", "hardpair") != "hardpair":
-        raise ConfigError("only instance=hardpair sweeps are supported")
+    _choice(conf, path, "instance", ("hardpair",))
+    plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
     pair = build_hard_pair(k, epsilon)
-    plan_kind = conf.get("plan", "weighted")
     points = []
     for n in n_grid:
         plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)

@@ -172,6 +172,14 @@ def _count_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _int_column(values) -> np.ndarray:
+    """A row column as an integer array: an array whose dtype casts safely to
+    intp (bool, and integers up to int64) as it is, anything else as int64."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.intp):
+        return values
+    return np.asarray(values, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupCounts:
     """Per-group sufficient statistics of an audit dataset.
@@ -223,9 +231,7 @@ class GroupCounts:
         statistical parity keeps all rows.  In both the loss is the prediction.
         """
         k = len(names)
-        group = np.asarray(group, dtype=np.int64)
-        label = np.asarray(label, dtype=np.int64)
-        loss = np.asarray(prediction, dtype=np.int64)
+        group, label, loss = map(_int_column, (group, label, prediction))
         if not (group.shape == label.shape == loss.shape) or group.ndim != 1:
             raise ValueError("group, label and prediction must be 1-d and equally long")
         if group.size and (group.min() < 0 or group.max() >= k):
@@ -235,8 +241,12 @@ class GroupCounts:
                 raise ValueError(f"{column} must be 0 or 1")
         if kind is MetricKind.EQUAL_OPPORTUNITY and not np.any(label == 0):
             raise EmptyAfterConditioning("no records with label 0")
-        # Rows per (group, label, loss), in one pass over the rows.
-        cells = np.bincount(4 * group + 2 * label + loss, minlength=4 * k).reshape(k, 2, 2)
+        # Rows per (group, label, loss), in one pass over the rows.  The index
+        # is built in intp: 4 * group would overflow int32 ids at k >= 2**29.
+        cell = np.multiply(group, 4, dtype=np.intp)
+        cell += 2 * label
+        cell += loss
+        cells = np.bincount(cell, minlength=4 * k).reshape(k, 2, 2)
         if kind is MetricKind.EQUAL_OPPORTUNITY:
             cells = cells[:, :1]
         m = cells.sum(axis=(1, 2))

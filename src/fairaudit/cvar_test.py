@@ -18,11 +18,21 @@ import numpy as np
 from .core import FairnessInstance, GroupCounts, GroupWeights
 from .errors import PlanMismatch, shown_groups
 from .estimator import EstimatorValue, estimate_from_counts
-from .metrics import CVaRMode, cvar_fairness
+from .metrics import CVaRMode, cvar_fairness, max_gap
 from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan, inclusion_array
 
 # Numeric tolerance used when classifying instances into the composite regions.
 REGION_TOL = 1e-12
+# An instance whose largest gap is at most this is in P0, without the CVaR fill.
+# CVaR fairness is a mean of gaps, so it is at most the largest gap.  The fill
+# computes it with sequential float sums of at most K products w_g * delta_g,
+# choosing the taken mass by sums of at most K weights.  Each step rounds by a
+# factor of at most 1 + 2**-53, so the mass taken exceeds 1 - alpha, and the
+# sum of products their exact sum, by a factor of about 1 + 2K * 2**-53 each:
+# together under 1.01 for any K below 2**44.  (Underflow adds at most
+# K * 2**-1075 to the sum, beside 1 - alpha >= 2**-53.)  So a largest gap of
+# at most REGION_TOL / 2 leaves the fill below REGION_TOL: it too gives P0.
+P0_MAX_GAP = REGION_TOL / 2
 
 
 class Decision(Enum):
@@ -136,6 +146,9 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
 
 def classify_region(inst: FairnessInstance, alpha: float, epsilon: float) -> Region:
     """Place an instance into P0 (CVaR = 0), P1 (CVaR >= epsilon), or Neither."""
+    # An invalid alpha goes on to cvar_fairness, which rejects it.
+    if 0.0 <= alpha < 1.0 and max_gap(inst) <= P0_MAX_GAP:
+        return Region.P0
     value = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
     if value <= REGION_TOL:
         return Region.P0

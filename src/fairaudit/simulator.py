@@ -50,7 +50,9 @@ and its unfair one in P1 before it runs any trial, classifying each distinct
 (instance, alpha, epsilon) once, so one bad point fails the whole sweep up
 front and points that share their instances do not pay for the check again.
 The check's CVaR fill (`metrics.cvar_fairness`) walks the groups in gap
-order in chunks and stops at the one that holds the boundary group.
+order in chunks and stops at the one that holds the boundary group; an
+instance whose largest gap is far below the P0 tolerance skips the fill.
+Points that share an instance and a block share its loss sampler.
 """
 
 from __future__ import annotations
@@ -326,9 +328,14 @@ def _loss_sampler(
 
 
 def _block_decider(
-    inst: FairnessInstance, cfg: TestConfig, setup: _Setup
+    inst: FairnessInstance, cfg: TestConfig, setup: _Setup, samplers: dict
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """A function (rng, size) -> H1 decisions of `size` <= setup.block audits of inst."""
+    """A function (rng, size) -> H1 decisions of `size` <= setup.block audits of inst.
+
+    `samplers` holds the loss samplers built so far in a sweep, keyed on the
+    instance object and the block: the points of a sweep share their
+    instances, and often their block.
+    """
     plan = cfg.plan
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
@@ -340,7 +347,10 @@ def _block_decider(
         # sum_g p_g of K), so only those get loss draws and estimator terms.
         classes, terms = setup.classes, setup.terms
         c = setup.weights[0]
-        losses = _loss_sampler(mu, plan.block)
+        key = (id(inst), plan.block)
+        losses = samplers.get(key)
+        if losses is None:
+            losses = samplers[key] = _loss_sampler(mu, plan.block)
 
         def decide(rng: np.random.Generator, size: int) -> np.ndarray:
             rows, groups = _included(rng, classes, size)
@@ -373,10 +383,11 @@ def _side_h1(
     trials: int,
     base_seed: int,
     side: int,
+    samplers: dict,
 ) -> int:
     """Number of H1 decisions in `trials` audits of inst, run block by block."""
     b = setup.block
-    decide = _block_decider(inst, cfg, setup)
+    decide = _block_decider(inst, cfg, setup, samplers)
     return sum(
         _block_h1(decide, base_seed, side, index, min(b, trials - start))
         for index, start in enumerate(range(0, trials, b))
@@ -406,6 +417,7 @@ def _estimate(
     cfg: TestConfig,
     trials: int,
     base_seed: int,
+    samplers: dict,
 ) -> ErrorEstimate:
     """One sweep point's error estimate; its instances are already checked.
 
@@ -414,8 +426,10 @@ def _estimate(
     """
     setup0 = _setup(cfg.plan, h0_inst.weights)
     setup1 = setup0 if h1_inst.weights == h0_inst.weights else _setup(cfg.plan, h1_inst.weights)
-    frac_h1_h0 = _side_h1(h0_inst, cfg, setup0, trials, base_seed, 0) / trials
-    frac_h0_h1 = (trials - _side_h1(h1_inst, cfg, setup1, trials, base_seed, 1)) / trials
+    frac_h1_h0 = _side_h1(h0_inst, cfg, setup0, trials, base_seed, 0, samplers) / trials
+    frac_h0_h1 = (
+        trials - _side_h1(h1_inst, cfg, setup1, trials, base_seed, 1, samplers)
+    ) / trials
     p_hat = (frac_h1_h0 + frac_h0_h1) / 2.0
     return ErrorEstimate(
         p_err_hat=p_hat,
@@ -471,9 +485,10 @@ def threshold_sweep(exp: Experiment) -> SweepResult:
 
     Before any point runs, every point's h0 instance must lie in P0 and its
     h1 instance in P1(epsilon) at the point's alpha, or ConfigError is raised.
-    Each distinct (instance, alpha, epsilon) is classified once, keyed on the
-    instance object: hashing K loss means would cost about as much as the
-    classification.
+    Each distinct (instance, alpha, epsilon) is classified once, and each
+    attribute-specific loss sampler is built once per (instance, block), both
+    keyed on the instance object: hashing K loss means would cost about as
+    much as the classification.
     """
     regions: dict[tuple[int, float, float], Region] = {}
 
@@ -490,8 +505,10 @@ def threshold_sweep(exp: Experiment) -> SweepResult:
                 "h1 instance does not have CVaR fairness >= epsilon")
     rows = []
     n_hat = None
+    # exp holds every instance until the sweep ends, so no id is reused meanwhile.
+    samplers: dict[tuple[int, int], Callable] = {}
     for point in exp.points:
-        est = _estimate(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed)
+        est = _estimate(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed, samplers)
         rows.append((point.axis_value, est))
         if n_hat is None and est.p_err_hat <= exp.target:
             n_hat = point.axis_value

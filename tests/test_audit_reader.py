@@ -25,8 +25,9 @@ import pytest
 from fairaudit import cli
 from fairaudit.cli import _render_outcome, main, read_records, read_weight_sidecar
 from fairaudit.core import GroupCounts, GroupWeights, MetricKind
-from fairaudit.cvar_test import TestConfig, run_test_dataset
+from fairaudit.cvar_test import Decision, TestConfig, TestOutcome, run_test_dataset
 from fairaudit.errors import EmptyAfterConditioning, FairauditError
+from fairaudit.estimator import EstimatorValue
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 
 SP = MetricKind.STATISTICAL_PARITY
@@ -391,6 +392,141 @@ def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
     assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
         lambda: cli._records_csv(str(path), kind)
     )
+
+
+def _render_oracle(outcome, names):
+    """The per-group f-string rendering that `_render_outcome` replaced."""
+    lines = [
+        f"decision: {outcome.decision.value}",
+        f"statistic: {outcome.statistic.f!r}",
+        f"f1: {outcome.statistic.f1!r}",
+        f"f2: {outcome.statistic.f2!r}",
+        f"threshold: {outcome.threshold!r}",
+    ]
+    warn = "  (warning: fewer than 2 samples)"
+    lines += [
+        f"count[{name}]: {m}{warn if m < 2 else ''}"
+        for name, m in zip(names, outcome.counts.tolist())
+    ]
+    return "\n".join(lines)
+
+
+class TestRenderOutcome:
+    COUNTS = [0, 1, 2, 9, 10, 10**6]
+
+    @staticmethod
+    def _outcome(counts):
+        return TestOutcome(decision=Decision.H1, statistic=EstimatorValue(f1=0.5, f2=0.125),
+                           threshold=1 / 3, counts=np.asarray(counts, dtype=np.int64))
+
+    @pytest.mark.parametrize("counts", [
+        COUNTS, COUNTS[::-1], [0], [10**6], [1, 1, 1], [2, 0, 2, 0, 10**6, 9, 10, 1, 1, 0],
+    ])
+    def test_matches_the_per_group_render(self, counts):
+        pool = ["a", "b b", " lead", "trail ", "ü", "ßüß", "日本", "x|y|z", "", "#7"]
+        names = sorted(pool[i % len(pool)] + str(i) for i in range(len(counts)))
+        outcome = self._outcome(counts)
+        assert _render_outcome(outcome, names) == _render_oracle(outcome, names)
+
+    def test_random_counts(self):
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            k = int(rng.integers(1, 300))
+            counts = rng.choice(self.COUNTS, k) if rng.random() < 0.5 else rng.integers(0, 5, k)
+            names = [f"g {i:03d} ü" for i in range(k)]
+            outcome = self._outcome(counts)
+            assert _render_outcome(outcome, names) == _render_oracle(outcome, names)
+
+    def test_names_from_the_csv_reader(self, tmp_path):
+        # Names a plain file cannot hold: commas, quotes, newlines, long names.
+        rows = [(name, i % 2) for i, name in enumerate(NAME_POOL) for _ in range(i % 4)]
+        out = io.StringIO(newline="")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["group", "label", "prediction"])
+        writer.writerows([name, 0, pred] for name, pred in rows)
+        path = tmp_path / "d.csv"
+        path.write_text(out.getvalue(), encoding="utf-8")
+        counts = read_records(str(path))
+        assert _is_plain(lambda: cli._records_plain(str(path), SP)) is False
+        assert set(counts.m.tolist()) == {1, 2, 3}
+        outcome = self._outcome(np.concatenate([counts.m, [0]]))
+        names = counts.names + ("~",)
+        assert _render_outcome(outcome, names) == _render_oracle(outcome, names)
+
+    def test_no_groups(self):
+        outcome = self._outcome([])
+        assert _render_outcome(outcome, ()) == _render_oracle(outcome, ())
+
+
+def _csv_cells(data, columns):
+    """The oracle for _plain_cells: each named column's cells by csv.reader."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    at = [rows[0].index(name) for name in columns]
+    return [[row[c] for row in rows[1:]] for c in at]
+
+
+def _cells_of(data, columns):
+    """_plain_cells' cells as strings."""
+    text, cells = cli._plain_cells(data, columns)
+    raw = text.tobytes()
+    return [[raw[a:b].decode("utf-8") for a, b in zip(start.tolist(), end.tolist())]
+            for start, end in cells]
+
+
+class TestPlainCellsOverBlocks:
+    """Files over several _SCAN_BYTES blocks, at the real block size and at a
+    tiny one that puts block edges inside every few rows."""
+
+    @staticmethod
+    def _rows(rng, n, columns):
+        names = ["a", "bb", "ü", "ßüß", "female|asian|20-30", "", "x" * 32]
+        cells = {
+            "group": rng.choice(names, n).tolist(),
+            "label": rng.choice(["0", "1"], n).tolist(),
+            "prediction": rng.choice(["0", "1"], n).tolist(),
+            "note": rng.choice(["", "n", "nnnnnnnn"], n).tolist(),
+        }
+        return list(zip(*(cells[c] for c in columns)))
+
+    @staticmethod
+    def _file(columns, rows, eol="\n", open_end=False):
+        text = eol.join(",".join(r) for r in [columns, *rows]) + eol
+        return (text.removesuffix(eol) if open_end else text).encode("utf-8")
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("open_end", [False, True])
+    def test_cells_match_the_csv_reader(self, monkeypatch, block, eol, open_end):
+        if block:
+            monkeypatch.setattr(cli, "_SCAN_BYTES", block)
+        rng = np.random.default_rng(46)
+        columns = ["group", "label", "prediction"]
+        long = self._file(columns, self._rows(rng, 300 if block else 50_000, columns), eol,
+                          open_end)
+        assert len(long) > 2 * cli._SCAN_BYTES
+        columns = ["note", "prediction", "group", "label"]
+        short = self._file(columns, self._rows(rng, 200, columns), eol, open_end)
+        for data in (long, short):
+            assert _cells_of(data, cli._RECORD_COLUMNS) == _csv_cells(data, cli._RECORD_COLUMNS)
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("stray", [",", "\n", "\r\n", ",\n"])
+    def test_a_stray_delimiter_is_not_plain(self, monkeypatch, block, stray):
+        if block:
+            monkeypatch.setattr(cli, "_SCAN_BYTES", block)
+        size = cli._SCAN_BYTES
+        rng = np.random.default_rng(47)
+        columns = ["group", "label", "prediction"]
+        data = self._file(columns, self._rows(rng, size // 4, columns))
+        assert len(data) > 2 * size
+        cli._plain_cells(data, cli._RECORD_COLUMNS)
+        # At the start of a line (a group cell) that ends at or after a block
+        # edge, and at the start of a line in the middle of the file.
+        for at in (size - 1, size, 2 * size + 1, len(data) // 2):
+            cut = data.index(b"\n", at - len(stray)) + 1
+            bad = data[:cut] + stray.encode() + data[cut:]
+            with pytest.raises(cli._NotPlain):
+                cli._plain_cells(bad, cli._RECORD_COLUMNS)
 
 
 def _spell(value, how):

@@ -257,6 +257,19 @@ class TestAudit:
         want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("metric", "xx", "metric must be one of 'sp', 'eo', got 'xx'"),
+        ("metric", "EO", "metric must be one of 'sp', 'eo', got 'EO'"),
+        ("plan", "foo", "plan must be one of 'weighted', 'attr', got 'foo'"),
+        ("weights", "uniformm", "weights file not found: 'uniformm'"),
+        ("weights", "", "weights file not found: ''"),
+    ])
+    def test_bad_choice_rejected(self, tmp_path, capsys, key, value, want):
+        # Checked before the data CSV is read, which here does not exist.
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\n{key}={value}\n")
+        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
+
     def test_clipped_attr_plan_warns(self, tmp_path, capsys):
         # gamma * w = (4.5, 0.5): group a is clipped at 1, so the plan expects
         # 1.5 groups of n/gamma = 2 samples, 3.0 samples against n = 10.
@@ -495,6 +508,18 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {conf}: missing key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("instance", "mixture", "instance must be one of 'hardpair', got 'mixture'"),
+        ("plan", "foo", "plan must be one of 'weighted', 'attr', got 'foo'"),
+    ])
+    def test_bad_choice_rejected(self, tmp_path, capsys, key, value, want):
+        conf = _write(tmp_path / "exp.cfg",
+                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, expected", [

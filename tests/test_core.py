@@ -360,6 +360,69 @@ class TestAuditSample:
             _from_rows([(-1, 0, 0)], SP, k=1)
 
 
+class TestFromRowsInputs:
+    """Integer and bool arrays are reduced in their own dtypes; every other
+    input is read as int64 first, as float inputs always were (truncated)."""
+
+    GROUP, LABEL, PRED = [0, 1, 1, 2], [0, 1, 0, 0], [1, 0, 1, 1]
+    # (SP m, SP s) and (EO m, EO s) of the rows above, over groups g0..g2.
+    WANT = {SP: ([1, 2, 1], [1, 1, 1]), EO: ([1, 1, 1], [1, 1, 1])}
+
+    @pytest.mark.parametrize("ids, bits", [
+        (np.int32, np.uint8),  # as the plain CSV reader hands them
+        (np.int32, bool),
+        (np.uint8, np.int8),
+        (np.uint64, np.uint64),
+        (list, list),
+        (float, float),
+        (np.float64, np.float64),
+    ], ids=["int32_uint8", "int32_bool", "uint8_int8", "uint64", "list", "float_list",
+            "float_array"])
+    def test_accepted_kinds(self, ids, bits):
+        def column(values, kind):
+            if kind is list:
+                return list(values)
+            if kind is float:
+                return [float(x) for x in values]
+            if kind is np.float64:
+                return np.array(values, kind) + 0.25  # truncated towards zero
+            return np.array(values, kind)
+
+        cols = [column(self.GROUP, ids), column(self.LABEL, bits), column(self.PRED, bits)]
+        before = [np.array(c, copy=True) for c in cols]
+        for kind in (SP, EO):
+            c = GroupCounts.from_rows(["g0", "g1", "g2"], *cols, kind)
+            assert (c.m.tolist(), c.s.tolist()) == self.WANT[kind]
+            assert c.m.dtype == c.s.dtype == np.int64
+        for col, old in zip(cols, before):  # the inputs are left as they were
+            assert np.array_equal(col, old)
+
+    @pytest.mark.parametrize("column, values, error, match", [
+        (0, np.array([0, 1, 1, 3], np.int32), ValueError, "group ids must lie in 0..2"),
+        (0, np.array([0, -1, 1, 2], np.int32), ValueError, "group ids must lie in 0..2"),
+        (0, np.array([0, 2**63, 1, 2], np.uint64), ValueError, "group ids must lie in 0..2"),
+        (0, [0, 1.5, 3.5, 2], ValueError, "group ids must lie in 0..2"),
+        (0, [0, 2**63, 1, 2], OverflowError, None),
+        (1, np.array([0, 2, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
+        (1, np.array([0, 255, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
+        (2, np.array([1, 0, -1, 1], np.int8), ValueError, "prediction must be 0 or 1"),
+        (2, [1, 0, 2.0, 1], ValueError, "prediction must be 0 or 1"),
+        (2, np.array([[1, 0, 1, 1]], np.uint8), ValueError, "1-d and equally long"),
+        (2, np.array([1, 0, 1], np.uint8), ValueError, "1-d and equally long"),
+        (1, [None, 1, 0, 0], TypeError, None),
+    ])
+    def test_rejected_kinds(self, column, values, error, match):
+        cols = [self.GROUP, self.LABEL, self.PRED]
+        cols[column] = values
+        with pytest.raises(error, match=match):
+            GroupCounts.from_rows(["g0", "g1", "g2"], *cols, SP)
+
+    def test_no_label_zero_in_any_kind(self):
+        for label in ([1, 1], np.ones(2, np.uint8), np.ones(2, bool), [1.0, 1.0]):
+            with pytest.raises(EmptyAfterConditioning):
+                GroupCounts.from_rows(["a"], [0, 0], label, [0, 1], EO)
+
+
 class TestRecordsToSamples:
     """Metric conditioning of raw (group, label, prediction) rows."""
 

@@ -6,6 +6,8 @@ import pytest
 from fairaudit.core import FairnessInstance, GroupCounts, GroupWeights
 from fairaudit.errors import PlanMismatch
 from fairaudit.cvar_test import (
+    P0_MAX_GAP,
+    REGION_TOL,
     Decision,
     Region,
     TestConfig,
@@ -13,6 +15,7 @@ from fairaudit.cvar_test import (
     run_test_dataset,
     run_test_synthetic,
 )
+from fairaudit.metrics import cvar_fairness, max_gap
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 
 
@@ -182,6 +185,14 @@ class TestRunTestDataset:
                 decided_h0 = out.decision is Decision.H0
 
 
+def _region_by_fill(inst, alpha, epsilon):
+    """classify_region without the max-gap shortcut: always the CVaR fill."""
+    value = cvar_fairness(inst, alpha)
+    if value <= REGION_TOL:
+        return Region.P0
+    return Region.P1 if value >= epsilon - REGION_TOL else Region.NEITHER
+
+
 class TestClassifyRegion:
     def test_all_equal_is_p0(self):
         inst = FairnessInstance(GroupWeights.uniform(3), [0.4] * 3)
@@ -195,6 +206,65 @@ class TestClassifyRegion:
         inst = FairnessInstance(GroupWeights.uniform(2), [0.45, 0.55])
         # CVaR at alpha=0.5 is 0.1: below epsilon=0.5, above 0.
         assert classify_region(inst, 0.5, 0.5) is Region.NEITHER
+
+    @staticmethod
+    def _fills(monkeypatch):
+        import fairaudit.cvar_test as cvar_test
+
+        calls = []
+        fill = cvar_test.cvar_fairness
+        monkeypatch.setattr(cvar_test, "cvar_fairness", lambda *a: calls.append(a) or fill(*a))
+        return calls
+
+    def test_max_gap_shortcut_near_the_bound(self, monkeypatch):
+        # Gaps scaled to lie at, just inside and just outside P0_MAX_GAP, and
+        # far past it, where the fill can land on either side of REGION_TOL.
+        fills = self._fills(monkeypatch)
+        rng = np.random.default_rng(48)
+        shortcuts = filled = 0
+        for _ in range(400):
+            k = int(rng.choice([2, 3, 17, 1000, 5000]))
+            weights = np.ones(k) / k if rng.random() < 0.3 else rng.dirichlet(np.ones(k))
+            w = GroupWeights(weights)
+            base = float(rng.choice([0.0, 1e-3, 0.5, 0.9, 1.0 - 1e-12, 1.0]))
+            offsets = rng.standard_normal(k) * (rng.random(k) < 0.3)
+            scale = float(rng.choice([0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 1e3]))
+            unit = FairnessInstance(w, np.clip(base + offsets * 1e-12, 0.0, 1.0))
+            gap = max_gap(unit)
+            if gap == 0.0:
+                continue
+            mu = np.clip(base + offsets * (1e-12 * scale * P0_MAX_GAP / gap), 0.0, 1.0)
+            inst = FairnessInstance(w, mu)
+            alpha = float(rng.choice([0.0, 0.5, 0.75, 1.0 - 1.0 / k, 1.0 - 2.0**-52]))
+            epsilon = float(rng.choice([2e-12, 0.3]))
+            fills.clear()
+            assert classify_region(inst, alpha, epsilon) is _region_by_fill(inst, alpha, epsilon)
+            if max_gap(inst) <= P0_MAX_GAP:
+                assert fills == []
+                shortcuts += 1
+            else:
+                assert len(fills) == 1
+                filled += 1
+        assert shortcuts >= 50 and filled >= 50
+
+    def test_equal_means_take_the_shortcut(self, monkeypatch):
+        fills = self._fills(monkeypatch)
+        rng = np.random.default_rng(49)
+        for _ in range(100):
+            k = int(rng.integers(1, 3000))
+            w = GroupWeights(rng.dirichlet(np.ones(k)))
+            inst = FairnessInstance(w, np.full(k, rng.random()))
+            for alpha in (0.0, 0.5, 1.0 - 2.0**-52):
+                assert _region_by_fill(inst, alpha, 0.3) is Region.P0
+                fills.clear()
+                assert classify_region(inst, alpha, 0.3) is Region.P0
+                assert fills == []
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.5, float("nan")])
+    def test_bad_alpha_still_rejected(self, alpha):
+        inst = FairnessInstance(GroupWeights.uniform(3), [0.4] * 3)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            classify_region(inst, alpha, 0.1)
 
     def test_threshold_separates_regions(self):
         # For P1 members D >= (1-alpha) eps^2, for P0 members D = 0; the

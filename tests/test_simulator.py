@@ -81,8 +81,8 @@ class TestEstimateError:
             setup = simulator._setup(cfg.plan, pair.p0.weights)
             b = setup.block
             for side, inst in ((0, pair.p0), (1, pair.p1)):
-                whole = simulator._side_h1(inst, cfg, setup, 3 * b, 9, side)
-                decide = simulator._block_decider(inst, cfg, setup)
+                whole = simulator._side_h1(inst, cfg, setup, 3 * b, 9, side, {})
+                decide = simulator._block_decider(inst, cfg, setup, {})
                 parts = [simulator._block_h1(decide, 9, side, i, b) for i in (2, 1, 0)]
                 assert whole == sum(parts)
                 assert 0 < whole < 3 * b  # the check is not vacuous
@@ -107,7 +107,7 @@ class TestEstimateError:
             assert 0.2 < q < 0.8
             cfg = TestConfig(alpha=0.0, epsilon=math.sqrt(2 * tau), plan=plan)
             setup = simulator._setup(plan, w)
-            rate = simulator._side_h1(inst, cfg, setup, trials, 13, 0) / trials
+            rate = simulator._side_h1(inst, cfg, setup, trials, 13, 0, {}) / trials
             assert abs(rate - q) <= 5 * math.sqrt(q * (1 - q) / trials)
 
     def test_block_size_follows_entries_per_trial(self):
@@ -558,6 +558,27 @@ class TestThresholdSweep:
         calls = self._count_classifications(monkeypatch)
         threshold_sweep(_sweep_experiment([50, 100, 200, 400], trials=10))
         assert len(calls) == 2
+
+    def test_loss_sampler_built_once_per_instance_and_block(self, monkeypatch):
+        # Three points with block 2 and two with block 3 share the sweep's two
+        # instances: 2 + 2 samplers, not one per side per point; the rows are
+        # those of the points swept one at a time.
+        built = []
+        build = simulator._loss_sampler
+        monkeypatch.setattr(simulator, "_loss_sampler",
+                            lambda mu, m: built.append(m) or build(mu, m))
+        exp = _attr_wide_sweep(GroupWeights.uniform(256), 0.9, trials=8, grid=(600, 900, 1200))
+        extra = tuple(
+            dataclasses.replace(pt, axis_value=n, cfg=dataclasses.replace(
+                pt.cfg, plan=AttributeSpecificPlan(w=pt.cfg.plan.w, budget=n, gamma=n / 3)))
+            for pt, n in zip(exp.points, (600, 1500))
+        )
+        exp = dataclasses.replace(exp, points=exp.points + extra)
+        rows = threshold_sweep(exp).rows
+        assert sorted(built) == [2, 2, 3, 3]
+        for point, row in zip(exp.points, rows):
+            one = dataclasses.replace(exp, points=(point,))
+            assert threshold_sweep(one).rows[0] == row
 
     @pytest.mark.parametrize("other_pair, other_eps", [(True, 0.3), (False, 0.2)])
     def test_distinct_instances_classified_apart(self, monkeypatch, other_pair, other_eps):
