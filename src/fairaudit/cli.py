@@ -541,14 +541,12 @@ def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float
     raise ConfigError(f"unknown plan {kind!r}")
 
 
-def _warn_if_clipped(plan) -> None:
+def _warn_if_clipped(plan: AttributeSpecificPlan) -> None:
     """One stderr line when an attribute-specific plan caps some gamma * w_g at 1.
 
     The estimator stays unbiased, but the plan then expects fewer samples
     than its budget (the identity sum_g E[M_g] = n needs gamma * w_g <= 1).
     """
-    if not isinstance(plan, AttributeSpecificPlan):
-        return
     clipped = int(np.count_nonzero(plan.gamma * plan.w.as_array() > 1.0))
     if clipped:
         expected = plan.block * plan.expected_included()
@@ -591,8 +589,11 @@ def cmd_audit(args) -> int:
     metric = MetricKind(_choice(conf, path, "metric", ("sp", "eo")))
     plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
     source = conf.get("weights", "uniform")
-    if source not in ("uniform", "empirical") and not os.path.exists(source):
-        raise ConfigError(f"{path}: weights file not found: {source!r}")
+    if source not in ("uniform", "empirical"):
+        if not os.path.exists(source):
+            raise ConfigError(f"{path}: weights file not found: {source!r}")
+        if os.path.isdir(source):
+            raise ConfigError(f"{path}: weights file is a directory: {source!r}")
     counts = read_records(args.input, metric)
     w = _resolve_weights(source, counts)
     plan = _make_plan(
@@ -602,7 +603,8 @@ def cmd_audit(args) -> int:
         eta,
         gamma,
     )
-    _warn_if_clipped(plan)
+    if plan_kind == "attr":
+        _warn_if_clipped(plan)
     cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
     outcome = run_test_dataset(counts, w, cfg)
     print(_render_outcome(outcome, counts.names))
@@ -661,7 +663,8 @@ def cmd_simulate(args) -> int:
     points = []
     for n in n_grid:
         plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)
-        _warn_if_clipped(plan)
+        if plan_kind == "attr":
+            _warn_if_clipped(plan)
         cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
         points.append(SweepPoint(axis_value=n, h0=pair.p0, h1=pair.p1, cfg=cfg))
     exp = Experiment(

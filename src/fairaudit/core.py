@@ -172,11 +172,15 @@ def _count_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def _int_column(values) -> np.ndarray:
-    """A row column as an integer array: an array whose dtype casts safely to
-    intp (bool, and integers up to int64) as it is, anything else as int64."""
-    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.intp):
-        return values
+def _int_column(values, column: str) -> np.ndarray:
+    """A row column as an integer array: one whose dtype casts safely to intp
+    (bool, and integers up to int64) as it is, anything else as int64.
+    Floats must be whole numbers: a fraction is a ValueError, not truncated."""
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.intp):
+        return arr
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
+        raise ValueError(f"{column} must hold whole numbers")
     return np.asarray(values, dtype=np.int64)
 
 
@@ -231,7 +235,9 @@ class GroupCounts:
         statistical parity keeps all rows.  In both the loss is the prediction.
         """
         k = len(names)
-        group, label, loss = map(_int_column, (group, label, prediction))
+        group, label, loss = map(
+            _int_column, (group, label, prediction), ("group ids", "label", "prediction")
+        )
         if not (group.shape == label.shape == loss.shape) or group.ndim != 1:
             raise ValueError("group, label and prediction must be 1-d and equally long")
         if group.size and (group.min() < 0 or group.max() >= k):

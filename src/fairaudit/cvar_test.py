@@ -16,10 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .core import FairnessInstance, GroupCounts, GroupWeights
-from .errors import PlanMismatch, shown_groups
 from .estimator import EstimatorValue, estimate_from_counts
 from .metrics import CVaRMode, cvar_fairness, max_gap
-from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan, inclusion_array
+from .sampling import SamplingPlan, inclusion_array
 
 # Numeric tolerance used when classifying instances into the composite regions.
 REGION_TOL = 1e-12
@@ -117,21 +116,7 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
     if counts.k != w.k:
         raise ValueError(f"counts cover {counts.k} groups, weights {w.k}")
     m = counts.m
-    if isinstance(plan, WeightedPlan):
-        total = int(m.sum())
-        if total != plan.budget:
-            raise PlanMismatch(
-                f"weighted plan draws exactly n={plan.budget} samples, observed {total}"
-            )
-    elif isinstance(plan, AttributeSpecificPlan):
-        block = plan.block
-        bad = np.flatnonzero((m != 0) & (m != block))
-        if bad.size:
-            names = [counts.names[g] for g in bad.tolist()]
-            raise PlanMismatch(
-                f"attribute-specific counts must be 0 or {block}; "
-                f"groups {shown_groups(names)} violate this"
-            )
+    plan.check_counts(m, counts.names)
     # One lookup per audit, so it skips inclusion_array's cache: a one-shot
     # process can never hit it, and a cached (K, 2) array would outlive the audit.
     incl = plan.inclusion_probabilities()

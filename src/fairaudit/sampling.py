@@ -8,8 +8,11 @@ Two plans are supported:
 * Attribute-specific: independently per group, draw a fixed block of
   n/gamma samples with probability min(gamma * w_g, 1), else none.
 
-Both plans expose the inclusion probabilities P[M_g >= 1] and P[M_g >= 2]
-that normalize the debiased estimator, as a (K, 2) array.
+Each plan answers what the audit and the sweeps ask of it:
+`inclusion_pair()` gives P[M_g >= 1] and P[M_g >= 2], the normalizers of
+the debiased estimator (one array twice under the attribute-specific plan,
+where both equal p_g), and `check_counts` raises PlanMismatch on observed
+counts the plan cannot produce.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GroupWeights
-from .errors import EstimatorUndefined
+from .errors import EstimatorUndefined, PlanMismatch, shown_groups
 
 # Weighted-plan tilt exponent that optimizes the sample-complexity bound.
 OPTIMAL_ETA = 2.0 / 3.0
@@ -48,7 +51,6 @@ class WeightedPlan:
 
     v: GroupWeights
     budget: int
-    eta: float | None = None  # tilt used to build v, if any (informational)
 
     def __post_init__(self):
         if self.budget < 0 or self.budget != int(self.budget):
@@ -56,7 +58,7 @@ class WeightedPlan:
 
     @staticmethod
     def from_weights(w: GroupWeights, eta: float, budget: int) -> "WeightedPlan":
-        return WeightedPlan(v=weighted_marginal(w, eta), budget=budget, eta=eta)
+        return WeightedPlan(v=weighted_marginal(w, eta), budget=budget)
 
     @property
     def k(self) -> int:
@@ -65,11 +67,23 @@ class WeightedPlan:
     def draw_counts(self, rng: np.random.Generator) -> np.ndarray:
         return rng.multinomial(self.budget, self.v.as_array())
 
+    def inclusion_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P[M_g >= 1], P[M_g >= 2]) per group, one scalar evaluation per distinct v_g."""
+        values, which = np.unique(self.v.as_array(), return_inverse=True)
+        pairs = [_binomial_inclusion(self.budget, x) for x in values.tolist()]
+        p1, p2 = np.array(pairs, dtype=float).T
+        return p1[which], p2[which]
+
     def inclusion_probabilities(self) -> np.ndarray:
-        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array."""
-        n = self.budget
-        v = self.v.as_array().tolist()
-        return np.array([_binomial_inclusion(n, vg) for vg in v], dtype=float)
+        """`inclusion_pair()` as a (K, 2) array."""
+        return np.stack(self.inclusion_pair(), 1)
+
+    def check_counts(self, m: np.ndarray, names) -> None:
+        total = int(m.sum())
+        if total != self.budget:
+            raise PlanMismatch(
+                f"weighted plan draws exactly n={self.budget} samples, observed {total}"
+            )
 
 
 def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
@@ -133,18 +147,26 @@ class AttributeSpecificPlan:
         include = rng.random(self.k) < self.include_probs()
         return np.where(include, self.block, 0)
 
-    def require_estimable(self) -> None:
-        """Raise EstimatorUndefined unless every included group is sampled at least twice."""
+    def inclusion_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, p): P[M_g >= 1] = P[M_g >= 2] = p_g, defined only if n/gamma >= 2."""
         if self.block < 2:
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
+        p = self.include_probs()
+        return p, p
 
     def inclusion_probabilities(self) -> np.ndarray:
-        """(P[M_g >= 1], P[M_g >= 2]) per group, as a (K, 2) array; both equal p_g."""
-        self.require_estimable()
-        p = self.include_probs()
-        return np.stack([p, p], 1)
+        """`inclusion_pair()` as a (K, 2) array."""
+        return np.stack(self.inclusion_pair(), 1)
+
+    def check_counts(self, m: np.ndarray, names) -> None:
+        bad = np.flatnonzero((m != 0) & (m != self.block))
+        if bad.size:
+            raise PlanMismatch(
+                f"attribute-specific counts must be 0 or {self.block}; "
+                f"groups {shown_groups([names[g] for g in bad.tolist()])} violate this"
+            )
 
 
 SamplingPlan = WeightedPlan | AttributeSpecificPlan

@@ -20,12 +20,12 @@ flattened B x n_class grid, found from Geometric(q) gaps; each candidate is
 kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
 weights, classes, B) is built once per budget and shared by both sides; it
-reads p straight from the plan's `include_probs()`, without a (K, 2)
-inclusion array, and when every p_g > 0 a class of all K groups keeps no
-member array.  The term weights w_g / P[M_g >= .] come from the
-estimator's one normalizer, which also serves the audit; under this plan
-P[M_g >= 1] = P[M_g >= 2] = p_g, so one array serves the F1 and the F2
-terms.  Every entry of an attribute-specific block has M = n/gamma, so
+reads p from the plan's `inclusion_pair()`, which hands the one array p for
+both P[M_g >= 1] and P[M_g >= 2], without a (K, 2) inclusion array, and
+when every p_g > 0 a class of all K groups keeps no member array.  The term
+weights w_g / P[M_g >= .] come from the estimator's one normalizer, which
+also serves the audit; one array of them serves the F1 and the F2 terms.
+Every entry of an attribute-specific block has M = n/gamma, so
 `estimate_entries` looks its terms up by S in a table of M + 1 values with
 the bits of the per-entry division, built once per budget.
 
@@ -145,18 +145,15 @@ def _inclusion_classes(p: np.ndarray):
 def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     # Built once per point, so it skips inclusion_array's cache: a cached
     # (K, 2) array per sweep point would outlive the sweep.
+    p1, p2 = plan.inclusion_pair()
+    weights = _term_weights(w.as_array(), p1, p2)
     if not isinstance(plan, AttributeSpecificPlan):
-        incl = plan.inclusion_probabilities()
-        weights = _term_weights(w.as_array(), incl[:, 0], incl[:, 1])
         return _Setup(weights, (), None, max(1, BLOCK_ELEMS // plan.k))
-    # P[M_g >= 1] = P[M_g >= 2] = p_g under this plan, so p is read as one
-    # vector, and one normalizer w_g / p_g serves the F1 and the F2 terms.
-    plan.require_estimable()
-    p = plan.include_probs()
-    entries = max(1, math.ceil(float(p.sum())))
+    # p1 is p2 = p here, so one normalizer w_g / p_g serves the F1 and F2 terms.
+    entries = max(1, math.ceil(float(p1.sum())))
     return _Setup(
-        _term_weights(w.as_array(), p, p),
-        _inclusion_classes(p),
+        weights,
+        _inclusion_classes(p1),
         _ratio_terms(np.arange(plan.block + 1), plan.block),
         max(1, BLOCK_ELEMS // entries),
     )
@@ -342,7 +339,7 @@ def _block_decider(
     mu = inst.mu_array()
     tau = cfg.threshold
 
-    if isinstance(plan, AttributeSpecificPlan):
+    if setup.terms is not None:
         # Sparse: a trial samples only the groups it includes (about
         # sum_g p_g of K), so only those get loss draws and estimator terms.
         classes, terms = setup.classes, setup.terms

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -183,6 +184,27 @@ class TestAudit:
         )
         assert main(["audit", data, conf]) == EXIT_H0
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_sidecar_through_a_pipe(self, tmp_path, capsys):
+        # A weights path that exists and is no directory is read, even a pipe.
+        data = self._fair_csv(tmp_path)
+        text = "group,weight\ng0,0.3\ng1,0.7\n"
+        outputs = []
+        for name in ("w.csv", "pipe"):
+            sidecar = tmp_path / name
+            if name == "pipe":
+                os.mkfifo(sidecar)
+                writer = threading.Thread(target=sidecar.write_text, args=(text,), daemon=True)
+                writer.start()
+            else:
+                sidecar.write_text(text)
+            conf = _write(
+                tmp_path / "c.cfg",
+                f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}\n",
+            )
+            outputs.append((main(["audit", data, conf]), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_H0
+
     def test_header_only_exit_usage(self, tmp_path, capsys):
         data = _write(tmp_path / "hdr.csv", "group,label,prediction\n")
         conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n")
@@ -263,6 +285,7 @@ class TestAudit:
         ("plan", "foo", "plan must be one of 'weighted', 'attr', got 'foo'"),
         ("weights", "uniformm", "weights file not found: 'uniformm'"),
         ("weights", "", "weights file not found: ''"),
+        ("weights", ".", "weights file is a directory: '.'"),
     ])
     def test_bad_choice_rejected(self, tmp_path, capsys, key, value, want):
         # Checked before the data CSV is read, which here does not exist.
@@ -412,6 +435,19 @@ class TestSynthRoundTrip:
         for row in rows:
             counts[row["group"]] = counts.get(row["group"], 0) + 1
         assert all(c == 2 for c in counts.values())  # block size n/gamma = 2
+
+    def test_synth_silent_when_attr_plan_clips(self, tmp_path, capsys):
+        # gamma * w_g = 5 / 4 > 1 for every group: audit and simulate warn, synth does not.
+        out_csv = tmp_path / "synth.csv"
+        code = main(
+            [
+                "synth", "--kind", "hardpair", "--side", "h0", "--k", "4",
+                "--epsilon", "0.2", "--plan", "attr", "--budget", "10", "--gamma", "5",
+                "--seed", "3", "--out", str(out_csv),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr() == (f"wrote 8 rows to {out_csv}\n", "")
 
     def test_synth_mixture_member(self, tmp_path, capsys):
         out_csv = tmp_path / "synth.csv"

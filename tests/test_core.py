@@ -362,7 +362,8 @@ class TestAuditSample:
 
 class TestFromRowsInputs:
     """Integer and bool arrays are reduced in their own dtypes; every other
-    input is read as int64 first, as float inputs always were (truncated)."""
+    input is read as int64 first.  Floats must be whole numbers: a fraction
+    is rejected, not truncated."""
 
     GROUP, LABEL, PRED = [0, 1, 1, 2], [0, 1, 0, 0], [1, 0, 1, 1]
     # (SP m, SP s) and (EO m, EO s) of the rows above, over groups g0..g2.
@@ -384,8 +385,6 @@ class TestFromRowsInputs:
                 return list(values)
             if kind is float:
                 return [float(x) for x in values]
-            if kind is np.float64:
-                return np.array(values, kind) + 0.25  # truncated towards zero
             return np.array(values, kind)
 
         cols = [column(self.GROUP, ids), column(self.LABEL, bits), column(self.PRED, bits)]
@@ -401,7 +400,7 @@ class TestFromRowsInputs:
         (0, np.array([0, 1, 1, 3], np.int32), ValueError, "group ids must lie in 0..2"),
         (0, np.array([0, -1, 1, 2], np.int32), ValueError, "group ids must lie in 0..2"),
         (0, np.array([0, 2**63, 1, 2], np.uint64), ValueError, "group ids must lie in 0..2"),
-        (0, [0, 1.5, 3.5, 2], ValueError, "group ids must lie in 0..2"),
+        (0, [0, 1.5, 3.5, 2], ValueError, "group ids must hold whole numbers"),
         (0, [0, 2**63, 1, 2], OverflowError, None),
         (1, np.array([0, 2, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
         (1, np.array([0, 255, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
@@ -410,6 +409,12 @@ class TestFromRowsInputs:
         (2, np.array([[1, 0, 1, 1]], np.uint8), ValueError, "1-d and equally long"),
         (2, np.array([1, 0, 1], np.uint8), ValueError, "1-d and equally long"),
         (1, [None, 1, 0, 0], TypeError, None),
+        (0, np.array([0, 1, 1, 2]) + 0.25, ValueError, "group ids must hold whole numbers"),
+        (1, [0, 1.5, 0, 0], ValueError, "label must hold whole numbers"),
+        (1, np.array([0.0, 0.5, 0.0, 0.0]), ValueError, "label must hold whole numbers"),
+        (2, np.array([1.0, 0.0, np.nan, 1.0]), ValueError, "prediction must hold whole numbers"),
+        (2, [1.0, 0.0, np.inf, 1.0], ValueError, "prediction must hold whole numbers"),
+        (2, np.array([1.0, 0.0, 2.0, 1.0]), ValueError, "prediction must be 0 or 1"),
     ])
     def test_rejected_kinds(self, column, values, error, match):
         cols = [self.GROUP, self.LABEL, self.PRED]

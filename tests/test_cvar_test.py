@@ -149,15 +149,17 @@ class TestRunTestDataset:
         w = GroupWeights([0.5, 0.5])
         plan = WeightedPlan.from_weights(w, 0.0, 5)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
-        with pytest.raises(PlanMismatch):
+        with pytest.raises(PlanMismatch) as err:
             run_test_dataset(self._counts([[0, 0], [1, 1]]), w, cfg)
+        assert str(err.value) == "weighted plan draws exactly n=5 samples, observed 4"
 
     def test_attr_partial_block_mismatch(self):
         w = GroupWeights([0.5, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
-        with pytest.raises(PlanMismatch):
+        with pytest.raises(PlanMismatch) as err:
             run_test_dataset(self._counts([[0], [1, 1]]), w, cfg)
+        assert str(err.value) == "attribute-specific counts must be 0 or 2; groups 'g0' violate this"
 
     def test_group_out_of_range(self):
         w = GroupWeights([1.0])

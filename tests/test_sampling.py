@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairaudit.core import GroupWeights
-from fairaudit.errors import EstimatorUndefined
+from fairaudit.errors import EstimatorUndefined, PlanMismatch
 from fairaudit.sampling import (
     OPTIMAL_ETA,
     AttributeSpecificPlan,
@@ -227,6 +227,79 @@ class TestInclusionProbabilities:
         assert second is not first and second.w is not first.w
         assert inclusion_array(second) is arr
         assert inclusion_array.cache_info().hits == hits + 1
+
+
+class TestPlanProtocol:
+    """What the audit and the sweeps ask of a plan, answered by the plan."""
+
+    W = GroupWeights([0.5, 0.25, 0.125, 0.125, 0.0])
+
+    def test_attr_pair_is_one_array(self):
+        plan = AttributeSpecificPlan(w=self.W, budget=12, gamma=6.0)
+        p1, p2 = plan.inclusion_pair()
+        assert p1 is p2
+        assert p1.tolist() == plan.include_probs().tolist()
+
+    @pytest.mark.parametrize("plan", [
+        WeightedPlan.from_weights(W, OPTIMAL_ETA, 7),
+        AttributeSpecificPlan(w=W, budget=12, gamma=6.0),
+    ], ids=["weighted", "attr"])
+    def test_pair_is_the_columns_of_the_array(self, plan):
+        arr = plan.inclusion_probabilities()
+        p1, p2 = plan.inclusion_pair()
+        assert arr.shape == (5, 2) and arr.dtype == np.float64
+        assert arr[:, 0].tobytes() == p1.tobytes() and arr[:, 1].tobytes() == p2.tobytes()
+
+    @staticmethod
+    def _per_group(plan):
+        """The per-group loop the weighted plan's memo replaced."""
+        return np.array([_binomial_inclusion(plan.budget, x) for x in plan.v.as_array().tolist()])
+
+    def test_weighted_memo_matches_per_group_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            k = int(rng.integers(1, 300))
+            raw = rng.choice(rng.random(int(rng.integers(1, 6))), size=k)  # repeated values
+            raw[rng.random(k) < 0.1] = 0.0
+            if not raw.any():
+                raw[0] = 1.0
+            plan = WeightedPlan(v=GroupWeights(raw / raw.sum()), budget=int(rng.integers(0, 5000)))
+            want = self._per_group(plan)
+            assert plan.inclusion_probabilities().tobytes() == want.tobytes()
+
+    def test_weighted_memo_at_uniform_wide_v(self):
+        plan = WeightedPlan.from_weights(GroupWeights.uniform(16384), 0.0, 115_000)
+        want = self._per_group(plan)
+        p1, p2 = plan.inclusion_pair()
+        assert p1.tobytes() == want[:, 0].tobytes() and p2.tobytes() == want[:, 1].tobytes()
+
+    def test_block_one_undefined_through_pair_and_array(self):
+        plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=4, gamma=4.0)
+        for ask in (plan.inclusion_pair, plan.inclusion_probabilities):
+            with pytest.raises(EstimatorUndefined, match="n/gamma < 2"):
+                ask()
+
+    def test_weighted_count_check_text(self):
+        plan = WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=5)
+        plan.check_counts(np.array([2, 3]), ("a", "b"))
+        with pytest.raises(PlanMismatch) as err:
+            plan.check_counts(np.array([2, 2]), ("a", "b"))
+        assert str(err.value) == "weighted plan draws exactly n=5 samples, observed 4"
+
+    def test_attr_count_check_text(self):
+        plan = AttributeSpecificPlan(w=GroupWeights.uniform(8), budget=8, gamma=4.0)
+        plan.check_counts(np.array([0, 2, 2, 0, 0, 0, 2, 0]), tuple("abcdefgh"))
+        with pytest.raises(PlanMismatch) as err:
+            plan.check_counts(np.array([1, 2, 0, 3, 0, 0, 0, 0]), tuple("abcdefgh"))
+        assert str(err.value) == (
+            "attribute-specific counts must be 0 or 2; groups 'a', 'd' violate this"
+        )
+        with pytest.raises(PlanMismatch) as err:
+            plan.check_counts(np.array([1, 3, 1, 3, 1, 3, 2, 0]), tuple("abcdefgh"))
+        assert str(err.value) == (
+            "attribute-specific counts must be 0 or 2; groups 'a', 'b', 'c', 'd', 'e' "
+            "... (6 groups in all) violate this"
+        )
 
 
 class TestTailLemma:

@@ -13,7 +13,7 @@ from fairaudit import simulator
 from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
-from fairaudit.errors import ConfigError, ZeroInclusionProbability
+from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
 from fairaudit.estimator import _ratio_terms, exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
@@ -541,6 +541,15 @@ class TestThresholdSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             _sweep_experiment([])
+
+    def test_block_one_undefined(self):
+        # n/gamma = 1: no included group can be observed twice.
+        pair = build_hard_pair(8, 0.3)
+        plan = AttributeSpecificPlan(w=pair.p0.weights, budget=4, gamma=4.0)
+        cfg = TestConfig(alpha=1.0 - 1.0 / 8.0, epsilon=0.3, plan=plan)
+        point = SweepPoint(axis_value=4, h0=pair.p0, h1=pair.p1, cfg=cfg)
+        with pytest.raises(EstimatorUndefined, match="n/gamma < 2"):
+            threshold_sweep(Experiment(axis="n", points=(point,), trials=10, base_seed=1))
 
     @staticmethod
     def _count_classifications(monkeypatch):
