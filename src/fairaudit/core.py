@@ -55,6 +55,12 @@ class GroupWeights:
     def w(self) -> tuple[float, ...]:
         return tuple(self._arr.tolist())
 
+    @cached_property
+    def shared(self) -> float | None:
+        """The weight of every group when all are equal (about 1/K), else None."""
+        lo = self._arr.min()
+        return float(lo) if lo == self._arr.max() else None
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -181,7 +187,13 @@ def _int_column(values, column: str) -> np.ndarray:
         return arr
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
         raise ValueError(f"{column} must hold whole numbers")
-    return np.asarray(values, dtype=np.int64)
+    with np.errstate(invalid="raise"):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except FloatingPointError:
+            # A whole float past int64 would wrap in the cast; as -1 it fails
+            # the caller's range check, as any other value out of range does.
+            return np.where(np.abs(arr) < np.float64(2**63), arr, -1).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,7 +75,9 @@ def _term_weights(
 
     `p1` and `p2` are P[M_g>=1] and P[M_g>=2].  Zero-weight groups get 0 in
     both, whatever their inclusion probability.  When `p1 is p2`, as under
-    the attribute-specific plan, one array serves both terms.
+    the attribute-specific plan, one array serves both terms.  Scalars in
+    place of the arrays give the one normalizer of groups that share w_g
+    and p_g.
     """
     if w.min() > 0:  # every group is active: plain division, same bits
         if p2.min() <= 0.0:
@@ -120,24 +122,29 @@ def estimate_entries(
     groups: np.ndarray,
     s: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray],
-    c: np.ndarray,
+    c: np.ndarray | None,
     n_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """F1 and F2 of `n_rows` trials given only their groups with M_g > 0.
 
     Entry i says that trial rows[i] saw s[i] ones in the m samples of group
     groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
-    attribute-specific plan).  Groups a trial did not sample contribute
-    nothing, so the cost is proportional to the number of entries, not to K.
-    Each term is looked up by S in `terms`, the tables
-    `_ratio_terms(np.arange(m + 1), m)`, which hold the values _ratio_terms
-    gives per entry; a caller builds them once per block size m.
+    attribute-specific plan), or None when `terms` already carry it, as
+    they can when all groups share one normalizer c: (t * c)[S] has the
+    bits of t[S] * c.  Groups a trial did not sample contribute nothing, so
+    the cost is proportional to the number of entries, not to K.  Each term
+    is looked up by S in `terms`, the tables `_ratio_terms(np.arange(m + 1),
+    m)`, which hold the values _ratio_terms gives per entry; a caller builds
+    them once per block size m.
     """
     t1, t2 = terms
-    cg = c[groups]
-    f1 = np.bincount(rows, weights=t1[s] * cg, minlength=n_rows)
-    f2 = np.bincount(rows, weights=t2[s] * cg, minlength=n_rows)
-    return f1, f2
+    e1, e2 = t1[s], t2[s]
+    if c is not None:
+        cg = c[groups]
+        e1 *= cg
+        e2 *= cg
+    return (np.bincount(rows, weights=e1, minlength=n_rows),
+            np.bincount(rows, weights=e2, minlength=n_rows))
 
 
 def estimate(

@@ -69,10 +69,17 @@ def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
     at a time and stops at the chunk that holds the boundary group.  The mass
     and total carried from earlier chunks are added to a chunk's first element
     before its cumsum, so every partial sum is the one a sequential loop gives.
+    Under equal weights (all positive, as they sum to 1) the fill reads only
+    the gaps in descending order, and tied gaps give equal products, so it
+    walks the sorted gaps in place of the stable argsort, with the same bits.
     """
-    order = np.argsort(-delta, kind="stable")
-    if not (w > 0.0).all():
-        order = order[w[order] > 0.0]
+    if w.min() == w.max():
+        delta = np.sort(delta)[::-1]
+        order = np.arange(delta.size)
+    else:
+        order = np.argsort(-delta, kind="stable")
+        if not (w > 0.0).all():
+            order = order[w[order] > 0.0]
     filled = total = 0.0
     for start in range(0, order.size, FILL_CHUNK):
         idx = order[start : start + FILL_CHUNK]

@@ -149,12 +149,25 @@ class AttributeSpecificPlan:
 
     def inclusion_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(p, p): P[M_g >= 1] = P[M_g >= 2] = p_g, defined only if n/gamma >= 2."""
+        self._require_estimable()
+        p = self.include_probs()
+        return p, p
+
+    def shared_inclusion(self) -> float | None:
+        """The p_g of every group when all weights are equal, else None.
+
+        The same float operations as `include_probs` on one weight, so the
+        same bits; defined only if n/gamma >= 2, as `inclusion_pair`.
+        """
+        self._require_estimable()
+        w0 = self.w.shared
+        return None if w0 is None else min(float(self.gamma) * w0, 1.0)
+
+    def _require_estimable(self) -> None:
         if self.block < 2:
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
-        p = self.include_probs()
-        return p, p
 
     def inclusion_probabilities(self) -> np.ndarray:
         """`inclusion_pair()` as a (K, 2) array."""

@@ -27,7 +27,15 @@ weights w_g / P[M_g >= .] come from the estimator's one normalizer, which
 also serves the audit; one array of them serves the F1 and the F2 terms.
 Every entry of an attribute-specific block has M = n/gamma, so
 `estimate_entries` looks its terms up by S in a table of M + 1 values with
-the bits of the per-entry division, built once per budget.
+the bits of the per-entry division, built once per budget.  When the plan's
+weights and the instance's are each all equal (as on the hard pair), every
+group has the same p and the same normalizer c = w_0 / p, the same float
+operations on the same values as the per-group arrays.  The set-up is then
+built from these scalars: one class of all K groups with no member or
+ratio array, and term tables prescaled by c, since (t * c)[S] has the bits
+of t[S] * c, so a block gathers no per-entry normalizer.  B still comes from
+numpy's pairwise sum of K copies of p, the one K-sized array such a set-up
+allocates.
 
 Both draws of an attribute-specific block replay numpy's own samplers as
 whole-array operations, with numpy's values and with the generator left in
@@ -103,7 +111,9 @@ class ErrorEstimate:
 class _Setup:
     """What every block of one plan needs, built once per sweep point."""
 
-    weights: tuple[np.ndarray, np.ndarray]  # per-group F1 and F2 normalizers
+    # Per-group F1 and F2 normalizers, or None when `terms` carry the one
+    # normalizer that all groups share.
+    weights: tuple[np.ndarray, np.ndarray] | None
     # Attribute-specific plan only: (members or None for all K groups, their
     # number, q, p_g / q or None when all members have p_g = q) per inclusion
     # class, and the estimator's S-indexed term tables for M = n/gamma.
@@ -143,20 +153,25 @@ def _inclusion_classes(p: np.ndarray):
 
 
 def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
-    # Built once per point, so it skips inclusion_array's cache: a cached
-    # (K, 2) array per sweep point would outlive the sweep.
-    p1, p2 = plan.inclusion_pair()
-    weights = _term_weights(w.as_array(), p1, p2)
     if not isinstance(plan, AttributeSpecificPlan):
+        weights = _term_weights(w.as_array(), *plan.inclusion_pair())
         return _Setup(weights, (), None, max(1, BLOCK_ELEMS // plan.k))
-    # p1 is p2 = p here, so one normalizer w_g / p_g serves the F1 and F2 terms.
-    entries = max(1, math.ceil(float(p1.sum())))
-    return _Setup(
-        weights,
-        _inclusion_classes(p1),
-        _ratio_terms(np.arange(plan.block + 1), plan.block),
-        max(1, BLOCK_ELEMS // entries),
-    )
+    terms = _ratio_terms(np.arange(plan.block + 1), plan.block)
+    p = plan.shared_inclusion()
+    if p is not None and w.shared is not None:
+        # Equal weights: every group has p and the normalizer c = w_0 / p, so
+        # the one class needs no member array and the term tables carry c.
+        p0 = np.float64(p)
+        c, _ = _term_weights(np.float64(w.shared), p0, p0)
+        weights, classes = None, ((None, plan.k, p, None),)
+        terms = (terms[0] * c, terms[1] * c)
+        expected = np.full(plan.k, p).sum()  # numpy's pairwise sum, as below: it fixes B
+    else:
+        # p1 is p2 = p here, so one normalizer w_g / p_g serves the F1 and F2 terms.
+        p, _ = plan.inclusion_pair()
+        weights, classes = _term_weights(w.as_array(), p, p), _inclusion_classes(p)
+        expected = p.sum()
+    return _Setup(weights, classes, terms, max(1, BLOCK_ELEMS // max(1, math.ceil(expected))))
 
 
 def _inverted_geometric(rng: np.random.Generator, step: float, size: int, cap: int) -> np.ndarray:
@@ -207,7 +222,9 @@ def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray,
     """(trial, group) of every group that each of `size` trials includes."""
     rows, groups = [], []
     for members, count, q, ratio in classes:
-        row, j = np.divmod(_success_positions(rng, q, size * count), count)
+        pos = _success_positions(rng, q, size * count)
+        row = pos // count  # with the remainder below, np.divmod's values in half its time
+        j = pos - row * count
         if ratio is not None:
             keep = rng.random(j.size) < ratio[j]
             row, j = row[keep], j[keep]
@@ -343,7 +360,7 @@ def _block_decider(
         # Sparse: a trial samples only the groups it includes (about
         # sum_g p_g of K), so only those get loss draws and estimator terms.
         classes, terms = setup.classes, setup.terms
-        c = setup.weights[0]
+        c = None if setup.weights is None else setup.weights[0]
         key = (id(inst), plan.block)
         losses = samplers.get(key)
         if losses is None:

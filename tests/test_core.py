@@ -415,6 +415,11 @@ class TestFromRowsInputs:
         (2, np.array([1.0, 0.0, np.nan, 1.0]), ValueError, "prediction must hold whole numbers"),
         (2, [1.0, 0.0, np.inf, 1.0], ValueError, "prediction must hold whole numbers"),
         (2, np.array([1.0, 0.0, 2.0, 1.0]), ValueError, "prediction must be 0 or 1"),
+        # Whole floats past int64, which numpy's cast would wrap with a warning.
+        (0, np.array([0.0, 1e20, 1.0, 2.0]), ValueError, "group ids must lie in 0..2"),
+        (0, np.array([0.0, -2.0**64, 1.0, 2.0]), ValueError, "group ids must lie in 0..2"),
+        (1, np.array([0.0, 2.0**63, 0.0, 0.0]), ValueError, "label must be 0 or 1"),
+        (2, np.array([1, 0, 1e30, 1], np.float32), ValueError, "prediction must be 0 or 1"),
     ])
     def test_rejected_kinds(self, column, values, error, match):
         cols = [self.GROUP, self.LABEL, self.PRED]

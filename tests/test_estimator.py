@@ -349,6 +349,24 @@ class TestRowKernels:
             got = estimate_entries(rows, groups, s, _table(m), c, n_rows)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_prescaled_tables_match_a_full_normalizer(self, m):
+        # Tables scaled by one normalizer c, with no per-group array, give
+        # the bits of the per-entry form with c repeated for every group.
+        rng = np.random.default_rng(47 + m)
+        for _ in range(50):
+            k, n_rows = int(rng.integers(1, 4000)), int(rng.integers(1, 9))
+            n = int(rng.integers(1, 3000))
+            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
+            s = rng.integers(0, m + 1, n)
+            c = float(rng.random() * 10.0 ** rng.integers(-6, 7))
+            full = np.full(k, c)
+            ref = _entries_by_ratio_terms(rows, groups, s, np.full(n, m), full, n_rows)
+            scaled = tuple(t * c for t in _table(m))
+            for got in (estimate_entries(rows, groups, s, scaled, None, n_rows),
+                        estimate_entries(rows, groups, s, _table(m), full, n_rows)):
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
     def test_statistic_bits_do_not_depend_on_blas_threads(self):
         # np.dot and @ hand long products to BLAS, whose summation order (and
         # so the last bits) changes with its thread count; the statistic's

@@ -327,6 +327,26 @@ class TestChunkedFill:
         assert seen > 0
 
 
+class TestEqualWeightFill:
+    """Equal weights fill from the sorted gaps alone, with the index fill's bits."""
+
+    def test_sorted_gaps_match_the_index_fill(self):
+        rng = np.random.default_rng(62)
+        edges = [0.0, 2.0**-53, 1e-300, 1.0 - 2.0**-52, 1.0 - 2.0**-50, 1.0 - 1e-12]
+        for _ in range(150):
+            k = int(rng.choice([1, 2, 3, FILL_CHUNK - 1, FILL_CHUNK + 1, rng.integers(4, 3000)]))
+            style = rng.integers(3)
+            if style == 0:  # distinct gaps
+                mu = rng.random(k)
+            elif style == 1:  # many ties
+                mu = rng.choice([0.1, 0.5, 0.52, 0.9], size=k)
+            else:  # every gap zero
+                mu = np.full(k, rng.random())
+            inst = FairnessInstance(GroupWeights.uniform(k), mu)
+            alphas = edges + list(rng.random(4)) + [1.0 - t / k for t in rng.integers(1, k + 1, 2)]
+            _assert_fill_matches(inst, alphas)
+
+
 def _sliver_then_zero(inst, alpha):
     """Whether the fill leaves a sliver after the boundary group and a zero-weight group comes next."""
     budget = 1.0 - alpha

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ class TestSetupMatchesOracle:
 
     def test_attr_setup_of_random_plans(self):
         rng = np.random.default_rng(405)
-        zero_inclusion = 0
+        zero_inclusion = equal = 0
         for _ in range(320):
             raw = _random_weights(rng)
             block = int(rng.integers(2, 5))
@@ -495,13 +496,105 @@ class TestSetupMatchesOracle:
                 assert got.value.group == exc.group
                 continue
             got = simulator._setup(plan, w)
-            assert _same_bits(got.weights[0], want[0][0])
-            assert _same_bits(got.weights[1], want[0][1])
-            _assert_same_classes(got.classes, want[1], w.k)
-            assert got.block == want[2]
-            want_terms = _ratio_terms(np.arange(plan.block + 1), plan.block)
-            assert [t.tobytes() for t in got.terms] == [t.tobytes() for t in want_terms]
+            _assert_same_setup(got, want, plan, w)
+            equal += got.weights is None
         assert 0 < zero_inclusion < 320
+        assert 0 < equal < 320
+
+
+def _assert_same_setup(got, want, plan, w):
+    """`_setup`'s attribute-specific set-up carries the oracle's bits, in array or scalar form."""
+    want_terms = _ratio_terms(np.arange(plan.block + 1), plan.block)
+    c1, c2 = want[0]
+    if got.weights is None:
+        # Equal weights: the tables carry the one normalizer all groups share.
+        assert np.unique(c1).size == 1 and _same_bits(c1, c2)
+        want_terms = tuple(t * c1[0] for t in want_terms)
+    else:
+        assert _same_bits(got.weights[0], c1)
+        assert _same_bits(got.weights[1], c2)
+    assert [t.tobytes() for t in got.terms] == [t.tobytes() for t in want_terms]
+    _assert_same_classes(got.classes, want[1], w.k)
+    assert got.block == want[2]
+
+
+def _uniform_plan(k, clipped):
+    """An attribute-specific plan with block 2 over K equal weights; gamma * w > 1 when clipped."""
+    gamma = 3.0 * k if clipped else k / 2
+    return AttributeSpecificPlan(w=GroupWeights.uniform(k), budget=int(2 * gamma), gamma=gamma)
+
+
+class TestEqualWeightSetup:
+    """Equal plan and instance weights: a set-up from scalars, with the general path's bits."""
+
+    @pytest.mark.parametrize("clipped", [False, True], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("k", [1, 3, 1000, 65536])
+    def test_scalar_setup_matches_oracle(self, k, clipped):
+        plan = _uniform_plan(k, clipped)
+        w = plan.w
+        got = simulator._setup(plan, w)
+        assert got.weights is None
+        assert (got.classes[0][2] == 1.0) == clipped
+        _assert_same_setup(got, _setup_oracle(plan, w), plan, w)
+
+    def test_scalar_setup_of_random_budgets(self):
+        # Budgets that put sum_g p_g at or near a whole number, where the
+        # ceiling that fixes the block count B is most sensitive to rounding.
+        rng = np.random.default_rng(406)
+        for _ in range(200):
+            k = int(rng.choice([1, 3, 7, 10, 1000, 4099]))
+            block = int(rng.integers(2, 6))
+            budget = int(rng.integers(1, 4 * k)) * block
+            w = GroupWeights.uniform(k)
+            plan = AttributeSpecificPlan(w=w, budget=budget, gamma=budget / block)
+            got = simulator._setup(plan, w)
+            assert got.weights is None
+            _assert_same_setup(got, _setup_oracle(plan, w), plan, w)
+
+    @pytest.mark.parametrize("equal_side", ["plan", "instance"])
+    def test_unequal_side_takes_the_general_path(self, equal_side):
+        k = 1000
+        raw = 1.0 + np.arange(k) % 7
+        uneven, even = GroupWeights(raw / raw.sum()), GroupWeights.uniform(k)
+        plan_w, inst_w = (even, uneven) if equal_side == "plan" else (uneven, even)
+        plan = AttributeSpecificPlan(w=plan_w, budget=k, gamma=k / 2)
+        got = simulator._setup(plan, inst_w)
+        assert got.weights is not None
+        _assert_same_setup(got, _setup_oracle(plan, inst_w), plan, inst_w)
+
+    def test_undefined_and_zero_inclusion_as_the_general_path(self, monkeypatch):
+        w = GroupWeights.uniform(8)
+        with pytest.raises(EstimatorUndefined, match="n/gamma < 2"):
+            simulator._setup(AttributeSpecificPlan(w=w, budget=4, gamma=4.0), w)
+        # gamma * w_0 cannot underflow to 0 for a plan that exists, so the
+        # shared p is forced to 0; the general path names group 0 then too.
+        monkeypatch.setattr(AttributeSpecificPlan, "shared_inclusion", lambda self: 0.0)
+        with pytest.raises(ZeroInclusionProbability) as got:
+            simulator._setup(AttributeSpecificPlan(w=w, budget=4, gamma=2.0), w)
+        assert got.value.group == 0
+
+    def test_equal_weight_sweep_matches_the_array_path(self, monkeypatch):
+        exp = _attr_wide_sweep(GroupWeights.uniform(4096), 0.9, trials=24)
+        scalar = threshold_sweep(exp)
+        # With no shared weight, _setup builds the per-group arrays instead.
+        monkeypatch.setattr(GroupWeights, "shared", property(lambda self: None))
+        assert simulator._setup(exp.points[0].cfg.plan, exp.points[0].h0.weights).weights
+        assert threshold_sweep(exp) == scalar
+
+    def test_setup_holds_at_most_one_k_sized_array(self):
+        # p_g and w_g / p_g were two K-sized arrays per point; the scalar set-up
+        # allocates only the K copies of p whose pairwise sum fixes the block.
+        k = 2**20
+        plan = _uniform_plan(k, clipped=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            setup = simulator._setup(plan, plan.w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert setup.weights is None and setup.block == 1  # k / 2 entries per trial
+        assert 8 * k <= peak < 8 * k + 2**16
 
 
 def _sweep_experiment(grid, trials=150, base_seed=5, target=0.1):
@@ -662,7 +755,36 @@ _ATTR_WIDE_GOLDEN = {
 }
 
 
+# sweep.csv of `_weighted_sweep`, recorded before the attribute-specific
+# plan's equal-weight set-up; the weighted plan's streams must not change.
+_WEIGHTED_GOLDEN = (
+    "n,p_err_hat,stderr,frac_h1_given_h0,frac_h0_given_h1,trials,n_hat\n"
+    "40,0.40625,0.06139153767774106,0.421875,0.390625,64,2560\n"
+    "160,0.4609375,0.06230897320683309,0.40625,0.515625,64,2560\n"
+    "640,0.15625,0.045386523588368165,0.0625,0.25,64,2560\n"
+    "2560,0.0078125,0.011005300458578754,0.0,0.015625,64,2560\n"
+)
+
+
+def _weighted_sweep():
+    """The weighted plan's sweep on the K = 16 hard pair, as `simulate` runs it."""
+    pair = build_hard_pair(16, 0.3)
+    points = tuple(
+        SweepPoint(axis_value=n, h0=pair.p0, h1=pair.p1, cfg=TestConfig(
+            alpha=1.0 - 1.0 / 16, epsilon=0.3,
+            plan=WeightedPlan.from_weights(pair.p0.weights, 0.0, n)))
+        for n in (40, 160, 640, 2560)
+    )
+    return Experiment(axis="n", points=points, trials=64, base_seed=20261018)
+
+
 class TestOutputs:
+    def test_weighted_sweep_matches_recorded_bytes(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(threshold_sweep(_weighted_sweep()), str(path))
+        assert path.read_bytes() == _WEIGHTED_GOLDEN.encode("utf-8"), (
+            f"recorded with numpy 2.4.6; numpy is {np.__version__}")
+
     @pytest.mark.parametrize("shape", sorted(_ATTR_WIDE_GOLDEN))
     def test_attr_sweep_matches_recorded_bytes(self, tmp_path, shape):
         k = 4096
