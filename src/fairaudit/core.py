@@ -68,7 +68,7 @@ class GroupWeights:
 
     def __hash__(self) -> int:
         # The hash of the tuple `w`, computed once without keeping the tuple:
-        # plans hash their weights on every inclusion_array lookup.
+        # a plan used as a cache key hashes its weights on every lookup.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash(tuple(self._arr.tolist()))
@@ -190,10 +190,11 @@ def _int_column(values, column: str) -> np.ndarray:
     with np.errstate(invalid="raise"):
         try:
             return np.asarray(values, dtype=np.int64)
-        except FloatingPointError:
-            # A whole float past int64 would wrap in the cast; as -1 it fails
-            # the caller's range check, as any other value out of range does.
-            return np.where(np.abs(arr) < np.float64(2**63), arr, -1).astype(np.int64)
+        except (FloatingPointError, OverflowError):
+            # A whole number past int64 wraps in a float array's cast and does
+            # not convert at all from a list; as -1 it fails the caller's range
+            # check, as any other value out of range does.
+            return np.where(np.abs(arr) < 2**63, arr, -1).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,11 @@ Draw per-group counts from a sampling plan, draw losses, compute the debiased
 statistic F, and decide H1 (unfair at level epsilon) iff
 F >= (1 - alpha) * epsilon^2 / 2, with ties deciding H1.
 
+Both single audits, on a known instance (`run_test_synthetic`) and on
+collected counts (`run_test_dataset`), end in one outcome builder that
+estimates F, applies this rule and builds the `TestOutcome`; the Monte Carlo
+engine applies the same rule to a block of trials in `simulator._block_h1`.
+
 The threshold sits halfway between the two composite regions: instances with
 zero CVaR fairness have separation statistic D = 0, while instances with CVaR
 fairness >= epsilon have D >= (1 - alpha) * epsilon^2.
@@ -18,7 +23,7 @@ import numpy as np
 from .core import FairnessInstance, GroupCounts, GroupWeights
 from .estimator import EstimatorValue, estimate_from_counts
 from .metrics import CVaRMode, cvar_fairness, max_gap
-from .sampling import SamplingPlan, inclusion_array
+from .sampling import SamplingPlan
 
 # Numeric tolerance used when classifying instances into the composite regions.
 REGION_TOL = 1e-12
@@ -77,9 +82,13 @@ class TestOutcome:
     counts: np.ndarray  # per-group sample counts M_g
 
 
-def _decide(stat: EstimatorValue, threshold: float) -> Decision:
-    # Tie at the threshold decides H1 (the rule is ">=").
-    return Decision.H1 if stat.f >= threshold else Decision.H0
+def _outcome(
+    s: np.ndarray, m: np.ndarray, w: GroupWeights, incl: np.ndarray, cfg: TestConfig
+) -> TestOutcome:
+    """Estimate F from per-group counts and decide H1 iff F >= the threshold."""
+    stat = estimate_from_counts(s, m, w, incl)
+    tau = cfg.threshold
+    return TestOutcome(Decision.H1 if stat.f >= tau else Decision.H0, stat, tau, m)
 
 
 def run_test_synthetic(
@@ -89,21 +98,16 @@ def run_test_synthetic(
 
     Counts are drawn from the plan; per-group losses are i.i.d.
     Bernoulli(mu_g), realized through their sufficient one-counts.
-    Deterministic given the generator state.
+    Deterministic given the generator state; the plan's inclusion
+    probabilities are read before the draw, so a plan the estimator cannot
+    serve fails with the generator untouched.
     """
     plan = cfg.plan
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
-    incl = inclusion_array(plan)
+    incl = plan.inclusion_probabilities()
     m = plan.draw_counts(rng)
-    s = rng.binomial(m, inst.mu_array())
-    stat = estimate_from_counts(s, m, inst.weights, incl)
-    return TestOutcome(
-        decision=_decide(stat, cfg.threshold),
-        statistic=stat,
-        threshold=cfg.threshold,
-        counts=np.asarray(m, dtype=np.int64),
-    )
+    return _outcome(rng.binomial(m, inst.mu_array()), m, inst.weights, incl, cfg)
 
 
 def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> TestOutcome:
@@ -113,20 +117,10 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
     are validated against the plan where possible.
     """
     plan = cfg.plan
-    if counts.k != w.k:
-        raise ValueError(f"counts cover {counts.k} groups, weights {w.k}")
-    m = counts.m
-    plan.check_counts(m, counts.names)
-    # One lookup per audit, so it skips inclusion_array's cache: a one-shot
-    # process can never hit it, and a cached (K, 2) array would outlive the audit.
-    incl = plan.inclusion_probabilities()
-    stat = estimate_from_counts(counts.s, m, w, incl)
-    return TestOutcome(
-        decision=_decide(stat, cfg.threshold),
-        statistic=stat,
-        threshold=cfg.threshold,
-        counts=m,
-    )
+    if not counts.k == w.k == plan.k:
+        raise ValueError(f"counts cover {counts.k} groups, weights {w.k}, plan {plan.k}")
+    plan.check_counts(counts.m, counts.names)
+    return _outcome(counts.s, counts.m, w, plan.inclusion_probabilities(), cfg)
 
 
 def classify_region(inst: FairnessInstance, alpha: float, epsilon: float) -> Region:

@@ -10,7 +10,10 @@ attribute-specific plan, whose block holds only the (trial, group) pairs it
 includes.  Block i of side s (0 for the fair instance, 1 for the unfair one)
 draws from its own generator, numpy.random.default_rng([base_seed, s, i]),
 so results depend only on (base_seed, side, block index, the plan and the
-instance, trials), not on the order in which blocks are evaluated.
+instance, trials), not on the order in which blocks are evaluated.  A block's
+kernel, from `_block_scorer`, returns each trial's F1 and F2; `_block_h1`
+alone forms F = F1 - F2^2 and counts F >= tau, so the engine states the
+decision rule once.
 
 The attribute-specific draw costs O(included groups), not O(K): groups with
 p_g > 0 are split into classes by the binary exponent of p_g, so that within
@@ -341,20 +344,18 @@ def _loss_sampler(
     return draw
 
 
-def _block_decider(
-    inst: FairnessInstance, cfg: TestConfig, setup: _Setup, samplers: dict
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """A function (rng, size) -> H1 decisions of `size` <= setup.block audits of inst.
+def _block_scorer(
+    inst: FairnessInstance, plan: SamplingPlan, setup: _Setup, samplers: dict
+) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
+    """A function (rng, size) -> per-trial (F1, F2) of `size` <= setup.block audits of inst.
 
     `samplers` holds the loss samplers built so far in a sweep, keyed on the
     instance object and the block: the points of a sweep share their
     instances, and often their block.
     """
-    plan = cfg.plan
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
     mu = inst.mu_array()
-    tau = cfg.threshold
 
     if setup.terms is not None:
         # Sparse: a trial samples only the groups it includes (about
@@ -366,28 +367,25 @@ def _block_decider(
         if losses is None:
             losses = samplers[key] = _loss_sampler(mu, plan.block)
 
-        def decide(rng: np.random.Generator, size: int) -> np.ndarray:
+        def score(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
             rows, groups = _included(rng, classes, size)
-            s = losses(rng, groups)
-            f1, f2 = estimate_entries(rows, groups, s, terms, c, size)
-            return f1 - f2 * f2 >= tau
+            return estimate_entries(rows, groups, losses(rng, groups), terms, c, size)
 
     else:
         v = plan.v.as_array()
         weights = setup.weights
 
-        def decide(rng: np.random.Generator, size: int) -> np.ndarray:
+        def score(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
             m = rng.multinomial(plan.budget, v, size=size)
-            s = rng.binomial(m, mu)
-            f1, f2 = estimate_rows(s, m, weights)
-            return f1 - f2 * f2 >= tau
+            return estimate_rows(rng.binomial(m, mu), m, weights)
 
-    return decide
+    return score
 
 
-def _block_h1(decide, base_seed: int, side: int, index: int, size: int) -> int:
-    """Number of H1 decisions in one block of trials, drawn from the block's own generator."""
-    return int(np.count_nonzero(decide(np.random.default_rng([base_seed, side, index]), size)))
+def _block_h1(score, tau: float, base_seed: int, side: int, index: int, size: int) -> int:
+    """H1 decisions, F1 - F2^2 >= tau, in one block of trials drawn from its own generator."""
+    f1, f2 = score(np.random.default_rng([base_seed, side, index]), size)
+    return int(np.count_nonzero(f1 - f2 * f2 >= tau))
 
 
 def _side_h1(
@@ -401,9 +399,9 @@ def _side_h1(
 ) -> int:
     """Number of H1 decisions in `trials` audits of inst, run block by block."""
     b = setup.block
-    decide = _block_decider(inst, cfg, setup, samplers)
+    score = _block_scorer(inst, cfg.plan, setup, samplers)
     return sum(
-        _block_h1(decide, base_seed, side, index, min(b, trials - start))
+        _block_h1(score, cfg.threshold, base_seed, side, index, min(b, trials - start))
         for index, start in enumerate(range(0, trials, b))
     )
 

@@ -401,7 +401,7 @@ class TestFromRowsInputs:
         (0, np.array([0, -1, 1, 2], np.int32), ValueError, "group ids must lie in 0..2"),
         (0, np.array([0, 2**63, 1, 2], np.uint64), ValueError, "group ids must lie in 0..2"),
         (0, [0, 1.5, 3.5, 2], ValueError, "group ids must hold whole numbers"),
-        (0, [0, 2**63, 1, 2], OverflowError, None),
+        (0, [0, 2**63, 1, 2], ValueError, "group ids must lie in 0..2"),
         (1, np.array([0, 2, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
         (1, np.array([0, 255, 0, 0], np.uint8), ValueError, "label must be 0 or 1"),
         (2, np.array([1, 0, -1, 1], np.int8), ValueError, "prediction must be 0 or 1"),
@@ -420,6 +420,11 @@ class TestFromRowsInputs:
         (0, np.array([0.0, -2.0**64, 1.0, 2.0]), ValueError, "group ids must lie in 0..2"),
         (1, np.array([0.0, 2.0**63, 0.0, 0.0]), ValueError, "label must be 0 or 1"),
         (2, np.array([1, 0, 1e30, 1], np.float32), ValueError, "prediction must be 0 or 1"),
+        # Whole numbers past int64 in a list, which numpy cannot convert at all.
+        (0, [0.0, 1e20, 1.0, 2.0], ValueError, "group ids must lie in 0..2"),
+        (0, [0, 2**64, 1, 2], ValueError, "group ids must lie in 0..2"),
+        (0, [0, -2**63 - 1, 1, 2], ValueError, "group ids must lie in 0..2"),
+        (1, [0, 10**30, 0, 0], ValueError, "label must be 0 or 1"),
     ])
     def test_rejected_kinds(self, column, values, error, match):
         cols = [self.GROUP, self.LABEL, self.PRED]

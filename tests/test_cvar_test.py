@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairaudit.core import FairnessInstance, GroupCounts, GroupWeights
-from fairaudit.errors import PlanMismatch
+from fairaudit.errors import EstimatorUndefined, PlanMismatch
 from fairaudit.cvar_test import (
     P0_MAX_GAP,
     REGION_TOL,
@@ -16,7 +16,7 @@ from fairaudit.cvar_test import (
     run_test_synthetic,
 )
 from fairaudit.metrics import cvar_fairness, max_gap
-from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
+from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 
 
 def _weighted_cfg(k, n, alpha, epsilon, eta=0.0):
@@ -101,6 +101,49 @@ class TestRunTestSynthetic:
         assert out.decision in (Decision.H0, Decision.H1)
         assert set(np.unique(out.counts)).issubset({0, 2})
 
+    @staticmethod
+    def _plans(w, n):
+        return WeightedPlan.from_weights(w, 2.0 / 3.0, n), AttributeSpecificPlan(w, n, n / 4)
+
+    def test_matches_the_dataset_audit_of_its_draw(self):
+        # The same draw, audited as collected counts, gives the same outcome bit for bit.
+        w = GroupWeights([0.3, 0.25, 0.2, 0.15, 0.1])
+        inst = FairnessInstance(w, [0.1, 0.6, 0.3, 0.9, 0.5])
+        names = [f"g{g}" for g in range(w.k)]
+        for plan in self._plans(w, 12):
+            cfg = TestConfig(alpha=0.5, epsilon=0.5, plan=plan)
+            decisions = set()
+            for seed in range(200):
+                out = run_test_synthetic(inst, cfg, np.random.default_rng(seed))
+                rng = np.random.default_rng(seed)
+                m = plan.draw_counts(rng)
+                ref = run_test_dataset(GroupCounts(names, rng.binomial(m, inst.mu_array()), m),
+                                       w, cfg)
+                assert out.decision is ref.decision
+                assert (out.statistic.f1, out.statistic.f2) == (ref.statistic.f1,
+                                                                ref.statistic.f2)
+                assert out.counts.dtype == ref.counts.dtype
+                assert np.array_equal(out.counts, ref.counts)
+                decisions.add(out.decision)
+            assert decisions == {Decision.H0, Decision.H1}
+
+    def test_fills_no_inclusion_cache(self):
+        inclusion_array.cache_clear()
+        w = GroupWeights.uniform(4)
+        inst = FairnessInstance(w, [0.1, 0.5, 0.5, 0.9])
+        for plan in self._plans(w, 8):
+            run_test_synthetic(inst, TestConfig(0.5, 0.3, plan), np.random.default_rng(0))
+        assert inclusion_array.cache_info().currsize == 0
+
+    def test_block_one_fails_before_the_draw(self):
+        w = GroupWeights.uniform(4)
+        plan = AttributeSpecificPlan(w=w, budget=4, gamma=4.0)  # n/gamma = 1
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(EstimatorUndefined):
+            run_test_synthetic(FairnessInstance(w, [0.5] * 4), TestConfig(0.5, 0.3, plan), rng)
+        assert rng.bit_generator.state == state
+
 
 class TestRunTestDataset:
     def _counts(self, per_group):
@@ -167,6 +210,16 @@ class TestRunTestDataset:
         cfg = TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
         with pytest.raises(ValueError):
             run_test_dataset(self._counts([[], [0]]), w, cfg)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("attr", [False, True], ids=["weighted", "attr"])
+    def test_plan_k_mismatch(self, attr, k):
+        # A K=1 plan's one inclusion pair would broadcast over all 3 groups.
+        pw = GroupWeights.uniform(k)
+        plan = AttributeSpecificPlan(pw, 2, 1.0) if attr else WeightedPlan(pw, 4)
+        counts = GroupCounts(["a", "b", "c"], [1, 2, 0], [2, 2, 0])
+        with pytest.raises(ValueError, match=f"^counts cover 3 groups, weights 3, plan {k}$"):
+            run_test_dataset(counts, GroupWeights.uniform(3), TestConfig(0.5, 0.3, plan))
 
     def test_decision_monotone_in_epsilon(self):
         # Fixed data: raising epsilon raises the threshold, so the decision

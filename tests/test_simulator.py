@@ -15,7 +15,7 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
-from fairaudit.estimator import _ratio_terms, exact_moments
+from fairaudit.estimator import _ratio_terms, estimate_from_counts, exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -83,10 +83,39 @@ class TestEstimateError:
             b = setup.block
             for side, inst in ((0, pair.p0), (1, pair.p1)):
                 whole = simulator._side_h1(inst, cfg, setup, 3 * b, 9, side, {})
-                decide = simulator._block_decider(inst, cfg, setup, {})
-                parts = [simulator._block_h1(decide, 9, side, i, b) for i in (2, 1, 0)]
+                score = simulator._block_scorer(inst, cfg.plan, setup, {})
+                parts = [simulator._block_h1(score, cfg.threshold, 9, side, i, b)
+                         for i in (2, 1, 0)]
                 assert whole == sum(parts)
                 assert 0 < whole < 3 * b  # the check is not vacuous
+
+    def test_tie_at_threshold_decides_h1(self):
+        # Certain inclusion and means 0 and 1 give F = 0.25 in every trial,
+        # exactly the threshold at alpha = 0.5, epsilon = 1.
+        w = GroupWeights([0.5, 0.5])
+        plan = AttributeSpecificPlan(w=w, budget=4, gamma=2.0)
+        cfg = TestConfig(alpha=0.5, epsilon=1.0, plan=plan)
+        inst = FairnessInstance(w, [0.0, 1.0])
+        setup = simulator._setup(plan, w)
+        f1, f2 = simulator._block_scorer(inst, plan, setup, {})(np.random.default_rng(0), 5)
+        assert f1.shape == (5,) and np.all(f1 - f2 * f2 == cfg.threshold)
+        assert simulator._side_h1(inst, cfg, setup, 40, 3, 1, {}) == 40
+
+    def test_weighted_scores_match_the_scalar_estimator(self):
+        # Per-trial F1 and F2 of a weighted block are the scalar estimator's
+        # on the block's own draws, up to summation order.
+        w = GroupWeights([0.4, 0.3, 0.2, 0.1])
+        inst = FairnessInstance(w, [0.1, 0.6, 0.3, 0.9])
+        plan = WeightedPlan.from_weights(w, 2.0 / 3.0, 12)
+        score = simulator._block_scorer(inst, plan, simulator._setup(plan, w), {})
+        f1, f2 = score(np.random.default_rng(4), 50)
+        rng = np.random.default_rng(4)
+        m = rng.multinomial(12, plan.v.as_array(), size=50)
+        s = rng.binomial(m, inst.mu_array())
+        ref = [estimate_from_counts(s[b], m[b], w, plan.inclusion_probabilities())
+               for b in range(50)]
+        np.testing.assert_allclose(f1, [r.f1 for r in ref], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(f2, [r.f2 for r in ref], rtol=1e-14, atol=1e-15)
 
     def test_h1_rate_matches_exact_law(self):
         # On a small instance the law of F is enumerable, so each plan's H1
