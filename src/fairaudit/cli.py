@@ -253,7 +253,7 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
         rows < 1
         or delims.size % ncol
         or newlines != rows + 1 - open_end
-        or not np.all(text[delims[ncol - 1 : delims.size - open_end : ncol]] == _LF)
+        or not np.all(np.take(text, delims[ncol - 1 : delims.size - open_end : ncol]) == _LF)
     ):
         raise _NotPlain
     lines = delims.reshape(-1, ncol)
@@ -314,8 +314,23 @@ def _packed_keys(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> list[n
     return list(_key_words(text, start, end))
 
 
+# The names the plain data reader decoded last, as the tuple its counts hold,
+# and their packed keys: the audit's weight sidecar is matched to them
+# without packing them again.  The entry holds the tuple, so no other names
+# can ever be the same object; it is replaced as a whole, so a reader in
+# another thread sees an old or a new entry, each consistent.  The first
+# match takes it: names kept alive past the audit fragment the heap, which
+# raised the audit process's peak RSS by about 1 MiB over 100 audits.
+_decoded: tuple[tuple[str, ...], list[np.ndarray]] | None = None
+
+
 def _name_keys(names: Sequence[str]) -> list[np.ndarray]:
     """The packed keys of group names; _NotPlain if one is long or holds a NUL."""
+    global _decoded
+    decoded = _decoded
+    if decoded is not None and names is decoded[0]:
+        _decoded = None
+        return decoded[1]
     # NUL-separated, after 8 NULs so that every name ends at offset 8 or later.
     text = np.frombuffer(("\0" * _WORD + "\0".join(names) + "\0").encode(), np.uint8)
     nul = np.flatnonzero(text == 0)[_WORD - 1 :]
@@ -339,6 +354,14 @@ def _key_names(keys) -> list[str]:
     return b",".join(_key_bytes(keys, len(keys)).tolist()).decode("utf-8").split(",")
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts, as a mask."""
+    first = np.empty(values.size, bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     """The distinct packed keys of the cells text[start:end], in name order,
     and each cell's index among them.
@@ -360,9 +383,7 @@ def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     # (np.unique's costs peak memory).
     order = np.argsort(key)
     key = key[order]
-    first = np.empty(key.size, bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _run_starts(key)
     if words == 1:
         distinct = [key[first]]
     del key
@@ -392,22 +413,70 @@ def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
 
 def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """0/1 cells as uint8; _NotPlain unless every cell is a literal "0" or "1"."""
-    bits = text[start] - np.uint8(_ZERO)
+    bits = np.take(text, start)  # faster than text[start] with int32 offsets
+    bits -= np.uint8(_ZERO)
     if not np.all(end - start == 1) or np.any(bits > 1):
         raise _NotPlain
     return bits
 
 
+def _run_counts(key: np.ndarray):
+    """The distinct names of sorted one-word keys whose low byte holds a
+    2-bit (label, prediction) pattern, and their counts per (name, label,
+    prediction) as a (K, 2, 2) array: the lengths of the runs of equal keys.
+    """
+    at = np.flatnonzero(_run_starts(key))
+    length = np.diff(at, append=key.size)
+    key = key[at]
+    # The runs of one name are adjacent; its first run starts a new name.
+    name = key & ~np.uint64(0xFF)
+    first = _run_starts(name)
+    distinct = [name[first]]
+    del name
+    cell = np.cumsum(first, dtype=np.intp)
+    cell -= 1
+    cell <<= 2
+    cell |= key.view(np.int64) & 3
+    cells = np.zeros(4 * distinct[0].size, np.int64)
+    cells[cell] = length
+    return distinct, cells.reshape(-1, 2, 2)
+
+
 def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
-    # The file's bytes live only as long as `text`.
+    """The vectorised reader of a plain data CSV (see _plain_cells).
+
+    Names of at most 7 bytes pack into one word with a free low byte, which
+    takes the row's 2-bit (label, prediction) pattern.  One in-place sort of
+    these keys puts the rows of each (name, pattern) in one run, and the run
+    lengths are the counts.  Longer names are factorised by _factorise (a
+    hashed argsort) and counted by GroupCounts.from_rows.
+    """
+    global _decoded
+    _decoded = None
     text, (group, label, prediction) = _plain_cells(
         _read_plain(path, _RECORD_COLUMNS), _RECORD_COLUMNS
     )
-    y, yh = _bits(text, *label), _bits(text, *prediction)
+    pattern = _bits(text, *label)
+    pattern <<= 1
+    pattern |= _bits(text, *prediction)
     del label, prediction
-    distinct, inverse = _factorise(text, *group)
-    del text, group
-    return GroupCounts.from_rows(_key_names(distinct), inverse, y, yh, metric)
+    start, end = group
+    if int((end - start).max()) >= _WORD:
+        distinct, inverse = _factorise(text, start, end)
+        del text, group, start, end
+        counts = GroupCounts.from_rows(_key_names(distinct), inverse, pattern >> 1, pattern & 1,
+                                       metric)
+    else:
+        (key,) = _key_words(text, start, end)
+        # The file's bytes and the cell offsets are freed before the sort.
+        del text, group, start, end
+        key |= pattern
+        del pattern
+        key.sort()
+        distinct, cells = _run_counts(key)
+        counts = GroupCounts.from_cells(_key_names(distinct), cells, metric)
+    _decoded = counts.names, distinct
+    return counts
 
 
 def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
@@ -448,7 +517,9 @@ def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) 
     The counts come back ordered by group name.  Blank lines are skipped.
     A plain CSV (see _plain_cells) with group names of at most 32 bytes and
     label and prediction cells that are all a literal 0 or 1 is reduced with
-    numpy; any other input is streamed through csv.reader, with the same result.
+    numpy: by one sort of packed keys when every name has at most 7 bytes,
+    by a hashed argsort otherwise.  Any other input is streamed through
+    csv.reader, with the same result.
     """
     try:
         return _records_plain(path, metric)
@@ -510,7 +581,8 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
     The last row of a repeated group wins.  A plain file (see _plain_cells)
     is matched to `names` by packed keys when every name has at most 32
     bytes; any other input is streamed through csv.reader, with the same
-    result.
+    result.  The names of the counts the last plain data read returned are
+    matched by the keys that read sorted, without packing them again.
     """
     try:
         return GroupWeights(_sidecar_plain(path, names))

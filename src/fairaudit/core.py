@@ -181,20 +181,30 @@ def _count_array(values, what: str) -> np.ndarray:
 def _int_column(values, column: str) -> np.ndarray:
     """A row column as an integer array: one whose dtype casts safely to intp
     (bool, and integers up to int64) as it is, anything else as int64.
-    Floats must be whole numbers: a fraction is a ValueError, not truncated."""
+    Floats must be whole numbers: a fraction is a ValueError, not truncated;
+    complex numbers are a ValueError too, and None or a string that int()
+    cannot read is a TypeError or ValueError that names the column."""
     arr = np.asarray(values)
     if np.can_cast(arr.dtype, np.intp):
         return arr
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr)):
-        raise ValueError(f"{column} must hold whole numbers")
-    with np.errstate(invalid="raise"):
-        try:
-            return np.asarray(values, dtype=np.int64)
-        except (FloatingPointError, OverflowError):
-            # A whole number past int64 wraps in a float array's cast and does
-            # not convert at all from a list; as -1 it fails the caller's range
-            # check, as any other value out of range does.
-            return np.where(np.abs(arr) < 2**63, arr, -1).astype(np.int64)
+    whole = f"{column} must hold whole numbers"
+    if arr.dtype.kind == "c" or (
+        arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr))
+    ):
+        raise ValueError(whole)
+    try:
+        with np.errstate(invalid="raise"):
+            try:
+                return np.asarray(values, dtype=np.int64)
+            except (FloatingPointError, OverflowError):
+                # A whole number past int64 wraps in a float array's cast and
+                # does not convert at all from a list; as -1 it fails the
+                # caller's range check, as any other value out of range does.
+                return np.where(np.abs(arr) < 2**63, arr, -1).astype(np.int64)
+    except (TypeError, ValueError) as exc:
+        # Such as None, or a string int() cannot read, in a list.
+        error = TypeError if isinstance(exc, TypeError) else ValueError
+        raise error(f"{whole}, got {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +252,8 @@ class GroupCounts:
         """Reduce per-row columns to per-group counts under the chosen metric.
 
         `group` holds dense ids into `names`, which may be in any order (a
-        reader assigns ids as names first appear); the result is re-indexed
-        by sorted name.  Every named group is kept, even one whose rows
-        conditioning drops.  Equal opportunity keeps only label-0 rows;
-        statistical parity keeps all rows.  In both the loss is the prediction.
+        reader assigns ids as names first appear).  The rows are counted per
+        (group, label, prediction) and reduced by `from_cells`.
         """
         k = len(names)
         group, label, loss = map(
@@ -258,18 +266,40 @@ class GroupCounts:
         for column, values in (("label", label), ("prediction", loss)):
             if np.any((values != 0) & (values != 1)):
                 raise ValueError(f"{column} must be 0 or 1")
-        if kind is MetricKind.EQUAL_OPPORTUNITY and not np.any(label == 0):
-            raise EmptyAfterConditioning("no records with label 0")
         # Rows per (group, label, loss), in one pass over the rows.  The index
         # is built in intp: 4 * group would overflow int32 ids at k >= 2**29.
         cell = np.multiply(group, 4, dtype=np.intp)
         cell += 2 * label
         cell += loss
-        cells = np.bincount(cell, minlength=4 * k).reshape(k, 2, 2)
+        return cls.from_cells(names, np.bincount(cell, minlength=4 * k).reshape(k, 2, 2), kind)
+
+    @classmethod
+    def from_cells(
+        cls, names: Sequence[str], cells: np.ndarray, kind: MetricKind
+    ) -> "GroupCounts":
+        """Per-group counts under the chosen metric from cells[g, y, yh], the
+        number of rows of group g (named `names[g]`) with label y and
+        prediction yh.
+
+        Names may be in any order; the result is re-indexed by sorted name.
+        Every named group is kept, even one whose rows conditioning drops.
+        Equal opportunity keeps only label-0 rows, and needs at least one;
+        statistical parity keeps all rows.  In both the loss is the prediction.
+        """
+        cells = np.asarray(cells)
+        k = len(names)
+        if cells.shape != (k, 2, 2) or (cells.size and cells.min() < 0):
+            raise ValueError(f"cells must be non-negative counts of shape ({k}, 2, 2)")
+        # The kept rows per (group, prediction).  Explicit adds: a sum over
+        # axes of length 2 takes an inner loop per group.
         if kind is MetricKind.EQUAL_OPPORTUNITY:
-            cells = cells[:, :1]
-        m = cells.sum(axis=(1, 2))
-        s = cells[:, :, 1].sum(axis=1)
+            kept = cells[:, 0]
+            if not kept.any():
+                raise EmptyAfterConditioning("no records with label 0")
+        else:
+            kept = cells[:, 0] + cells[:, 1]
+        s = kept[:, 1]
+        m = kept[:, 0] + s
         try:
             # The vectorised reader hands names in sorted order; the
             # constructor's check then is the only pass over them.

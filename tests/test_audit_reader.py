@@ -7,7 +7,8 @@ lenient integer cells, both metrics; half of them plain, so that the
 vectorised reader takes them) must reduce to exactly the oracle's counts,
 and `fairaudit audit` must print exactly what the oracle's counts give.
 The vectorised reader must agree with the csv.reader path on edge cases and
-on the benchmark's own input.  Every malformed input must end in an
+on the benchmark's own input, on each side of the 7/8-byte name length
+that divides its one-sort and hashed paths.  Every malformed input must end in an
 `error:` line and an exit code >= 64, never a traceback.
 """
 
@@ -621,6 +622,152 @@ class TestSidecarMatchesCsvReader:
         self._check(tmp_path, f"group,weight\n{long},0.5\nb,0.5\n", ("b", long), False)
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", long), False)
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), False)
+
+
+# Characters of 1 to 4 UTF-8 bytes, control bytes equal to a row's 2-bit
+# pattern among them, for names around the 7-byte limit of the sorted path.
+SHORT_NAME_CHARS = ["a", "b", "z", "|", " ", "-", "0", "\x01", "\x03", "ü", "€", "𝄞"]
+
+
+def _short_name(rng, size):
+    """A random name of exactly `size` UTF-8 bytes."""
+    name = ""
+    while len(name.encode()) < size:
+        c = SHORT_NAME_CHARS[int(rng.integers(len(SHORT_NAME_CHARS)))]
+        name += c if len((name + c).encode()) <= size else "a"
+    return name
+
+
+class TestSortedCountsMatchCsvReader:
+    """Names of at most 7 bytes are counted by one sort of packed keys that
+    carry the row's (label, prediction) bits in their low byte; longer names
+    by the hashed argsort.  Both must agree with the csv.reader path."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"_factorise": 0, "_run_counts": 0}
+        for name in calls:
+            original = getattr(cli, name)
+
+            def spy(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    def _check(self, tmp_path, capsys, monkeypatch, text, kind, sidecar=None):
+        """Counts, stdout, stderr and exit code of both paths; returns the counts."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        names = {line.split(",")[0] for line in text.splitlines()[1:]}
+        sorted_path = max(len(n.encode()) for n in names) <= 7
+        with monkeypatch.context() as patch:
+            calls = self._spy(patch)
+            fast = _outcome(lambda: cli._records_plain(str(path), kind))
+            assert calls == {"_factorise": int(not sorted_path), "_run_counts": int(sorted_path)}
+        assert fast == _outcome(lambda: cli._records_csv(str(path), kind))
+        conf = tmp_path / "c.cfg"
+        weights = "uniform"
+        if sidecar is not None:
+            weights = tmp_path / "w.csv"
+            weights.write_text(sidecar, encoding="utf-8")
+        conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nmetric={kind.value}\n"
+                        f"weights={weights}\n", encoding="utf-8")
+        argv = ["audit", str(path), str(conf)]
+        got = _audit(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_plain_cells", _not_plain)
+            assert got == _audit(argv, capsys)
+        return fast
+
+    @pytest.mark.parametrize("kind", [SP, EO])
+    def test_random_short_names(self, tmp_path, capsys, monkeypatch, kind):
+        rng = np.random.default_rng(46 if kind is SP else 47)
+        seen = set()
+        for _ in range(120):
+            longest = int(rng.integers(0, 9))  # across the 7/8-byte switch
+            k = int(rng.integers(1, 12))
+            names = {_short_name(rng, int(rng.integers(0, longest + 1))) for _ in range(k)}
+            rows = []
+            for name in names:
+                n0 = int(rng.integers(0, 4)) if rng.random() < 0.7 else 0  # label-1 only groups
+                n1 = int(rng.integers(0 if n0 else 1, 4))
+                rows += [(name, 0, int(rng.integers(0, 2))) for _ in range(n0)]
+                rows += [(name, 1, int(rng.integers(0, 2))) for _ in range(n1)]
+            rng.shuffle(rows)
+            text = HEADER + "".join(f"{n},{y},{yh}\n" for n, y, yh in rows)
+            sidecar = None
+            if rng.random() < 0.5:
+                sidecar = "group,weight\n" + "".join(f"{n},{1 / len(names)!r}\n" for n in names)
+            got = self._check(tmp_path, capsys, monkeypatch, text, kind, sidecar)
+            seen.add((max(len(n.encode()) for n in names) <= 7, got[0] is EmptyAfterConditioning))
+            if kind is EO and got[0] is not EmptyAfterConditioning:
+                label_1_only = {n for n, y, _ in rows} - {n for n, y, _ in rows if y == 0}
+                assert {got[0][g] for g, m in enumerate(got[2]) if m == 0} == label_1_only
+        assert {(True, False), (False, False)} <= seen
+        if kind is EO:
+            assert (True, True) in seen
+
+    @pytest.mark.parametrize("kind", [SP, EO])
+    @pytest.mark.parametrize("rows, label_0", [
+        ("a,0,1\n", True),
+        ("\x01,1,1\n", False),
+        (",0,0\n", True),
+        ("abcdefg,0,1\n", True),
+        ("ü€,1,0\n", False),
+        ("abcdefgh,0,1\n", True),
+        ("g,0,1\ng,1,1\ng,0,0\ng,1,0\ng,0,1\n", True),
+        ("gggggg€,1,1\ngggggg€,1,0\n", False),
+    ], ids=["one_row", "control_byte_name", "empty_name", "seven_bytes", "non_ascii",
+            "eight_bytes", "one_group", "one_group_label_1"])
+    def test_single_row_and_single_group(self, tmp_path, capsys, monkeypatch, rows, label_0,
+                                         kind):
+        got = self._check(tmp_path, capsys, monkeypatch, HEADER + rows, kind)
+        if kind is EO and not label_0:
+            assert got == (EmptyAfterConditioning, "no records with label 0")
+        else:
+            assert len(got[0]) == 1
+
+    def test_tail_bits_stay_out_of_names(self, tmp_path, capsys, monkeypatch):
+        # 7-byte names whose last byte is itself a pattern value, next to
+        # their 6-byte prefix.  Name i has the patterns i % 4 to 3, so the
+        # first run of most names carries non-zero bits: a name must never
+        # take them, nor another name's rows.
+        names = ["abcdef", "abcdef\x01", "abcdef\x02", "abcdef\x03", "\x03" * 7]
+        rows = [(n, p >> 1, p & 1) for i, n in enumerate(names) for p in range(i % 4, 4)
+                for _ in range(1 + i)]
+        text = HEADER + "".join(f"{n},{y},{yh}\n" for n, y, yh in rows)
+        for kind in (SP, EO):
+            got = self._check(tmp_path, capsys, monkeypatch, text, kind)
+            assert got[0] == tuple(sorted(names))
+            if kind is SP:
+                assert got[2] == [20, 4, 6, 6, 4]
+            else:  # the names with patterns 2 and 3 alone are kept with m = 0
+                assert got[2] == [10, 2, 2, 0, 0]
+
+    def test_sidecar_reuses_the_decoded_keys(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for names in (["g1", "g22", "ü"], ["abcdefgh", "b"], ["female|asian|20-30", "a"]):
+            path.write_text(HEADER + "".join(f"{n},0,1\n" for n in names), encoding="utf-8")
+            counts = read_records(str(path))
+            entry = cli._decoded
+            assert entry[0] is counts.names
+            other = cli._name_keys(("zz",))  # other names are packed as they come
+            assert [w.tolist() for w in other] == [[int.from_bytes(b"zz".ljust(8, b"\0"), "big")]]
+            assert cli._decoded is entry
+            decoded = cli._name_keys(counts.names)
+            assert decoded is entry[1]
+            assert cli._decoded is None  # taken by the one match it serves
+            fresh = cli._name_keys(counts.names)  # packed again
+            assert len(decoded) == len(fresh)
+            assert all(np.array_equal(a, b) for a, b in zip(decoded, fresh))
+        # A file csv.reader takes leaves no keys behind.
+        read_records(str(path))
+        assert cli._decoded is not None
+        path.write_text(HEADER + '"a",0,1\n', encoding="utf-8")
+        read_records(str(path))
+        assert cli._decoded is None
 
 
 def _load_bench_inputs():

@@ -425,6 +425,17 @@ class TestFromRowsInputs:
         (0, [0, 2**64, 1, 2], ValueError, "group ids must lie in 0..2"),
         (0, [0, -2**63 - 1, 1, 2], ValueError, "group ids must lie in 0..2"),
         (1, [0, 10**30, 0, 0], ValueError, "label must be 0 or 1"),
+        # Complex numbers, whose imaginary part a cast would drop with a warning.
+        (0, np.array([0, 1 + 3j, 1, 2]), ValueError, "group ids must hold whole numbers"),
+        (1, np.array([0, 1, 0, 0], complex), ValueError, "label must hold whole numbers"),
+        (2, np.array([1, 0, 1, 1], np.complex64), ValueError,
+         "prediction must hold whole numbers"),
+        (2, [1, 0, 1j, 1], ValueError, "prediction must hold whole numbers"),
+        # None or a string int() cannot read: the column is named in the message.
+        (0, [0, None, 1, 2], TypeError, "group ids must hold whole numbers, got int()"),
+        (1, ["x", 1, 0, 0], ValueError, "label must hold whole numbers, got invalid literal"),
+        (2, [1, 0, "y", 1], ValueError, "prediction must hold whole numbers, got invalid"),
+        (0, [0, 2**70, None, 2], TypeError, "group ids must hold whole numbers, got bad operand"),
     ])
     def test_rejected_kinds(self, column, values, error, match):
         cols = [self.GROUP, self.LABEL, self.PRED]
@@ -436,6 +447,42 @@ class TestFromRowsInputs:
         for label in ([1, 1], np.ones(2, np.uint8), np.ones(2, bool), [1.0, 1.0]):
             with pytest.raises(EmptyAfterConditioning):
                 GroupCounts.from_rows(["a"], [0, 0], label, [0, 1], EO)
+
+
+class TestFromCells:
+    """Counts per (group, label, prediction) reduce as the rows they count."""
+
+    def test_matches_from_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            k = int(rng.integers(1, 6))
+            names = [f"g{g}" for g in rng.permutation(k)]  # in any order
+            rows = rng.integers(0, (k, 2, 2), size=(int(rng.integers(1, 30)), 3))
+            cells = np.zeros((k, 2, 2), np.int64)
+            np.add.at(cells, tuple(rows.T), 1)
+            for kind in (SP, EO):
+                if kind is EO and not np.any(rows[:, 1] == 0):
+                    with pytest.raises(EmptyAfterConditioning, match="no records with label 0"):
+                        GroupCounts.from_cells(names, cells, kind)
+                    continue
+                got = GroupCounts.from_cells(names, cells, kind)
+                want = GroupCounts.from_rows(names, *rows.T, kind)
+                assert got.names == want.names
+                assert got.s.tolist() == want.s.tolist()
+                assert got.m.tolist() == want.m.tolist()
+
+    def test_label_one_groups_kept_under_eo(self):
+        c = GroupCounts.from_cells(["a", "b"], [[[1, 2], [0, 0]], [[0, 0], [3, 4]]], EO)
+        assert (c.m.tolist(), c.s.tolist()) == ([3, 0], [2, 0])
+
+    @pytest.mark.parametrize("cells", [
+        np.zeros((2, 2, 2), np.int64),
+        np.zeros((1, 4), np.int64),
+        np.array([[[1, -1], [0, 0]]]),
+    ])
+    def test_rejects_bad_cells(self, cells):
+        with pytest.raises(ValueError, match=r"cells must be non-negative counts of shape \(1, 2, 2\)"):
+            GroupCounts.from_cells(["a"], cells, SP)
 
 
 class TestRecordsToSamples:
