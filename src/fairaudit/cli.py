@@ -474,7 +474,8 @@ def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
         del pattern
         key.sort()
         distinct, cells = _run_counts(key)
-        counts = GroupCounts.from_cells(_key_names(distinct), cells, metric)
+        # The keys are sorted and distinct, and so are the names they pack.
+        counts = GroupCounts.from_cells(_key_names(distinct), cells, metric, _names_sorted=True)
     _decoded = counts.names, distinct
     return counts
 

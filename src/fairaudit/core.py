@@ -220,7 +220,10 @@ class GroupCounts:
     s: np.ndarray
     m: np.ndarray
 
-    def __init__(self, names: Sequence[str], s, m):
+    def __init__(self, names: Sequence[str], s, m, *, _names_sorted: bool = False):
+        # _names_sorted: the caller built the names sorted and unique, as the
+        # plain reader does from sorted, distinct packed keys, so their order
+        # is not checked again.
         names_t = tuple(names)
         s_arr = _count_array(s, "s")
         m_arr = _count_array(m, "m")
@@ -228,7 +231,7 @@ class GroupCounts:
             raise ValueError(
                 f"lengths differ: {len(names_t)} names, {s_arr.size} s, {m_arr.size} m"
             )
-        if not all(map(operator.lt, names_t, names_t[1:])):
+        if not _names_sorted and not all(map(operator.lt, names_t, names_t[1:])):
             raise _UnsortedNames("group names must be sorted and unique")
         if np.any(s_arr < 0) or np.any(s_arr > m_arr):
             raise ValueError("counts must satisfy 0 <= s <= m")
@@ -275,7 +278,8 @@ class GroupCounts:
 
     @classmethod
     def from_cells(
-        cls, names: Sequence[str], cells: np.ndarray, kind: MetricKind
+        cls, names: Sequence[str], cells: np.ndarray, kind: MetricKind, *,
+        _names_sorted: bool = False,
     ) -> "GroupCounts":
         """Per-group counts under the chosen metric from cells[g, y, yh], the
         number of rows of group g (named `names[g]`) with label y and
@@ -301,9 +305,9 @@ class GroupCounts:
         s = kept[:, 1]
         m = kept[:, 0] + s
         try:
-            # The vectorised reader hands names in sorted order; the
-            # constructor's check then is the only pass over them.
-            return cls(names, s, m)
+            # Names often come in sorted order; the constructor's check then
+            # is the only pass over them, and `_names_sorted` skips even that.
+            return cls(names, s, m, _names_sorted=_names_sorted)
         except _UnsortedNames:
             pass
         order = np.array(sorted(range(k), key=names.__getitem__), dtype=np.intp)

@@ -119,7 +119,7 @@ def estimate_rows(
 
 def estimate_entries(
     rows: np.ndarray,
-    groups: np.ndarray,
+    groups: np.ndarray | None,
     s: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray],
     c: np.ndarray | None,
@@ -131,16 +131,19 @@ def estimate_entries(
     groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
     attribute-specific plan), or None when `terms` already carry it, as
     they can when all groups share one normalizer c: (t * c)[S] has the
-    bits of t[S] * c.  Groups a trial did not sample contribute nothing, so
-    the cost is proportional to the number of entries, not to K.  Each term
-    is looked up by S in `terms`, the tables `_ratio_terms(np.arange(m + 1),
+    bits of t[S] * c.  Only `c` reads the groups, so they may be None
+    without it.  Groups a trial did not sample contribute nothing, so the
+    cost is proportional to the number of entries, not to K.  Each term is
+    looked up by S in `terms`, the tables `_ratio_terms(np.arange(m + 1),
     m)`, which hold the values _ratio_terms gives per entry; a caller builds
-    them once per block size m.
+    them once per block size m.  Any index into tables of those values
+    serves in place of S, such as a row of a table of S values composed
+    with them.
     """
     t1, t2 = terms
-    e1, e2 = t1[s], t2[s]
+    e1, e2 = t1.take(s), t2.take(s)
     if c is not None:
-        cg = c[groups]
+        cg = c.take(groups)
         e1 *= cg
         e2 *= cg
     return (np.bincount(rows, weights=e1, minlength=n_rows),

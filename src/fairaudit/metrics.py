@@ -10,6 +10,7 @@ small K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -56,58 +57,108 @@ def gap_vector(inst: FairnessInstance) -> GapVector:
 
 
 def max_gap(inst: FairnessInstance) -> float:
-    """Largest per-group gap, max_g |mu_g - Lbar|."""
-    return float(_gaps(inst, average_quality(inst)).max())
+    """Largest per-group gap, max_g |mu_g - Lbar|.
+
+    Subtracting Lbar and rounding are both monotone, so the largest gap is
+    that of the largest or of the smallest mean: the bits of the largest of
+    all K gaps, read with no K-sized temporary.
+    """
+    mu = inst.mu_array()
+    lbar = average_quality(inst)
+    return float(max(abs(mu.max() - lbar), abs(mu.min() - lbar)))
+
+
+def _walk(ws: np.ndarray, ds: np.ndarray, budget: float) -> tuple[float, bool]:
+    """(sum_g take_g * ds_g, ended) of the greedy fill of `budget` over groups in fill order.
+
+    `ws` and `ds` hold the groups' positive weights and their gaps in fill
+    order.  Groups are taken whole until the first one that does not fit,
+    which is taken in part; rounding can leave a sliver of budget for the
+    next one or two groups.  The groups are walked FILL_CHUNK at a time, and
+    the walk stops at the chunk that holds the boundary group.  The mass and
+    total carried from earlier chunks are added to a chunk's first element
+    before its cumsum, so every partial sum is the one a sequential loop
+    gives.  `ended` is False when budget is left after the last group given:
+    the total is then the fill's only if no groups follow.
+    """
+    filled = total = 0.0
+    for start in range(0, ws.size, FILL_CHUNK):
+        wc = ws[start : start + FILL_CHUNK]
+        used = wc.copy()
+        used[0] += filled
+        np.cumsum(used, out=used)
+        room = budget - np.concatenate(([filled], used[:-1]))
+        over = wc > room
+        j = int(np.argmax(over)) if over.any() else wc.size
+        if j:
+            taken = wc[:j] * ds[start : start + j]
+            taken[0] += total
+            total = float(np.cumsum(taken)[-1])
+            filled = float(used[j - 1])
+        if j < wc.size:
+            break
+    else:
+        return total, budget - filled <= 0.0
+    for g in range(start + j, ws.size):
+        take = min(ws[g], budget - filled)
+        if take <= 0.0:
+            return total, True
+        total += take * ds[g]
+        filled += take
+    return total, budget - filled <= 0.0
+
+
+def _walk_order(w: np.ndarray, delta: np.ndarray, ids: np.ndarray | None, budget: float):
+    """`_walk` over the positive-weight groups `ids` (ascending; None for all) in gap order.
+
+    The order is a stable argsort's: descending gap, ties in index order.
+    Without ties it is the only order that sorts the gaps, so the faster
+    unstable argsort finds it; only gaps with ties take the stable one.
+    """
+    keys = -delta if ids is None else -delta[ids]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+    if ids is not None:
+        order = ids[order]
+    order = order[w[order] > 0.0]
+    return _walk(w[order], delta[order], budget)
 
 
 def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
     """sum_g take_g * delta_g of the greedy fill of `budget` in descending gap order.
 
-    Groups are taken whole until the first one that does not fit, which is
-    taken in part.  Zero-weight groups carry no mass, so they are skipped
-    rather than ending the fill.  The sorted order is walked FILL_CHUNK groups
-    at a time and stops at the chunk that holds the boundary group.  The mass
-    and total carried from earlier chunks are added to a chunk's first element
-    before its cumsum, so every partial sum is the one a sequential loop gives.
+    Ties in gap are taken in index order, as a stable argsort orders them,
+    and zero-weight groups carry no mass, so they are skipped rather than
+    ending the fill (see `_walk`).  `delta` must be a fresh array: the fill
+    may reorder it.
+
     Under equal weights (all positive, as they sum to 1) the fill reads only
     the gaps in descending order, and tied gaps give equal products, so it
-    walks the sorted gaps in place of the stable argsort, with the same bits.
+    sorts `delta` in place and walks it backwards, with the bits of the index
+    fill and no K-sized temporary.  Otherwise only the groups at or above the
+    boundary gap need sorting.  `np.partition` finds the gap of rank `count`,
+    and the groups at or above it, ties at the cut-off included, keep their
+    index order into the stable sort: they are the first groups of the full
+    gap order.  `count` starts one chunk past the groups an equal-weight fill
+    would take and doubles until their mass covers the budget and the walk
+    ends among them; failing that, the fill sorts all K groups.
     """
     if w.min() == w.max():
-        delta = np.sort(delta)[::-1]
-        order = np.arange(delta.size)
-    else:
-        order = np.argsort(-delta, kind="stable")
-        if not (w > 0.0).all():
-            order = order[w[order] > 0.0]
-    filled = total = 0.0
-    for start in range(0, order.size, FILL_CHUNK):
-        idx = order[start : start + FILL_CHUNK]
-        ws = w[idx]
-        used = ws.copy()
-        used[0] += filled
-        np.cumsum(used, out=used)
-        room = budget - np.concatenate(([filled], used[:-1]))
-        over = ws > room
-        j = int(np.argmax(over)) if over.any() else ws.size
-        if j:
-            taken = ws[:j] * delta[idx[:j]]
-            taken[0] += total
-            total = float(np.cumsum(taken)[-1])
-            filled = float(used[j - 1])
-        if j < ws.size:
-            break
-    else:
-        return total
-    # The boundary group is taken in part; rounding can leave a sliver of
-    # budget for the next one or two groups.
-    for g in order[start + j :]:
-        take = min(w[g], budget - filled)
-        if take <= 0.0:
-            break
-        total += take * delta[g]
-        filled += take
-    return total
+        delta.sort()
+        return _walk(np.broadcast_to(w[0], delta.shape), delta[::-1], budget)[0]
+    k = delta.size
+    count = math.ceil(budget * k) + FILL_CHUNK
+    while count < k:
+        cut = np.partition(delta, k - count)[k - count]
+        top = np.flatnonzero(delta >= cut)
+        if w[top].sum() >= budget:
+            total, ended = _walk_order(w, delta, top, budget)
+            if ended:
+                return total
+        count *= 2
+    return _walk_order(w, delta, None, budget)[0]
 
 
 def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMode.FRACTIONAL) -> float:

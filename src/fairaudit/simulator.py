@@ -28,9 +28,9 @@ both P[M_g >= 1] and P[M_g >= 2], without a (K, 2) inclusion array, and
 when every p_g > 0 a class of all K groups keeps no member array.  The term
 weights w_g / P[M_g >= .] come from the estimator's one normalizer, which
 also serves the audit; one array of them serves the F1 and the F2 terms.
-Every entry of an attribute-specific block has M = n/gamma, so
-`estimate_entries` looks its terms up by S in a table of M + 1 values with
-the bits of the per-entry division, built once per budget.  When the plan's
+Every entry of an attribute-specific block has M = n/gamma, so its terms
+come from `estimate_entries`' tables of M + 1 values indexed by S, with the
+bits of the per-entry division, built once per budget.  When the plan's
 weights and the instance's are each all equal (as on the hard pair), every
 group has the same p and the same normalizer c = w_0 / p, the same float
 operations on the same values as the per-group arrays.  The set-up is then
@@ -39,6 +39,17 @@ ratio array, and term tables prescaled by c, since (t * c)[S] has the bits
 of t[S] * c, so a block gathers no per-entry normalizer.  B still comes from
 numpy's pairwise sum of K copies of p, the one K-sized array such a set-up
 allocates.
+
+A block's loss draw and its terms meet in one table lookup.  The loss
+replay (below) finds each entry's row x of a small table of results, whose
+row holds S; once per sweep point and side, that table is composed with the
+point's S-indexed term tables, so a block looks its terms up by x and
+builds no S array.  A row that stands for numpy's redraw holds NaN, so a
+NaN in the block's per-trial F1 sends the block back, from the generator
+state before it, to the path that draws S and, on a redraw, calls
+`rng.binomial`.  Only the per-group normalizer and the per-mean tables read
+an entry's group, so a side with one normalizer and one mean (the fair side
+of the hard pair) builds no per-entry group index.
 
 Both draws of an attribute-specific block replay numpy's own samplers as
 whole-array operations, with numpy's values and with the generator left in
@@ -63,6 +74,9 @@ front and points that share their instances do not pay for the check again.
 The check's CVaR fill (`metrics.cvar_fairness`) walks the groups in gap
 order in chunks and stops at the one that holds the boundary group; an
 instance whose largest gap is far below the P0 tolerance skips the fill.
+The check holds one K-sized array, the gaps: the largest gap is read from
+the extreme means, equal weights sort the gaps in place, and unequal ones
+sort only the groups at or above the boundary gap.
 Points that share an instance and a block share its loss sampler.
 """
 
@@ -221,21 +235,28 @@ def _success_positions(rng: np.random.Generator, q: float, n: int) -> np.ndarray
     return ends
 
 
-def _included(rng: np.random.Generator, classes, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trial, group) of every group that each of `size` trials includes."""
+def _included(
+    rng: np.random.Generator, classes, size: int, grouped: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(trial, group) of every group that each of `size` trials includes.
+
+    Unless `grouped`, the groups are None, and a class with no ratio to draw
+    computes no group index.
+    """
     rows, groups = [], []
     for members, count, q, ratio in classes:
         pos = _success_positions(rng, q, size * count)
         row = pos // count  # with the remainder below, np.divmod's values in half its time
-        j = pos - row * count
-        if ratio is not None:
-            keep = rng.random(j.size) < ratio[j]
-            row, j = row[keep], j[keep]
+        if grouped or ratio is not None:
+            j = pos - row * count
+            if ratio is not None:
+                keep = rng.random(j.size) < ratio[j]
+                row, j = row[keep], j[keep]
+            groups.append(j if members is None else members[j])
         rows.append(row)
-        groups.append(j if members is None else members[j])
     if len(rows) == 1:
-        return rows[0], groups[0]
-    return np.concatenate(rows), np.concatenate(groups)
+        return rows[0], groups[0] if grouped else None
+    return np.concatenate(rows), np.concatenate(groups) if grouped else None
 
 
 def _mean_codes(mu: np.ndarray):
@@ -297,6 +318,12 @@ def _loss_sampler(
     hands the block to `rng.binomial`, as do instances with more than
     _MAX_MEANS means, a mean of 0 (which numpy draws no uniform for) or one
     that numpy does not invert.
+
+    A replayed draw carries `replay` = (index, results, by_group), so that a
+    caller can look S's terms up by row: index(rng, n, groups) draws n rows
+    x of `results`, which holds S per row and -1 where numpy would draw U
+    again; `by_group` says whether `index` reads the groups, which may be
+    None without it.
     """
     found = _mean_codes(mu)
     thresholds = None if found is None else [_inversion_thresholds(v, m) for v in found[1]]
@@ -320,11 +347,11 @@ def _loss_sampler(
     results = results.ravel()
     table_steps = list(table) if codes is not None else [float(t) for t in table[:, 0]]
 
-    def draw(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
-        state = rng.bit_generator.state
-        u = rng.random(groups.size)
+    def index(rng: np.random.Generator, n: int, groups: np.ndarray | None) -> np.ndarray:
+        """Rows of `results` for n draws, from n uniforms; `groups` may be None with one mean."""
+        u = rng.random(n)
         if codes is None:
-            x = np.zeros(groups.size, dtype=np.intp)
+            x = np.zeros(n, dtype=np.intp)
             step_values = table_steps
         else:
             code = codes.take(groups)
@@ -335,12 +362,17 @@ def _loss_sampler(
             x += u > t
             if i < last:
                 u -= t
-        s = results.take(x)
+        return x
+
+    def draw(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
+        state = rng.bit_generator.state
+        s = results.take(index(rng, groups.size, groups))
         if s.size and s.min() < 0:  # numpy drew some U again
             rng.bit_generator.state = state
             return reference(rng, groups)
         return s
 
+    draw.replay = (index, results, codes is not None)
     return draw
 
 
@@ -367,9 +399,30 @@ def _block_scorer(
         if losses is None:
             losses = samplers[key] = _loss_sampler(mu, plan.block)
 
-        def score(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        def reference(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
             rows, groups = _included(rng, classes, size)
             return estimate_entries(rows, groups, losses(rng, groups), terms, c, size)
+
+        replay = getattr(losses, "replay", None)
+        if replay is None:
+            return reference
+        index, results, by_group = replay
+        # The term tables indexed by the replay's row x, not by S: t[results],
+        # with NaN where numpy would draw U again.
+        composed = tuple(np.where(results < 0, np.nan, t[results]) for t in terms)
+        grouped = c is not None or by_group
+
+        def score(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+            state = rng.bit_generator.state
+            rows, groups = _included(rng, classes, size, grouped)
+            x = index(rng, rows.size, groups)
+            f1, f2 = estimate_entries(rows, groups, x, composed, c, size)
+            if np.isnan(f1).any():
+                # numpy drew some U again: the block as `reference` draws it,
+                # with every entry's group, from the state before the block.
+                rng.bit_generator.state = state
+                return reference(rng, size)
+            return f1, f2
 
     else:
         v = plan.v.as_array()

@@ -1,16 +1,19 @@
 """Tests for the shared domain types."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
+from fairaudit import core as core_module
 from fairaudit.cli import read_records
 from fairaudit.core import (
     FairnessInstance,
     GroupCounts,
     GroupWeights,
     MetricKind,
+    _UnsortedNames,
     empirical_instance,
 )
 from fairaudit.errors import EmptyAfterConditioning, MissingGroup, WeightError
@@ -308,6 +311,39 @@ class TestGroupCounts:
             GroupCounts(["b", "a"], [0, 0], [1, 1])
         with pytest.raises(ValueError):
             GroupCounts(["a", "a"], [0, 0], [1, 1])
+
+    @pytest.mark.parametrize("build", ["constructor", "from_rows", "from_cells"])
+    def test_unsorted_or_repeated_names_still_checked(self, build):
+        # The constructor takes names only in strictly increasing order;
+        # from_rows and from_cells sort them by name, and so reject a repeat.
+        def make(names):
+            if build == "constructor":
+                return GroupCounts(names, [0, 0], [1, 1])
+            if build == "from_rows":
+                return GroupCounts.from_rows(names, [0, 1], [0, 0], [0, 1], SP)
+            return GroupCounts.from_cells(names, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], SP)
+
+        with pytest.raises(_UnsortedNames):
+            make(["a", "a"])
+        if build == "constructor":
+            with pytest.raises(_UnsortedNames):
+                make(["b", "a"])
+        else:
+            c = make(["b", "a"])
+            assert (c.names, c.s.tolist(), c.m.tolist()) == (("a", "b"), [1, 0], [1, 1])
+
+    def test_plain_reader_does_not_recheck_its_sorted_names(self, tmp_path, monkeypatch):
+        # Its names come from sorted, distinct packed keys; a caller's names
+        # still get the check.
+        compared = []
+        monkeypatch.setattr(core_module, "operator", types.SimpleNamespace(
+            lt=lambda a, b: compared.append(a) or a < b))
+        path = tmp_path / "data.csv"
+        path.write_text("group,label,prediction\nb,0,1\na,0,0\nc,1,1\n", encoding="utf-8")
+        counts = read_records(str(path), SP)
+        assert counts.names == ("a", "b", "c") and compared == []
+        GroupCounts.from_cells(list(counts.names), np.ones((3, 2, 2), np.int64), SP)
+        assert compared == ["a", "b"]
 
     def test_rejects_non_integer_counts(self):
         with pytest.raises(ValueError):

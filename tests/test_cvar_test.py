@@ -1,5 +1,7 @@
 """Tests for the threshold audit test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,22 @@ class TestClassifyRegion:
                 fills.clear()
                 assert classify_region(inst, alpha, 0.3) is Region.P0
                 assert fills == []
+
+    def test_p1_check_holds_at_most_one_k_sized_array(self):
+        # The largest gap reads the extreme means, and the equal-weight fill
+        # sorts the fresh gaps in place and walks them in chunks: the gaps
+        # are the one K-sized array.
+        k = 65536
+        inst = FairnessInstance(GroupWeights.uniform(k), [0.9] * (k // 4) + [0.5] * (k - k // 4))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            region = classify_region(inst, 0.75, 0.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert region is Region.P1
+        assert 8 * k <= peak < 2 * 8 * k
 
     @pytest.mark.parametrize("alpha", [1.0, -0.5, float("nan")])
     def test_bad_alpha_still_rejected(self, alpha):

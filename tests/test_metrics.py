@@ -1,11 +1,14 @@
 """Tests for the exact fairness metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import _random_instances
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import Region, classify_region
+from fairaudit import metrics
 from fairaudit.errors import InstanceTooLarge
 from fairaudit.metrics import (
     FILL_CHUNK,
@@ -81,6 +84,25 @@ class TestMaxGap:
             GroupWeights.uniform(4), [0.5 + eps * 4 / 3, 0.5, 0.5, 0.5]
         )
         assert abs(max_gap(inst) - eps) <= 1e-12
+
+    def test_matches_the_largest_of_all_gaps(self):
+        # Read from the extreme means alone, the largest gap keeps the bits of
+        # the largest of all K gaps: for equal means (whose Lbar can round
+        # away from them) and for an Lbar that equals the largest or the
+        # smallest mean (all weight on that group).
+        rng = np.random.default_rng(63)
+        for case in range(600):
+            k = int(rng.choice([1, 2, 3, 17, 1000, 4099]))
+            raw = rng.dirichlet(np.ones(k)) if rng.random() < 0.5 else np.ones(k)
+            mu = rng.random(k) if case % 3 else np.full(k, rng.choice([0.1, 0.3, rng.random()]))
+            if case % 5 == 0:
+                raw = np.zeros(k)
+                raw[int(np.argmax(mu) if case % 2 else np.argmin(mu))] = 1.0
+            inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
+            lbar = average_quality(inst)
+            if case % 5 == 0:
+                assert lbar in (mu.max(), mu.min())
+            assert max_gap(inst).hex() == float(np.abs(mu - lbar).max()).hex(), case
 
 
 def _fractional_loop(inst, alpha):
@@ -345,6 +367,142 @@ class TestEqualWeightFill:
             inst = FairnessInstance(GroupWeights.uniform(k), mu)
             alphas = edges + list(rng.random(4)) + [1.0 - t / k for t in rng.integers(1, k + 1, 2)]
             _assert_fill_matches(inst, alphas)
+
+
+def _spy_walks(monkeypatch):
+    """Record (number of selected groups or None for all K, ended) of every walk in gap order."""
+    walks = []
+    walk = metrics._walk_order
+
+    def spy(w, delta, ids, budget):
+        total, ended = walk(w, delta, ids, budget)
+        walks.append((None if ids is None else ids.size, ended))
+        return total, ended
+
+    monkeypatch.setattr(metrics, "_walk_order", spy)
+    return walks
+
+
+def _tied_at_the_cut(k, alpha, rng, zero=0):
+    """Unequal weights at K = k with a run of 601 tied gaps around the rank where the fill cuts.
+
+    `zero` of the tied groups get weight 0.  Returns the instance and the
+    number of groups the fill first selects.
+    """
+    count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
+    w = rng.dirichlet(np.ones(k))
+    mu = rng.random(k)
+    lbar = np.dot(w, mu)
+    ranked = np.argsort(-np.abs(mu - lbar), kind="stable")
+    v = mu[ranked[count - 1]]
+    # Groups on v's side of Lbar, by rank: tying them to v moves Lbar little.
+    side = ranked[(mu[ranked] < lbar) == (v < lbar)]
+    at = int(np.flatnonzero(side == ranked[count - 1])[0])
+    band = side[at - 300 : at + 301]
+    mu[band] = v
+    # The tied groups' mass moves to one of them that keeps its weight: with
+    # equal means, Lbar stays where it was.
+    rng.shuffle(band)
+    w[band[zero]] += w[band[:zero]].sum()
+    w[band[:zero]] = 0.0
+    inst = FairnessInstance(GroupWeights(w / w.sum()), mu)
+    delta = np.abs(mu - average_quality(inst))
+    cut = np.partition(delta, k - count)[k - count]
+    assert (delta > cut).sum() < count - 1 and (delta >= cut).sum() > count + 1
+    return inst, count
+
+
+class TestSelectedFill:
+    """Unequal weights sort only the groups at or above the boundary gap, with the full sort's bits."""
+
+    @pytest.mark.parametrize("k", [FILL_CHUNK - 1, FILL_CHUNK, FILL_CHUNK + 1,
+                                   3 * FILL_CHUNK + 17, 65536])
+    def test_selection_matches_one_pass_fill(self, k, monkeypatch):
+        # alpha near 0 sorts all K groups; the larger alphas select fewer
+        # groups wherever one chunk past (1 - alpha) K is below K.
+        walks = _spy_walks(monkeypatch)
+        rng = np.random.default_rng(k + 1)
+        alphas = (2.0**-52, 1e-12, 0.3, 0.75, 0.9, 1.0 - 2.0**-40, 1.0 - 1e-9)
+        for raw in (rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7),
+                    1.0 + np.arange(k) % 7):
+            inst = FairnessInstance(GroupWeights(raw / raw.sum()), rng.random(k))
+            for alpha in alphas:
+                walks.clear()
+                _assert_fill_matches(inst, [alpha])
+                count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
+                if count < k:
+                    assert walks[-1][1] and walks[-1][0] < k, alpha
+                else:
+                    assert [ids for ids, _ in walks] == [None], alpha
+
+    @pytest.mark.parametrize("zero", [0, 50, 600])
+    def test_ties_at_the_cut_off_are_all_selected(self, zero, monkeypatch):
+        # Gaps tied at the cut-off are all selected, in index order, zero-weight
+        # ones too, so the stable order of the tied groups is the full sort's.
+        walks = _spy_walks(monkeypatch)
+        rng = np.random.default_rng(64 + zero)
+        for k in (3 * FILL_CHUNK + 17, 65536):
+            for alpha in (0.75, 0.9):
+                inst, count = _tied_at_the_cut(k, alpha, rng, zero)
+                walks.clear()
+                _assert_fill_matches(inst, [alpha])
+                assert walks[0][0] > count + 1 and walks[-1][1]
+
+    def test_a_sliver_past_the_selection_takes_a_larger_one(self, monkeypatch):
+        # The boundary group is the last one selected.  Taking it in part can
+        # leave a sliver of budget, which the next group takes: that group is
+        # not selected, so the fill selects again.
+        walks = _spy_walks(monkeypatch)
+        k, taken = 65536, 40000
+        count = taken + FILL_CHUNK  # the first selection when ceil((1 - alpha) K) = taken
+        # The rest of 1 - alpha (about 0.52) that the boundary group takes can
+        # round at a tie only when the mass before it (about 0.09) has a set
+        # bit below 1 - alpha's last one, as it has with this seed.
+        rng = np.random.default_rng(79)
+        raw = np.empty(k)
+        raw[: count - 1] = rng.uniform(0.5, 1.5, count - 1) * (0.09 / count)
+        raw[count - 1] = 0.6
+        raw[count:] = (0.4 - raw[: count - 1].sum()) / (k - count)
+        # Distinct gaps in index order: means near 1, the boundary group's 0,
+        # and the rest near Lbar, which the groups before them set.
+        top = 1.0 - np.arange(count - 1) * 1e-7
+        lbar = raw[: count - 1] @ top / (raw[: count - 1].sum() + 0.6)
+        mu = np.concatenate((top, [0.0], lbar + np.arange(k - count) * 1e-9))
+        inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
+        filled = float(np.cumsum(inst.weights.as_array()[: count - 1])[-1])
+        # Budgets that 1 - alpha gives back exactly.
+        budgets = 1.0 - (1.0 - rng.uniform((taken - 1) / k, taken / k, 400))
+        slivers = [b for b in budgets if filled + (b - filled) < b]
+        exact = [b for b in budgets if filled + (b - filled) == b]
+        # Twice `count` passes K, so the second walk sorts all K groups.
+        for budget, want in ((slivers[0], [(count, False), (None, True)]),
+                             (exact[0], [(count, True)])):
+            alpha = 1.0 - budget
+            assert 1.0 - alpha == budget and math.ceil(budget * k) == taken
+            walks.clear()
+            _assert_fill_matches(inst, [alpha])
+            assert walks == want
+
+    def test_a_selection_short_of_the_budget_is_not_walked(self, monkeypatch):
+        # The 30000 largest gaps carry almost no mass, so the first selection
+        # cannot cover the budget; only the doubled one is sorted and walked.
+        walks = _spy_walks(monkeypatch)
+        k, light, alpha = 65536, 30000, 0.75
+        count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
+        raw = np.where(np.arange(k) < light, 1e-6, 1.0)
+        mu = np.where(np.arange(k) < light, 1.0 - np.arange(k) * 1e-7, 0.3 + np.arange(k) * 1e-8)
+        inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
+        _assert_fill_matches(inst, [alpha])
+        assert len(walks) == 1 and walks[0][1] and walks[0][0] >= 2 * count
+
+    def test_fill_leaves_the_means_alone(self):
+        rng = np.random.default_rng(66)
+        for raw in (np.ones(65536), rng.dirichlet(np.ones(65536))):
+            inst = FairnessInstance(GroupWeights(raw / raw.sum()), rng.random(65536))
+            mu = inst.mu_array().copy()
+            for alpha in (0.0, 0.75, 1.0 - 1e-9):
+                cvar_fairness(inst, alpha)
+                assert np.array_equal(inst.mu_array(), mu)
 
 
 def _sliver_then_zero(inst, alpha):

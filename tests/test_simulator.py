@@ -15,7 +15,7 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
-from fairaudit.estimator import _ratio_terms, estimate_from_counts, exact_moments
+from fairaudit.estimator import _ratio_terms, estimate_entries, estimate_from_counts, exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -420,6 +420,113 @@ class TestDrawReplays:
         assert simulator._mean_codes(np.arange(9) / 8) is None
         codes, means = simulator._mean_codes(np.arange(8) / 8)
         assert codes.tolist() == list(range(8))
+
+
+def _old_block(inst, plan, setup):
+    """The sparse block by way of S (reference).
+
+    Draws every entry's group, S from the loss sampler, then S's terms.
+    """
+    losses = simulator._loss_sampler(inst.mu_array(), plan.block)
+    c = None if setup.weights is None else setup.weights[0]
+
+    def score(rng, size):
+        rows, groups = simulator._included(rng, setup.classes, size)
+        return estimate_entries(rows, groups, losses(rng, groups), setup.terms, c, size)
+
+    return score
+
+
+def _random_attr_case(rng):
+    """An attribute-specific plan and an instance with 1 to 8 means, or 9 (no replay)."""
+    k = int(rng.choice([1, 2, 5, 64, 999, 3000]))
+    style = rng.integers(4)
+    if style == 0:  # equal weights: one normalizer, carried by the term tables
+        raw = np.ones(k)
+    elif style == 1:  # a few weights: several inclusion classes
+        raw = rng.choice([1.0, 1.5, 2.0, 3.0, 7.9], size=k)
+    else:
+        raw = rng.dirichlet(np.ones(k)) * (rng.random(k) < rng.choice([1.0, 0.7]))
+        if not raw.any():
+            raw[0] = 1.0
+    w = GroupWeights(raw / raw.sum())
+    block = int(rng.integers(2, 6))
+    budget = block * int(rng.integers(1, 3 * k + 1))
+    plan = AttributeSpecificPlan(w=w, budget=budget, gamma=budget / block)
+    pool = rng.choice([0.5, 0.9, 0.1, 1.0, 0.25, 0.75, 1e-9, 1 - 1e-9, 0.6], size=9, replace=False)
+    means = pool[: int(rng.integers(1, 10))]
+    return FairnessInstance(w, rng.choice(means, size=k)), plan
+
+
+class TestBlockScorer:
+    """A block's terms looked up by the loss replay's row: the bits and stream of S's own terms."""
+
+    @staticmethod
+    def _check(inst, plan, seeds):
+        setup = simulator._setup(plan, inst.weights)
+        score = simulator._block_scorer(inst, plan, setup, {})
+        old = _old_block(inst, plan, setup)
+        for seed in seeds:
+            for size in {1, setup.block, 3 * setup.block}:
+                a, b = _pair_of_generators([seed, size])
+                got, want = score(a, size), old(b, size)
+                assert all(_same_bits(x, y) for x, y in zip(got, want)), _STREAMS_NOTE
+                assert _same_stream(a, b), _STREAMS_NOTE
+        return setup, score
+
+    def test_random_plans_and_instances(self):
+        rng = np.random.default_rng(410)
+        replayed = shared = grouped = classes = 0
+        for case in range(150):
+            inst, plan = _random_attr_case(rng)
+            setup, score = self._check(inst, plan, seeds=[case])
+            replayed += score.__name__ == "score"
+            shared += setup.weights is None
+            grouped += np.unique(inst.mu_array()).size > 1
+            classes += len(setup.classes) > 1
+        assert min(replayed, shared, grouped, classes) >= 10 and replayed < 150
+
+    def test_benchmark_shape(self):
+        # Equal weights: the fair side draws no per-entry group index, the
+        # unfair side (two means) looks up each entry's mean by its group.
+        exp = _attr_wide_sweep(GroupWeights.uniform(65536), 0.9)
+        for point in exp.points:
+            for inst in (point.h0, point.h1):
+                self._check(inst, point.cfg.plan, seeds=[1, 2])
+
+    def test_ungrouped_draw_matches_the_grouped_rows(self):
+        raw = 1.0 + np.arange(4096) % 3  # three classes, two with p_g / q < 1
+        uneven = AttributeSpecificPlan(w=GroupWeights(raw / raw.sum()), budget=4096, gamma=2048.0)
+        for plan in (_uniform_plan(4096, False), _uniform_plan(4096, True), uneven):
+            classes = simulator._setup(plan, plan.w).classes
+            a, b = _pair_of_generators(411)
+            rows, groups = simulator._included(a, classes, 9, grouped=False)
+            want_rows, _ = simulator._included(b, classes, 9)
+            assert groups is None and _same_bits(rows, want_rows) and _same_stream(a, b)
+
+    def test_redraw_takes_the_binomial_block(self, monkeypatch):
+        # Thresholds cut at px_0 make most draws pass every threshold: the
+        # replay's rows then hold NaN terms, and the block is numpy's
+        # rng.binomial draw, from the generator state before the block.
+        real = simulator._inversion_thresholds
+        monkeypatch.setattr(simulator, "_inversion_thresholds", lambda mean, m: real(mean, m)[:1])
+        rng = np.random.default_rng(412)
+        for mu in ([0.3], [0.3, 0.6], [0.2, 0.5, 0.9]):
+            w = GroupWeights(rng.dirichlet(np.ones(300)))
+            for weights in (GroupWeights.uniform(300), w):
+                inst = FairnessInstance(weights, rng.choice(mu, size=300))
+                plan = AttributeSpecificPlan(w=weights, budget=300, gamma=150.0)
+                setup = simulator._setup(plan, weights)
+                score = simulator._block_scorer(inst, plan, setup, {})
+                assert score.__name__ == "score"
+                c = None if setup.weights is None else setup.weights[0]
+                a, b = _pair_of_generators(413)
+                got = score(a, setup.block)
+                rows, groups = simulator._included(b, setup.classes, setup.block)
+                s = b.binomial(plan.block, inst.mu_array()[groups])
+                want = estimate_entries(rows, groups, s, setup.terms, c, setup.block)
+                assert all(_same_bits(x, y) for x, y in zip(got, want))
+                assert _same_stream(a, b)
 
 
 def _classes_oracle(p):
