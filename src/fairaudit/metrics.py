@@ -68,22 +68,26 @@ def max_gap(inst: FairnessInstance) -> float:
     return float(max(abs(mu.max() - lbar), abs(mu.min() - lbar)))
 
 
-def _walk(ws: np.ndarray, ds: np.ndarray, budget: float) -> tuple[float, bool]:
-    """(sum_g take_g * ds_g, ended) of the greedy fill of `budget` over groups in fill order.
+def _walk(w: np.ndarray, delta: np.ndarray, budget: float, order: np.ndarray | None = None):
+    """(sum_g take_g * delta_g, ended) of the greedy fill of `budget` over groups in fill order.
 
-    `ws` and `ds` hold the groups' positive weights and their gaps in fill
-    order.  Groups are taken whole until the first one that does not fit,
-    which is taken in part; rounding can leave a sliver of budget for the
-    next one or two groups.  The groups are walked FILL_CHUNK at a time, and
-    the walk stops at the chunk that holds the boundary group.  The mass and
-    total carried from earlier chunks are added to a chunk's first element
-    before its cumsum, so every partial sum is the one a sequential loop
-    gives.  `ended` is False when budget is left after the last group given:
-    the total is then the fill's only if no groups follow.
+    The fill order is `order`, or the order of `w` and `delta` when None.
+    Groups are taken whole until the first one that does not fit, which is
+    taken in part; rounding can leave a sliver of budget for the next one or
+    two groups.  A zero-weight group adds 0 to both running sums, so it
+    leaves every partial sum as it was and passes a sliver on.  The groups
+    are walked FILL_CHUNK at a time, and the walk stops at the chunk that
+    holds the boundary group.  The mass and total carried from earlier chunks
+    are added to a chunk's first element before its cumsum, so every partial
+    sum is the one a sequential loop gives.  `ended` is False when budget is
+    left after the last group given: the total is then the fill's only if no
+    groups follow.
     """
+    n = delta.size if order is None else order.size
     filled = total = 0.0
-    for start in range(0, ws.size, FILL_CHUNK):
-        wc = ws[start : start + FILL_CHUNK]
+    for start in range(0, n, FILL_CHUNK):
+        part = slice(start, start + FILL_CHUNK) if order is None else order[start : start + FILL_CHUNK]
+        wc, dc = w[part], delta[part]
         used = wc.copy()
         used[0] += filled
         np.cumsum(used, out=used)
@@ -91,7 +95,7 @@ def _walk(ws: np.ndarray, ds: np.ndarray, budget: float) -> tuple[float, bool]:
         over = wc > room
         j = int(np.argmax(over)) if over.any() else wc.size
         if j:
-            taken = wc[:j] * ds[start : start + j]
+            taken = wc[:j] * dc[:j]
             taken[0] += total
             total = float(np.cumsum(taken)[-1])
             filled = float(used[j - 1])
@@ -99,65 +103,64 @@ def _walk(ws: np.ndarray, ds: np.ndarray, budget: float) -> tuple[float, bool]:
             break
     else:
         return total, budget - filled <= 0.0
-    for g in range(start + j, ws.size):
-        take = min(ws[g], budget - filled)
-        if take <= 0.0:
+    for g in range(start + j, n) if order is None else order[start + j :]:
+        if budget - filled <= 0.0:
             return total, True
-        total += take * ds[g]
+        take = min(w[g], budget - filled)
+        total += take * delta[g]
         filled += take
     return total, budget - filled <= 0.0
 
 
 def _walk_order(w: np.ndarray, delta: np.ndarray, ids: np.ndarray | None, budget: float):
-    """`_walk` over the positive-weight groups `ids` (ascending; None for all) in gap order.
-
-    The order is a stable argsort's: descending gap, ties in index order.
-    Without ties it is the only order that sorts the gaps, so the faster
-    unstable argsort finds it; only gaps with ties take the stable one.
-    """
-    keys = -delta if ids is None else -delta[ids]
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(keys, kind="stable")
-    if ids is not None:
-        order = ids[order]
-    order = order[w[order] > 0.0]
-    return _walk(w[order], delta[order], budget)
+    """`_walk` over the groups `ids` (ascending; None for all) in stable gap order."""
+    order = np.argsort(-delta if ids is None else -delta[ids], kind="stable")
+    return _walk(w, delta, budget, order if ids is None else ids[order])
 
 
 def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
     """sum_g take_g * delta_g of the greedy fill of `budget` in descending gap order.
 
-    Ties in gap are taken in index order, as a stable argsort orders them,
-    and zero-weight groups carry no mass, so they are skipped rather than
-    ending the fill (see `_walk`).  `delta` must be a fresh array: the fill
-    may reorder it.
+    Ties in gap are taken in index order, as a stable argsort orders them;
+    zero-weight groups carry no mass and add nothing (see `_walk`).  `delta`
+    must be a fresh array: the fill may reorder it.
 
     Under equal weights (all positive, as they sum to 1) the fill reads only
     the gaps in descending order, and tied gaps give equal products, so it
     sorts `delta` in place and walks it backwards, with the bits of the index
     fill and no K-sized temporary.  Otherwise only the groups at or above the
-    boundary gap need sorting.  `np.partition` finds the gap of rank `count`,
-    and the groups at or above it, ties at the cut-off included, keep their
-    index order into the stable sort: they are the first groups of the full
-    gap order.  `count` starts one chunk past the groups an equal-weight fill
-    would take and doubles until their mass covers the budget and the walk
-    ends among them; failing that, the fill sorts all K groups.
+    boundary gap need the stable sort: the groups whose gap is at least a
+    cut, ties at the cut included, are the first groups of the full gap
+    order, in index order.  The cut is the gap of rank about `count`, read
+    from a sorted sample of every (K // FILL_CHUNK)-th gap: `np.partition`
+    of all K gaps costs more than the stable sort when most gaps are tied.
+    `count` starts one chunk past the groups an equal-weight fill would take
+    and doubles until the selected mass covers the budget and the walk,
+    sliver tail included, ends among them.  A cut at the smallest gap, or a
+    count past K, sorts all K groups.
     """
     if w.min() == w.max():
         delta.sort()
         return _walk(np.broadcast_to(w[0], delta.shape), delta[::-1], budget)[0]
     k = delta.size
     count = math.ceil(budget * k) + FILL_CHUNK
+    if count < k:
+        stride = k // FILL_CHUNK
+        sample = np.sort(delta[::stride])
+        lowest, tried = delta.min(), None
     while count < k:
-        cut = np.partition(delta, k - count)[k - count]
-        top = np.flatnonzero(delta >= cut)
-        if w[top].sum() >= budget:
-            total, ended = _walk_order(w, delta, top, budget)
+        cut = sample[-(count // stride)]
+        count *= 2
+        if cut == lowest:  # every group is selected
+            break
+        if cut == tried:  # tied over both counts: the same groups again
+            continue
+        tried = cut
+        selected = delta >= cut
+        if w.sum(where=selected) >= budget:
+            total, ended = _walk_order(w, delta, np.flatnonzero(selected), budget)
             if ended:
                 return total
-        count *= 2
     return _walk_order(w, delta, None, budget)[0]
 
 

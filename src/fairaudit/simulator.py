@@ -418,10 +418,13 @@ def _block_scorer(
             x = index(rng, rows.size, groups)
             f1, f2 = estimate_entries(rows, groups, x, composed, c, size)
             if np.isnan(f1).any():
-                # numpy drew some U again: the block as `reference` draws it,
-                # with every entry's group, from the state before the block.
+                # numpy drew some U again: the block drawn again from the state
+                # before it, its losses by `rng.binomial` as the sampler's
+                # fallback draws them.
                 rng.bit_generator.state = state
-                return reference(rng, size)
+                rows, groups = _included(rng, classes, size)
+                s = rng.binomial(plan.block, mu[groups])
+                return estimate_entries(rows, groups, s, terms, c, size)
             return f1, f2
 
     else:

@@ -383,21 +383,31 @@ def _spy_walks(monkeypatch):
     return walks
 
 
+def _cut(inst, count):
+    """(cut, gaps): the cut the fill reads for `count`, the gap of rank count // stride
+    among every stride-th gap, stride = K // FILL_CHUNK."""
+    delta = np.abs(inst.mu_array() - average_quality(inst))
+    stride = inst.k // FILL_CHUNK
+    return np.sort(delta[::stride])[-(count // stride)], delta
+
+
 def _tied_at_the_cut(k, alpha, rng, zero=0):
-    """Unequal weights at K = k with a run of 601 tied gaps around the rank where the fill cuts.
+    """Unequal weights at K = k with a run of 601 gaps tied at the fill's first cut.
 
     `zero` of the tied groups get weight 0.  Returns the instance and the
-    number of groups the fill first selects.
+    number of groups at or above the cut.
     """
     count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
     w = rng.dirichlet(np.ones(k))
-    mu = rng.random(k)
-    lbar = np.dot(w, mu)
-    ranked = np.argsort(-np.abs(mu - lbar), kind="stable")
-    v = mu[ranked[count - 1]]
+    inst = FairnessInstance(GroupWeights(w), rng.random(k))
+    cut, delta = _cut(inst, count)
+    mu, lbar = inst.mu_array().copy(), average_quality(inst)
+    ranked = np.argsort(-delta, kind="stable")
+    at_cut = ranked[int(np.flatnonzero(delta[ranked] == cut)[0])]
+    v = mu[at_cut]
     # Groups on v's side of Lbar, by rank: tying them to v moves Lbar little.
     side = ranked[(mu[ranked] < lbar) == (v < lbar)]
-    at = int(np.flatnonzero(side == ranked[count - 1])[0])
+    at = int(np.flatnonzero(side == at_cut)[0])
     band = side[at - 300 : at + 301]
     mu[band] = v
     # The tied groups' mass moves to one of them that keeps its weight: with
@@ -406,10 +416,9 @@ def _tied_at_the_cut(k, alpha, rng, zero=0):
     w[band[zero]] += w[band[:zero]].sum()
     w[band[:zero]] = 0.0
     inst = FairnessInstance(GroupWeights(w / w.sum()), mu)
-    delta = np.abs(mu - average_quality(inst))
-    cut = np.partition(delta, k - count)[k - count]
-    assert (delta > cut).sum() < count - 1 and (delta >= cut).sum() > count + 1
-    return inst, count
+    cut, delta = _cut(inst, count)
+    assert (delta == cut).sum() == 601 and (delta > cut).sum() > count // 2
+    return inst, int((delta >= cut).sum())
 
 
 class TestSelectedFill:
@@ -443,10 +452,10 @@ class TestSelectedFill:
         rng = np.random.default_rng(64 + zero)
         for k in (3 * FILL_CHUNK + 17, 65536):
             for alpha in (0.75, 0.9):
-                inst, count = _tied_at_the_cut(k, alpha, rng, zero)
+                inst, selected = _tied_at_the_cut(k, alpha, rng, zero)
                 walks.clear()
                 _assert_fill_matches(inst, [alpha])
-                assert walks[0][0] > count + 1 and walks[-1][1]
+                assert walks == [(selected, True)]
 
     def test_a_sliver_past_the_selection_takes_a_larger_one(self, monkeypatch):
         # The boundary group is the last one selected.  Taking it in part can
@@ -454,29 +463,35 @@ class TestSelectedFill:
         # not selected, so the fill selects again.
         walks = _spy_walks(monkeypatch)
         k, taken = 65536, 40000
-        count = taken + FILL_CHUNK  # the first selection when ceil((1 - alpha) K) = taken
+        stride = k // FILL_CHUNK
+        count = taken + FILL_CHUNK  # the first count when ceil((1 - alpha) K) = taken
+        # Gaps fall with the index up to the boundary group, so the cut, the
+        # gap of rank count // stride among every stride-th one, is its gap.
+        last = stride * (count // stride - 1)
         # The rest of 1 - alpha (about 0.52) that the boundary group takes can
         # round at a tie only when the mass before it (about 0.09) has a set
         # bit below 1 - alpha's last one, as it has with this seed.
-        rng = np.random.default_rng(79)
+        rng = np.random.default_rng(70)
         raw = np.empty(k)
-        raw[: count - 1] = rng.uniform(0.5, 1.5, count - 1) * (0.09 / count)
-        raw[count - 1] = 0.6
-        raw[count:] = (0.4 - raw[: count - 1].sum()) / (k - count)
+        raw[:last] = rng.uniform(0.5, 1.5, last) * (0.09 / last)
+        raw[last] = 0.6
+        raw[last + 1 :] = (0.4 - raw[:last].sum()) / (k - last - 1)
         # Distinct gaps in index order: means near 1, the boundary group's 0,
         # and the rest near Lbar, which the groups before them set.
-        top = 1.0 - np.arange(count - 1) * 1e-7
-        lbar = raw[: count - 1] @ top / (raw[: count - 1].sum() + 0.6)
-        mu = np.concatenate((top, [0.0], lbar + np.arange(k - count) * 1e-9))
+        top = 1.0 - np.arange(last) * 1e-7
+        lbar = raw[:last] @ top / (raw[:last].sum() + 0.6)
+        mu = np.concatenate((top, [0.0], lbar + np.arange(k - last - 1) * 1e-9))
         inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
-        filled = float(np.cumsum(inst.weights.as_array()[: count - 1])[-1])
+        cut, delta = _cut(inst, count)
+        assert cut == delta[last] and (delta >= cut).sum() == last + 1
+        filled = float(np.cumsum(inst.weights.as_array()[:last])[-1])
         # Budgets that 1 - alpha gives back exactly.
         budgets = 1.0 - (1.0 - rng.uniform((taken - 1) / k, taken / k, 400))
         slivers = [b for b in budgets if filled + (b - filled) < b]
         exact = [b for b in budgets if filled + (b - filled) == b]
         # Twice `count` passes K, so the second walk sorts all K groups.
-        for budget, want in ((slivers[0], [(count, False), (None, True)]),
-                             (exact[0], [(count, True)])):
+        for budget, want in ((slivers[0], [(last + 1, False), (None, True)]),
+                             (exact[0], [(last + 1, True)])):
             alpha = 1.0 - budget
             assert 1.0 - alpha == budget and math.ceil(budget * k) == taken
             walks.clear()
@@ -493,7 +508,29 @@ class TestSelectedFill:
         mu = np.where(np.arange(k) < light, 1.0 - np.arange(k) * 1e-7, 0.3 + np.arange(k) * 1e-8)
         inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
         _assert_fill_matches(inst, [alpha])
-        assert len(walks) == 1 and walks[0][1] and walks[0][0] >= 2 * count
+        first, delta = _cut(inst, count)
+        assert (delta >= first).sum() < light
+        assert walks == [(int((delta >= _cut(inst, 2 * count)[0]).sum()), True)]
+
+    @pytest.mark.parametrize("hot, alphas", [(slice(-16384, None), (0.3, 0.75, 0.9)),
+                                             (slice(16384), (0.3, 0.75))])
+    def test_tied_gaps_sort_all_groups_once(self, hot, alphas, monkeypatch):
+        # Zipf weights with the lightest or the heaviest quarter of the groups
+        # hot: two gaps.  The cut falls on the smaller gap, which selects all
+        # K groups, or on the larger one, whose groups carry less mass than
+        # the budget at every count that reads it (0.025 when the lightest are
+        # hot, 0.12 when the heaviest are).  Either way the fill sorts all K
+        # groups, once.
+        walks = _spy_walks(monkeypatch)
+        k = 65536
+        raw = 1.0 / np.arange(1, k + 1)
+        mu = np.full(k, 0.4)
+        mu[hot] = 0.6
+        inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
+        for alpha in alphas:
+            walks.clear()
+            _assert_fill_matches(inst, [alpha])
+            assert walks == [(None, True)], alpha
 
     def test_fill_leaves_the_means_alone(self):
         rng = np.random.default_rng(66)
