@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import math
 import os
 import re
 import sys
@@ -62,9 +63,11 @@ _SIMULATE_KEYS = frozenset(
 def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment.
 
-    A key outside `keys` is a ConfigError that names its line.
+    A key outside `keys`, or a key given twice, is a ConfigError that names
+    its line.
     """
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
@@ -74,6 +77,9 @@ def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated (first on line {first[key]})")
+        first[key] = lineno
         out[key] = value
     return out
 
@@ -91,19 +97,22 @@ _EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated i
 def _setting(conf: dict[str, str], path: str, key: str, parse, default=_REQUIRED):
     """conf[key] read by `parse` (int, float or _int_list), or `default` when absent.
 
-    A missing required key, or a value `parse` rejects, is a ConfigError that
-    names the file and the key.
+    A missing required key, a value `parse` rejects, or a float that is NaN or
+    infinite is a ConfigError that names the file and the key.
     """
     if key not in conf:
         if default is _REQUIRED:
             raise ConfigError(f"{path}: missing key {key!r}")
         return default
     try:
-        return parse(conf[key])
+        value = parse(conf[key])
     except ValueError:
         raise ConfigError(
             f"{path}: {key} must be {_EXPECTED[parse]}, got {conf[key]!r}"
         ) from None
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: {key} must be a finite number, got {conf[key]!r}")
+    return value
 
 
 def _choice(conf: dict[str, str], path: str, key: str, choices: tuple[str, ...]) -> str:
@@ -168,6 +177,9 @@ _SCAN_BYTES = 1 << 18
 # An odd multiplier for hashing key words (the 64-bit golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"
+# _TAIL_MASKS[n] keeps the last n bytes of a word in memory order, whatever
+# the machine's byte order.
+_TAIL_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_WORD + 1)], ">u8").view(np.uint64)
 
 
 class _NotPlain(Exception):
@@ -272,6 +284,12 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
     return text, cells
 
 
+def _byte_words(text: np.ndarray) -> np.ndarray:
+    """The big-endian uint64 word of the 8 bytes at each offset of text (a
+    strided view, no copy): word i holds text[i:i + 8]."""
+    return np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
+
+
 def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     """The packed keys of the cells text[start:end], a word at a time, in as
     few words as the longest cell needs; _NotPlain if one is too long."""
@@ -284,7 +302,7 @@ def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     # that chunk ends, shifted left past the bytes before the chunk (a shift by
     # 64 gives 0, for a chunk past the cell's end).  Every chunk ends at offset
     # 8 or later, since the header in front of a cell has two named columns.
-    view = np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
+    view = _byte_words(text)
     last = end - _WORD
     for j in range(words):
         yield _key_word(view, start, last, length, j, j == words - 1)
@@ -533,16 +551,74 @@ def _missing_weights(path: str, missing: list[str]) -> ConfigError:
     return ConfigError(f"{path}: missing weights for groups {shown_groups(missing)}")
 
 
+def _same_as_previous(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each cell text[start:end] holds the bytes of the cell before it
+    (never the first cell, nor a cell longer than _WORD * _KEY_WORDS bytes).
+
+    A cell whose length and last 8 bytes (fewer if it is shorter) match the
+    previous cell's is a candidate; only candidates of more than 8 bytes are
+    then confirmed, a word at a time.  So cells that all differ cost one
+    word per cell.
+    """
+    length = end - start
+    view = _byte_words(text)
+    last = end - _WORD
+    # Compared for equality only, so the words keep their bytes as they are.
+    tail = view[last].view(np.uint64)
+    if length.min() < _WORD:
+        tail &= _TAIL_MASKS[np.minimum(length, _WORD)]
+    same = np.zeros(length.size, bool)
+    np.equal(length[1:], length[:-1], out=same[1:])
+    same[1:] &= tail[1:] == tail[:-1]
+    del tail
+    same &= length <= _WORD * _KEY_WORDS  # longer cells are parsed on their own
+    check = same & (length > _WORD)
+    if check.any():
+        # The candidates and the cells before them, in order: each candidate
+        # follows its predecessor, whose words sit at the same distances from
+        # its start (the lengths are equal), clamped to its last word.  A
+        # cell here that is no candidate precedes one, so it is as long and
+        # already marked as differing from the cell before it.
+        cells = check.copy()
+        cells[:-1] |= check[1:]
+        cells = np.flatnonzero(cells)
+        if cells.size < length.size:
+            start, last, length = start[cells], last[cells], length[cells]
+        for j in range(-(-int(length.max()) // _WORD) - 1):
+            word = view[np.minimum(start + _WORD * j, last)]
+            same[cells[1:][word[1:] != word[:-1]]] = False
+    return same
+
+
 def _sidecar_plain(path: str, names: Sequence[str]) -> np.ndarray:
+    """The vectorised reader of a plain weight sidecar (see _plain_cells):
+    its weights aligned to `names`, the sorted group names.
+
+    The group cells are factorised as the data reader's long names are
+    (_factorise), and the keys of `names` are looked up among them, unless
+    they are the same keys (a row or more for each group, and no others).
+    The weight cells are read by float() from their bytes, once per run of
+    byte-identical adjacent cells (_same_as_previous), so a sidecar of
+    uniform or per-stratum weights costs a handful of float() calls.  A cell
+    float() rejects raises _NotPlain, at the start of its run: csv.reader
+    then gives the error and its line number, or reads the cell as str
+    (non-ASCII digits).
+    """
     data = _read_plain(path, _SIDECAR_COLUMNS)
-    text, (group, weight) = _plain_cells(data, _SIDECAR_COLUMNS)
+    text, (group, (start, end)) = _plain_cells(data, _SIDECAR_COLUMNS)
     keys, inverse = _factorise(text, *group)
+    runs = np.flatnonzero(~_same_as_previous(text, start, end))
     del text, group
+    repeats = runs.size < inverse.size
+    if repeats:
+        start, end = start[runs], end[runs]
     try:
         # Iterating memoryviews builds no lists of offsets.
-        values = np.array([float(data[a:b]) for a, b in zip(*map(memoryview, weight))])
+        values = np.array([float(data[a:b]) for a, b in zip(*map(memoryview, (start, end)))])
     except ValueError:
         raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
+    if repeats:
+        values = np.repeat(values, np.diff(runs, append=inverse.size))
     # The last row of a repeated group wins.
     rows = np.zeros(keys[0].size, np.intp)
     np.maximum.at(rows, inverse, np.arange(inverse.size))
@@ -552,6 +628,8 @@ def _sidecar_plain(path: str, names: Sequence[str]) -> np.ndarray:
     else:
         words = max(len(keys), len(want))
         keys, want = _key_bytes(keys, words), _key_bytes(want, words)
+    if keys.size == want.size and np.array_equal(keys, want):
+        return values[rows]  # one row or more for each group, and no others
     at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     missing = np.flatnonzero(keys[at] != want)
     if missing.size:
@@ -581,9 +659,13 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
 
     The last row of a repeated group wins.  A plain file (see _plain_cells)
     is matched to `names` by packed keys when every name has at most 32
-    bytes; any other input is streamed through csv.reader, with the same
-    result.  The names of the counts the last plain data read returned are
-    matched by the keys that read sorted, without packing them again.
+    bytes, and its weight cells are parsed by float() once per run of
+    byte-identical adjacent cells (see _sidecar_plain); any other input is
+    streamed through csv.reader.  Either way each weight is what float()
+    reads from its cell, to the bit, and a bad cell gives the csv.reader
+    path's error and line number.  The names of the counts the last plain
+    data read returned are matched by the keys that read sorted, without
+    packing them again.
     """
     try:
         return GroupWeights(_sidecar_plain(path, names))

@@ -34,15 +34,21 @@ def weighted_marginal(w: GroupWeights, eta: float) -> GroupWeights:
     """Power-tilted sampling marginal v_g = w_g^eta / sum_g' w_g'^eta.
 
     eta=0 gives the uniform distribution over the support of w, eta=1 the
-    population marginal itself.
+    population marginal itself.  A NaN or infinite eta, or one so large that
+    every w_g^eta underflows to 0, is a ValueError.
     """
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     arr = w.as_array()
     if not np.any(arr > 0):
         raise ValueError("weights have empty support")
     v = np.where(arr > 0, arr, 0.0) ** eta if eta > 0 else (arr > 0).astype(float)
-    return GroupWeights(v / v.sum())
+    total = v.sum()
+    if total == 0:
+        raise ValueError(f"eta={eta} underflows every weight's power to 0")
+    return GroupWeights(v / total)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from fairaudit import cli
 from fairaudit.cli import _render_outcome, main, read_records, read_weight_sidecar
 from fairaudit.core import GroupCounts, GroupWeights, MetricKind
 from fairaudit.cvar_test import Decision, TestConfig, TestOutcome, run_test_dataset
-from fairaudit.errors import EmptyAfterConditioning, FairauditError
+from fairaudit.errors import ConfigError, EmptyAfterConditioning, FairauditError
 from fairaudit.estimator import EstimatorValue
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan
 
@@ -622,6 +622,136 @@ class TestSidecarMatchesCsvReader:
         self._check(tmp_path, f"group,weight\n{long},0.5\nb,0.5\n", ("b", long), False)
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", long), False)
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), False)
+
+    # Weight columns of up to 16384 rows, read by the plain path with one
+    # float() per run of byte-identical adjacent cells.
+
+    @staticmethod
+    def _bits(read):
+        """The float64 bits a reader returns, or its error."""
+        try:
+            return np.asarray(read(), np.float64).view(np.uint64).tolist()
+        except FairauditError as exc:
+            return type(exc), str(exc)
+
+    def _check_column(self, tmp_path, monkeypatch, cells, plain, *, crlf=False, final_newline=True,
+                      weight_first=False, seed=0):
+        """A sidecar of one row per weight cell, under distinct names in random
+        order; checks the plain path's bits (or error) and _is_plain against
+        _sidecar_csv, and the runs it parses.  Returns the bits or error."""
+        rng = np.random.default_rng(seed)
+        names = [f"g{g:05d}" for g in rng.permutation(len(cells))]
+        rows = [f"{c},{n}" if weight_first else f"{n},{c}" for n, c in zip(names, cells)]
+        header = "weight,group" if weight_first else "group,weight"
+        end = "\r\n" if crlf else "\n"
+        text = end.join([header, *rows]) + (end if final_newline else "")
+        path = tmp_path / "w.csv"
+        path.write_bytes(text.encode("utf-8"))
+        names = tuple(sorted(names))
+        parsed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "float", lambda b: parsed.append(b) or float(b), raising=False)
+            assert _is_plain(lambda: cli._sidecar_plain(str(path), names)) == plain
+
+        def either():
+            try:
+                return cli._sidecar_plain(str(path), names)
+            except cli._NotPlain:
+                return cli._sidecar_csv(str(path), names)
+
+        got = self._bits(either)
+        assert got == self._bits(lambda: cli._sidecar_csv(str(path), names))
+        if plain:  # one float() per run, on the first cell's bytes
+            runs = [c for i, c in enumerate(cells) if i == 0 or c != cells[i - 1] or len(c) > 32]
+            assert parsed == [c.encode() for c in runs]
+        return got
+
+    @staticmethod
+    def _runs(rng, values, rows, mean):
+        """`rows` cells in runs of random lengths (geometric, mean `mean`),
+        each run a random one of `values`."""
+        cells = []
+        while len(cells) < rows:
+            cells += [values[int(rng.integers(len(values)))]] * int(rng.geometric(1 / mean))
+        return cells[:rows]
+
+    @pytest.mark.parametrize("crlf, final_newline", [(False, True), (True, True), (False, False),
+                                                     (True, False)])
+    def test_long_runs_shuffled_repeats_and_distinct_cells(self, tmp_path, monkeypatch, crlf,
+                                                           final_newline):
+        rng = np.random.default_rng(50)
+        k = 16384
+        dirichlet = [repr(float(x)) for x in rng.dirichlet(np.ones(k))]
+        strata = [repr(float(x)) for x in rng.dirichlet(np.ones(5))] + ["0.5", "0.25", "1e-3"]
+        columns = [
+            [repr(1.0 / k)] * k,  # the benchmark's sidecar
+            self._runs(rng, strata, k, 2000.0),
+            self._runs(rng, strata, k, 1.5),
+            list(rng.choice(strata, k)),  # shuffled repeats
+            dirichlet,  # all distinct
+            ["%.6f" % float(x) for x in rng.dirichlet(np.ones(k))],
+        ]
+        for i, cells in enumerate(columns):
+            self._check_column(tmp_path, monkeypatch, cells, True, crlf=crlf,
+                               final_newline=final_newline, weight_first=bool(i % 2), seed=i)
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 8, 9, 16, 17, 32, 33, 40])
+    def test_neighbours_that_differ_in_one_byte(self, tmp_path, monkeypatch, size):
+        """Cells of one length that differ only in their first, middle or
+        last byte, in runs; on either side of each word boundary."""
+        base = ("1." + "2" * (size - 2))[:size]
+        variants = [base]
+        for at in (0, size // 2, size - 1):
+            if base[at] != ".":
+                variants.append(base[:at] + "3" + base[at + 1 :])
+        variants = list(dict.fromkeys(variants))
+        rng = np.random.default_rng(size)
+        for mean in (1.2, 4.0, 300.0):
+            cells = self._runs(rng, variants, 4096, mean)
+            self._check_column(tmp_path, monkeypatch, cells, True, weight_first=mean > 2,
+                               seed=size)
+        # Every cell differs from its neighbours by one byte.
+        alternating = [base if i % 2 == 0 else variants[1 + i // 2 % (len(variants) - 1)]
+                       for i in range(4096)]
+        self._check_column(tmp_path, monkeypatch, alternating, True, crlf=True)
+
+    def test_same_as_previous_matches_the_bytes(self):
+        rng = np.random.default_rng(51)
+        pool = ["", "1", "12", "0.5", "0.25", "1.22222", "1.2222222", "1.32222222",
+                "1.22222223", "2.22222222", "6.103515625e-05", "0.0001220703125", "1" * 32,
+                "1" * 31 + "2", "1" * 33, "1" * 32 + "2", "2" + "1" * 39]
+        for _ in range(40):
+            cells = self._runs(rng, pool, int(rng.integers(1, 300)), float(rng.uniform(1, 6)))
+            data = ("group,weight\n" + "".join(f"g,{c}\n" for c in cells)).encode()
+            text, (_, weight) = cli._plain_cells(data, cli._SIDECAR_COLUMNS)
+            same = [i > 0 and c == cells[i - 1] and len(c) <= 32 for i, c in enumerate(cells)]
+            assert cli._same_as_previous(text, *weight).tolist() == same
+
+    def test_non_ascii_cells_in_runs(self, tmp_path, monkeypatch):
+        arabic = _spell(0.25, "arabic_indic")
+        run = ["0.25"] * 300
+        for cells in (run[:100] + [arabic] + run[100:],  # inside an ASCII run
+                      run + [arabic] * 50 + run,         # a run of its own
+                      [arabic] * 20 + run):
+            assert self._check_column(tmp_path, monkeypatch, cells, False) == \
+                [int(np.float64(0.25).view(np.uint64))] * len(cells)
+
+    def test_bad_cell_keeps_its_error_and_line(self, tmp_path, monkeypatch):
+        good = "6.103515625e-05"
+        bad = "6.103515625e-0x"  # as long as its neighbours, and equal to them but for its end
+        cases = [
+            ([good] * 40 + [bad] * 30 + [good] * 10, 42),  # the start of a run
+            ([good] * 40 + [bad] + [good] * 10, 42),        # inside a run of good cells
+            ([bad] * 5, 2),
+            ([good] * 3 + [""] * 4 + [good], 5),            # empty cells
+            ([good] * 10 + ["abc"] * 2 + [good] + ["abc"], 12),
+        ]
+        for cells, line in cases:
+            path = tmp_path / "w.csv"
+            got = self._check_column(tmp_path, monkeypatch, cells, False)
+            cell = cells[line - 2]
+            assert got == (ConfigError,
+                           f"{path}:{line}: bad row (could not convert string to float: {cell!r})")
 
 
 # Characters of 1 to 4 UTF-8 bytes, control bytes equal to a row's 2-bit

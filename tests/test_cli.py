@@ -59,6 +59,11 @@ class TestReadConfig:
             read_config(path, _AUDIT_KEYS)
         assert ":1:" in str(err.value)
 
+    def test_rejects_repeated_key(self, tmp_path):
+        path = _write(tmp_path / "c.cfg", "alpha=0.5\n# note\nepsilon=0.3\n alpha = 0.01 \n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:4: key 'alpha' repeated \(first on line 1\)$"):
+            read_config(path, _AUDIT_KEYS)
+
 
 class TestReadRecords:
     def test_dense_ids_sorted_by_name(self, tmp_path):
@@ -278,6 +283,39 @@ class TestAudit:
         assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
         want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("key", ["alpha", "epsilon", "eta", "gamma"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
+        # Checked before the data CSV is read, which here does not exist.
+        settings = {"alpha": "0.5", "epsilon": "0.3", key: value}
+        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
+        want = f"error: {conf}: {key} must be a finite number, got {value!r}\n"
+        assert capsys.readouterr() == ("", want)
+
+    def test_nan_eta_gives_no_decision(self, tmp_path, capsys):
+        # eta=nan once audited as eta=0, and exited 0.
+        data = _write(tmp_path / "data.csv", "group,label,prediction\n"
+                      "a,0,1\na,0,0\nb,0,1\nb,0,1\nc,0,0\nc,0,0\n")
+        weights = _write(tmp_path / "w.csv", "group,weight\na,0.5\nb,0.3\nc,0.2\n")
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={weights}\neta=nan\n")
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: eta must be a finite number, got 'nan'\n")
+
+    def test_underflowing_eta_rejected(self, tmp_path, capsys):
+        data = _write(tmp_path / "data.csv", "group,label,prediction\na,0,1\nb,0,0\n")
+        weights = _write(tmp_path / "w.csv", "group,weight\na,0.5\nb,0.5\n")
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={weights}\neta=2000\n")
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: eta=2000.0 underflows every weight's power to 0\n")
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # The last alpha once won without a word.
+        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nalpha=0.01\n")
+        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: {conf}:3: key 'alpha' repeated (first on line 1)\n")
 
     @pytest.mark.parametrize("key, value, want", [
         ("metric", "xx", "metric must be one of 'sp', 'eo', got 'xx'"),
@@ -577,6 +615,26 @@ class TestSimulate:
         assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
         want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
         assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["alpha", "epsilon", "eta", "gamma", "target"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
+        conf = _write(tmp_path / "exp.cfg",
+                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        want = f"error: {conf}: {key} must be a finite number, got {value!r}\n"
+        assert capsys.readouterr() == ("", want)
+        assert not out.exists()
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"
+                      "trials=100\n\nn_grid=100\n")
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {conf}:7: key 'n_grid' repeated (first on line 4)\n")
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -45,6 +45,24 @@ class TestWeightedMarginal:
         with pytest.raises(ValueError):
             weighted_marginal(GroupWeights([1.0]), -0.5)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_rejects_non_finite_eta(self, eta, recwarn):
+        # NaN once fell through both eta < 0 and eta > 0, to the eta = 0 marginal.
+        with pytest.raises(ValueError, match="eta must be finite"):
+            weighted_marginal(GroupWeights([0.5, 0.3, 0.2]), eta)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("eta", [2000.0, 1e300])
+    def test_rejects_eta_whose_powers_all_underflow(self, eta, recwarn):
+        with pytest.raises(ValueError, match="underflows every weight's power to 0"):
+            weighted_marginal(GroupWeights([0.5, 0.3, 0.2]), eta)
+        assert not recwarn.list
+
+    def test_large_eta_that_leaves_one_power_keeps_its_marginal(self):
+        # 0.5^1000 is about 9e-302; 0.3^1000 and 0.2^1000 underflow to 0.
+        v = weighted_marginal(GroupWeights([0.5, 0.3, 0.2]), 1000.0)
+        assert v.w == (1.0, 0.0, 0.0)
+
 
 class TestWeightedPlan:
     def test_counts_sum_to_budget(self):
