@@ -766,6 +766,22 @@ def cmd_audit(args) -> int:
     return EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0
 
 
+def _check_options(args, ranges) -> None:
+    """A ConfigError naming the first option that is not finite, or not in its range.
+
+    `ranges` holds (option, test, rule) triples; a float option left at None
+    is not checked.
+    """
+    for name in ("alpha", "epsilon", "delta", "eta", "gamma"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value!r}")
+    for name, test, rule in ranges:
+        value = getattr(args, name)
+        if not test(value):
+            raise ConfigError(f"--{name} must be {rule}, got {value!r}")
+
+
 def _group_name(g: int, k: int) -> str:
     width = len(str(k - 1))
     return f"g{g:0{width}d}"
@@ -774,6 +790,7 @@ def _group_name(g: int, k: int) -> str:
 def cmd_synth(args) -> int:
     from .adversarial import build_hard_pair, build_mixture_family
 
+    _check_options(args, [("k", lambda k: k >= 1, ">= 1")])
     k = args.k
     if args.kind == "hardpair":
         pair = build_hard_pair(k, args.epsilon)
@@ -837,6 +854,13 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     from .bounds import build_report, p_error_attr, p_error_weighted
 
+    _check_options(args, [
+        ("k", lambda k: k >= 1, ">= 1"),
+        ("alpha", lambda a: 0 <= a < 1, "in [0, 1)"),
+        ("epsilon", lambda e: e > 0, "> 0"),
+        ("delta", lambda d: 0 < d < 1, "in (0, 1)"),
+        ("n", lambda ns: min(ns, default=2) >= 2, "at least 2 each"),
+    ])
     w = GroupWeights.uniform(args.k)
     report = build_report(w, args.alpha, args.epsilon, args.delta)
     print(f"K: {args.k}")
@@ -903,8 +927,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its message; --help exits 0
+        return EXIT_USAGE if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -41,15 +41,16 @@ numpy's pairwise sum of K copies of p, the one K-sized array such a set-up
 allocates.
 
 A block's loss draw and its terms meet in one table lookup.  The loss
-replay (below) finds each entry's row x of a small table of results, whose
-row holds S; once per sweep point and side, that table is composed with the
-point's S-indexed term tables, so a block looks its terms up by x and
-builds no S array.  A row that stands for numpy's redraw holds NaN, so a
-NaN in the block's per-trial F1 sends the block back, from the generator
-state before it, to the path that draws S and, on a redraw, calls
-`rng.binomial`.  Only the per-group normalizer and the per-mean tables read
-an entry's group, so a side with one normalizer and one mean (the fair side
-of the hard pair) builds no per-entry group index.
+replay (below) is a set of tables: a function that draws each entry's row
+x of a small table of results, whose row holds S, and that table.  Once per
+sweep point and side, the results are composed with the point's S-indexed
+term tables, so a block looks its terms up by x and builds no S array.  A
+row that stands for numpy's redraw holds NaN.  `rng.binomial` is the one
+fallback: a block whose instance has no replay draws S with it, and so
+does a block whose per-trial F1 holds a NaN, drawn again from the
+generator state before it.  Only the per-group normalizer and the per-mean
+tables read an entry's group, so a side with one normalizer and one mean
+(the fair side of the hard pair) builds no per-entry group index.
 
 Both draws of an attribute-specific block replay numpy's own samplers as
 whole-array operations, with numpy's values and with the generator left in
@@ -57,10 +58,10 @@ numpy's state.  A Geometric(q) gap with q < 1/3 is numpy's ceil(-E /
 log1p(-q)) of one standard exponential E (q >= 1/3 keeps `rng.geometric`).
 A loss count Binomial(M, mu) with min(mu, 1 - mu) * M <= 30 is numpy's
 inversion of one uniform, through small tables with one row per distinct
-mean; more than 8 means, a mean of 0, a larger min(mu, 1 - mu) * M or
-numpy's rare second uniform send the block to `rng.binomial`.  The replays
-sample the same laws on any numpy; they give numpy's exact streams on numpy
-2.4.6, which the tests pin.
+mean; more than 8 means, a mean of 0 or a larger min(mu, 1 - mu) * M leave
+the instance with no replay, and numpy's rare second uniform is a redraw.
+The replays sample the same laws on any numpy; they give numpy's exact
+streams on numpy 2.4.6, which the tests pin.
 
 The weighted plan's row sums run in numpy's own einsum loop, not in BLAS
 (the sparse path sums with bincount), so F does not depend on the BLAS
@@ -77,7 +78,7 @@ instance whose largest gap is far below the P0 tolerance skips the fill.
 The check holds one K-sized array, the gaps: the largest gap is read from
 the extreme means, equal weights sort the gaps in place, and unequal ones
 sort only the groups at or above the boundary gap.
-Points that share an instance and a block share its loss sampler.
+Points that share an instance and a block share its loss replay.
 """
 
 from __future__ import annotations
@@ -303,10 +304,8 @@ def _inversion_thresholds(mean: float, m: int) -> list[float] | None:
     return px
 
 
-def _loss_sampler(
-    mu: np.ndarray, m: int
-) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
-    """A function (rng, groups) -> `rng.binomial(m, mu[groups])`, with its values and stream.
+def _loss_sampler(mu: np.ndarray, m: int) -> tuple[Callable, np.ndarray, bool] | None:
+    """numpy's `rng.binomial(m, mu[groups])` as tables, (index, results, by_group), or None.
 
     For each draw, numpy takes one uniform U and returns the first x with
     U - px_0 - ... - px_(x-1) <= px_x (m - x when mean > 1/2), drawing U again
@@ -314,25 +313,19 @@ def _loss_sampler(
     does, so X is the number of thresholds U passes; the replay subtracts
     them from all the block's uniforms at once.  Thresholds and results live
     in tables with one row per distinct mean, and each group holds its row's
-    int8 code.  A redraw (about one in 1e16 draws) restores the generator and
-    hands the block to `rng.binomial`, as do instances with more than
-    _MAX_MEANS means, a mean of 0 (which numpy draws no uniform for) or one
-    that numpy does not invert.
+    int8 code.
 
-    A replayed draw carries `replay` = (index, results, by_group), so that a
-    caller can look S's terms up by row: index(rng, n, groups) draws n rows
-    x of `results`, which holds S per row and -1 where numpy would draw U
-    again; `by_group` says whether `index` reads the groups, which may be
-    None without it.
+    index(rng, n, groups) draws n rows x of `results`, which holds S per row
+    and -1 where numpy would draw U again (about one in 1e16 draws);
+    `by_group` says whether `index` reads the groups, which may be None
+    without it.  None, and the caller draws with `rng.binomial`, for more
+    than _MAX_MEANS means, a mean of 0 (which numpy draws no uniform for) or
+    one that numpy does not invert.
     """
     found = _mean_codes(mu)
     thresholds = None if found is None else [_inversion_thresholds(v, m) for v in found[1]]
-
-    def reference(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
-        return rng.binomial(m, mu[groups])
-
     if thresholds is None or None in thresholds:
-        return reference
+        return None
     codes, means = found
     steps = max(map(len, thresholds))
     width = steps + 1  # X = steps means some mean's thresholds all passed
@@ -344,7 +337,6 @@ def _loss_sampler(
         table[: len(px), c] = px
         x = np.arange(len(px))
         results[c, : len(px)] = m - x if mean > 0.5 else x
-    results = results.ravel()
     table_steps = list(table) if codes is not None else [float(t) for t in table[:, 0]]
 
     def index(rng: np.random.Generator, n: int, groups: np.ndarray | None) -> np.ndarray:
@@ -364,16 +356,7 @@ def _loss_sampler(
                 u -= t
         return x
 
-    def draw(rng: np.random.Generator, groups: np.ndarray) -> np.ndarray:
-        state = rng.bit_generator.state
-        s = results.take(index(rng, groups.size, groups))
-        if s.size and s.min() < 0:  # numpy drew some U again
-            rng.bit_generator.state = state
-            return reference(rng, groups)
-        return s
-
-    draw.replay = (index, results, codes is not None)
-    return draw
+    return index, results.ravel(), codes is not None
 
 
 def _block_scorer(
@@ -381,9 +364,12 @@ def _block_scorer(
 ) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
     """A function (rng, size) -> per-trial (F1, F2) of `size` <= setup.block audits of inst.
 
-    `samplers` holds the loss samplers built so far in a sweep, keyed on the
+    `samplers` holds the loss replays built so far in a sweep, keyed on the
     instance object and the block: the points of a sweep share their
-    instances, and often their block.
+    instances, and often their block.  A sparse block draws its losses with
+    `rng.binomial` when the instance has no replay, or when the replay meets
+    numpy's redraw; then the whole block is drawn again from the generator
+    state before it.
     """
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
@@ -395,17 +381,17 @@ def _block_scorer(
         classes, terms = setup.classes, setup.terms
         c = None if setup.weights is None else setup.weights[0]
         key = (id(inst), plan.block)
-        losses = samplers.get(key)
-        if losses is None:
-            losses = samplers[key] = _loss_sampler(mu, plan.block)
+        if key not in samplers:
+            samplers[key] = _loss_sampler(mu, plan.block)
+        replay = samplers[key]
 
-        def reference(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
             rows, groups = _included(rng, classes, size)
-            return estimate_entries(rows, groups, losses(rng, groups), terms, c, size)
+            s = rng.binomial(plan.block, mu[groups])
+            return estimate_entries(rows, groups, s, terms, c, size)
 
-        replay = getattr(losses, "replay", None)
         if replay is None:
-            return reference
+            return draw
         index, results, by_group = replay
         # The term tables indexed by the replay's row x, not by S: t[results],
         # with NaN where numpy would draw U again.
@@ -417,14 +403,9 @@ def _block_scorer(
             rows, groups = _included(rng, classes, size, grouped)
             x = index(rng, rows.size, groups)
             f1, f2 = estimate_entries(rows, groups, x, composed, c, size)
-            if np.isnan(f1).any():
-                # numpy drew some U again: the block drawn again from the state
-                # before it, its losses by `rng.binomial` as the sampler's
-                # fallback draws them.
+            if np.isnan(f1).any():  # numpy drew some U again
                 rng.bit_generator.state = state
-                rows, groups = _included(rng, classes, size)
-                s = rng.binomial(plan.block, mu[groups])
-                return estimate_entries(rows, groups, s, terms, c, size)
+                return draw(rng, size)
             return f1, f2
 
     else:
@@ -554,7 +535,7 @@ def threshold_sweep(exp: Experiment) -> SweepResult:
     Before any point runs, every point's h0 instance must lie in P0 and its
     h1 instance in P1(epsilon) at the point's alpha, or ConfigError is raised.
     Each distinct (instance, alpha, epsilon) is classified once, and each
-    attribute-specific loss sampler is built once per (instance, block), both
+    attribute-specific loss replay is built once per (instance, block), both
     keyed on the instance object: hashing K loss means would cost about as
     much as the classification.
     """
@@ -574,7 +555,7 @@ def threshold_sweep(exp: Experiment) -> SweepResult:
     rows = []
     n_hat = None
     # exp holds every instance until the sweep ends, so no id is reused meanwhile.
-    samplers: dict[tuple[int, int], Callable] = {}
+    samplers: dict[tuple[int, int], tuple | None] = {}
     for point in exp.points:
         est = _estimate(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed, samplers)
         rows.append((point.axis_value, est))

@@ -678,6 +678,53 @@ class TestBounds:
         assert outputs[0] == outputs[1]
 
 
+_SYNTH = ["synth", "--k", "4", "--epsilon", "0.1", "--budget", "10"]
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv, want", [
+        (["bounds", "--k", "0"], "--k must be >= 1, got 0"),
+        (["bounds", "--k", "16", "--alpha", "1"], "--alpha must be in [0, 1), got 1.0"),
+        (["bounds", "--k", "16", "--alpha", "-0.5"], "--alpha must be in [0, 1), got -0.5"),
+        (["bounds", "--k", "16", "--alpha", "nan"], "--alpha must be finite, got nan"),
+        (["bounds", "--k", "16", "--epsilon", "0"], "--epsilon must be > 0, got 0.0"),
+        (["bounds", "--k", "16", "--epsilon", "inf"], "--epsilon must be finite, got inf"),
+        (["bounds", "--k", "16", "--delta", "0"], "--delta must be in (0, 1), got 0.0"),
+        (["bounds", "--k", "16", "--delta", "2"], "--delta must be in (0, 1), got 2.0"),
+        (["bounds", "--k", "16", "--delta=-inf"], "--delta must be finite, got -inf"),
+        (["bounds", "--k", "16", "--n", "0"], "--n must be at least 2 each, got [0]"),
+        (["bounds", "--k", "16", "--n", "100", "1"], "--n must be at least 2 each, got [100, 1]"),
+        (_SYNTH[:2] + ["0"] + _SYNTH[3:] + ["--kind", "mixture"], "--k must be >= 1, got 0"),
+        (_SYNTH + ["--plan", "attr", "--gamma", "nan"], "--gamma must be finite, got nan"),
+        (_SYNTH + ["--eta", "inf"], "--eta must be finite, got inf"),
+        (_SYNTH + ["--alpha", "nan", "--kind", "mixture"], "--alpha must be finite, got nan"),
+        (_SYNTH[:3] + ["--epsilon=-inf"] + _SYNTH[5:], "--epsilon must be finite, got -inf"),
+    ])
+    def test_bad_option_exit_usage(self, tmp_path, capsys, argv, want):
+        out = tmp_path / "synth.csv"
+        argv = argv + ["--out", str(out)] if argv[0] == "synth" else argv
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, want", [
+        ([], "the following arguments are required: command"),
+        (["audit"], "the following arguments are required: input, config"),
+        (["bounds", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["bounds", "--k", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (_SYNTH + ["--plan", "foo", "--out", "x.csv"], "argument --plan: invalid choice: 'foo'"),
+    ])
+    def test_usage_error_exit_usage(self, capsys, argv, want):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: fairaudit") and want in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fairaudit")
+
+
 def test_cli_import_loads_only_shared_modules():
     # A subcommand imports what only it needs (adversarial, bounds) when it
     # runs.  The simulator stays a module-level import: the benchmark's tracer

@@ -263,6 +263,12 @@ def _same_stream(a, b):
     return a.bit_generator.state == b.bit_generator.state
 
 
+def _stepped(rng, outputs):
+    """rng with its state advanced by `outputs` 64-bit outputs."""
+    rng.bit_generator.advance(outputs)
+    return rng
+
+
 class TestDrawReplays:
     """Each replay against the numpy call it stands for: values and generator state."""
 
@@ -304,25 +310,39 @@ class TestDrawReplays:
 
     @staticmethod
     def _check_losses(mu, m, seed, replayed=True):
-        draw = simulator._loss_sampler(np.asarray(mu, dtype=float), m)
-        assert (draw.__name__ == "draw") == replayed
+        """The replay's rows against `rng.binomial`; the number of draws with a redraw row.
+
+        Draws of 0, 1 and 6000 losses; where no row is the redraw mark -1,
+        the rows' results must be numpy's values and leave numpy's stream.
+        """
+        mu = np.asarray(mu, dtype=float)
+        replay = simulator._loss_sampler(mu, m)
+        assert (replay is not None) == replayed
+        if replay is None:
+            return 0
+        index, results, by_group = replay
         rng = np.random.default_rng(seed)
+        marked = 0
         for size in (0, 1, 6000):
             groups = rng.integers(0, len(mu), size)
             a, b = _pair_of_generators([seed, size])
-            got = draw(a, groups)
-            want = b.binomial(m, np.asarray(mu)[groups])
+            got = results[index(a, size, groups if by_group else None)]
+            want = b.binomial(m, mu[groups])
+            if (got < 0).any():  # numpy drew some U again
+                marked += 1
+                continue
             assert got.dtype == want.dtype, _STREAMS_NOTE
             assert np.array_equal(got, want), _STREAMS_NOTE
             assert _same_stream(a, b), _STREAMS_NOTE
+        return marked
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 25, 40])
     def test_losses_at_edge_means(self, m):
         edges = [1.0, 1 - 1e-9, 1e-9, 0.5, math.nextafter(0.5, 1), math.nextafter(0.5, 0),
                  5e-324, 0.9]
         for i, mean in enumerate(edges):
-            self._check_losses([mean], m, seed=[m, i])
-        self._check_losses(edges, m, seed=m)  # eight means, one table row each
+            assert self._check_losses([mean], m, seed=[m, i]) == 0
+        assert self._check_losses(edges, m, seed=m) == 0  # eight means, one table row each
 
     def test_losses_of_random_instances(self):
         rng = np.random.default_rng(77)
@@ -332,7 +352,7 @@ class TestDrawReplays:
             if m == 300:
                 means *= 0.1  # p * m <= 30
             mu = rng.choice(means, size=int(rng.integers(1, 500)))
-            self._check_losses(mu, m, seed=case)
+            assert self._check_losses(mu, m, seed=case) == 0
 
     @pytest.mark.parametrize("mu, m", [
         (np.linspace(0.05, 0.95, 9), 2),  # more than 8 means
@@ -343,28 +363,33 @@ class TestDrawReplays:
     def test_losses_fall_back_to_generator(self, mu, m):
         self._check_losses(mu, m, seed=78, replayed=False)
 
-    def test_losses_redraw_restores_the_stream(self, monkeypatch):
+    def test_forced_redraw_shows_as_a_mark(self, monkeypatch):
         # Thresholds cut at px_0 make most draws pass every threshold, the
-        # case where numpy draws U again; the block must then come from
-        # rng.binomial, from the state before the replay's uniforms.
+        # case where numpy draws U again: such a draw must be a -1 row.  With
+        # a mean near 0 a draw passes px_0 about once in 2.5e7, so no row is
+        # marked and the values must be numpy's.
         real = simulator._inversion_thresholds
         monkeypatch.setattr(simulator, "_inversion_thresholds",
                             lambda mean, m: real(mean, m)[:1])
-        self._check_losses([0.3, 0.6], 40, seed=79)
+        assert self._check_losses([0.3, 0.6], 40, seed=79) == 2  # 1 and 6000 draws
+        assert self._check_losses([1e-9], 40, seed=79) == 0
 
     @staticmethod
-    def _next_uniform_is(u):
-        """A generator whose next `random()` is u, a multiple of 2**-53 in [0, 1).
+    def _next_uniform_is(u, after=0):
+        """A generator whose `random()` is u, a multiple of 2**-53 in [0, 1), after `after` outputs.
 
         PCG64 steps its state by state * mult + inc and outputs (high ^ low)
         rotated by the top 6 bits; from state 0, inc becomes the state, and
-        with a zero high word the output is inc itself.
+        with a zero high word the output is inc itself.  Its 128-bit state
+        is then stepped back `after` times.
         """
         out = int(u * 2.0**53) << 11
         rng = np.random.Generator(np.random.PCG64(0))
         state = rng.bit_generator.state
         state["state"] = {"state": 0, "inc": out}
         rng.bit_generator.state = state
+        if after:
+            rng.bit_generator.advance(2**128 - after)
         return rng
 
     def test_losses_at_threshold_boundaries(self):
@@ -381,27 +406,56 @@ class TestDrawReplays:
                 ufunc_differs += float(np.exp(m * np.log1p(-p))) != px0
                 log_differs += math.exp(m * math.log(1.0 - p)) != px0
                 assert px0 >= 0.5
-                draw = simulator._loss_sampler(np.array([mean]), m)
+                index, results, _ = simulator._loss_sampler(np.array([mean]), m)
                 for u in (px0, math.nextafter(px0, 1.0)):
                     a, b = self._next_uniform_is(u), self._next_uniform_is(u)
-                    got, want = draw(a, np.zeros(1, np.intp)), b.binomial(m, [mean])
+                    got, want = results[index(a, 1, None)], b.binomial(m, [mean])
                     assert np.array_equal(got, want), _STREAMS_NOTE
                     assert _same_stream(a, b), _STREAMS_NOTE
         assert ufunc_differs > 0 and log_differs > 0
 
-    @pytest.mark.parametrize("m, mean", [(12, 0.2), (20, 0.0375), (100, 0.05), (1000, 0.001)])
+    # The largest uniform, 1 - 2**-53, passes every threshold numpy has for
+    # these (rounding leaves the remainder above the last one), so numpy
+    # draws a second uniform.  At (20, 0.0375) one threshold past numpy's
+    # bound would take it.
+    TRUE_REDRAWS = [(12, 0.2), (20, 0.0375), (100, 0.05), (1000, 0.001)]
+
+    @pytest.mark.parametrize("m, mean", TRUE_REDRAWS)
     def test_losses_after_a_true_redraw(self, m, mean):
-        # The largest uniform passes every threshold numpy has for these
-        # (rounding leaves the remainder above the last one), so numpy draws
-        # a second uniform; the replay must hand that block to rng.binomial.
-        # At (20, 0.0375) one threshold past numpy's bound would take it.
         u = 1.0 - 2.0**-53
         a, b, c = (self._next_uniform_is(u) for _ in range(3))
-        want = b.binomial(m, [mean, mean])
+        b.binomial(m, [mean, mean])
         c.random(3)
         assert _same_stream(b, c)  # one redraw: three uniforms for two draws
-        assert np.array_equal(simulator._loss_sampler(np.array([mean]), m)(a, np.zeros(2, np.intp)),
-                              want), _STREAMS_NOTE
+        index, results, _ = simulator._loss_sampler(np.array([mean]), m)
+        assert results[index(a, 2, None)][0] == -1, _STREAMS_NOTE
+
+    @pytest.mark.parametrize("m, mean", TRUE_REDRAWS)
+    def test_block_after_a_true_redraw(self, m, mean):
+        # p = 1 includes both groups in every trial, and numpy draws each
+        # Geometric(1) gap from one uniform, so a one-trial block draws its
+        # losses after a fixed number of outputs; the first loss uniform is
+        # made 1 - 2**-53.  The block must be numpy's rng.binomial block.
+        w = GroupWeights.uniform(2)
+        plan = AttributeSpecificPlan(w=w, budget=2 * m, gamma=2.0)
+        inst = FairnessInstance(w, np.full(2, mean))
+        setup = simulator._setup(plan, w)
+        assert setup.classes[0][2] == 1.0
+        probe = np.random.default_rng(0)
+        simulator._included(probe, setup.classes, 1)
+        after = next(j for j in range(1, 1000) if _same_stream(
+            probe, _stepped(np.random.default_rng(0), j)))
+        u = 1.0 - 2.0**-53
+        a, b, c = (self._next_uniform_is(u, after) for _ in range(3))
+        simulator._included(c, setup.classes, 1)
+        assert c.random() == u
+        samplers = {}
+        got = simulator._block_scorer(inst, plan, setup, samplers)(a, 1)
+        assert all(r is not None for r in samplers.values())
+        rows, groups = simulator._included(b, setup.classes, 1)
+        s = b.binomial(plan.block, inst.mu_array()[groups])
+        want = estimate_entries(rows, groups, s, setup.terms, None, 1)
+        assert all(_same_bits(x, y) for x, y in zip(got, want)), _STREAMS_NOTE
         assert _same_stream(a, b), _STREAMS_NOTE
 
     def test_hard_pairs_take_the_replay(self):
@@ -409,7 +463,7 @@ class TestDrawReplays:
             pair = build_hard_pair(k, eps)
             for inst in (pair.p0, pair.p1):
                 for m in (1, 2, 7, 60):
-                    assert simulator._loss_sampler(inst.mu_array(), m).__name__ == "draw"
+                    assert simulator._loss_sampler(inst.mu_array(), m) is not None
 
     def test_mean_codes(self):
         mu = np.array([0.5, 0.9, 0.5, 0.1, 0.9])
@@ -425,14 +479,15 @@ class TestDrawReplays:
 def _old_block(inst, plan, setup):
     """The sparse block by way of S (reference).
 
-    Draws every entry's group, S from the loss sampler, then S's terms.
+    Draws every entry's group, S from `rng.binomial`, then S's terms.
     """
-    losses = simulator._loss_sampler(inst.mu_array(), plan.block)
+    mu = inst.mu_array()
     c = None if setup.weights is None else setup.weights[0]
 
     def score(rng, size):
         rows, groups = simulator._included(rng, setup.classes, size)
-        return estimate_entries(rows, groups, losses(rng, groups), setup.terms, c, size)
+        s = rng.binomial(plan.block, mu[groups])
+        return estimate_entries(rows, groups, s, setup.terms, c, size)
 
     return score
 
@@ -464,7 +519,8 @@ class TestBlockScorer:
     @staticmethod
     def _check(inst, plan, seeds):
         setup = simulator._setup(plan, inst.weights)
-        score = simulator._block_scorer(inst, plan, setup, {})
+        samplers = {}
+        score = simulator._block_scorer(inst, plan, setup, samplers)
         old = _old_block(inst, plan, setup)
         for seed in seeds:
             for size in {1, setup.block, 3 * setup.block}:
@@ -472,15 +528,16 @@ class TestBlockScorer:
                 got, want = score(a, size), old(b, size)
                 assert all(_same_bits(x, y) for x, y in zip(got, want)), _STREAMS_NOTE
                 assert _same_stream(a, b), _STREAMS_NOTE
-        return setup, score
+        (replay,) = samplers.values()
+        return setup, replay
 
     def test_random_plans_and_instances(self):
         rng = np.random.default_rng(410)
         replayed = shared = grouped = classes = 0
         for case in range(150):
             inst, plan = _random_attr_case(rng)
-            setup, score = self._check(inst, plan, seeds=[case])
-            replayed += score.__name__ == "score"
+            setup, replay = self._check(inst, plan, seeds=[case])
+            replayed += replay is not None
             shared += setup.weights is None
             grouped += np.unique(inst.mu_array()).size > 1
             classes += len(setup.classes) > 1
@@ -517,8 +574,9 @@ class TestBlockScorer:
                 inst = FairnessInstance(weights, rng.choice(mu, size=300))
                 plan = AttributeSpecificPlan(w=weights, budget=300, gamma=150.0)
                 setup = simulator._setup(plan, weights)
-                score = simulator._block_scorer(inst, plan, setup, {})
-                assert score.__name__ == "score"
+                samplers = {}
+                score = simulator._block_scorer(inst, plan, setup, samplers)
+                assert all(r is not None for r in samplers.values())
                 c = None if setup.weights is None else setup.weights[0]
                 a, b = _pair_of_generators(413)
                 got = score(a, setup.block)
