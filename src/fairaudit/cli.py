@@ -790,7 +790,11 @@ def _group_name(g: int, k: int) -> str:
 def cmd_synth(args) -> int:
     from .adversarial import build_hard_pair, build_mixture_family
 
-    _check_options(args, [("k", lambda k: k >= 1, ">= 1")])
+    _check_options(args, [
+        ("k", lambda k: k >= 1, ">= 1"),
+        ("budget", lambda n: n >= 1, ">= 1"),
+        ("seed", lambda s: s >= 0, ">= 0"),
+    ])
     k = args.k
     if args.kind == "hardpair":
         pair = build_hard_pair(k, args.epsilon)

@@ -121,7 +121,7 @@ def estimate_entries(
     rows: np.ndarray,
     groups: np.ndarray | None,
     s: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray],
+    table: np.ndarray,
     c: np.ndarray | None,
     n_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,25 +129,32 @@ def estimate_entries(
 
     Entry i says that trial rows[i] saw s[i] ones in the m samples of group
     groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
-    attribute-specific plan), or None when `terms` already carry it, as
-    they can when all groups share one normalizer c: (t * c)[S] has the
-    bits of t[S] * c.  Only `c` reads the groups, so they may be None
-    without it.  Groups a trial did not sample contribute nothing, so the
-    cost is proportional to the number of entries, not to K.  Each term is
-    looked up by S in `terms`, the tables `_ratio_terms(np.arange(m + 1),
-    m)`, which hold the values _ratio_terms gives per entry; a caller builds
-    them once per block size m.  Any index into tables of those values
-    serves in place of S, such as a row of a table of S values composed
-    with them.
+    attribute-specific plan), or None when `table` already carries it, as
+    it can when all groups share one normalizer c: (t * c)[S] has the bits
+    of t[S] * c.  Only `c` reads the groups, so they may be None without
+    it.  Groups a trial did not sample contribute nothing, so the cost is
+    proportional to the number of entries, not to K.
+
+    Both terms are looked up by S in one complex `table` of M + 1 values,
+    the F1 term `_ratio_terms(np.arange(m + 1), m)[0]` in the real part and
+    the F2 term in the imaginary part, which a caller builds once per block
+    size m.  One `np.add.at` then sums both into a complex array: it adds
+    the real and the imaginary parts separately, entry by entry in entry
+    order, so F1 and F2 have the bits of one `np.bincount` per term.  The
+    normalizer scales each part on its own, not by a complex product, whose
+    cross terms can change a bit at inf, NaN or -0.  Any index into a table
+    of those values serves in place of S, such as a row of a table of S
+    values composed with it.
     """
-    t1, t2 = terms
-    e1, e2 = t1.take(s), t2.take(s)
+    e = table.take(s)
     if c is not None:
         cg = c.take(groups)
+        e1, e2 = e.real, e.imag  # views: each part scales in place
         e1 *= cg
         e2 *= cg
-    return (np.bincount(rows, weights=e1, minlength=n_rows),
-            np.bincount(rows, weights=e2, minlength=n_rows))
+    out = np.zeros(n_rows, dtype=complex)
+    np.add.at(out, rows, e)
+    return out.real, out.imag
 
 
 def estimate(

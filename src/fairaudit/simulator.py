@@ -29,25 +29,29 @@ when every p_g > 0 a class of all K groups keeps no member array.  The term
 weights w_g / P[M_g >= .] come from the estimator's one normalizer, which
 also serves the audit; one array of them serves the F1 and the F2 terms.
 Every entry of an attribute-specific block has M = n/gamma, so its terms
-come from `estimate_entries`' tables of M + 1 values indexed by S, with the
-bits of the per-entry division, built once per budget.  When the plan's
-weights and the instance's are each all equal (as on the hard pair), every
-group has the same p and the same normalizer c = w_0 / p, the same float
-operations on the same values as the per-group arrays.  The set-up is then
-built from these scalars: one class of all K groups with no member or
-ratio array, and term tables prescaled by c, since (t * c)[S] has the bits
-of t[S] * c, so a block gathers no per-entry normalizer.  B still comes from
-numpy's pairwise sum of K copies of p, the one K-sized array such a set-up
-allocates.
+come from `estimate_entries`' one complex table of M + 1 values indexed by
+S, the F1 term in the real part and the F2 term in the imaginary part, with
+the bits of the per-entry division, built once per budget.  A block looks
+each entry up once and sums both terms per trial with one `np.add.at` into
+a complex array, which adds the two parts separately in entry order: the
+bits of one `np.bincount` per term, at about half the cost.  When the
+plan's weights and the instance's are each all equal (as on the hard pair),
+every group has the same p and the same normalizer c = w_0 / p, the same
+float operations on the same values as the per-group arrays.  The set-up is
+then built from these scalars: one class of all K groups with no member or
+ratio array, and a term table whose parts are each prescaled by c, since
+(t * c)[S] has the bits of t[S] * c, so a block gathers no per-entry
+normalizer.  B still comes from numpy's pairwise sum of K copies of p, the
+one K-sized array such a set-up allocates.
 
 A block's loss draw and its terms meet in one table lookup.  The loss
 replay (below) is a set of tables: a function that draws each entry's row
 x of a small table of results, whose row holds S, and that table.  Once per
 sweep point and side, the results are composed with the point's S-indexed
-term tables, so a block looks its terms up by x and builds no S array.  A
-row that stands for numpy's redraw holds NaN.  `rng.binomial` is the one
-fallback: a block whose instance has no replay draws S with it, and so
-does a block whose per-trial F1 holds a NaN, drawn again from the
+term table, so a block looks its terms up by x and builds no S array.  A
+row that stands for numpy's redraw holds NaN in both parts.  `rng.binomial`
+is the one fallback: a block whose instance has no replay draws S with it,
+and so does a block whose per-trial F1 holds a NaN, drawn again from the
 generator state before it.  Only the per-group normalizer and the per-mean
 tables read an entry's group, so a side with one normalizer and one mean
 (the fair side of the hard pair) builds no per-entry group index.
@@ -64,7 +68,7 @@ The replays sample the same laws on any numpy; they give numpy's exact
 streams on numpy 2.4.6, which the tests pin.
 
 The weighted plan's row sums run in numpy's own einsum loop, not in BLAS
-(the sparse path sums with bincount), so F does not depend on the BLAS
+(the sparse path sums with `np.add.at`), so F does not depend on the BLAS
 thread count.
 
 `threshold_sweep` is the one entry point: `estimate_error` is the single row
@@ -127,16 +131,22 @@ class ErrorEstimate:
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """What every block of one plan needs, built once per sweep point."""
+    """What every block of one plan needs, built once per sweep point.
+
+    An attribute-specific set-up holds both S-indexed terms in one complex
+    table, so that a block looks each entry up once and sums both terms with
+    one `np.add.at`.
+    """
 
     # Per-group F1 and F2 normalizers, or None when `terms` carry the one
     # normalizer that all groups share.
     weights: tuple[np.ndarray, np.ndarray] | None
     # Attribute-specific plan only: (members or None for all K groups, their
     # number, q, p_g / q or None when all members have p_g = q) per inclusion
-    # class, and the estimator's S-indexed term tables for M = n/gamma.
+    # class, and the estimator's S-indexed term table for M = n/gamma: F1
+    # terms in the real part, F2 terms in the imaginary part.
     classes: tuple[tuple[np.ndarray | None, int, float, np.ndarray | None], ...]
-    terms: tuple[np.ndarray, np.ndarray] | None
+    terms: np.ndarray | None
     block: int  # trials per block
 
 
@@ -174,15 +184,19 @@ def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     if not isinstance(plan, AttributeSpecificPlan):
         weights = _term_weights(w.as_array(), *plan.inclusion_pair())
         return _Setup(weights, (), None, max(1, BLOCK_ELEMS // plan.k))
-    terms = _ratio_terms(np.arange(plan.block + 1), plan.block)
+    terms = np.empty(plan.block + 1, dtype=complex)
+    terms.real, terms.imag = _ratio_terms(np.arange(plan.block + 1), plan.block)
     p = plan.shared_inclusion()
     if p is not None and w.shared is not None:
         # Equal weights: every group has p and the normalizer c = w_0 / p, so
-        # the one class needs no member array and the term tables carry c.
+        # the one class needs no member array and the term table carries c,
+        # scaled into each part on its own.
         p0 = np.float64(p)
         c, _ = _term_weights(np.float64(w.shared), p0, p0)
         weights, classes = None, ((None, plan.k, p, None),)
-        terms = (terms[0] * c, terms[1] * c)
+        t1, t2 = terms.real, terms.imag
+        t1 *= c
+        t2 *= c
         expected = np.full(plan.k, p).sum()  # numpy's pairwise sum, as below: it fixes B
     else:
         # p1 is p2 = p here, so one normalizer w_g / p_g serves the F1 and F2 terms.
@@ -393,9 +407,9 @@ def _block_scorer(
         if replay is None:
             return draw
         index, results, by_group = replay
-        # The term tables indexed by the replay's row x, not by S: t[results],
-        # with NaN where numpy would draw U again.
-        composed = tuple(np.where(results < 0, np.nan, t[results]) for t in terms)
+        # The term table indexed by the replay's row x, not by S:
+        # terms[results], with NaN in both parts where numpy would draw U again.
+        composed = np.where(results < 0, complex(math.nan, math.nan), terms[results])
         grouped = c is not None or by_group
 
         def score(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -699,6 +699,10 @@ class TestExitContract:
         (_SYNTH + ["--eta", "inf"], "--eta must be finite, got inf"),
         (_SYNTH + ["--alpha", "nan", "--kind", "mixture"], "--alpha must be finite, got nan"),
         (_SYNTH[:3] + ["--epsilon=-inf"] + _SYNTH[5:], "--epsilon must be finite, got -inf"),
+        (_SYNTH + ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (_SYNTH[:6] + ["0"], "--budget must be >= 1, got 0"),
+        (_SYNTH[:6] + ["0", "--plan", "attr"], "--budget must be >= 1, got 0"),
+        (_SYNTH[:6] + ["-3"], "--budget must be >= 1, got -3"),
     ])
     def test_bad_option_exit_usage(self, tmp_path, capsys, argv, want):
         out = tmp_path / "synth.csv"

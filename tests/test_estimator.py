@@ -336,35 +336,29 @@ class TestRowKernels:
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_entries_table_matches_ratio_terms_bit_for_bit(self, m):
         # The terms come from a table of M + 1 entries; each must carry the
-        # bits _ratio_terms gives per entry, so that the bincount sums are
-        # unchanged.
+        # bits _ratio_terms gives per entry, and the one complex sum the bits
+        # of one bincount per term, NaN rows included.
         rng = np.random.default_rng(44 + m)
-        for _ in range(50):
-            k, n_rows = int(rng.integers(1, 40)), int(rng.integers(1, 9))
-            n = int(rng.integers(1, 300))
-            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
-            s = rng.integers(0, m + 1, n)
+        for rows, groups, s, k, n_rows, redraw in _entry_cases(rng, m, 40, 300):
             c = rng.random(k)
-            ref = _entries_by_ratio_terms(rows, groups, s, np.full(n, m), c, n_rows)
-            got = estimate_entries(rows, groups, s, _table(m), c, n_rows)
+            ref = _entries_by_ratio_terms(rows, groups, s, m, c, n_rows, redraw)
+            got = estimate_entries(rows, groups, s, _table(m, redraw=redraw is not None), c,
+                                   n_rows)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_prescaled_tables_match_a_full_normalizer(self, m):
-        # Tables scaled by one normalizer c, with no per-group array, give
+        # A table scaled by one normalizer c, with no per-group array, gives
         # the bits of the per-entry form with c repeated for every group.
         rng = np.random.default_rng(47 + m)
-        for _ in range(50):
-            k, n_rows = int(rng.integers(1, 4000)), int(rng.integers(1, 9))
-            n = int(rng.integers(1, 3000))
-            rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
-            s = rng.integers(0, m + 1, n)
+        for rows, groups, s, k, n_rows, redraw in _entry_cases(rng, m, 4000, 3000):
             c = float(rng.random() * 10.0 ** rng.integers(-6, 7))
             full = np.full(k, c)
-            ref = _entries_by_ratio_terms(rows, groups, s, np.full(n, m), full, n_rows)
-            scaled = tuple(t * c for t in _table(m))
-            for got in (estimate_entries(rows, groups, s, scaled, None, n_rows),
-                        estimate_entries(rows, groups, s, _table(m), full, n_rows)):
+            ref = _entries_by_ratio_terms(rows, groups, s, m, full, n_rows, redraw)
+            marked = redraw is not None
+            for got in (estimate_entries(rows, groups, s, _table(m, c, marked), None, n_rows),
+                        estimate_entries(rows, groups, s, _table(m, redraw=marked), full,
+                                         n_rows)):
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_statistic_bits_do_not_depend_on_blas_threads(self):
@@ -420,14 +414,54 @@ class TestRowKernels:
                 assert mean == pytest.approx(exact_moments(inst, plan).e_f, abs=1e-12)
 
 
-def _table(m):
-    """estimate_entries' S-indexed term tables for block size m."""
-    return _ratio_terms(np.arange(m + 1), m)
+def _table(m, c=None, redraw=False):
+    """estimate_entries' S-indexed complex term table for block size m.
+
+    F1 terms in the real part, F2 terms in the imaginary part, each times c
+    if given; with `redraw`, one more row of NaN in both parts, as the
+    simulator marks numpy's redraw.
+    """
+    t1, t2 = _ratio_terms(np.arange(m + 1), m)
+    if c is not None:
+        t1, t2 = t1 * c, t2 * c
+    table = np.empty(m + 1, dtype=complex)
+    table.real, table.imag = t1, t2
+    return np.append(table, complex(math.nan, math.nan)) if redraw else table
 
 
-def _entries_by_ratio_terms(rows, groups, s, m, c, n_rows):
-    """estimate_entries as it was before the table: _ratio_terms on every entry."""
-    t1, t2 = _ratio_terms(s, m)
+def _entry_cases(rng, m, k_max, n_max):
+    """(rows, groups, s, K, trials, redraw) for the entries kernel.
+
+    50 random cases, then three at the benchmark's scale: K = 65536, about
+    7.5k entries per block of B = 2, 5 or 13 trials, ordered by trial and
+    group as `simulator._included` gives them.  Every case comes again with
+    a few entries whose S is m + 1, the row of `_table(..., redraw=True)`
+    that holds NaN, and `redraw` marks them; it is None on the first copy.
+    """
+    shapes = [(int(rng.integers(1, k_max)), int(rng.integers(1, 9)), int(rng.integers(1, n_max)))
+              for _ in range(50)]
+    shapes += [(65536, n_rows, int(rng.integers(7000, 8000))) for n_rows in (2, 5, 13)]
+    for k, n_rows, n in shapes:
+        rows, groups = rng.integers(0, n_rows, n), rng.integers(0, k, n)
+        if k == 65536:
+            order = np.lexsort((groups, rows))
+            rows, groups = rows[order], groups[order]
+        s = rng.integers(0, m + 1, n)
+        yield rows, groups, s, k, n_rows, None
+        redraw = rng.random(n) < 0.01
+        redraw[rng.integers(n)] = True
+        yield rows, groups, np.where(redraw, m + 1, s), k, n_rows, redraw
+
+
+def _entries_by_ratio_terms(rows, groups, s, m, c, n_rows, redraw=None):
+    """estimate_entries as it was before the table: _ratio_terms on every entry.
+
+    Each term is summed by its own bincount; entries marked in `redraw` have
+    NaN terms.
+    """
+    t1, t2 = _ratio_terms(s, np.full(s.size, m))
+    if redraw is not None:
+        t1[redraw] = t2[redraw] = np.nan
     f1 = np.bincount(rows, weights=t1 * c[groups], minlength=n_rows)
     f2 = np.bincount(rows, weights=t2 * c[groups], minlength=n_rows)
     return f1, f2

@@ -15,7 +15,7 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
-from fairaudit.estimator import _ratio_terms, estimate_entries, estimate_from_counts, exact_moments
+from fairaudit.estimator import _ratio_terms, estimate_from_counts, exact_moments
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -454,7 +454,7 @@ class TestDrawReplays:
         assert all(r is not None for r in samplers.values())
         rows, groups = simulator._included(b, setup.classes, 1)
         s = b.binomial(plan.block, inst.mu_array()[groups])
-        want = estimate_entries(rows, groups, s, setup.terms, None, 1)
+        want = _two_bincounts(rows, groups, s, setup.terms, None, 1)
         assert all(_same_bits(x, y) for x, y in zip(got, want)), _STREAMS_NOTE
         assert _same_stream(a, b), _STREAMS_NOTE
 
@@ -476,10 +476,26 @@ class TestDrawReplays:
         assert codes.tolist() == list(range(8))
 
 
+def _two_bincounts(rows, groups, s, terms, c, n_rows):
+    """Per-trial F1 and F2 by one `np.bincount` per term (reference).
+
+    The sparse kernel's sum without its complex scatter-add: each part of
+    the term table is looked up by S, scaled by the entry's normalizer and
+    summed on its own.  With no entries at all, bincount's zeros are
+    integers; the kernel's are floats with the same bytes.
+    """
+    e1, e2 = terms.real[s], terms.imag[s]
+    if c is not None:
+        e1, e2 = e1 * c[groups], e2 * c[groups]
+    return tuple(np.bincount(rows, weights=e, minlength=n_rows).astype(float, copy=False)
+                 for e in (e1, e2))
+
+
 def _old_block(inst, plan, setup):
     """The sparse block by way of S (reference).
 
-    Draws every entry's group, S from `rng.binomial`, then S's terms.
+    Draws every entry's group, S from `rng.binomial`, then sums S's terms
+    with two bincounts, not with the kernel under test.
     """
     mu = inst.mu_array()
     c = None if setup.weights is None else setup.weights[0]
@@ -487,7 +503,7 @@ def _old_block(inst, plan, setup):
     def score(rng, size):
         rows, groups = simulator._included(rng, setup.classes, size)
         s = rng.binomial(plan.block, mu[groups])
-        return estimate_entries(rows, groups, s, setup.terms, c, size)
+        return _two_bincounts(rows, groups, s, setup.terms, c, size)
 
     return score
 
@@ -582,7 +598,7 @@ class TestBlockScorer:
                 got = score(a, setup.block)
                 rows, groups = simulator._included(b, setup.classes, setup.block)
                 s = b.binomial(plan.block, inst.mu_array()[groups])
-                want = estimate_entries(rows, groups, s, setup.terms, c, setup.block)
+                want = _two_bincounts(rows, groups, s, setup.terms, c, setup.block)
                 assert all(_same_bits(x, y) for x, y in zip(got, want))
                 assert _same_stream(a, b)
 
@@ -707,7 +723,10 @@ def _assert_same_setup(got, want, plan, w):
     else:
         assert _same_bits(got.weights[0], c1)
         assert _same_bits(got.weights[1], c2)
-    assert [t.tobytes() for t in got.terms] == [t.tobytes() for t in want_terms]
+    # One complex table: the F1 terms in the real part, the F2 terms in the imaginary.
+    assert got.terms.dtype == np.complex128
+    assert [got.terms.real.tobytes(), got.terms.imag.tobytes()] == [
+        t.tobytes() for t in want_terms]
     _assert_same_classes(got.classes, want[1], w.k)
     assert got.block == want[2]
 
