@@ -98,6 +98,11 @@ class SampleSize:
     order_only: bool
 
 
+def _round_up(n: float) -> float:
+    """math.ceil(n), except that a size that overflowed stays inf."""
+    return math.ceil(n) if math.isfinite(n) else n
+
+
 def n_required(kind: str, *, w: GroupWeights | None = None, k: int | None = None,
                alpha: float = 0.0, epsilon: float = 0.1, delta: float = 0.01) -> SampleSize:
     """Sample size required by the achievability/converse formulas.
@@ -108,6 +113,8 @@ def n_required(kind: str, *, w: GroupWeights | None = None, k: int | None = None
       attr           - 256 / ((1-alpha)^2 epsilon^4 delta) (explicit constant)
       converse_maxgap- K / epsilon^2, order of growth only
       converse_cvar  - alpha^2 sqrt(K) / (sqrt(1-alpha) epsilon^2), order only
+
+    An achievable size too large for a float is inf.
     """
     c = (1.0 - alpha) ** 2 * epsilon**4
     if kind == "weighted_opt":
@@ -118,9 +125,9 @@ def n_required(kind: str, *, w: GroupWeights | None = None, k: int | None = None
         a2 = 128.0 * math.e * s_v / c
         # delta = a1/n^2 + a2/n  =>  delta n^2 - a2 n - a1 = 0
         n = (a2 + math.sqrt(a2 * a2 + 4.0 * delta * a1)) / (2.0 * delta)
-        return SampleSize(n=math.ceil(n), order_only=False)
+        return SampleSize(n=_round_up(n), order_only=False)
     if kind == "attr":
-        return SampleSize(n=math.ceil(256.0 / (c * delta)), order_only=False)
+        return SampleSize(n=_round_up(256.0 / (c * delta)), order_only=False)
     if kind == "converse_maxgap":
         if k is None:
             raise ValueError("converse_maxgap requires k")

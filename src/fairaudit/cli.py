@@ -327,11 +327,6 @@ def _key_word(view, start, last, length, j: int, is_last: bool) -> np.ndarray:
     return np.left_shift(word, shift, out=word, dtype=np.uint64, casting="unsafe")
 
 
-def _packed_keys(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> list[np.ndarray]:
-    """All the words of the packed keys of the cells text[start:end]."""
-    return list(_key_words(text, start, end))
-
-
 # The names the plain data reader decoded last, as the tuple its counts hold,
 # and their packed keys: the audit's weight sidecar is matched to them
 # without packing them again.  The entry holds the tuple, so no other names
@@ -354,7 +349,7 @@ def _name_keys(names: Sequence[str]) -> list[np.ndarray]:
     nul = np.flatnonzero(text == 0)[_WORD - 1 :]
     if nul.size != len(names) + 1:
         raise _NotPlain
-    return _packed_keys(text, nul[:-1] + 1, nul[1:])
+    return list(_key_words(text, nul[:-1] + 1, nul[1:]))
 
 
 def _key_bytes(keys, words: int) -> np.ndarray:
@@ -418,7 +413,7 @@ def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     ids -= 1
     if words > 1:  # the keys themselves, and the ids from hash order to name order
         firsts = order[first]
-        distinct = _packed_keys(text, start[firsts], end[firsts])
+        distinct = list(_key_words(text, start[firsts], end[firsts]))
         rank = np.lexsort(distinct[::-1])
         distinct = [word[rank] for word in distinct]
         position = np.empty_like(ids, shape=rank.size)
@@ -463,11 +458,11 @@ def _run_counts(key: np.ndarray):
 def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
     """The vectorised reader of a plain data CSV (see _plain_cells).
 
-    Names of at most 7 bytes pack into one word with a free low byte, which
-    takes the row's 2-bit (label, prediction) pattern.  One in-place sort of
-    these keys puts the rows of each (name, pattern) in one run, and the run
-    lengths are the counts.  Longer names are factorised by _factorise (a
-    hashed argsort) and counted by GroupCounts.from_rows.
+    Each row counts in the (K, 2, 2) cell of its (name, label, prediction).
+    Names of at most 7 bytes pack into one word whose free low byte takes the
+    row's 2-bit (label, prediction) pattern; one in-place sort of these keys
+    puts each cell's rows in one run, whose length is its count.  Longer
+    names are factorised (_factorise), and 4 * id + pattern is bincounted.
     """
     global _decoded
     _decoded = None
@@ -480,10 +475,10 @@ def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
     del label, prediction
     start, end = group
     if int((end - start).max()) >= _WORD:
-        distinct, inverse = _factorise(text, start, end)
+        distinct, ids = _factorise(text, start, end)
         del text, group, start, end
-        counts = GroupCounts.from_rows(_key_names(distinct), inverse, pattern >> 1, pattern & 1,
-                                       metric)
+        cell = np.left_shift(ids, 2, dtype=np.intp)  # int32 would overflow at K >= 2**29
+        cells = np.bincount(cell | pattern, minlength=4 * distinct[0].size).reshape(-1, 2, 2)
     else:
         (key,) = _key_words(text, start, end)
         # The file's bytes and the cell offsets are freed before the sort.
@@ -492,18 +487,17 @@ def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
         del pattern
         key.sort()
         distinct, cells = _run_counts(key)
-        # The keys are sorted and distinct, and so are the names they pack.
-        counts = GroupCounts.from_cells(_key_names(distinct), cells, metric, _names_sorted=True)
+    # The keys are sorted and distinct, and so are the names they pack.
+    counts = GroupCounts.from_cells(_key_names(distinct), cells, metric, _names_sorted=True)
     _decoded = counts.names, distinct
     return counts
 
 
 def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
-    """The csv.reader path: reads every input, and words every error."""
-    ids: dict[str, int] = {}
-    group: list[int] = []
-    label: list[int] = []
-    prediction: list[int] = []
+    """The csv.reader path: reads every input, and words every error.  One
+    list of cell codes 4 * id + 2 * label + prediction is bincounted."""
+    ids: dict[str, int] = {}  # each name's 4 * id
+    codes: list[int] = []
     bits = _BITS.get
     with _csv_columns(path, _RECORD_COLUMNS) as (reader, (gi, li, pi)):
         for row in reader:
@@ -519,25 +513,24 @@ def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
                     yh = _bit(row[pi], "prediction")
             except (IndexError, ValueError) as exc:
                 raise _bad_row(path, reader.line_num, row, exc) from exc
-            gid = ids.get(g)
-            if gid is None:
-                gid = ids[g] = len(ids)
-            group.append(gid)
-            label.append(y)
-            prediction.append(yh)
+            code = ids.get(g)
+            if code is None:
+                code = ids[g] = 4 * len(ids)
+            codes.append(code + 2 * y + yh)
     if not ids:
         raise ConfigError(f"{path}: no data rows")
-    return GroupCounts.from_rows(list(ids), group, label, prediction, metric)
+    cells = np.bincount(codes, minlength=4 * len(ids)).reshape(-1, 2, 2)
+    return GroupCounts.from_cells(list(ids), cells, metric)
 
 
 def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
-    """Reduce a data CSV to per-group counts under the metric.
-
-    The counts come back ordered by group name.  Blank lines are skipped.
-    A plain CSV (see _plain_cells) with group names of at most 32 bytes and
-    label and prediction cells that are all a literal 0 or 1 is reduced with
-    numpy: by one sort of packed keys when every name has at most 7 bytes,
-    by a hashed argsort otherwise.  Any other input is streamed through
+    """Reduce a data CSV to per-group counts under the metric, ordered by
+    group name; blank lines are skipped.  Every path counts the rows in a
+    (K, 2, 2) cell array for GroupCounts.from_cells.  A plain CSV (see
+    _plain_cells) with group names of at most 32 bytes and label and
+    prediction cells that are all a literal 0 or 1 is counted with numpy: by
+    one sort of packed keys when every name has at most 7 bytes, by a hashed
+    argsort and a bincount otherwise.  Any other input is streamed through
     csv.reader, with the same result.
     """
     try:
@@ -862,11 +855,18 @@ def cmd_bounds(args) -> int:
         ("k", lambda k: k >= 1, ">= 1"),
         ("alpha", lambda a: 0 <= a < 1, "in [0, 1)"),
         ("epsilon", lambda e: e > 0, "> 0"),
+        ("epsilon", lambda e: e <= 1, "<= 1"),  # a gap between means in [0, 1]
         ("delta", lambda d: 0 < d < 1, "in (0, 1)"),
         ("n", lambda ns: min(ns, default=2) >= 2, "at least 2 each"),
+        ("n", lambda ns: max(ns, default=2) <= sys.float_info.max, f"<= {sys.float_info.max} each"),
     ])
     w = GroupWeights.uniform(args.k)
-    report = build_report(w, args.alpha, args.epsilon, args.delta)
+    scale = (1.0 - args.alpha) ** 2 * args.epsilon**4 * args.delta  # the sizes divide by it
+    report = build_report(w, args.alpha, args.epsilon, args.delta) if scale > 0 else None
+    if report is None or not all(map(math.isfinite, (report.n_weighted.n, report.n_attr.n))):
+        name = "epsilon" if args.epsilon**4 < args.delta else "delta"  # the smaller factor
+        raise ConfigError(f"--{name} must be larger: (1 - alpha)^2 epsilon^4 delta = {scale!r} "
+                          f"gives no finite sample size, got {getattr(args, name)!r}")
     print(f"K: {args.k}")
     print(f"alpha: {args.alpha}  epsilon: {args.epsilon}  delta: {args.delta}")
     print(f"renyi_2/3: {report.renyi_23!r} bits")

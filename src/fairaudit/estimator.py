@@ -48,23 +48,22 @@ def estimate_from_counts(
     w: GroupWeights,
     incl: Sequence[tuple[float, float]],
 ) -> EstimatorValue:
-    """Compute the statistic from per-group one-counts S_g and totals M_g."""
+    """Compute the statistic from per-group one-counts S_g and totals M_g.
+
+    F1 sums over the groups with w_g > 0 and M_g >= 2, F2 over those with
+    M_g >= 1, in group order; each term gathers its c, S and M once."""
     warr = w.as_array()
     sarr = np.asarray(s, dtype=float)
     marr = np.asarray(m, dtype=float)
     incl_arr = np.asarray(incl, dtype=float)
     c1, c2 = _term_weights(warr, incl_arr[:, 0], incl_arr[:, 1])
     active = warr > 0  # zero-weight groups contribute identically zero
-    mask2 = active & (marr >= 2)
-    mask1 = active & (marr >= 1)
-    f1 = float(
-        np.sum(
-            c1[mask2]
-            * (sarr[mask2] / marr[mask2])
-            * ((sarr[mask2] - 1.0) / (marr[mask2] - 1.0))
-        )
-    )
-    f2 = float(np.sum(c2[mask1] * (sarr[mask1] / marr[mask1])))
+    at = np.flatnonzero(active & (marr >= 2))
+    sg, mg = sarr.take(at), marr.take(at)
+    f1 = float(np.sum(c1.take(at) * (sg / mg) * ((sg - 1.0) / (mg - 1.0))))
+    at = np.flatnonzero(active & (marr >= 1))
+    sg, mg = sarr.take(at), marr.take(at)
+    f2 = float(np.sum(c2.take(at) * (sg / mg)))
     return EstimatorValue(f1=f1, f2=f2)
 
 

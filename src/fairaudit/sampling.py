@@ -119,8 +119,9 @@ class AttributeSpecificPlan:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         block = self.budget / self.gamma
         # The per-group draw count must be a whole number; rounding silently
-        # would corrupt the budget identity sum_g E[M_g] = n.
-        if abs(block - round(block)) > 1e-9 or round(block) < 1:
+        # would corrupt the budget identity sum_g E[M_g] = n.  A NaN gamma, or
+        # one so small that n/gamma overflows, gives no block at all.
+        if not math.isfinite(block) or abs(block - round(block)) > 1e-9 or round(block) < 1:
             raise ValueError(f"n/gamma must be a positive integer, got {block}")
 
     @staticmethod

@@ -177,6 +177,14 @@ class TestNRequired:
         with pytest.raises(ValueError):
             n_required("weighted_opt", alpha=0.5)
 
+    def test_overflowing_sizes_are_inf(self):
+        # (1 - alpha)^2 epsilon^4 delta = 2.5e-315 > 0, but both sizes overflow.
+        w = GroupWeights.uniform(16)
+        for kind in ("weighted_opt", "attr"):
+            size = n_required(kind, w=w, alpha=0.5, epsilon=0.1, delta=1e-310)
+            assert size.n == math.inf and not size.order_only
+        assert n_required("attr", alpha=0.5, epsilon=0.1, delta=1e-300).n < math.inf
+
     def test_weighted_above_attr_and_growing(self):
         # With these proof constants the weighted requirement exceeds the
         # attribute-specific one at every K and the gap widens with K.

@@ -703,12 +703,55 @@ class TestExitContract:
         (_SYNTH[:6] + ["0"], "--budget must be >= 1, got 0"),
         (_SYNTH[:6] + ["0", "--plan", "attr"], "--budget must be >= 1, got 0"),
         (_SYNTH[:6] + ["-3"], "--budget must be >= 1, got -3"),
+        # n/gamma overflows to inf: the plan's own error, not an OverflowError.
+        (_SYNTH + ["--plan", "attr", "--gamma", "1e-320"],
+         "n/gamma must be a positive integer, got inf"),
+        # bounds: epsilon^4 underflows, a sample size overflows, epsilon^4 overflows.
+        (["bounds", "--k", "2", "--epsilon", "1e-200"],
+         "--epsilon must be larger: (1 - alpha)^2 epsilon^4 delta = 0.0 gives no finite "
+         "sample size, got 1e-200"),
+        (["bounds", "--k", "16", "--delta", "1e-320"],
+         "--delta must be larger: (1 - alpha)^2 epsilon^4 delta = 0.0 gives no finite "
+         "sample size, got 1e-320"),
+        (["bounds", "--k", "16", "--delta", "1e-310"],
+         "--delta must be larger: (1 - alpha)^2 epsilon^4 delta = 2.5e-315 gives no finite "
+         "sample size, got 1e-310"),
+        (["bounds", "--k", "16", "--epsilon", "1e-78", "--delta", "0.5"],
+         "--epsilon must be larger: (1 - alpha)^2 epsilon^4 delta = 1.25000000003e-313 gives "
+         "no finite sample size, got 1e-78"),
+        (["bounds", "--k", "16", "--epsilon", "1e200"], "--epsilon must be <= 1, got 1e+200"),
+        (["bounds", "--k", "16", "--epsilon", "1.5"], "--epsilon must be <= 1, got 1.5"),
+        (["bounds", "--k", "2", "--n", "2", str(10**309)],
+         f"--n must be <= 1.7976931348623157e+308 each, got [2, {10**309}]"),
     ])
     def test_bad_option_exit_usage(self, tmp_path, capsys, argv, want):
         out = tmp_path / "synth.csv"
         argv = argv + ["--out", str(out)] if argv[0] == "synth" else argv
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert not out.exists()
+
+    def test_bounds_at_the_edges_of_its_ranges(self, capsys):
+        # epsilon = 1 is the largest gap; the smallest deltas that still give
+        # finite sizes, and the largest float --n, print the report.
+        for argv in (["--epsilon", "1"], ["--delta", "1e-300"], ["--n", "2", str(2**1023)]):
+            assert main(["bounds", "--k", "16", *argv]) == 0
+            assert capsys.readouterr().out.startswith("K: 16\n")
+
+    @pytest.mark.parametrize("command, config", [
+        ("audit", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=1e-320\n"),
+        ("simulate", "k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid=10\ntrials=2\n"
+                     "gamma=1e-320\n"),
+    ])
+    def test_overflowing_gamma_in_config(self, tmp_path, capsys, command, config):
+        conf = _write(tmp_path / "c.cfg", config)
+        out = tmp_path / "out"
+        if command == "audit":
+            argv = ["audit", _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n"), conf]
+        else:
+            argv = ["simulate", conf, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: n/gamma must be a positive integer, got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, want", [

@@ -106,6 +106,88 @@ class TestEstimate:
         assert EstimatorValue(f1=0.5, f2=0.5).f == 0.25
 
 
+def _masked_estimate(s, m, w, incl):
+    """estimate_from_counts in its boolean-mask form, the reference for its bits."""
+    warr = w.as_array()
+    sarr = np.asarray(s, dtype=float)
+    marr = np.asarray(m, dtype=float)
+    incl_arr = np.asarray(incl, dtype=float)
+    c1, c2 = _term_weights(warr, incl_arr[:, 0], incl_arr[:, 1])
+    active = warr > 0
+    mask2 = active & (marr >= 2)
+    mask1 = active & (marr >= 1)
+    f1 = float(
+        np.sum(
+            c1[mask2]
+            * (sarr[mask2] / marr[mask2])
+            * ((sarr[mask2] - 1.0) / (marr[mask2] - 1.0))
+        )
+    )
+    f2 = float(np.sum(c2[mask1] * (sarr[mask1] / marr[mask1])))
+    return f1, f2
+
+
+def _bits(f1, f2):
+    return np.array([f1, f2]).tobytes()
+
+
+class TestCountsKernel:
+    """estimate_from_counts gathers each term's groups by index; it must give
+    the bits of the boolean-mask form."""
+
+    def test_matches_mask_form_on_random_instances(self):
+        rng = np.random.default_rng(48)
+        seen = {"zero weight": 0, "m = 0": 0, "m = 1": 0, "m >= 2": 0,
+                "equal columns": 0, "distinct columns": 0}
+        for case in range(600):
+            k = int(np.exp(rng.uniform(np.log(2), np.log(3001))))
+            raw = rng.dirichlet(np.ones(k)) * (rng.random(k) >= 0.2)  # about 20% zero
+            if not raw.any():
+                raw[0] = 1.0
+            w = GroupWeights(raw / raw.sum())
+            p2 = rng.uniform(0.01, 1.0, k)
+            equal = case % 2 == 0  # the attribute plan's (p, p), or a weighted pair
+            p1 = p2.copy() if equal else p2 + (1.0 - p2) * rng.random(k)
+            zero = raw == 0
+            p1[zero] *= rng.random() < 0.5  # a zero-weight group may have p = 0
+            p2[zero] *= p1[zero] > 0
+            m = rng.integers(0, 6, k)
+            s = rng.binomial(m, rng.random(k))
+            if case % 3 == 0:
+                s, m = s.tolist(), m.tolist()  # Python sequences, as a caller may pass
+            incl = np.stack([p1, p2], 1)
+            got = estimate_from_counts(s, m, w, incl)
+            assert _bits(got.f1, got.f2) == _bits(*_masked_estimate(s, m, w, incl)), case
+            marr = np.asarray(m)
+            seen["zero weight"] += bool(zero.any())
+            seen["m = 0"] += bool((marr == 0).any())
+            seen["m = 1"] += bool((marr == 1).any())
+            seen["m >= 2"] += bool((marr >= 2).any())
+            seen["equal columns"] += equal
+            seen["distinct columns"] += not equal
+        assert min(seen.values()) >= 250, seen
+
+    def test_matches_mask_form_at_audit_eo_wide_shape(self):
+        # K = 16384 uniform weights, gamma * w_g = 0.75, blocks of 6 label-0
+        # rows, a quarter of the groups at mu = 0.9 and the rest at 0.5.
+        k, block = 16384, 6
+        w = GroupWeights.uniform(k)
+        p = np.full(k, 0.75)
+        mu = np.where(np.arange(k) < k // 4, 0.9, 0.5)
+        rng = np.random.default_rng(49)
+        for _ in range(5):
+            m = np.where(rng.random(k) < p, block, 0)
+            s = rng.binomial(m, mu)
+            incl = np.stack([p, p], 1)
+            got = estimate_from_counts(s, m, w, incl)
+            assert _bits(got.f1, got.f2) == _bits(*_masked_estimate(s, m, w, incl))
+
+    def test_no_group_in_either_term(self):
+        # Every M_g = 0: both gathers are empty, and each term is +0.0.
+        got = estimate_from_counts([0, 0], [0, 0], GroupWeights([0.5, 0.5]), [(1.0, 1.0)] * 2)
+        assert _bits(got.f1, got.f2) == _bits(0.0, 0.0)
+
+
 def _weighted_plans(w, n):
     return [WeightedPlan.from_weights(w, eta, n) for eta in (0.0, 2.0 / 3.0, 1.0)]
 

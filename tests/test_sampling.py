@@ -108,6 +108,16 @@ class TestAttributeSpecificPlan:
         with pytest.raises(ValueError):
             AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=10, gamma=3.0)
 
+    @pytest.mark.parametrize("gamma, block", [
+        (1e-320, "inf"),  # n/gamma overflows
+        (math.nan, "nan"),
+        (np.float64("nan"), "nan"),
+        (math.inf, "0.0"),
+    ])
+    def test_rejects_gamma_without_a_finite_block(self, gamma, block):
+        with pytest.raises(ValueError, match=f"^n/gamma must be a positive integer, got {block}$"):
+            AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=10, gamma=gamma)
+
     def test_expected_included_counts_clipped_groups_once(self):
         # gamma * w = (4.5, 0.5): the first group is clipped at 1, so the plan
         # expects 1.5 groups of n/gamma = 2 samples, 3 samples against n = 10.
