@@ -64,11 +64,11 @@ def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment.
 
     A key outside `keys`, or a key given twice, is a ConfigError that names
-    its line.
+    its line.  A leading UTF-8 BOM, as some editors write, is skipped.
     """
     out: dict[str, str] = {}
     first: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -127,10 +127,11 @@ def _choice(conf: dict[str, str], path: str, key: str, choices: tuple[str, ...])
 
 @contextmanager
 def _csv_columns(path: str, columns: tuple[str, ...]):
-    """Open a UTF-8 CSV; yields its reader, past the header, and the positions
-    of the named columns (the last one where a name repeats, as in
-    csv.DictReader).  Undecodable or unparsable input becomes a ConfigError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Open a UTF-8 CSV, skipping a leading BOM; yields its reader, past the
+    header, and the positions of the named columns (the last one where a name
+    repeats, as in csv.DictReader).  Undecodable or unparsable input becomes a
+    ConfigError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -802,12 +803,17 @@ def cmd_synth(args) -> int:
     m = plan.draw_counts(rng)
     mu = inst.mu_array().tolist()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "label", "prediction"])
-        for g in range(k):
-            bits = rng.binomial(1, mu[g], size=int(m[g]))
-            for bit in bits:
-                writer.writerow([_group_name(g, k), 0, int(bit)])
+        try:
+            writer = csv.writer(fh)
+            writer.writerow(["group", "label", "prediction"])
+            for g in range(k):
+                bits = rng.binomial(1, mu[g], size=int(m[g]))
+                for bit in bits:
+                    writer.writerow([_group_name(g, k), 0, int(bit)])
+        except Exception:  # such as a group too large to draw: leave no partial file
+            fh.close()
+            os.remove(args.out)
+            raise
     print(f"wrote {int(m.sum())} rows to {args.out}")
     return 0
 
@@ -823,6 +829,10 @@ def cmd_simulate(args) -> int:
     alpha = _setting(conf, path, "alpha", float)
     epsilon = _setting(conf, path, "epsilon", float)
     target = _setting(conf, path, "target", float, 0.1)
+    if base_seed < 0:
+        raise ConfigError(f"{path}: base_seed must be >= 0, got {conf['base_seed']!r}")
+    if not 0 <= target <= 1:
+        raise ConfigError(f"{path}: target must be in [0, 1], got {conf['target']!r}")
     n_grid = _setting(conf, path, "n_grid", _int_list)
     eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
     gamma = _setting(conf, path, "gamma", float, None)
@@ -945,6 +955,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # such as an array for a huge --k
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

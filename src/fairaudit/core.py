@@ -67,13 +67,7 @@ class GroupWeights:
         return np.array_equal(self._arr, other._arr)
 
     def __hash__(self) -> int:
-        # The hash of the tuple `w`, computed once without keeping the tuple:
-        # a plan used as a cache key hashes its weights on every lookup.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(tuple(self._arr.tolist()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(tuple(self._arr.tolist()))
 
     def __repr__(self) -> str:
         return f"GroupWeights(w={self.w!r})"
@@ -160,8 +154,6 @@ class MetricKind(Enum):
     STATISTICAL_PARITY = "sp"  # loss = prediction, all rows
 
 
-
-
 class _UnsortedNames(ValueError):
     """Group names that are not strictly increasing."""
 
@@ -176,35 +168,6 @@ def _count_array(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be 1-d")
     arr.flags.writeable = False
     return arr
-
-
-def _int_column(values, column: str) -> np.ndarray:
-    """A row column as an integer array: one whose dtype casts safely to intp
-    (bool, and integers up to int64) as it is, anything else as int64.
-    Floats must be whole numbers: a fraction is a ValueError, not truncated;
-    complex numbers are a ValueError too, and None or a string that int()
-    cannot read is a TypeError or ValueError that names the column."""
-    arr = np.asarray(values)
-    if np.can_cast(arr.dtype, np.intp):
-        return arr
-    whole = f"{column} must hold whole numbers"
-    if arr.dtype.kind == "c" or (
-        arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (np.trunc(arr) == arr))
-    ):
-        raise ValueError(whole)
-    try:
-        with np.errstate(invalid="raise"):
-            try:
-                return np.asarray(values, dtype=np.int64)
-            except (FloatingPointError, OverflowError):
-                # A whole number past int64 wraps in a float array's cast and
-                # does not convert at all from a list; as -1 it fails the
-                # caller's range check, as any other value out of range does.
-                return np.where(np.abs(arr) < 2**63, arr, -1).astype(np.int64)
-    except (TypeError, ValueError) as exc:
-        # Such as None, or a string int() cannot read, in a list.
-        error = TypeError if isinstance(exc, TypeError) else ValueError
-        raise error(f"{whole}, got {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,39 +205,6 @@ class GroupCounts:
     @property
     def k(self) -> int:
         return len(self.names)
-
-    @classmethod
-    def from_rows(
-        cls,
-        names: Sequence[str],
-        group: Sequence[int],
-        label: Sequence[int],
-        prediction: Sequence[int],
-        kind: MetricKind,
-    ) -> "GroupCounts":
-        """Reduce per-row columns to per-group counts under the chosen metric.
-
-        `group` holds dense ids into `names`, which may be in any order (a
-        reader assigns ids as names first appear).  The rows are counted per
-        (group, label, prediction) and reduced by `from_cells`.
-        """
-        k = len(names)
-        group, label, loss = map(
-            _int_column, (group, label, prediction), ("group ids", "label", "prediction")
-        )
-        if not (group.shape == label.shape == loss.shape) or group.ndim != 1:
-            raise ValueError("group, label and prediction must be 1-d and equally long")
-        if group.size and (group.min() < 0 or group.max() >= k):
-            raise ValueError(f"group ids must lie in 0..{k - 1}")
-        for column, values in (("label", label), ("prediction", loss)):
-            if np.any((values != 0) & (values != 1)):
-                raise ValueError(f"{column} must be 0 or 1")
-        # Rows per (group, label, loss), in one pass over the rows.  The index
-        # is built in intp: 4 * group would overflow int32 ids at k >= 2**29.
-        cell = np.multiply(group, 4, dtype=np.intp)
-        cell += 2 * label
-        cell += loss
-        return cls.from_cells(names, np.bincount(cell, minlength=4 * k).reshape(k, 2, 2), kind)
 
     @classmethod
     def from_cells(

@@ -29,6 +29,10 @@ from .errors import EstimatorUndefined, PlanMismatch, shown_groups
 # Weighted-plan tilt exponent that optimizes the sample-complexity bound.
 OPTIMAL_ETA = 2.0 / 3.0
 
+# The largest count numpy's samplers take (int64): a budget or block
+# beyond it is rejected here rather than overflowing at the first draw.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
 
 def weighted_marginal(w: GroupWeights, eta: float) -> GroupWeights:
     """Power-tilted sampling marginal v_g = w_g^eta / sum_g' w_g'^eta.
@@ -61,6 +65,8 @@ class WeightedPlan:
     def __post_init__(self):
         if self.budget < 0 or self.budget != int(self.budget):
             raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
+        if self.budget > _MAX_COUNT:
+            raise ValueError(f"budget must be at most {_MAX_COUNT}, got {self.budget}")
 
     @staticmethod
     def from_weights(w: GroupWeights, eta: float, budget: int) -> "WeightedPlan":
@@ -123,6 +129,8 @@ class AttributeSpecificPlan:
         # one so small that n/gamma overflows, gives no block at all.
         if not math.isfinite(block) or abs(block - round(block)) > 1e-9 or round(block) < 1:
             raise ValueError(f"n/gamma must be a positive integer, got {block}")
+        if round(block) > _MAX_COUNT:
+            raise ValueError(f"n/gamma must be at most {_MAX_COUNT}, got {block}")
 
     @staticmethod
     def default(w: GroupWeights, budget: int) -> "AttributeSpecificPlan":

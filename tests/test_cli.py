@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from fairaudit import adversarial, cli
 from fairaudit.cli import (
     EXIT_DATA,
     EXIT_H0,
@@ -105,6 +106,27 @@ class TestReadRecords:
         with pytest.raises(ConfigError) as err:
             read_records(path)
         assert str(err.value) == f"{path}:4: bad row (prediction must be 0 or 1, got -1)"
+
+    @pytest.mark.parametrize("column", ["label", "prediction"])
+    @pytest.mark.parametrize("cell", [
+        "2", "255", "-1", str(2**63), str(-2**63 - 1), str(10**30),  # whole, out of range
+        "1.5", "1.0", "nan", "inf", "1e20", "1j", "x", "",  # not base-10 integers
+    ])
+    def test_bad_cell_value_reports_line(self, tmp_path, column, cell):
+        # Both readers reject the cell on its own line, with the same message.
+        row = {"group": "g1", "label": "0", "prediction": "1", column: cell}
+        path = _write(
+            tmp_path / "d.csv",
+            "group,label,prediction\ng0,0,1\n" + ",".join(row.values()) + "\ng2,1,0\n",
+        )
+        try:
+            reason = f"{column} must be 0 or 1, got {int(cell)}"
+        except ValueError:
+            reason = f"invalid literal for int() with base 10: {cell!r}"
+        for read in (read_records, cli._records_csv):
+            with pytest.raises(ConfigError) as err:
+                read(path, MetricKind.STATISTICAL_PARITY)
+            assert str(err.value) == f"{path}:3: bad row ({reason})"
 
     def test_short_row_reports_line(self, tmp_path):
         path = _write(tmp_path / "d.csv", "label,prediction,group\n0,1,a\n0,1\n")
@@ -209,6 +231,27 @@ class TestAudit:
             )
             outputs.append((main(["audit", data, conf]), capsys.readouterr()))
         assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_H0
+
+    @pytest.mark.parametrize("metric", ["sp", "eo"])
+    @pytest.mark.parametrize("bom_in", ["data", "sidecar", "config"])
+    def test_utf8_bom_is_skipped(self, tmp_path, capsys, metric, bom_in):
+        # As spreadsheet programs write them: the audit reads past the BOM.
+        def audit(bom):
+            run = tmp_path / ("bom" if bom else "plain")
+            run.mkdir()
+            texts = {
+                "data": "group,label,prediction\ng0,0,0\ng0,0,1\ng0,1,1\ng1,0,1\ng1,0,1\n"
+                        "g1,1,0\n",
+                "sidecar": "group,weight\ng0,0.3\ng1,0.7\n",
+                "config": f"alpha=0.5\nepsilon=0.3\nmetric={metric}\nweights={run / 'sidecar'}\n",
+            }
+            for name, text in texts.items():
+                _write(run / name, ("\ufeff" if bom and name == bom_in else "") + text)
+            code = main(["audit", str(run / "data"), str(run / "config")])
+            return code, capsys.readouterr()
+
+        plain, bom = audit(False), audit(True)
+        assert bom == plain and plain[0] in (EXIT_H0, EXIT_H1) and plain[1].err == ""
 
     def test_header_only_exit_usage(self, tmp_path, capsys):
         data = _write(tmp_path / "hdr.csv", "group,label,prediction\n")
@@ -628,6 +671,28 @@ class TestSimulate:
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("base_seed", "-1", ">= 0"),
+        ("target", "2", "in [0, 1]"),
+        ("target", "-1", "in [0, 1]"),
+        ("target", "1.0000001", "in [0, 1]"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, capsys, monkeypatch, key, value, rule):
+        # Checked before the hard pair is built.
+        monkeypatch.setattr(adversarial, "build_hard_pair", None)
+        conf = _write(tmp_path / "exp.cfg",
+                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: {key} must be {rule}, got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["0", "1"])
+    def test_target_at_the_ends_of_its_range(self, tmp_path, capsys, target):
+        conf = _write(tmp_path / "exp.cfg", "".join(
+            f"{k}={v}\n" for k, v in {**self._SETTINGS, "target": target}.items()))
+        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == 0
+
     def test_repeated_key_rejected(self, tmp_path, capsys):
         conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"
                       "trials=100\n\nn_grid=100\n")
@@ -706,6 +771,11 @@ class TestExitContract:
         # n/gamma overflows to inf: the plan's own error, not an OverflowError.
         (_SYNTH + ["--plan", "attr", "--gamma", "1e-320"],
          "n/gamma must be a positive integer, got inf"),
+        # Budgets and blocks past int64, which numpy's samplers cannot take.
+        (_SYNTH[:6] + [str(10**20)],
+         f"budget must be at most {2**63 - 1}, got {10**20}"),
+        (_SYNTH[:6] + [str(10**20), "--plan", "attr", "--gamma", "1"],
+         f"n/gamma must be at most {2**63 - 1}, got 1e+20"),
         # bounds: epsilon^4 underflows, a sample size overflows, epsilon^4 overflows.
         (["bounds", "--k", "2", "--epsilon", "1e-200"],
          "--epsilon must be larger: (1 - alpha)^2 epsilon^4 delta = 0.0 gives no finite "
@@ -752,6 +822,46 @@ class TestExitContract:
             argv = ["simulate", conf, "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: n/gamma must be a positive integer, got inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, want", [
+        ("audit", f"alpha=0.5\nepsilon=0.3\nbudget={10**20}\n",
+         f"budget must be at most {2**63 - 1}, got {10**20}"),
+        ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nn_grid=10,{10**20}\ntrials=2\n",
+         f"budget must be at most {2**63 - 1}, got {10**20}"),
+        ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid={10**20}\ntrials=2\n"
+                     "gamma=1\n", f"n/gamma must be at most {2**63 - 1}, got 1e+20"),
+    ])
+    def test_overflowing_budget_in_config(self, tmp_path, capsys, command, config, want):
+        conf = _write(tmp_path / "c.cfg", config)
+        out = tmp_path / "out"
+        if command == "audit":
+            argv = ["audit", _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n"), conf]
+        else:
+            argv = ["simulate", conf, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert not out.exists()
+
+    def test_memory_error_exit_usage(self, tmp_path, capsys, monkeypatch):
+        # Raised where the instance is built, before the output is opened.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        out = tmp_path / "synth.csv"
+        monkeypatch.setattr(adversarial, "build_hard_pair", no_memory)
+        assert main(_SYNTH + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: Unable to allocate 72.8 TiB for an array\n")
+        assert not out.exists()
+
+    def test_memory_error_while_writing_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        out = tmp_path / "synth.csv"
+        monkeypatch.setattr(cli, "_group_name", no_memory)
+        assert main(_SYNTH + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: out of memory\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, want", [

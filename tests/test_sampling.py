@@ -1,6 +1,7 @@
 """Tests for the sampling plans and their inclusion probabilities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ class TestWeightedPlan:
         with pytest.raises(ValueError):
             WeightedPlan.from_weights(GroupWeights([1.0]), 1.0, -1)
 
+    def test_budget_up_to_int64_max(self):
+        # The largest budget numpy's multinomial takes; one more is the plan's error.
+        plan = WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=2**63 - 1)
+        assert plan.draw_counts(np.random.default_rng(0)).sum() == 2**63 - 1
+        for budget in (2**63, 10**20):
+            want = f"^budget must be at most {2**63 - 1}, got {budget}$"
+            with pytest.raises(ValueError, match=want):
+                WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=budget)
+
 
 class TestAttributeSpecificPlan:
     def test_deterministic_when_gamma_w_large(self):
@@ -117,6 +127,16 @@ class TestAttributeSpecificPlan:
     def test_rejects_gamma_without_a_finite_block(self, gamma, block):
         with pytest.raises(ValueError, match=f"^n/gamma must be a positive integer, got {block}$"):
             AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=10, gamma=gamma)
+
+    def test_block_up_to_int64_max(self):
+        # The largest float block below 2**63 is drawn; 2**63 itself is rejected.
+        plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=2**64 - 2048, gamma=2.0)
+        assert plan.draw_counts(np.random.default_rng(0)).tolist() == [2**63 - 1024] * 2
+        for budget, gamma, block in ((2**63, 1.0, "9.223372036854776e+18"),
+                                     (10**20, 1.0, "1e+20"), (10**20, 0.5, "2e+20")):
+            want = f"^n/gamma must be at most {2**63 - 1}, got {re.escape(block)}$"
+            with pytest.raises(ValueError, match=want):
+                AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=budget, gamma=gamma)
 
     def test_expected_included_counts_clipped_groups_once(self):
         # gamma * w = (4.5, 0.5): the first group is clipped at 1, so the plan
