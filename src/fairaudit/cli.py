@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroupCounts, GroupWeights, MetricKind
+from .core import _MAX_COUNT, GroupCounts, GroupWeights, MetricKind
 from .cvar_test import TestConfig, TestOutcome, run_test_dataset
 from .errors import ConfigError, FairauditError, shown_groups
 from .sampling import OPTIMAL_ETA, AttributeSpecificPlan, WeightedPlan, weighted_marginal
@@ -115,6 +115,26 @@ def _setting(conf: dict[str, str], path: str, key: str, parse, default=_REQUIRED
     return value
 
 
+def _check_ranges(conf: dict[str, str], path: str, ranges) -> None:
+    """A ConfigError that names the file and the first key out of its range.
+
+    `ranges` holds (key, value, test, rule) quadruples; a value of None, such
+    as a setting the chosen plan does not use, is not checked.
+    """
+    for key, value, test, rule in ranges:
+        if value is not None and not test(value):
+            raise ConfigError(f"{path}: {key} must be {rule}, got {conf.get(key, value)!r}")
+
+
+def _whole_block(n: int, gamma: float) -> bool:
+    """Whether n / gamma is a block AttributeSpecificPlan takes: a whole
+    number (to within 1e-9) of 1 to _MAX_COUNT samples."""
+    block = n / gamma
+    return math.isfinite(block) and abs(block - round(block)) <= 1e-9 and (
+        1 <= round(block) <= _MAX_COUNT
+    )
+
+
 def _choice(conf: dict[str, str], path: str, key: str, choices: tuple[str, ...]) -> str:
     """conf[key], choices[0] when absent; any other value is a ConfigError."""
     value = conf.get(key, choices[0])
@@ -178,9 +198,6 @@ _SCAN_BYTES = 1 << 18
 # An odd multiplier for hashing key words (the 64-bit golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"
-# _TAIL_MASKS[n] keeps the last n bytes of a word in memory order, whatever
-# the machine's byte order.
-_TAIL_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_WORD + 1)], ">u8").view(np.uint64)
 
 
 class _NotPlain(Exception):
@@ -285,12 +302,6 @@ def _plain_cells(data: bytes, columns: tuple[str, ...]):
     return text, cells
 
 
-def _byte_words(text: np.ndarray) -> np.ndarray:
-    """The big-endian uint64 word of the 8 bytes at each offset of text (a
-    strided view, no copy): word i holds text[i:i + 8]."""
-    return np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
-
-
 def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     """The packed keys of the cells text[start:end], a word at a time, in as
     few words as the longest cell needs; _NotPlain if one is too long."""
@@ -303,7 +314,8 @@ def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     # that chunk ends, shifted left past the bytes before the chunk (a shift by
     # 64 gives 0, for a chunk past the cell's end).  Every chunk ends at offset
     # 8 or later, since the header in front of a cell has two named columns.
-    view = _byte_words(text)
+    # view[i] is the big-endian word of text[i:i + 8], a strided view.
+    view = np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
     last = end - _WORD
     for j in range(words):
         yield _key_word(view, start, last, length, j, j == words - 1)
@@ -328,23 +340,8 @@ def _key_word(view, start, last, length, j: int, is_last: bool) -> np.ndarray:
     return np.left_shift(word, shift, out=word, dtype=np.uint64, casting="unsafe")
 
 
-# The names the plain data reader decoded last, as the tuple its counts hold,
-# and their packed keys: the audit's weight sidecar is matched to them
-# without packing them again.  The entry holds the tuple, so no other names
-# can ever be the same object; it is replaced as a whole, so a reader in
-# another thread sees an old or a new entry, each consistent.  The first
-# match takes it: names kept alive past the audit fragment the heap, which
-# raised the audit process's peak RSS by about 1 MiB over 100 audits.
-_decoded: tuple[tuple[str, ...], list[np.ndarray]] | None = None
-
-
 def _name_keys(names: Sequence[str]) -> list[np.ndarray]:
     """The packed keys of group names; _NotPlain if one is long or holds a NUL."""
-    global _decoded
-    decoded = _decoded
-    if decoded is not None and names is decoded[0]:
-        _decoded = None
-        return decoded[1]
     # NUL-separated, after 8 NULs so that every name ends at offset 8 or later.
     text = np.frombuffer(("\0" * _WORD + "\0".join(names) + "\0").encode(), np.uint8)
     nul = np.flatnonzero(text == 0)[_WORD - 1 :]
@@ -456,8 +453,9 @@ def _run_counts(key: np.ndarray):
     return distinct, cells.reshape(-1, 2, 2)
 
 
-def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
-    """The vectorised reader of a plain data CSV (see _plain_cells).
+def _records_plain(path: str, metric: MetricKind):
+    """The vectorised reader of a plain data CSV (see _plain_cells): its
+    counts, and the sorted packed keys of their names.
 
     Each row counts in the (K, 2, 2) cell of its (name, label, prediction).
     Names of at most 7 bytes pack into one word whose free low byte takes the
@@ -465,8 +463,6 @@ def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
     puts each cell's rows in one run, whose length is its count.  Longer
     names are factorised (_factorise), and 4 * id + pattern is bincounted.
     """
-    global _decoded
-    _decoded = None
     text, (group, label, prediction) = _plain_cells(
         _read_plain(path, _RECORD_COLUMNS), _RECORD_COLUMNS
     )
@@ -489,9 +485,7 @@ def _records_plain(path: str, metric: MetricKind) -> GroupCounts:
         key.sort()
         distinct, cells = _run_counts(key)
     # The keys are sorted and distinct, and so are the names they pack.
-    counts = GroupCounts.from_cells(_key_names(distinct), cells, metric, _names_sorted=True)
-    _decoded = counts.names, distinct
-    return counts
+    return GroupCounts.from_cells(_key_names(distinct), cells, metric, _names_sorted=True), distinct
 
 
 def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
@@ -524,6 +518,15 @@ def _records_csv(path: str, metric: MetricKind) -> GroupCounts:
     return GroupCounts.from_cells(list(ids), cells, metric)
 
 
+def _read_records(path: str, metric: MetricKind):
+    """read_records' counts and the sorted packed keys of their names, or None."""
+    try:
+        return _records_plain(path, metric)
+    except _NotPlain:
+        pass  # csv.reader streams the file
+    return _records_csv(path, metric), None
+
+
 def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
     """Reduce a data CSV to per-group counts under the metric, ordered by
     group name; blank lines are skipped.  Every path counts the rows in a
@@ -534,11 +537,7 @@ def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) 
     argsort and a bincount otherwise.  Any other input is streamed through
     csv.reader, with the same result.
     """
-    try:
-        return _records_plain(path, metric)
-    except _NotPlain:
-        pass  # csv.reader streams the file
-    return _records_csv(path, metric)
+    return _read_records(path, metric)[0]
 
 
 def _missing_weights(path: str, missing: list[str]) -> ConfigError:
@@ -546,57 +545,33 @@ def _missing_weights(path: str, missing: list[str]) -> ConfigError:
 
 
 def _same_as_previous(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Whether each cell text[start:end] holds the bytes of the cell before it
-    (never the first cell, nor a cell longer than _WORD * _KEY_WORDS bytes).
-
-    A cell whose length and last 8 bytes (fewer if it is shorter) match the
-    previous cell's is a candidate; only candidates of more than 8 bytes are
-    then confirmed, a word at a time.  So cells that all differ cost one
-    word per cell.
-    """
+    """Whether each cell text[start:end] and the one before it, both of at most
+    _WORD * _KEY_WORDS bytes, have one length and the same packed words
+    (_key_words); the words stop once no cell equals the one before it."""
     length = end - start
-    view = _byte_words(text)
-    last = end - _WORD
-    # Compared for equality only, so the words keep their bytes as they are.
-    tail = view[last].view(np.uint64)
-    if length.min() < _WORD:
-        tail &= _TAIL_MASKS[np.minimum(length, _WORD)]
     same = np.zeros(length.size, bool)
-    np.equal(length[1:], length[:-1], out=same[1:])
-    same[1:] &= tail[1:] == tail[:-1]
-    del tail
-    same &= length <= _WORD * _KEY_WORDS  # longer cells are parsed on their own
-    check = same & (length > _WORD)
-    if check.any():
-        # The candidates and the cells before them, in order: each candidate
-        # follows its predecessor, whose words sit at the same distances from
-        # its start (the lengths are equal), clamped to its last word.  A
-        # cell here that is no candidate precedes one, so it is as long and
-        # already marked as differing from the cell before it.
-        cells = check.copy()
-        cells[:-1] |= check[1:]
-        cells = np.flatnonzero(cells)
-        if cells.size < length.size:
-            start, last, length = start[cells], last[cells], length[cells]
-        for j in range(-(-int(length.max()) // _WORD) - 1):
-            word = view[np.minimum(start + _WORD * j, last)]
-            same[cells[1:][word[1:] != word[:-1]]] = False
+    same[1:] = (length[1:] == length[:-1]) & (length[1:] <= _WORD * _KEY_WORDS)
+    for word in _key_words(text, start, np.minimum(end, start + _WORD * _KEY_WORDS)):
+        same[1:] &= word[1:] == word[:-1]
+        if not same.any():
+            break
     return same
 
 
-def _sidecar_plain(path: str, names: Sequence[str]) -> np.ndarray:
-    """The vectorised reader of a plain weight sidecar (see _plain_cells):
-    its weights aligned to `names`, the sorted group names.
+def _sidecar_plain(path: str, names: Sequence[str], want=None) -> np.ndarray:
+    """The vectorised reader of a plain weight sidecar (see _plain_cells): its
+    weights aligned to the sorted group names `names`, whose packed keys are
+    `want` (None: packed here).
 
     The group cells are factorised as the data reader's long names are
     (_factorise), and the keys of `names` are looked up among them, unless
     they are the same keys (a row or more for each group, and no others).
     The weight cells are read by float() from their bytes, once per run of
-    byte-identical adjacent cells (_same_as_previous), so a sidecar of
-    uniform or per-stratum weights costs a handful of float() calls.  A cell
-    float() rejects raises _NotPlain, at the start of its run: csv.reader
-    then gives the error and its line number, or reads the cell as str
-    (non-ASCII digits).
+    adjacent cells with one length and the same packed key words
+    (_same_as_previous), so a sidecar of uniform or per-stratum weights costs
+    a handful of float() calls.  A cell float() rejects raises _NotPlain, at
+    the start of its run: csv.reader then gives the error and its line
+    number, or reads the cell as str (non-ASCII digits).
     """
     data = _read_plain(path, _SIDECAR_COLUMNS)
     text, (group, (start, end)) = _plain_cells(data, _SIDECAR_COLUMNS)
@@ -616,7 +591,7 @@ def _sidecar_plain(path: str, names: Sequence[str]) -> np.ndarray:
     # The last row of a repeated group wins.
     rows = np.zeros(keys[0].size, np.intp)
     np.maximum.at(rows, inverse, np.arange(inverse.size))
-    want = _name_keys(names)
+    want = _name_keys(names) if want is None else want
     if len(keys) == len(want) == 1:
         keys, want = keys[0], want[0]
     else:
@@ -648,6 +623,15 @@ def _sidecar_csv(path: str, names: Sequence[str]) -> list[float]:
     return [table[n] for n in names]
 
 
+def _read_weight_sidecar(path: str, names: Sequence[str], keys) -> GroupWeights:
+    """read_weight_sidecar, given the packed keys of `names` or None."""
+    try:
+        return GroupWeights(_sidecar_plain(path, names, keys))
+    except _NotPlain:
+        pass  # csv.reader streams the file
+    return GroupWeights(_sidecar_csv(path, names))
+
+
 def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
     """Read a `group,weight` CSV aligned to the sorted group names.
 
@@ -657,18 +641,14 @@ def read_weight_sidecar(path: str, names: Sequence[str]) -> GroupWeights:
     byte-identical adjacent cells (see _sidecar_plain); any other input is
     streamed through csv.reader.  Either way each weight is what float()
     reads from its cell, to the bit, and a bad cell gives the csv.reader
-    path's error and line number.  The names of the counts the last plain
-    data read returned are matched by the keys that read sorted, without
-    packing them again.
+    path's error and line number.  A plain sidecar packs `names` into keys
+    first, about 0.6-0.8 ms at K = 16384 (the audit passes the keys its plain
+    data read sorted instead).
     """
-    try:
-        return GroupWeights(_sidecar_plain(path, names))
-    except _NotPlain:
-        pass  # csv.reader streams the file
-    return GroupWeights(_sidecar_csv(path, names))
+    return _read_weight_sidecar(path, names, None)
 
 
-def _resolve_weights(source: str, counts: GroupCounts) -> GroupWeights:
+def _resolve_weights(source: str, counts: GroupCounts, keys) -> GroupWeights:
     if source == "uniform":
         return GroupWeights.uniform(counts.k)
     if source == "empirical":
@@ -676,7 +656,7 @@ def _resolve_weights(source: str, counts: GroupCounts) -> GroupWeights:
         if total == 0:
             raise ConfigError("empirical weights need at least one sample")
         return GroupWeights(counts.m / total)
-    return read_weight_sidecar(source, counts.names)
+    return _read_weight_sidecar(source, counts.names, keys)
 
 
 def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None):
@@ -737,14 +717,25 @@ def cmd_audit(args) -> int:
     gamma = _setting(conf, path, "gamma", float, None)
     metric = MetricKind(_choice(conf, path, "metric", ("sp", "eo")))
     plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
+    attr = plan_kind == "attr"
+    _check_ranges(conf, path, [
+        ("alpha", alpha, lambda a: 0 <= a < 1, "in [0, 1)"),
+        ("epsilon", epsilon, lambda e: 0 < (1 - alpha) * e * e / 2 <= 0.5,
+         "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"),
+        ("budget", budget, lambda n: attr <= n <= _MAX_COUNT, f"in [{int(attr)}, {_MAX_COUNT}]"),
+        ("eta", None if attr else eta, lambda e: e >= 0, ">= 0"),
+        ("gamma", gamma if attr else None,
+         lambda g: g > 0 and (budget is None or _whole_block(budget, g)),
+         f"> 0, with budget / gamma a whole number from 1 to {_MAX_COUNT}"),
+    ])
     source = conf.get("weights", "uniform")
     if source not in ("uniform", "empirical"):
         if not os.path.exists(source):
             raise ConfigError(f"{path}: weights file not found: {source!r}")
         if os.path.isdir(source):
             raise ConfigError(f"{path}: weights file is a directory: {source!r}")
-    counts = read_records(args.input, metric)
-    w = _resolve_weights(source, counts)
+    counts, keys = _read_records(args.input, metric)
+    w = _resolve_weights(source, counts, keys)
     plan = _make_plan(
         plan_kind,
         w,
@@ -823,21 +814,32 @@ def cmd_simulate(args) -> int:
 
     path = args.config
     conf = read_config(path, _SIMULATE_KEYS)
-    trials = _setting(conf, path, "trials", int, 0)
+    trials = _setting(conf, path, "trials", int)
     base_seed = _setting(conf, path, "base_seed", int, 0)
     k = _setting(conf, path, "k", int)
     alpha = _setting(conf, path, "alpha", float)
     epsilon = _setting(conf, path, "epsilon", float)
     target = _setting(conf, path, "target", float, 0.1)
-    if base_seed < 0:
-        raise ConfigError(f"{path}: base_seed must be >= 0, got {conf['base_seed']!r}")
-    if not 0 <= target <= 1:
-        raise ConfigError(f"{path}: target must be in [0, 1], got {conf['target']!r}")
     n_grid = _setting(conf, path, "n_grid", _int_list)
     eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
     gamma = _setting(conf, path, "gamma", float, None)
     _choice(conf, path, "instance", ("hardpair",))
     plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
+    attr = plan_kind == "attr"
+    _check_ranges(conf, path, [
+        ("trials", trials, lambda t: t >= 1, ">= 1"),
+        ("base_seed", base_seed, lambda s: s >= 0, ">= 0"),
+        ("k", k, lambda k: k >= 2, ">= 2"),
+        ("alpha", alpha, lambda a: 0 <= a < 1, "in [0, 1)"),
+        ("epsilon", epsilon, lambda e: 0 < e <= 0.5, "in (0, 0.5]"),
+        ("target", target, lambda t: 0 <= t <= 1, "in [0, 1]"),
+        ("n_grid", n_grid, lambda ns: attr <= min(ns) and max(ns) <= _MAX_COUNT,
+         f"a list of budgets in [{int(attr)}, {_MAX_COUNT}]"),
+        ("eta", None if attr else eta, lambda e: e >= 0, ">= 0"),
+        ("gamma", gamma if attr else None,
+         lambda g: g > 0 and all(_whole_block(n, g) for n in n_grid),
+         f"> 0, with n / gamma a whole number from 1 to {_MAX_COUNT} for each n of n_grid"),
+    ])
     pair = build_hard_pair(k, epsilon)
     points = []
     for n in n_grid:

@@ -22,6 +22,12 @@ from .errors import EmptyAfterConditioning, MissingGroup, WeightError
 # If the raw sum is off by at most this much we silently renormalize
 # (tolerates text-parsed weights); beyond it we raise.
 WEIGHT_RENORM_TOL = 1e-9
+# The largest count: counts are int64, and so are the counts numpy's
+# samplers take, so a plan rejects a larger budget or block rather than
+# overflow at its first draw.  Up to 4 cells of at most _MAX_CELL each sum
+# exactly in int64.
+_MAX_COUNT = 2**63 - 1
+_MAX_CELL = _MAX_COUNT // 4
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -219,11 +225,17 @@ class GroupCounts:
         Every named group is kept, even one whose rows conditioning drops.
         Equal opportunity keeps only label-0 rows, and needs at least one;
         statistical parity keeps all rows.  In both the loss is the prediction.
+        Integer cells of any dtype are summed exactly; a group that keeps more
+        than 2**63 - 1 rows is a ValueError.
         """
         cells = np.asarray(cells)
         k = len(names)
         if cells.shape != (k, 2, 2) or (cells.size and cells.min() < 0):
             raise ValueError(f"cells must be non-negative counts of shape ({k}, 2, 2)")
+        if cells.dtype.kind in "iu":
+            # Larger cells are added as Python ints, and the totals checked.
+            wide = cells.size and cells.max() > _MAX_CELL
+            cells = cells.astype(object if wide else np.int64, copy=False)
         # The kept rows per (group, prediction).  Explicit adds: a sum over
         # axes of length 2 takes an inner loop per group.
         if kind is MetricKind.EQUAL_OPPORTUNITY:
@@ -234,6 +246,12 @@ class GroupCounts:
             kept = cells[:, 0] + cells[:, 1]
         s = kept[:, 1]
         m = kept[:, 0] + s
+        if m.dtype == object:
+            big = np.flatnonzero(m > _MAX_COUNT)
+            if big.size:
+                g = int(big[0])
+                raise ValueError(f"group {names[g]!r} keeps {m[g]} rows, more than {_MAX_COUNT}")
+            s, m = s.astype(np.int64), m.astype(np.int64)
         try:
             # Names often come in sorted order; the constructor's check then
             # is the only pass over them, and `_names_sorted` skips even that.

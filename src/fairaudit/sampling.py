@@ -23,15 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GroupWeights
+from .core import _MAX_COUNT, GroupWeights
 from .errors import EstimatorUndefined, PlanMismatch, shown_groups
 
 # Weighted-plan tilt exponent that optimizes the sample-complexity bound.
 OPTIMAL_ETA = 2.0 / 3.0
-
-# The largest count numpy's samplers take (int64): a budget or block
-# beyond it is rejected here rather than overflowing at the first draw.
-_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 def weighted_marginal(w: GroupWeights, eta: float) -> GroupWeights:

@@ -127,7 +127,7 @@ class TestReducerMatchesOracle:
                 continue  # no rows at all: covered by the fuzz table
             readers = [lambda: read_records(str(path), kind)]
             if plain:  # the vectorised reader must take it, not fall back
-                readers.append(lambda: cli._records_plain(str(path), kind))
+                readers.append(lambda: cli._records_plain(str(path), kind)[0])
             for reader in readers:
                 if sum(m) == 0 and kind is EO:
                     with pytest.raises(EmptyAfterConditioning):
@@ -384,7 +384,7 @@ def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
     path = tmp_path / "data.csv"
     # Hash order is the reverse of name order: the ids must be re-ranked.
     path.write_bytes((HEADER + "abcdefgh2,0,1\nzzzzzzzz1,0,0\nabcdefgh2,0,0\n").encode())
-    counts = cli._records_plain(str(path), kind)
+    counts, _ = cli._records_plain(str(path), kind)
     assert _outcome(lambda: counts) == _outcome(lambda: cli._records_csv(str(path), kind))
     # Two names, one hash: csv.reader takes the file.
     path.write_bytes((HEADER + "abcdefgh1,0,1\nzzzzzzzz1,0,0\nabcdefgh1,0,0\n").encode())
@@ -720,8 +720,13 @@ class TestSidecarMatchesCsvReader:
         pool = ["", "1", "12", "0.5", "0.25", "1.22222", "1.2222222", "1.32222222",
                 "1.22222223", "2.22222222", "6.103515625e-05", "0.0001220703125", "1" * 32,
                 "1" * 31 + "2", "1" * 33, "1" * 32 + "2", "2" + "1" * 39]
-        for _ in range(40):
-            cells = self._runs(rng, pool, int(rng.integers(1, 300)), float(rng.uniform(1, 6)))
+        # Cells of whole words and one byte past them, each beside a shorter
+        # cell that is its prefix, and beside a copy of itself.
+        edges = [c for n in (8, 16, 24, 32, 33) for c in ("1" * n, "1" * (n - 1), "1" * n,
+                                                          "1" * n, "2" * (n - 3), "1" * n)]
+        for i in range(41):
+            cells = edges if i == 40 else self._runs(
+                rng, pool, int(rng.integers(1, 300)), float(rng.uniform(1, 6)))
             data = ("group,weight\n" + "".join(f"g,{c}\n" for c in cells)).encode()
             text, (_, weight) = cli._plain_cells(data, cli._SIDECAR_COLUMNS)
             same = [i > 0 and c == cells[i - 1] and len(c) <= 32 for i, c in enumerate(cells)]
@@ -794,7 +799,7 @@ class TestSortedCountsMatchCsvReader:
         sorted_path = max(len(n.encode()) for n in names) <= 7
         with monkeypatch.context() as patch:
             calls = self._spy(patch)
-            fast = _outcome(lambda: cli._records_plain(str(path), kind))
+            fast = _outcome(lambda: cli._records_plain(str(path), kind)[0])
             assert calls == {"_factorise": int(not sorted_path), "_run_counts": int(sorted_path)}
         assert fast == _outcome(lambda: cli._records_csv(str(path), kind))
         conf = tmp_path / "c.cfg"
@@ -876,28 +881,40 @@ class TestSortedCountsMatchCsvReader:
             else:  # the names with patterns 2 and 3 alone are kept with m = 0
                 assert got[2] == [10, 2, 2, 0, 0]
 
-    def test_sidecar_reuses_the_decoded_keys(self, tmp_path):
-        path = tmp_path / "data.csv"
-        for names in (["g1", "g22", "ü"], ["abcdefgh", "b"], ["female|asian|20-30", "a"]):
-            path.write_text(HEADER + "".join(f"{n},0,1\n" for n in names), encoding="utf-8")
-            counts = read_records(str(path))
-            entry = cli._decoded
-            assert entry[0] is counts.names
-            other = cli._name_keys(("zz",))  # other names are packed as they come
-            assert [w.tolist() for w in other] == [[int.from_bytes(b"zz".ljust(8, b"\0"), "big")]]
-            assert cli._decoded is entry
-            decoded = cli._name_keys(counts.names)
-            assert decoded is entry[1]
-            assert cli._decoded is None  # taken by the one match it serves
-            fresh = cli._name_keys(counts.names)  # packed again
-            assert len(decoded) == len(fresh)
-            assert all(np.array_equal(a, b) for a, b in zip(decoded, fresh))
-        # A file csv.reader takes leaves no keys behind.
-        read_records(str(path))
-        assert cli._decoded is not None
-        path.write_text(HEADER + '"a",0,1\n', encoding="utf-8")
-        read_records(str(path))
-        assert cli._decoded is None
+    @pytest.mark.parametrize("names", [["g1", "g22", "ü"], ["abcdefghi", "b"],
+                                       ["female|asian|20-30|north-west", "a"]],
+                             ids=["one_word", "two_words", "four_words"])
+    def test_audit_sidecar_takes_the_data_keys(self, tmp_path, capsys, monkeypatch, names):
+        """The audit matches a plain sidecar by the keys its plain data read
+        sorted, without packing the names again; names csv.reader read are
+        packed."""
+        data = tmp_path / "data.csv"
+        data.write_text(HEADER + "".join(f"{n},0,{i % 2}\n" for i, n in enumerate(names)),
+                        encoding="utf-8")
+        weights = tmp_path / "w.csv"
+        weights.write_text("group,weight\n" + "".join(f"{n},{1 / len(names)!r}\n"
+                                                      for n in names), encoding="utf-8")
+        conf = tmp_path / "c.cfg"
+        conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nweights={weights}\n", encoding="utf-8")
+        argv = ["audit", str(data), str(conf)]
+        want = _audit(argv, capsys)
+        assert want[0] in (0, 3)
+
+        def packed(names):
+            raise AssertionError("names packed again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_name_keys", packed)
+            assert _audit(argv, capsys) == want
+        # A quoted name sends the data through csv.reader; the sidecar stays plain.
+        data.write_text(HEADER + "".join(f'"{n}",0,{i % 2}\n' for i, n in enumerate(names)),
+                        encoding="utf-8")
+        calls = []
+        with monkeypatch.context() as patch:
+            original = cli._name_keys
+            patch.setattr(cli, "_name_keys", lambda names: calls.append(names) or original(names))
+            assert _audit(argv, capsys) == want
+        assert calls == [tuple(sorted(names))]
 
 
 def _load_bench_inputs():
@@ -911,8 +928,8 @@ def _load_bench_inputs():
 
 def test_benchmark_audit_input_same_on_both_paths(tmp_path, capsys, monkeypatch):
     expect = _load_bench_inputs().generate("audit_eo_wide", 1, tmp_path)
-    counts = cli._records_plain(str(tmp_path / "data.csv"), EO)  # the vectorised reader
-    cli._sidecar_plain(str(tmp_path / "weights.csv"), counts.names)  # takes both files
+    counts, keys = cli._records_plain(str(tmp_path / "data.csv"), EO)  # the vectorised reader
+    cli._sidecar_plain(str(tmp_path / "weights.csv"), counts.names, keys)  # takes both files
     fast = _audit(expect["argv"], capsys)
     assert fast[0] == expect["exit_code"]
     monkeypatch.setattr(cli, "_plain_cells", _not_plain)

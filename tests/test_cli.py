@@ -605,7 +605,9 @@ class TestSimulate:
     def test_gamma_with_fractional_block_rejected(self, tmp_path, capsys):
         conf = self._attr_config(tmp_path, "gamma=3\n")  # 8 / 3 samples per group
         assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: n/gamma must be a positive integer")
+        assert capsys.readouterr().err == (
+            f"error: {conf}: gamma must be > 0, with n / gamma a whole number from 1 to "
+            f"{2**63 - 1} for each n of n_grid, got '3'\n")
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         conf = _write(
@@ -613,7 +615,7 @@ class TestSimulate:
             "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=0\n",
         )
         assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {conf}: trials must be >= 1, got '0'\n"
 
     _SETTINGS = {"k": "8", "alpha": "0.875", "epsilon": "0.3", "n_grid": "50,100",
                  "trials": "20"}
@@ -808,12 +810,15 @@ class TestExitContract:
             assert main(["bounds", "--k", "16", *argv]) == 0
             assert capsys.readouterr().out.startswith("K: 16\n")
 
-    @pytest.mark.parametrize("command, config", [
-        ("audit", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=1e-320\n"),
+    @pytest.mark.parametrize("command, config, want", [
+        ("audit", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=1e-320\n",
+         f"gamma must be > 0, with budget / gamma a whole number from 1 to {2**63 - 1}"),
         ("simulate", "k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid=10\ntrials=2\n"
-                     "gamma=1e-320\n"),
+                     "gamma=1e-320\n",
+         f"gamma must be > 0, with n / gamma a whole number from 1 to {2**63 - 1} for each n "
+         "of n_grid"),
     ])
-    def test_overflowing_gamma_in_config(self, tmp_path, capsys, command, config):
+    def test_overflowing_gamma_in_config(self, tmp_path, capsys, command, config, want):
         conf = _write(tmp_path / "c.cfg", config)
         out = tmp_path / "out"
         if command == "audit":
@@ -821,16 +826,17 @@ class TestExitContract:
         else:
             argv = ["simulate", conf, "--out", str(out)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: n/gamma must be a positive integer, got inf\n")
+        assert capsys.readouterr() == ("", f"error: {conf}: {want}, got '1e-320'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config, want", [
         ("audit", f"alpha=0.5\nepsilon=0.3\nbudget={10**20}\n",
-         f"budget must be at most {2**63 - 1}, got {10**20}"),
+         f"budget must be in [0, {2**63 - 1}], got '{10**20}'"),
         ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nn_grid=10,{10**20}\ntrials=2\n",
-         f"budget must be at most {2**63 - 1}, got {10**20}"),
+         f"n_grid must be a list of budgets in [0, {2**63 - 1}], got '10,{10**20}'"),
         ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid={10**20}\ntrials=2\n"
-                     "gamma=1\n", f"n/gamma must be at most {2**63 - 1}, got 1e+20"),
+                     "gamma=1\n", f"n_grid must be a list of budgets in [1, {2**63 - 1}], "
+                                   f"got '{10**20}'"),
     ])
     def test_overflowing_budget_in_config(self, tmp_path, capsys, command, config, want):
         conf = _write(tmp_path / "c.cfg", config)
@@ -840,8 +846,68 @@ class TestExitContract:
         else:
             argv = ["simulate", conf, "--out", str(out)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
         assert not out.exists()
+
+    _BASE = {"audit": {"alpha": "0.5", "epsilon": "0.3"},
+             "simulate": {"k": "4", "alpha": "0.5", "epsilon": "0.3", "n_grid": "10",
+                          "trials": "2"}}
+    _BLOCK = f"> 0, with budget / gamma a whole number from 1 to {2**63 - 1}"
+    _BLOCKS = f"> 0, with n / gamma a whole number from 1 to {2**63 - 1} for each n of n_grid"
+    _THRESHOLD = "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"
+
+    @pytest.mark.parametrize("command, setting, rule", [
+        ("audit", "alpha=2", "in [0, 1)"),
+        ("audit", "alpha=-0.5", "in [0, 1)"),
+        ("audit", "epsilon=0", _THRESHOLD),
+        ("audit", "epsilon=5", _THRESHOLD),
+        ("audit", "epsilon=1e-200", _THRESHOLD),  # the threshold underflows to 0
+        ("audit", "eta=-1", ">= 0"),
+        ("audit", "budget=-1", f"in [0, {2**63 - 1}]"),
+        ("audit", "plan=attr\nbudget=0", f"in [1, {2**63 - 1}]"),
+        ("audit", "plan=attr\ngamma=0", _BLOCK),
+        ("audit", "plan=attr\nbudget=10\ngamma=3", _BLOCK),
+        ("audit", "plan=attr\nbudget=10\ngamma=20", _BLOCK),  # a block of 0.5
+        ("simulate", "k=0", ">= 2"),
+        ("simulate", "k=1", ">= 2"),
+        ("simulate", "alpha=2", "in [0, 1)"),
+        ("simulate", "epsilon=0", "in (0, 0.5]"),
+        ("simulate", "epsilon=0.6", "in (0, 0.5]"),
+        ("simulate", "n_grid=-5", f"a list of budgets in [0, {2**63 - 1}]"),
+        ("simulate", "n_grid=10,-5", f"a list of budgets in [0, {2**63 - 1}]"),
+        ("simulate", "plan=attr\nn_grid=0", f"a list of budgets in [1, {2**63 - 1}]"),
+        ("simulate", "eta=-1", ">= 0"),
+        ("simulate", "plan=attr\ngamma=0", _BLOCKS),
+        ("simulate", "plan=attr\nn_grid=10,20\ngamma=4", _BLOCKS),  # 10 / 4 is not whole
+    ])
+    def test_out_of_range_config_value(self, tmp_path, capsys, monkeypatch, command, setting,
+                                       rule):
+        """One key out of its range: an error that names the file and the key,
+        raised before the data CSV (here absent) is read or the instance built.
+        TestSimulate covers `trials`, `base_seed` and `target`."""
+        settings = dict(self._BASE[command])
+        settings.update(line.split("=") for line in setting.splitlines())
+        key, value = setting.splitlines()[-1].split("=")
+        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
+        out = tmp_path / "out"
+        monkeypatch.setattr(adversarial, "build_hard_pair", None)
+        if command == "audit":
+            argv = ["audit", str(tmp_path / "absent.csv"), conf]
+        else:
+            argv = ["simulate", conf, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: {key} must be {rule}, got {value!r}\n")
+        assert not out.exists()
+
+    def test_config_values_at_their_bounds(self, tmp_path, capsys):
+        """The edges of each range still run."""
+        for setting in ("alpha=0", "alpha=0.99", "epsilon=1", "eta=0", "budget=4",
+                        "plan=attr\nbudget=4\ngamma=2"):
+            settings = {**self._BASE["audit"], **dict(x.split("=") for x in setting.splitlines())}
+            conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
+            data = _write(tmp_path / "d.csv", "group,label,prediction\n" + "g0,0,1\ng1,0,0\n" * 2)
+            assert main(["audit", data, conf]) in (EXIT_H0, EXIT_H1), setting
+        capsys.readouterr()
 
     def test_memory_error_exit_usage(self, tmp_path, capsys, monkeypatch):
         # Raised where the instance is built, before the output is opened.

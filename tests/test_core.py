@@ -422,6 +422,36 @@ class TestFromCells:
         with pytest.raises(ValueError, match="must be integers, got dtype"):
             GroupCounts.from_cells(["g0", "g1", "g2"], cells, SP)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64],
+                             ids=lambda t: t.__name__)
+    def test_totals_never_wrap(self, dtype):
+        """Cells at the dtype's largest value: a total that fits int64 is
+        exact, and one past 2**63 - 1 is rejected, in any integer dtype."""
+        top = int(np.iinfo(dtype).max)
+        cells = np.full((2, 2, 2), top, dtype)
+        for kind, rows in ((SP, 4), (EO, 2)):
+            if rows * top <= 2**63 - 1:
+                c = GroupCounts.from_cells(["a", "b"], cells, kind)
+                assert (c.m.tolist(), c.s.tolist()) == ([rows * top] * 2, [rows // 2 * top] * 2)
+            else:
+                with pytest.raises(ValueError, match=rf"^group 'a' keeps {rows * top} rows, "
+                                                     rf"more than {2**63 - 1}$"):
+                    GroupCounts.from_cells(["a", "b"], cells, kind)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_totals_up_to_the_int64_bound(self, dtype):
+        big = 2**62
+        cells = np.array([[[0, 1], [0, 0]], [[big, big - 1], [1, 0]]], dtype)
+        c = GroupCounts.from_cells(["a", "b"], cells, EO)
+        assert (c.m.tolist(), c.s.tolist()) == ([1, 2**63 - 1], [1, big - 1])
+        assert c.m.dtype == np.int64
+        with pytest.raises(ValueError, match=rf"^group 'b' keeps {2**63} rows"):
+            GroupCounts.from_cells(["a", "b"], cells, SP)
+        if dtype is np.uint64:  # once summed to 0 in uint64
+            with pytest.raises(ValueError, match=rf"^group 'a' keeps {2**65} rows"):
+                GroupCounts.from_cells(["a"], np.full((1, 2, 2), 2**63, dtype), SP)
+
 
 class TestRecordsToSamples:
     """Metric conditioning of raw (group, label, prediction) rows."""
