@@ -106,6 +106,16 @@ def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
     return (p_ge1, max(0.0, p_ge2))
 
 
+def whole_block(n: int, gamma: float) -> bool:
+    """Whether n / gamma is a whole number (to within 1e-9) of 1 to _MAX_COUNT
+    samples, as AttributeSpecificPlan's block must be: rounding would corrupt
+    the budget identity sum_g E[M_g] = n."""
+    block = n / gamma
+    return math.isfinite(block) and abs(block - round(block)) <= 1e-9 and (
+        1 <= round(block) <= _MAX_COUNT
+    )
+
+
 @dataclass(frozen=True)
 class AttributeSpecificPlan:
     """Per-group block sampling: M_g = n/gamma with probability min(gamma*w_g, 1)."""
@@ -119,14 +129,11 @@ class AttributeSpecificPlan:
             raise ValueError(f"budget must be a positive integer, got {self.budget}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        block = self.budget / self.gamma
-        # The per-group draw count must be a whole number; rounding silently
-        # would corrupt the budget identity sum_g E[M_g] = n.  A NaN gamma, or
-        # one so small that n/gamma overflows, gives no block at all.
-        if not math.isfinite(block) or abs(block - round(block)) > 1e-9 or round(block) < 1:
-            raise ValueError(f"n/gamma must be a positive integer, got {block}")
-        if round(block) > _MAX_COUNT:
-            raise ValueError(f"n/gamma must be at most {_MAX_COUNT}, got {block}")
+        if not whole_block(self.budget, self.gamma):
+            block = self.budget / self.gamma  # past _MAX_COUNT, every float is whole
+            big = math.isfinite(block) and block > _MAX_COUNT
+            rule = f"at most {_MAX_COUNT}" if big else "a positive integer"
+            raise ValueError(f"n/gamma must be {rule}, got {block}")
 
     @staticmethod
     def default(w: GroupWeights, budget: int) -> "AttributeSpecificPlan":

@@ -24,7 +24,7 @@ from fairaudit.adversarial import (
 from fairaudit.bounds import le_cam_error_floor, p_error_attr, p_error_weighted, renyi_entropy
 from fairaudit.cli import EXIT_H0, EXIT_H1, main
 from fairaudit.core import FairnessInstance, GroupWeights
-from fairaudit.cli import read_records
+from fairaudit.reader import read_records
 from fairaudit.cvar_test import Region, TestConfig, classify_region, run_test_dataset
 from fairaudit.estimator import exact_moments
 from fairaudit.metrics import alpha_star, cvar_fairness, max_gap

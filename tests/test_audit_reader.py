@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairaudit import cli
-from fairaudit.cli import _render_outcome, main, read_records, read_weight_sidecar
+from fairaudit import reader
+from fairaudit.cli import _render_outcome, main
+from fairaudit.reader import read_audit, read_records
 from fairaudit.core import GroupCounts, GroupWeights, MetricKind
 from fairaudit.cvar_test import Decision, TestConfig, TestOutcome, run_test_dataset
 from fairaudit.errors import ConfigError, EmptyAfterConditioning, FairauditError
@@ -127,7 +128,7 @@ class TestReducerMatchesOracle:
                 continue  # no rows at all: covered by the fuzz table
             readers = [lambda: read_records(str(path), kind)]
             if plain:  # the vectorised reader must take it, not fall back
-                readers.append(lambda: cli._records_plain(str(path), kind)[0])
+                readers.append(lambda: _plain_counts(path, kind))
             for reader in readers:
                 if sum(m) == 0 and kind is EO:
                     with pytest.raises(EmptyAfterConditioning):
@@ -246,7 +247,18 @@ def test_malformed_input_fails_cleanly(tmp_path, capsys, data, conf, sidecar):
 
 
 def _not_plain(*args):
-    raise cli._NotPlain
+    raise reader._NotPlain
+
+
+def _plain_counts(path, kind):
+    """The counts of the vectorised data reader; _NotPlain if it does not take the file."""
+    keys, cells = reader._records_plain(str(path))
+    return GroupCounts.from_cells(reader._key_names(keys), cells, kind)
+
+
+def _csv_counts(path, kind):
+    """The counts of the csv.reader data path."""
+    return GroupCounts.from_cells(*reader._records_csv(str(path)), kind)
 
 
 def _audit(argv, capsys):
@@ -266,7 +278,7 @@ def _outcome(read):
 def _is_plain(read):
     try:
         read()
-    except cli._NotPlain:
+    except reader._NotPlain:
         return False
     except FairauditError:
         pass  # taken by the vectorised reader, and rejected on its merits
@@ -342,23 +354,33 @@ EDGE_CASES = [
 def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, plain, kind):
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    assert _is_plain(lambda: cli._records_plain(str(path), kind)) == plain
+    assert _is_plain(lambda: _plain_counts(path, kind)) == plain
     assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
-        lambda: cli._records_csv(str(path), kind)
+        lambda: _csv_counts(path, kind)
     )
     conf = tmp_path / "c.cfg"
     conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nmetric={kind.value}\n", encoding="utf-8")
     argv = ["audit", str(path), str(conf)]
     got = _audit(argv, capsys)
-    monkeypatch.setattr(cli, "_plain_cells", _not_plain)
+    monkeypatch.setattr(reader, "_plain_cells", _not_plain)
     assert got == _audit(argv, capsys)
 
 
-def test_long_first_name_rejected_from_the_head(tmp_path):
+def test_long_first_name_rejected_from_the_head(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "x" * 33 + ",0,1\n" + ROWS * 100_000).encode())
-    with pytest.raises(cli._NotPlain):
-        cli._read_plain(str(path), cli._RECORD_COLUMNS)
+    sizes = []
+
+    class Reads(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reader, "open", lambda *args: Reads(io.FileIO(*args)), raising=False)
+        with pytest.raises(reader._NotPlain):
+            reader._plain_cells(str(path), reader._RECORD_COLUMNS)
+    assert sizes == [reader._SCAN_BYTES]  # the head only
     assert read_records(str(path)).names == ("a", "b", "x" * 33)
 
 
@@ -380,18 +402,18 @@ def test_pipe_streams_through_csv_reader(tmp_path):
 @pytest.mark.parametrize("kind", [SP, EO])
 def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
     """With a multiplier of 0 the hash of a two-word key is its last word."""
-    monkeypatch.setattr(cli, "_MIX", np.uint64(0))
+    monkeypatch.setattr(reader, "_MIX", np.uint64(0))
     path = tmp_path / "data.csv"
     # Hash order is the reverse of name order: the ids must be re-ranked.
     path.write_bytes((HEADER + "abcdefgh2,0,1\nzzzzzzzz1,0,0\nabcdefgh2,0,0\n").encode())
-    counts, _ = cli._records_plain(str(path), kind)
-    assert _outcome(lambda: counts) == _outcome(lambda: cli._records_csv(str(path), kind))
+    counts = _plain_counts(path, kind)
+    assert _outcome(lambda: counts) == _outcome(lambda: _csv_counts(path, kind))
     # Two names, one hash: csv.reader takes the file.
     path.write_bytes((HEADER + "abcdefgh1,0,1\nzzzzzzzz1,0,0\nabcdefgh1,0,0\n").encode())
-    with pytest.raises(cli._NotPlain):
-        cli._records_plain(str(path), kind)
+    with pytest.raises(reader._NotPlain):
+        reader._records_plain(str(path))
     assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
-        lambda: cli._records_csv(str(path), kind)
+        lambda: _csv_counts(path, kind)
     )
 
 
@@ -448,7 +470,7 @@ class TestRenderOutcome:
         path = tmp_path / "d.csv"
         path.write_text(out.getvalue(), encoding="utf-8")
         counts = read_records(str(path))
-        assert _is_plain(lambda: cli._records_plain(str(path), SP)) is False
+        assert _is_plain(lambda: _plain_counts(path, SP)) is False
         assert set(counts.m.tolist()) == {1, 2, 3}
         outcome = self._outcome(np.concatenate([counts.m, [0]]))
         names = counts.names + ("~",)
@@ -466,9 +488,16 @@ def _csv_cells(data, columns):
     return [[row[c] for row in rows[1:]] for c in at]
 
 
-def _cells_of(data, columns):
+def _plain_cells(tmp_path, data, columns):
+    """_plain_cells of a file holding `data`."""
+    path = tmp_path / "cells.csv"
+    path.write_bytes(data)
+    return reader._plain_cells(str(path), columns)
+
+
+def _cells_of(tmp_path, data, columns):
     """_plain_cells' cells as strings."""
-    text, cells = cli._plain_cells(data, columns)
+    text, cells = _plain_cells(tmp_path, data, columns)
     raw = text.tobytes()
     return [[raw[a:b].decode("utf-8") for a, b in zip(start.tolist(), end.tolist())]
             for start, end in cells]
@@ -497,37 +526,38 @@ class TestPlainCellsOverBlocks:
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     @pytest.mark.parametrize("open_end", [False, True])
-    def test_cells_match_the_csv_reader(self, monkeypatch, block, eol, open_end):
+    def test_cells_match_the_csv_reader(self, tmp_path, monkeypatch, block, eol, open_end):
         if block:
-            monkeypatch.setattr(cli, "_SCAN_BYTES", block)
+            monkeypatch.setattr(reader, "_SCAN_BYTES", block)
         rng = np.random.default_rng(46)
         columns = ["group", "label", "prediction"]
         long = self._file(columns, self._rows(rng, 300 if block else 50_000, columns), eol,
                           open_end)
-        assert len(long) > 2 * cli._SCAN_BYTES
+        assert len(long) > 2 * reader._SCAN_BYTES
         columns = ["note", "prediction", "group", "label"]
         short = self._file(columns, self._rows(rng, 200, columns), eol, open_end)
         for data in (long, short):
-            assert _cells_of(data, cli._RECORD_COLUMNS) == _csv_cells(data, cli._RECORD_COLUMNS)
+            assert (_cells_of(tmp_path, data, reader._RECORD_COLUMNS)
+                    == _csv_cells(data, reader._RECORD_COLUMNS))
 
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("stray", [",", "\n", "\r\n", ",\n"])
-    def test_a_stray_delimiter_is_not_plain(self, monkeypatch, block, stray):
+    def test_a_stray_delimiter_is_not_plain(self, tmp_path, monkeypatch, block, stray):
         if block:
-            monkeypatch.setattr(cli, "_SCAN_BYTES", block)
-        size = cli._SCAN_BYTES
+            monkeypatch.setattr(reader, "_SCAN_BYTES", block)
+        size = reader._SCAN_BYTES
         rng = np.random.default_rng(47)
         columns = ["group", "label", "prediction"]
         data = self._file(columns, self._rows(rng, size // 4, columns))
         assert len(data) > 2 * size
-        cli._plain_cells(data, cli._RECORD_COLUMNS)
+        _plain_cells(tmp_path, data, reader._RECORD_COLUMNS)
         # At the start of a line (a group cell) that ends at or after a block
         # edge, and at the start of a line in the middle of the file.
         for at in (size - 1, size, 2 * size + 1, len(data) // 2):
             cut = data.index(b"\n", at - len(stray)) + 1
             bad = data[:cut] + stray.encode() + data[cut:]
-            with pytest.raises(cli._NotPlain):
-                cli._plain_cells(bad, cli._RECORD_COLUMNS)
+            with pytest.raises(reader._NotPlain):
+                _plain_cells(tmp_path, bad, reader._RECORD_COLUMNS)
 
 
 def _spell(value, how):
@@ -544,35 +574,46 @@ def _spell(value, how):
 
 class TestSidecarMatchesCsvReader:
     def _check(self, tmp_path, text, names, plain):
+        """The audit of data naming the groups `names` against the sidecar
+        `text`: its groups, counts and weights, or its error, which must be
+        the same when csv.reader reads both files.  `plain`: whether the
+        vectorised reader takes the sidecar."""
         path = tmp_path / "w.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _is_plain(lambda: cli._sidecar_plain(str(path), names)) == plain
+        assert _is_plain(lambda: reader._sidecar_plain(str(path))) == plain
+        data = tmp_path / "data.csv"
+        data.write_text(HEADER + "".join(f"{n},0,1\n" for n in names), encoding="utf-8")
 
-        def weights(read):
+        def audit():
             try:
-                return read()
+                counts, w = read_audit(str(data), SP, str(path))
             except FairauditError as exc:
                 return type(exc), str(exc)
+            return counts.names, counts.m.tolist(), w.w
 
-        fast = weights(lambda: read_weight_sidecar(str(path), names).w)
-        assert fast == weights(lambda: GroupWeights(cli._sidecar_csv(str(path), names)).w)
+        fast = audit()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reader, "_plain_cells", _not_plain)
+            assert fast == audit()
         return fast
 
     def test_random_sidecars(self, tmp_path):
         rng = np.random.default_rng(44)
         plain_checked = 0
         for _ in range(120):
-            names = sorted(rng.choice(PLAIN_NAMES, size=int(rng.integers(1, 6)), replace=False))
-            w = rng.dirichlet(np.ones(len(names)))
-            rows = [(n, repr(float(x))) for n, x in zip(names, w)]
-            # Earlier rows of a repeated group, and groups the data lacks.
-            rows = [(n, repr(float(rng.random()))) for n in rng.choice(names, 2)] + rows
-            rows += [(n, "nan") for n in rng.choice(["extra", "q r"], int(rng.integers(0, 3)))]
+            # The sidecar's groups, of which the data names one or more.
+            universe = sorted(rng.choice(PLAIN_NAMES, size=int(rng.integers(1, 8)), replace=False))
+            names = sorted(rng.choice(universe, size=int(rng.integers(1, len(universe) + 1)),
+                                      replace=False))
+            w = rng.dirichlet(np.ones(len(universe)))
+            rows = [(n, repr(float(x))) for n, x in zip(universe, w)]
+            # Earlier rows of a repeated group.
+            rows = [(n, repr(float(rng.random()))) for n in rng.choice(universe, 2)] + rows
             order = rng.permutation(len(rows))
             last = {n: i for i, n in enumerate(n for n, _ in (rows[j] for j in order))}
             rows = [rows[j] for j in order]
             # The last row of each group must carry its weight.
-            for n, x in zip(names, w):
+            for n, x in zip(universe, w):
                 rows[last[n]] = (n, _spell(float(x), str(rng.choice(
                     ["plain", "plain", "space", "underscore", "arabic_indic"]))))
             columns = ["group", "weight"] if rng.random() < 0.7 else ["weight", "note", "group"]
@@ -581,8 +622,10 @@ class TestSidecarMatchesCsvReader:
                 lines.append(",".join({"group": n, "weight": cell, "note": ""}[c] for c in columns))
             text = "\n".join(lines) + "\n"
             plain = all(cell.isascii() for _, cell in rows)
-            got = self._check(tmp_path, text, tuple(names), plain)
-            assert got == pytest.approx(tuple(float(x) for x in w), rel=1e-12, abs=0)
+            got_names, got_m, got_w = self._check(tmp_path, text, tuple(names), plain)
+            assert got_names == tuple(universe)
+            assert got_m == [int(n in names) for n in universe]
+            assert got_w == pytest.approx(tuple(float(x) for x in w), rel=1e-12, abs=0)
             plain_checked += plain
         assert plain_checked >= 40
 
@@ -610,18 +653,22 @@ class TestSidecarMatchesCsvReader:
     def test_joined_names_match_word_by_word(self, tmp_path):
         names = ("b", "female|asian|20-3", "female|asian|20-30")
         text = ("group,weight\nfemale|asian|20-30,0.75\nfemale|asian|20-3,0.5\nb,0.25\n"
-                "female|asian|20-30,0.25\nfemale|asian|20-30|x,nan\n")
-        assert self._check(tmp_path, text, names, True) == (0.25, 0.5, 0.25)
+                "female|asian|20-30,0.25\nfemale|asian|20-30|x,0\n")
+        assert self._check(tmp_path, text, names, True) == (
+            names + ("female|asian|20-30|x",), [1, 1, 1, 0], (0.25, 0.5, 0.25, 0.0))
         # Sidecar names of one word, data names of three, and back.
         self._check(tmp_path, "group,weight\nb,0.5\nc,0.5\n", names, True)
+        assert self._check(tmp_path, "group,weight\nb,0.5\nc,0.25\nfemale|asian|20-30,0.25\n",
+                           names, True)[0] is ConfigError  # as many groups, not the same
         self._check(tmp_path, text, ("b", "c"), True)
         self._check(tmp_path, text, ("b", "female|asian|20-31"), True)
 
     def test_long_data_names_fall_back(self, tmp_path):
+        """Data that csv.reader reads joins a plain sidecar by names."""
         long = "x" * 33
         self._check(tmp_path, f"group,weight\n{long},0.5\nb,0.5\n", ("b", long), False)
-        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", long), False)
-        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), False)
+        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", long), True)
+        self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), True)
 
     # Weight columns of up to 16384 rows, read by the plain path with one
     # float() per run of byte-identical adjacent cells.
@@ -647,20 +694,19 @@ class TestSidecarMatchesCsvReader:
         text = end.join([header, *rows]) + (end if final_newline else "")
         path = tmp_path / "w.csv"
         path.write_bytes(text.encode("utf-8"))
-        names = tuple(sorted(names))
         parsed = []
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "float", lambda b: parsed.append(b) or float(b), raising=False)
-            assert _is_plain(lambda: cli._sidecar_plain(str(path), names)) == plain
+            patch.setattr(reader, "float", lambda b: parsed.append(b) or float(b), raising=False)
+            assert _is_plain(lambda: reader._sidecar_plain(str(path))) == plain
 
         def either():
             try:
-                return cli._sidecar_plain(str(path), names)
-            except cli._NotPlain:
-                return cli._sidecar_csv(str(path), names)
+                return reader._sidecar_plain(str(path))[1]
+            except reader._NotPlain:
+                return reader._sidecar_csv(str(path))[1]
 
         got = self._bits(either)
-        assert got == self._bits(lambda: cli._sidecar_csv(str(path), names))
+        assert got == self._bits(lambda: reader._sidecar_csv(str(path))[1])
         if plain:  # one float() per run, on the first cell's bytes
             runs = [c for i, c in enumerate(cells) if i == 0 or c != cells[i - 1] or len(c) > 32]
             assert parsed == [c.encode() for c in runs]
@@ -715,7 +761,7 @@ class TestSidecarMatchesCsvReader:
                        for i in range(4096)]
         self._check_column(tmp_path, monkeypatch, alternating, True, crlf=True)
 
-    def test_same_as_previous_matches_the_bytes(self):
+    def test_same_as_previous_matches_the_bytes(self, tmp_path):
         rng = np.random.default_rng(51)
         pool = ["", "1", "12", "0.5", "0.25", "1.22222", "1.2222222", "1.32222222",
                 "1.22222223", "2.22222222", "6.103515625e-05", "0.0001220703125", "1" * 32,
@@ -728,9 +774,9 @@ class TestSidecarMatchesCsvReader:
             cells = edges if i == 40 else self._runs(
                 rng, pool, int(rng.integers(1, 300)), float(rng.uniform(1, 6)))
             data = ("group,weight\n" + "".join(f"g,{c}\n" for c in cells)).encode()
-            text, (_, weight) = cli._plain_cells(data, cli._SIDECAR_COLUMNS)
+            text, (_, weight) = _plain_cells(tmp_path, data, reader._SIDECAR_COLUMNS)
             same = [i > 0 and c == cells[i - 1] and len(c) <= 32 for i, c in enumerate(cells)]
-            assert cli._same_as_previous(text, *weight).tolist() == same
+            assert reader._same_as_previous(text, *weight).tolist() == same
 
     def test_non_ascii_cells_in_runs(self, tmp_path, monkeypatch):
         arabic = _spell(0.25, "arabic_indic")
@@ -782,13 +828,13 @@ class TestSortedCountsMatchCsvReader:
     def _spy(monkeypatch):
         calls = {"_factorise": 0, "_run_counts": 0}
         for name in calls:
-            original = getattr(cli, name)
+            original = getattr(reader, name)
 
             def spy(*args, _original=original, _name=name):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(reader, name, spy)
         return calls
 
     def _check(self, tmp_path, capsys, monkeypatch, text, kind, sidecar=None):
@@ -799,9 +845,9 @@ class TestSortedCountsMatchCsvReader:
         sorted_path = max(len(n.encode()) for n in names) <= 7
         with monkeypatch.context() as patch:
             calls = self._spy(patch)
-            fast = _outcome(lambda: cli._records_plain(str(path), kind)[0])
+            fast = _outcome(lambda: _plain_counts(path, kind))
             assert calls == {"_factorise": int(not sorted_path), "_run_counts": int(sorted_path)}
-        assert fast == _outcome(lambda: cli._records_csv(str(path), kind))
+        assert fast == _outcome(lambda: _csv_counts(path, kind))
         conf = tmp_path / "c.cfg"
         weights = "uniform"
         if sidecar is not None:
@@ -812,7 +858,7 @@ class TestSortedCountsMatchCsvReader:
         argv = ["audit", str(path), str(conf)]
         got = _audit(argv, capsys)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_plain_cells", _not_plain)
+            patch.setattr(reader, "_plain_cells", _not_plain)
             assert got == _audit(argv, capsys)
         return fast
 
@@ -885,9 +931,9 @@ class TestSortedCountsMatchCsvReader:
                                        ["female|asian|20-30|north-west", "a"]],
                              ids=["one_word", "two_words", "four_words"])
     def test_audit_sidecar_takes_the_data_keys(self, tmp_path, capsys, monkeypatch, names):
-        """The audit matches a plain sidecar by the keys its plain data read
-        sorted, without packing the names again; names csv.reader read are
-        packed."""
+        """The audit matches a plain sidecar to plain data by their sorted
+        packed keys, and decodes the names once; data that csv.reader reads
+        joins the sidecar by names."""
         data = tmp_path / "data.csv"
         data.write_text(HEADER + "".join(f"{n},0,{i % 2}\n" for i, n in enumerate(names)),
                         encoding="utf-8")
@@ -900,21 +946,22 @@ class TestSortedCountsMatchCsvReader:
         want = _audit(argv, capsys)
         assert want[0] in (0, 3)
 
-        def packed(names):
-            raise AssertionError("names packed again")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_name_keys", packed)
-            assert _audit(argv, capsys) == want
-        # A quoted name sends the data through csv.reader; the sidecar stays plain.
-        data.write_text(HEADER + "".join(f'"{n}",0,{i % 2}\n' for i, n in enumerate(names)),
-                        encoding="utf-8")
         calls = []
         with monkeypatch.context() as patch:
-            original = cli._name_keys
-            patch.setattr(cli, "_name_keys", lambda names: calls.append(names) or original(names))
+            for name in ("_key_positions", "_key_names"):
+                def spy(*args, _original=getattr(reader, name), _name=name):
+                    calls.append(_name)
+                    return _original(*args)
+
+                patch.setattr(reader, name, spy)
             assert _audit(argv, capsys) == want
-        assert calls == [tuple(sorted(names))]
+            assert calls == ["_key_names", "_key_positions"]
+            # A quoted name sends the data through csv.reader; the sidecar stays plain.
+            data.write_text(HEADER + "".join(f'"{n}",0,{i % 2}\n' for i, n in enumerate(names)),
+                            encoding="utf-8")
+            calls.clear()
+            assert _audit(argv, capsys) == want
+            assert calls == ["_key_names"]
 
 
 def _load_bench_inputs():
@@ -928,9 +975,9 @@ def _load_bench_inputs():
 
 def test_benchmark_audit_input_same_on_both_paths(tmp_path, capsys, monkeypatch):
     expect = _load_bench_inputs().generate("audit_eo_wide", 1, tmp_path)
-    counts, keys = cli._records_plain(str(tmp_path / "data.csv"), EO)  # the vectorised reader
-    cli._sidecar_plain(str(tmp_path / "weights.csv"), counts.names, keys)  # takes both files
+    reader._records_plain(str(tmp_path / "data.csv"))  # the vectorised reader
+    reader._sidecar_plain(str(tmp_path / "weights.csv"))  # takes both files
     fast = _audit(expect["argv"], capsys)
     assert fast[0] == expect["exit_code"]
-    monkeypatch.setattr(cli, "_plain_cells", _not_plain)
+    monkeypatch.setattr(reader, "_plain_cells", _not_plain)
     assert _audit(expect["argv"], capsys) == fast

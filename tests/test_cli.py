@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from fairaudit import adversarial, cli
+from fairaudit import adversarial, cli, reader
 from fairaudit.cli import (
     EXIT_DATA,
     EXIT_H0,
@@ -19,12 +19,12 @@ from fairaudit.cli import (
     _render_outcome,
     main,
     read_config,
-    read_records,
-    read_weight_sidecar,
 )
 from fairaudit.core import GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
 from fairaudit.errors import ConfigError, WeightError
+from fairaudit.estimator import estimate_from_counts
+from fairaudit.reader import read_audit, read_records
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 
 
@@ -123,9 +123,9 @@ class TestReadRecords:
             reason = f"{column} must be 0 or 1, got {int(cell)}"
         except ValueError:
             reason = f"invalid literal for int() with base 10: {cell!r}"
-        for read in (read_records, cli._records_csv):
+        for read in (read_records, reader._records_csv):
             with pytest.raises(ConfigError) as err:
-                read(path, MetricKind.STATISTICAL_PARITY)
+                read(path)
             assert str(err.value) == f"{path}:3: bad row ({reason})"
 
     def test_short_row_reports_line(self, tmp_path):
@@ -147,25 +147,43 @@ class TestReadRecords:
 
 
 class TestReadWeightSidecar:
+    @staticmethod
+    def _read(tmp_path, sidecar, groups=("a", "b")):
+        """read_audit's (counts, weights) for data with one row per group."""
+        rows = "".join(f"{g},0,1\n" for g in groups)
+        data = _write(tmp_path / "d.csv", "group,label,prediction\n" + rows)
+        return read_audit(data, MetricKind.STATISTICAL_PARITY, _write(tmp_path / "w.csv", sidecar))
+
     def test_aligned_to_names(self, tmp_path):
-        path = _write(tmp_path / "w.csv", "group,weight\nb,0.75\na,0.25\n")
-        w = read_weight_sidecar(path, ["a", "b"])
+        counts, w = self._read(tmp_path, "group,weight\nb,0.75\na,0.25\n")
+        assert counts.names == ("a", "b")
         assert w.w == (0.25, 0.75)
 
     def test_missing_group(self, tmp_path):
-        path = _write(tmp_path / "w.csv", "group,weight\na,1.0\n")
-        with pytest.raises(ConfigError):
-            read_weight_sidecar(path, ["a", "b"])
+        for sidecar in ("a,1.0\n", "a,0.5\nc,0.5\n"):  # fewer groups, and as many
+            with pytest.raises(ConfigError, match=r"w\.csv: missing weights for groups 'b'$"):
+                self._read(tmp_path, "group,weight\n" + sidecar)
 
     def test_bad_weight_reports_line(self, tmp_path):
-        path = _write(tmp_path / "w.csv", "weight,group\n0.5,a\nabc,b\n")
         with pytest.raises(ConfigError, match=":3: bad row"):
-            read_weight_sidecar(path, ["a", "b"])
+            self._read(tmp_path, "weight,group\n0.5,a\nabc,b\n")
 
     def test_nan_weight_rejected(self, tmp_path):
-        path = _write(tmp_path / "w.csv", "group,weight\na,nan\nb,0.5\n")
-        with pytest.raises(WeightError, match="finite"):
-            read_weight_sidecar(path, ["a", "b"])
+        with pytest.raises(WeightError, match="^weights must be finite$"):
+            self._read(tmp_path, "group,weight\na,nan\nb,0.5\n")
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
+    def test_sidecar_groups_are_the_universe(self, tmp_path, quote):
+        # Groups the data lacks count zero samples, in the sidecar's order.
+        sidecar = f"group,weight\nd,0.25\n{quote}b{quote},0.25\nc,0.25\na,0.25\n"
+        counts, w = self._read(tmp_path, sidecar, groups=("c", "a"))
+        assert counts.names == ("a", "b", "c", "d")
+        assert counts.m.tolist() == [1, 0, 1, 0] and counts.s.tolist() == [1, 0, 1, 0]
+        assert w.w == (0.25,) * 4
+
+    def test_weight_sum_error_names_the_sidecar(self, tmp_path):
+        with pytest.raises(WeightError, match=r"w\.csv: weights sum to 0\.75, not 1$"):
+            self._read(tmp_path, "group,weight\na,0.5\nb,0.25\n")
 
 
 class TestAudit:
@@ -417,6 +435,27 @@ class TestAudit:
             "count[c d]: 1  (warning: fewer than 2 samples)\n"
         )
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
+    def test_sidecar_lists_groups_the_data_lacks(self, tmp_path, capsys, quote):
+        # The sidecar's groups are the universe: d has no row, so no sample.
+        data = _write(tmp_path / "data.csv", "group,label,prediction\n"
+                      + "a,0,1\nb,0,0\nc,0,1\n" * 2)
+        sidecar = _write(tmp_path / "w.csv", "group,weight\n"
+                         + "".join(f"{quote}{g}{quote},0.25\n" for g in "abcd"))
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\neta=0\nweights={sidecar}\n")
+        assert main(["audit", data, conf]) in (EXIT_H0, EXIT_H1)
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith("count[a]: 2\ncount[b]: 2\ncount[c]: 2\n"
+                            "count[d]: 0  (warning: fewer than 2 samples)\n")
+
+    def test_weight_sum_error_names_the_sidecar(self, tmp_path, capsys):
+        data = self._fair_csv(tmp_path)
+        sidecar = _write(tmp_path / "w.csv", "group,weight\ng0,0.5\ng1,0.25\n")
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={sidecar}\n")
+        assert main(["audit", data, conf]) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {sidecar}: weights sum to 0.75, not 1\n")
+
     def test_sidecar_missing_groups_named_a_few(self, tmp_path, capsys):
         lines = ["group,label,prediction"] + [f"g{g:04d},0,0" for g in range(3000)]
         data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
@@ -543,6 +582,49 @@ class TestSynthRoundTrip:
         counts = read_records(str(out_csv))
         assert int(counts.m.sum()) == 50
         assert counts.k <= 8
+
+    @pytest.mark.parametrize("plan, synth_plan", [
+        ("plan=weighted\neta=0\nbudget=256\n", ["--plan", "weighted", "--eta", "0",
+                                               "--budget", "256"]),
+        ("plan=attr\nbudget=128\ngamma=64\n", ["--plan", "attr", "--budget", "128",
+                                              "--gamma", "64"]),
+    ], ids=["weighted", "attr"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sidecar_universe_at_k_much_larger_than_n(self, tmp_path, capsys, plan, synth_plan,
+                                                      seed):
+        # K = 256 groups, of which the sample reaches only some: the audit of
+        # the all-K sidecar is the statistic of the all-K counts, to the bit.
+        k = 256
+        out_csv = tmp_path / "synth.csv"
+        assert main(["synth", "--kind", "mixture", "--side", "h1", "--k", str(k), "--alpha",
+                     "0.75", "--epsilon", "0.3", "--seed", str(seed), "--out", str(out_csv),
+                     *synth_plan]) == 0
+        names = [cli._group_name(g, k) for g in range(k)]
+        sidecar = _write(tmp_path / "w.csv",
+                         "group,weight\n" + "".join(f"{n},{1 / k!r}\n" for n in names))
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.75\nepsilon=0.3\n{plan}weights={sidecar}\n")
+        capsys.readouterr()
+        code = main(["audit", str(out_csv), conf])
+        out, err = capsys.readouterr()
+
+        seen = read_records(str(out_csv))
+        assert seen.k < k
+        s, m = [0] * k, [0] * k
+        for name, sg, mg in zip(seen.names, seen.s.tolist(), seen.m.tolist()):
+            s[names.index(name)], m[names.index(name)] = sg, mg
+        w = GroupWeights.uniform(k)
+        if "attr" in plan:
+            cfg_plan = AttributeSpecificPlan(w=w, budget=128, gamma=64.0)
+        else:
+            cfg_plan = WeightedPlan.from_weights(w, 0.0, 256)
+        stat = estimate_from_counts(s, m, w, cfg_plan.inclusion_probabilities())
+        tau = TestConfig(alpha=0.75, epsilon=0.3, plan=cfg_plan).threshold
+        assert err == ""
+        assert code == (EXIT_H1 if stat.f >= tau else EXIT_H0)
+        assert out.startswith(f"decision: {'H1' if code == EXIT_H1 else 'H0'}\n"
+                              f"statistic: {stat.f!r}\nf1: {stat.f1!r}\nf2: {stat.f2!r}\n")
+        assert out.count("\ncount[") == k
+        assert out.count(": 0  (warning: fewer than 2 samples)") == m.count(0)
 
 
 class TestSimulate:
@@ -829,6 +911,18 @@ class TestExitContract:
         assert capsys.readouterr() == ("", f"error: {conf}: {want}, got '1e-320'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma", ["3", "10", "1e-320"])
+    def test_gamma_against_the_kept_rows(self, tmp_path, capsys, gamma):
+        # Without a budget, the attribute-specific plan's budget is the number
+        # of kept rows (here 5), known only once the data is read.
+        data = _write(tmp_path / "d.csv", "group,label,prediction\n" + "g0,0,1\ng1,0,0\n" * 2
+                      + "g2,0,1\n")
+        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nplan=attr\ngamma={gamma}\n")
+        assert main(["audit", data, conf]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: gamma must be > 0, with budget / gamma "
+                                           f"a whole number from 1 to {2**63 - 1}, for the budget "
+                                           f"of 5 kept rows, got {gamma!r}\n")
+
     @pytest.mark.parametrize("command, config, want", [
         ("audit", f"alpha=0.5\nepsilon=0.3\nbudget={10**20}\n",
          f"budget must be in [0, {2**63 - 1}], got '{10**20}'"),
@@ -863,6 +957,8 @@ class TestExitContract:
         ("audit", "epsilon=5", _THRESHOLD),
         ("audit", "epsilon=1e-200", _THRESHOLD),  # the threshold underflows to 0
         ("audit", "eta=-1", ">= 0"),
+        ("audit", "plan=attr\neta=-1", ">= 0"),  # an eta the plan does not use
+        ("audit", "gamma=-1", "> 0"),  # a gamma the weighted plan does not use
         ("audit", "budget=-1", f"in [0, {2**63 - 1}]"),
         ("audit", "plan=attr\nbudget=0", f"in [1, {2**63 - 1}]"),
         ("audit", "plan=attr\ngamma=0", _BLOCK),
@@ -877,6 +973,8 @@ class TestExitContract:
         ("simulate", "n_grid=10,-5", f"a list of budgets in [0, {2**63 - 1}]"),
         ("simulate", "plan=attr\nn_grid=0", f"a list of budgets in [1, {2**63 - 1}]"),
         ("simulate", "eta=-1", ">= 0"),
+        ("simulate", "plan=attr\neta=-1", ">= 0"),
+        ("simulate", "gamma=-1", "> 0"),
         ("simulate", "plan=attr\ngamma=0", _BLOCKS),
         ("simulate", "plan=attr\nn_grid=10,20\ngamma=4", _BLOCKS),  # 10 / 4 is not whole
     ])

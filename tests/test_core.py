@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairaudit import core as core_module
-from fairaudit.cli import read_records
+from fairaudit.reader import read_records
 from fairaudit.core import (
     FairnessInstance,
     GroupCounts,
