@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -94,45 +95,40 @@ def _int_list(text: str) -> list[int]:
 _EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated integers"}
 
 
-def _setting(conf: dict[str, str], path: str, key: str, parse, default=_REQUIRED):
-    """conf[key] read by `parse` (int, float or _int_list), or `default` when absent.
+def _one_of(choices: tuple[str, ...]):
+    """The (test, rule) pair of a value that must be one of `choices`."""
+    return choices.__contains__, "one of " + ", ".join(map(repr, choices))
 
-    A missing required key, a value `parse` rejects, or a float that is NaN or
-    infinite is a ConfigError that names the file and the key.
+
+# (test, rule) pairs and choices that more than one config key or option takes.
+_ALPHA = (lambda a: 0 <= a < 1, "in [0, 1)")
+_NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
+_POSITIVE = (lambda n: n >= 1, ">= 1")
+_PLANS = ("weighted", "attr")
+
+
+def _setting(conf: dict[str, str], path: str, key: str, parse, default, test, rule: str):
+    """conf[key] read by `parse` (str, int, float or _int_list) and checked by
+    `test`, or the untested `default` (`_REQUIRED`: none) when it is absent.
+
+    A missing required key, a value `parse` rejects, a float that is NaN or
+    infinite, or a value `test` rejects (`KEY must be RULE, got 'TEXT'`) is a
+    ConfigError that names the file and the key.  Callers read each key a
+    rule depends on first, and the first bad key in that order is reported.
     """
     if key not in conf:
         if default is _REQUIRED:
             raise ConfigError(f"{path}: missing key {key!r}")
         return default
+    text = conf[key]
     try:
-        value = parse(conf[key])
+        value = parse(text)
     except ValueError:
-        raise ConfigError(
-            f"{path}: {key} must be {_EXPECTED[parse]}, got {conf[key]!r}"
-        ) from None
+        raise ConfigError(f"{path}: {key} must be {_EXPECTED[parse]}, got {text!r}") from None
     if parse is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: {key} must be a finite number, got {conf[key]!r}")
-    return value
-
-
-def _check_ranges(conf: dict[str, str], path: str, ranges) -> None:
-    """A ConfigError that names the file and the first key out of its range.
-
-    `ranges` holds (key, value, test, rule) quadruples; a value of None, such
-    as a setting the chosen plan does not use, is not checked.
-    """
-    for key, value, test, rule in ranges:
-        if value is not None and not test(value):
-            raise ConfigError(f"{path}: {key} must be {rule}, got {conf.get(key, value)!r}")
-
-
-def _choice(conf: dict[str, str], path: str, key: str, choices: tuple[str, ...]) -> str:
-    """conf[key], choices[0] when absent; any other value is a ConfigError."""
-    value = conf.get(key, choices[0])
-    if value not in choices:
-        raise ConfigError(
-            f"{path}: {key} must be one of {', '.join(map(repr, choices))}, got {value!r}"
-        )
+        raise ConfigError(f"{path}: {key} must be a finite number, got {text!r}")
+    if not test(value):
+        raise ConfigError(f"{path}: {key} must be {rule}, got {text!r}")
     return value
 
 
@@ -140,11 +136,9 @@ def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float
     """The named sampling plan; without gamma, the attribute-specific plan's default."""
     if kind == "weighted":
         return WeightedPlan.from_weights(w, eta, budget)
-    if kind == "attr":
-        if gamma is None:
-            return AttributeSpecificPlan.default(w, budget)
-        return AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
-    raise ConfigError(f"unknown plan {kind!r}")
+    if gamma is None:
+        return AttributeSpecificPlan.default(w, budget)
+    return AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
 
 
 def _warn_if_clipped(plan: AttributeSpecificPlan) -> None:
@@ -187,24 +181,21 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
 def cmd_audit(args) -> int:
     path = args.config
     conf = read_config(path, _AUDIT_KEYS)
-    alpha = _setting(conf, path, "alpha", float)
-    epsilon = _setting(conf, path, "epsilon", float)
-    budget = _setting(conf, path, "budget", int, None)
-    eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
-    gamma = _setting(conf, path, "gamma", float, None)
-    metric = MetricKind(_choice(conf, path, "metric", ("sp", "eo")))
-    plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
+    setting = partial(_setting, conf, path)
+    alpha = setting("alpha", float, _REQUIRED, *_ALPHA)
+    epsilon = setting("epsilon", float, _REQUIRED,
+                      lambda e: e > 0 and 0 < (1 - alpha) * e * e / 2 <= 0.5,
+                      "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]")
+    metric = MetricKind(setting("metric", str, "sp", *_one_of(("sp", "eo"))))
+    plan_kind = setting("plan", str, "weighted", *_one_of(_PLANS))
     attr = plan_kind == "attr"
+    budget = setting("budget", int, None, lambda n: attr <= n <= _MAX_COUNT,
+                     f"in [{int(attr)}, {_MAX_COUNT}]")
+    eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
     block_rule = f"> 0, with budget / gamma a whole number from 1 to {_MAX_COUNT}"
-    _check_ranges(conf, path, [
-        ("alpha", alpha, lambda a: 0 <= a < 1, "in [0, 1)"),
-        ("epsilon", epsilon, lambda e: 0 < (1 - alpha) * e * e / 2 <= 0.5,
-         "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"),
-        ("budget", budget, lambda n: attr <= n <= _MAX_COUNT, f"in [{int(attr)}, {_MAX_COUNT}]"),
-        ("eta", eta, lambda e: e >= 0, ">= 0"),
-        ("gamma", gamma, lambda g: g > 0 and (not attr or budget is None or whole_block(budget, g)),
-         block_rule if attr else "> 0"),
-    ])
+    gamma = setting("gamma", float, None,
+                    lambda g: g > 0 and (not attr or budget is None or whole_block(budget, g)),
+                    block_rule if attr else "> 0")
     source = conf.get("weights", "uniform")
     sidecar = None if source in ("uniform", "empirical") else source
     if sidecar is not None:
@@ -218,11 +209,11 @@ def cmd_audit(args) -> int:
         w = GroupWeights.uniform(counts.k) if source == "uniform" else GroupWeights(m / m.sum())
     if budget is None:  # the kept rows
         budget = int(counts.m.sum())
-        _check_ranges(conf, path, [("gamma", gamma if attr else None,
-                                    lambda g: whole_block(budget, g),
-                                    f"{block_rule}, for the budget of {budget} kept rows")])
+        if attr and gamma is not None and not whole_block(budget, gamma):
+            raise ConfigError(f"{path}: gamma must be {block_rule}, for the budget of {budget} "
+                              f"kept rows, got {conf['gamma']!r}")
     plan = _make_plan(plan_kind, w, budget, eta, gamma)
-    if plan_kind == "attr":
+    if attr:
         _warn_if_clipped(plan)
     cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
     outcome = run_test_dataset(counts, w, cfg)
@@ -254,20 +245,14 @@ def _group_name(g: int, k: int) -> str:
 def cmd_synth(args) -> int:
     from .adversarial import build_hard_pair, build_mixture_family
 
-    _check_options(args, [
-        ("k", lambda k: k >= 1, ">= 1"),
-        ("budget", lambda n: n >= 1, ">= 1"),
-        ("seed", lambda s: s >= 0, ">= 0"),
-    ])
+    _check_options(args, [("k", *_POSITIVE), ("budget", *_POSITIVE), ("seed", *_NON_NEGATIVE)])
     k = args.k
     if args.kind == "hardpair":
         pair = build_hard_pair(k, args.epsilon)
         inst = pair.p1 if args.side == "h1" else pair.p0
-    elif args.kind == "mixture":
+    else:  # mixture
         family = build_mixture_family(k, GroupWeights.uniform(k), args.alpha, args.epsilon)
         inst = family.member((1,) * len(family.q)) if args.side == "h1" else family.p0
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     plan = _make_plan(args.plan, inst.weights, args.budget, args.eta, args.gamma)
     rng = np.random.default_rng(args.seed)
     m = plan.draw_counts(rng)
@@ -293,37 +278,31 @@ def cmd_simulate(args) -> int:
 
     path = args.config
     conf = read_config(path, _SIMULATE_KEYS)
-    trials = _setting(conf, path, "trials", int)
-    base_seed = _setting(conf, path, "base_seed", int, 0)
-    k = _setting(conf, path, "k", int)
-    alpha = _setting(conf, path, "alpha", float)
-    epsilon = _setting(conf, path, "epsilon", float)
-    target = _setting(conf, path, "target", float, 0.1)
-    n_grid = _setting(conf, path, "n_grid", _int_list)
-    eta = _setting(conf, path, "eta", float, OPTIMAL_ETA)
-    gamma = _setting(conf, path, "gamma", float, None)
-    _choice(conf, path, "instance", ("hardpair",))
-    plan_kind = _choice(conf, path, "plan", ("weighted", "attr"))
+    setting = partial(_setting, conf, path)
+    trials = setting("trials", int, _REQUIRED, *_POSITIVE)
+    base_seed = setting("base_seed", int, 0, *_NON_NEGATIVE)
+    k = setting("k", int, _REQUIRED, lambda k: k >= 2, ">= 2")
+    alpha = setting("alpha", float, _REQUIRED, *_ALPHA)
+    epsilon = setting("epsilon", float, _REQUIRED,
+                      lambda e: 0 < e <= 0.5 and (1 - alpha) * e * e / 2 > 0,
+                      "in (0, 0.5], with a threshold (1 - alpha) epsilon^2 / 2 > 0")
+    target = setting("target", float, 0.1, lambda t: 0 <= t <= 1, "in [0, 1]")
+    setting("instance", str, "hardpair", *_one_of(("hardpair",)))
+    plan_kind = setting("plan", str, "weighted", *_one_of(_PLANS))
     attr = plan_kind == "attr"
-    _check_ranges(conf, path, [
-        ("trials", trials, lambda t: t >= 1, ">= 1"),
-        ("base_seed", base_seed, lambda s: s >= 0, ">= 0"),
-        ("k", k, lambda k: k >= 2, ">= 2"),
-        ("alpha", alpha, lambda a: 0 <= a < 1, "in [0, 1)"),
-        ("epsilon", epsilon, lambda e: 0 < e <= 0.5, "in (0, 0.5]"),
-        ("target", target, lambda t: 0 <= t <= 1, "in [0, 1]"),
-        ("n_grid", n_grid, lambda ns: attr <= min(ns) and max(ns) <= _MAX_COUNT,
-         f"a list of budgets in [{int(attr)}, {_MAX_COUNT}]"),
-        ("eta", eta, lambda e: e >= 0, ">= 0"),
-        ("gamma", gamma, lambda g: g > 0 and (not attr or all(whole_block(n, g) for n in n_grid)),
-         f"> 0, with n / gamma a whole number from 1 to {_MAX_COUNT} for each n of n_grid"
-         if attr else "> 0"),
-    ])
+    n_grid = setting("n_grid", _int_list, _REQUIRED,
+                     lambda ns: attr <= min(ns) and max(ns) <= _MAX_COUNT,
+                     f"a list of budgets in [{int(attr)}, {_MAX_COUNT}]")
+    eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
+    gamma = setting("gamma", float, None,
+                    lambda g: g > 0 and (not attr or all(whole_block(n, g) for n in n_grid)),
+                    f"> 0, with n / gamma a whole number from 1 to {_MAX_COUNT} for each n of "
+                    "n_grid" if attr else "> 0")
     pair = build_hard_pair(k, epsilon)
     points = []
     for n in n_grid:
         plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)
-        if plan_kind == "attr":
+        if attr:
             _warn_if_clipped(plan)
         cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
         points.append(SweepPoint(axis_value=n, h0=pair.p0, h1=pair.p1, cfg=cfg))
@@ -343,8 +322,8 @@ def cmd_bounds(args) -> int:
     from .bounds import build_report, p_error_attr, p_error_weighted
 
     _check_options(args, [
-        ("k", lambda k: k >= 1, ">= 1"),
-        ("alpha", lambda a: 0 <= a < 1, "in [0, 1)"),
+        ("k", *_POSITIVE),
+        ("alpha", *_ALPHA),
         ("epsilon", lambda e: e > 0, "> 0"),
         ("epsilon", lambda e: e <= 1, "<= 1"),  # a gap between means in [0, 1]
         ("delta", lambda d: 0 < d < 1, "in (0, 1)"),
@@ -397,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--k", type=int, required=True)
     p_synth.add_argument("--epsilon", type=float, required=True)
     p_synth.add_argument("--alpha", type=float, default=0.5)
-    p_synth.add_argument("--plan", choices=["weighted", "attr"], default="weighted")
+    p_synth.add_argument("--plan", choices=_PLANS, default="weighted")
     p_synth.add_argument("--eta", type=float, default=OPTIMAL_ETA)
     p_synth.add_argument("--gamma", type=float, default=None)
     p_synth.add_argument("--budget", type=int, required=True)

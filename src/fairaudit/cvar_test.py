@@ -61,11 +61,12 @@ class TestConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         tau = self.threshold
         if not (0.0 < tau <= 0.5):
-            raise ValueError(f"threshold {tau} outside (0, 0.5]; epsilon too large?")
+            why = "epsilon too large?" if tau else "(1 - alpha) epsilon^2 / 2 underflows to 0"
+            raise ValueError(f"threshold {tau} outside (0, 0.5]; {why}")
 
     @property
     def threshold(self) -> float:

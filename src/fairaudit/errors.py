@@ -53,11 +53,15 @@ class PlanMismatch(FairauditError):
     """Observed per-group counts are impossible under the declared sampling plan."""
 
 
-class InvalidEpsilon(FairauditError):
+class ConfigError(FairauditError):
+    """An experiment or CLI configuration is inconsistent."""
+
+
+class InvalidEpsilon(ConfigError):
     """Requested perturbation size pushes a conditional mean outside [0, 1]."""
 
 
-class EpsilonOutOfRange(FairauditError):
+class EpsilonOutOfRange(ConfigError):
     """Epsilon violates the validity range of the mixture construction."""
 
 
@@ -67,7 +71,3 @@ class NonUniformWeights(FairauditError):
 
 class WeightMismatch(FairauditError):
     """Two instances that must share group weights do not."""
-
-
-class ConfigError(FairauditError):
-    """An experiment or CLI configuration is inconsistent."""

@@ -573,7 +573,7 @@ def threshold_sweep(exp: Experiment) -> SweepResult:
     for point in exp.points:
         est = _estimate(point.h0, point.h1, point.cfg, exp.trials, exp.base_seed, samplers)
         rows.append((point.axis_value, est))
-        if n_hat is None and est.p_err_hat <= exp.target:
+        if est.p_err_hat <= exp.target and (n_hat is None or point.axis_value < n_hat):
             n_hat = point.axis_value
     return SweepResult(axis=exp.axis, rows=tuple(rows), n_hat=n_hat, target=exp.target)
 

@@ -702,6 +702,15 @@ class TestSimulate:
     _SETTINGS = {"k": "8", "alpha": "0.875", "epsilon": "0.3", "n_grid": "50,100",
                  "trials": "20"}
 
+    def test_epsilon_too_large_for_k_exit_usage(self, tmp_path, capsys):
+        # The hard pair's perturbed mean 1/2 + epsilon K / (K - 1) passes 1.
+        conf = _write(tmp_path / "exp.cfg", "".join(
+            f"{k}={v}\n" for k, v in {**self._SETTINGS, "k": "2", "epsilon": "0.4"}.items()))
+        out = tmp_path / "o"
+        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: perturbed mean 1.3 > 1 for K=2, epsilon=0.4\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["k", "alpha", "epsilon", "n_grid"])
     def test_missing_key_rejected(self, tmp_path, capsys, key):
         text = "".join(f"{k}={v}\n" for k, v in self._SETTINGS.items() if k != key)
@@ -849,6 +858,9 @@ class TestExitContract:
         (_SYNTH + ["--alpha", "nan", "--kind", "mixture"], "--alpha must be finite, got nan"),
         (_SYNTH[:3] + ["--epsilon=-inf"] + _SYNTH[5:], "--epsilon must be finite, got -inf"),
         (_SYNTH + ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        # An epsilon the mixture construction cannot take at this K is a bad option value.
+        (["synth", "--kind", "mixture", "--k", "8", "--epsilon", "100", "--budget", "10"],
+         "epsilon must be in (0, 0.25] for K=8, alpha=0.5"),
         (_SYNTH[:6] + ["0"], "--budget must be >= 1, got 0"),
         (_SYNTH[:6] + ["0", "--plan", "attr"], "--budget must be >= 1, got 0"),
         (_SYNTH[:6] + ["-3"], "--budget must be >= 1, got -3"),
@@ -949,11 +961,13 @@ class TestExitContract:
     _BLOCK = f"> 0, with budget / gamma a whole number from 1 to {2**63 - 1}"
     _BLOCKS = f"> 0, with n / gamma a whole number from 1 to {2**63 - 1} for each n of n_grid"
     _THRESHOLD = "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"
+    _SIM_EPSILON = "in (0, 0.5], with a threshold (1 - alpha) epsilon^2 / 2 > 0"
 
     @pytest.mark.parametrize("command, setting, rule", [
         ("audit", "alpha=2", "in [0, 1)"),
         ("audit", "alpha=-0.5", "in [0, 1)"),
         ("audit", "epsilon=0", _THRESHOLD),
+        ("audit", "epsilon=-0.3", _THRESHOLD),  # a threshold in range, from a negative epsilon
         ("audit", "epsilon=5", _THRESHOLD),
         ("audit", "epsilon=1e-200", _THRESHOLD),  # the threshold underflows to 0
         ("audit", "eta=-1", ">= 0"),
@@ -967,8 +981,9 @@ class TestExitContract:
         ("simulate", "k=0", ">= 2"),
         ("simulate", "k=1", ">= 2"),
         ("simulate", "alpha=2", "in [0, 1)"),
-        ("simulate", "epsilon=0", "in (0, 0.5]"),
-        ("simulate", "epsilon=0.6", "in (0, 0.5]"),
+        ("simulate", "epsilon=0", _SIM_EPSILON),
+        ("simulate", "epsilon=0.6", _SIM_EPSILON),
+        ("simulate", "epsilon=1e-200", _SIM_EPSILON),  # the threshold underflows to 0
         ("simulate", "n_grid=-5", f"a list of budgets in [0, {2**63 - 1}]"),
         ("simulate", "n_grid=10,-5", f"a list of budgets in [0, {2**63 - 1}]"),
         ("simulate", "plan=attr\nn_grid=0", f"a list of budgets in [1, {2**63 - 1}]"),
@@ -977,12 +992,19 @@ class TestExitContract:
         ("simulate", "gamma=-1", "> 0"),
         ("simulate", "plan=attr\ngamma=0", _BLOCKS),
         ("simulate", "plan=attr\nn_grid=10,20\ngamma=4", _BLOCKS),  # 10 / 4 is not whole
+        # Two bad keys: the first in the read order is reported, whether the
+        # other fails to parse or is out of its range.
+        ("audit", "gamma=x\nalpha=2", "in [0, 1)"),
+        ("audit", "budget=1e3\nmetric=xx", "one of 'sp', 'eo'"),
+        ("simulate", "k=x\ntrials=0", ">= 1"),
+        ("simulate", "plan=foo\nalpha=2", "in [0, 1)"),
     ])
     def test_out_of_range_config_value(self, tmp_path, capsys, monkeypatch, command, setting,
                                        rule):
-        """One key out of its range: an error that names the file and the key,
-        raised before the data CSV (here absent) is read or the instance built.
-        TestSimulate covers `trials`, `base_seed` and `target`."""
+        """A key out of its range: an error that names the file and the key (the
+        last line of `setting`), raised before the data CSV (here absent) is
+        read or the instance built.  TestSimulate covers `trials`, `base_seed`
+        and `target`."""
         settings = dict(self._BASE[command])
         settings.update(line.split("=") for line in setting.splitlines())
         key, value = setting.splitlines()[-1].split("=")

@@ -35,8 +35,15 @@ class TestTestConfig:
     def test_rejects_threshold_above_half(self):
         w = GroupWeights.uniform(2)
         plan = WeightedPlan.from_weights(w, 0.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"threshold 1.125 outside .*; epsilon too large"):
             TestConfig(alpha=0.0, epsilon=1.5, plan=plan)
+
+    def test_names_an_underflowing_threshold(self):
+        w = GroupWeights.uniform(2)
+        plan = WeightedPlan.from_weights(w, 0.0, 10)
+        with pytest.raises(ValueError, match=r"threshold 0.0 outside .*; \(1 - alpha\) epsilon\^2 "
+                                             r"/ 2 underflows to 0$"):
+            TestConfig(alpha=0.5, epsilon=1e-200, plan=plan)
 
     def test_rejects_bad_alpha(self):
         w = GroupWeights.uniform(2)

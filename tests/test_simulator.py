@@ -835,6 +835,13 @@ class TestThresholdSweep:
         below = [n for n, est in result.rows if est.p_err_hat <= result.target]
         assert result.n_hat == (min(below) if below else None)
 
+    def test_n_hat_is_the_smallest_budget_in_any_grid_order(self):
+        # 800 and 3200 both meet the target; the first in grid order once won.
+        ascending = threshold_sweep(_sweep_experiment([50, 200, 800, 3200]))
+        descending = threshold_sweep(_sweep_experiment([3200, 800, 200, 50]))
+        assert descending.rows == ascending.rows[::-1]
+        assert ascending.n_hat == descending.n_hat == 800
+
     def test_n_hat_none_when_never_reached(self):
         result = threshold_sweep(_sweep_experiment([5, 10], target=0.0001))
         assert result.n_hat is None
