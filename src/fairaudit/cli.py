@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _MAX_COUNT, GroupWeights, MetricKind
-from .cvar_test import TestConfig, TestOutcome, run_test_dataset
+from .cvar_test import Region, TestConfig, TestOutcome, classify_region, run_test_dataset
 from .errors import ConfigError, FairauditError
 from .reader import read_audit
 from .sampling import (
@@ -132,6 +132,12 @@ def _setting(conf: dict[str, str], path: str, key: str, parse, default, test, ru
     return value
 
 
+def _estimable_block(n: int, gamma: float) -> bool:
+    """Whether n / gamma is a whole block of 2 to _MAX_COUNT samples: the
+    estimator needs a group observed twice."""
+    return whole_block(n, gamma) and round(n / gamma) >= 2
+
+
 def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None):
     """The named sampling plan; without gamma, the attribute-specific plan's default."""
     if kind == "weighted":
@@ -192,9 +198,9 @@ def cmd_audit(args) -> int:
     budget = setting("budget", int, None, lambda n: attr <= n <= _MAX_COUNT,
                      f"in [{int(attr)}, {_MAX_COUNT}]")
     eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
-    block_rule = f"> 0, with budget / gamma a whole number from 1 to {_MAX_COUNT}"
+    block_rule = f"> 0, with budget / gamma a whole number from 2 to {_MAX_COUNT}"
     gamma = setting("gamma", float, None,
-                    lambda g: g > 0 and (not attr or budget is None or whole_block(budget, g)),
+                    lambda g: g > 0 and (not attr or budget is None or _estimable_block(budget, g)),
                     block_rule if attr else "> 0")
     source = conf.get("weights", "uniform")
     sidecar = None if source in ("uniform", "empirical") else source
@@ -209,7 +215,7 @@ def cmd_audit(args) -> int:
         w = GroupWeights.uniform(counts.k) if source == "uniform" else GroupWeights(m / m.sum())
     if budget is None:  # the kept rows
         budget = int(counts.m.sum())
-        if attr and gamma is not None and not whole_block(budget, gamma):
+        if attr and gamma is not None and not _estimable_block(budget, gamma):
             raise ConfigError(f"{path}: gamma must be {block_rule}, for the budget of {budget} "
                               f"kept rows, got {conf['gamma']!r}")
     plan = _make_plan(plan_kind, w, budget, eta, gamma)
@@ -290,15 +296,21 @@ def cmd_simulate(args) -> int:
     setting("instance", str, "hardpair", *_one_of(("hardpair",)))
     plan_kind = setting("plan", str, "weighted", *_one_of(_PLANS))
     attr = plan_kind == "attr"
+    least = 1 if attr else 2  # the weighted plan observes a group twice from n = 2
     n_grid = setting("n_grid", _int_list, _REQUIRED,
-                     lambda ns: attr <= min(ns) and max(ns) <= _MAX_COUNT,
-                     f"a list of budgets in [{int(attr)}, {_MAX_COUNT}]")
+                     lambda ns: least <= min(ns) and max(ns) <= _MAX_COUNT,
+                     f"a list of budgets in [{least}, {_MAX_COUNT}]")
     eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
     gamma = setting("gamma", float, None,
-                    lambda g: g > 0 and (not attr or all(whole_block(n, g) for n in n_grid)),
-                    f"> 0, with n / gamma a whole number from 1 to {_MAX_COUNT} for each n of "
+                    lambda g: g > 0 and (not attr or all(_estimable_block(n, g) for n in n_grid)),
+                    f"> 0, with n / gamma a whole number from 2 to {_MAX_COUNT} for each n of "
                     "n_grid" if attr else "> 0")
     pair = build_hard_pair(k, epsilon)
+    # The one perturbed group has weight 1/k: for k > 2 its gap reaches the
+    # CVaR only when 1 - alpha is about 1/k or less.
+    if classify_region(pair.p1, alpha, epsilon) is not Region.P1:
+        raise ConfigError(f"{path}: alpha must be in [0, 1), with the hard pair's h1 instance at "
+                          f"CVaR fairness >= epsilon, got {conf['alpha']!r}")
     points = []
     for n in n_grid:
         plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)

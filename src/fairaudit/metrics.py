@@ -10,7 +10,6 @@ small K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -68,10 +67,9 @@ def max_gap(inst: FairnessInstance) -> float:
     return float(max(abs(mu.max() - lbar), abs(mu.min() - lbar)))
 
 
-def _walk(w: np.ndarray, delta: np.ndarray, budget: float, order: np.ndarray | None = None):
-    """(sum_g take_g * delta_g, ended) of the greedy fill of `budget` over groups in fill order.
+def _walk(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
+    """sum_g take_g * delta_g of the greedy fill of `budget` over the groups in array order.
 
-    The fill order is `order`, or the order of `w` and `delta` when None.
     Groups are taken whole until the first one that does not fit, which is
     taken in part; rounding can leave a sliver of budget for the next one or
     two groups.  A zero-weight group adds 0 to both running sums, so it
@@ -79,15 +77,12 @@ def _walk(w: np.ndarray, delta: np.ndarray, budget: float, order: np.ndarray | N
     are walked FILL_CHUNK at a time, and the walk stops at the chunk that
     holds the boundary group.  The mass and total carried from earlier chunks
     are added to a chunk's first element before its cumsum, so every partial
-    sum is the one a sequential loop gives.  `ended` is False when budget is
-    left after the last group given: the total is then the fill's only if no
-    groups follow.
+    sum is the one a sequential loop gives.
     """
-    n = delta.size if order is None else order.size
+    n = delta.size
     filled = total = 0.0
     for start in range(0, n, FILL_CHUNK):
-        part = slice(start, start + FILL_CHUNK) if order is None else order[start : start + FILL_CHUNK]
-        wc, dc = w[part], delta[part]
+        wc, dc = w[start : start + FILL_CHUNK], delta[start : start + FILL_CHUNK]
         used = wc.copy()
         used[0] += filled
         np.cumsum(used, out=used)
@@ -102,20 +97,14 @@ def _walk(w: np.ndarray, delta: np.ndarray, budget: float, order: np.ndarray | N
         if j < wc.size:
             break
     else:
-        return total, budget - filled <= 0.0
-    for g in range(start + j, n) if order is None else order[start + j :]:
+        return total
+    for g in range(start + j, n):
         if budget - filled <= 0.0:
-            return total, True
+            break
         take = min(w[g], budget - filled)
         total += take * delta[g]
         filled += take
-    return total, budget - filled <= 0.0
-
-
-def _walk_order(w: np.ndarray, delta: np.ndarray, ids: np.ndarray | None, budget: float):
-    """`_walk` over the groups `ids` (ascending; None for all) in stable gap order."""
-    order = np.argsort(-delta if ids is None else -delta[ids], kind="stable")
-    return _walk(w, delta, budget, order if ids is None else ids[order])
+    return total
 
 
 def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
@@ -128,40 +117,14 @@ def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
     Under equal weights (all positive, as they sum to 1) the fill reads only
     the gaps in descending order, and tied gaps give equal products, so it
     sorts `delta` in place and walks it backwards, with the bits of the index
-    fill and no K-sized temporary.  Otherwise only the groups at or above the
-    boundary gap need the stable sort: the groups whose gap is at least a
-    cut, ties at the cut included, are the first groups of the full gap
-    order, in index order.  The cut is the gap of rank about `count`, read
-    from a sorted sample of every (K // FILL_CHUNK)-th gap: `np.partition`
-    of all K gaps costs more than the stable sort when most gaps are tied.
-    `count` starts one chunk past the groups an equal-weight fill would take
-    and doubles until the selected mass covers the budget and the walk,
-    sliver tail included, ends among them.  A cut at the smallest gap, or a
-    count past K, sorts all K groups.
+    fill and no K-sized temporary.  Otherwise the fill walks the weights and
+    gaps in the stable `argsort` order of all K gaps.
     """
     if w.min() == w.max():
         delta.sort()
-        return _walk(np.broadcast_to(w[0], delta.shape), delta[::-1], budget)[0]
-    k = delta.size
-    count = math.ceil(budget * k) + FILL_CHUNK
-    if count < k:
-        stride = k // FILL_CHUNK
-        sample = np.sort(delta[::stride])
-        lowest, tried = delta.min(), None
-    while count < k:
-        cut = sample[-(count // stride)]
-        count *= 2
-        if cut == lowest:  # every group is selected
-            break
-        if cut == tried:  # tied over both counts: the same groups again
-            continue
-        tried = cut
-        selected = delta >= cut
-        if w.sum(where=selected) >= budget:
-            total, ended = _walk_order(w, delta, np.flatnonzero(selected), budget)
-            if ended:
-                return total
-    return _walk_order(w, delta, None, budget)[0]
+        return _walk(np.broadcast_to(w[0], delta.shape), delta[::-1], budget)
+    order = np.argsort(-delta, kind="stable")
+    return _walk(w[order], delta[order], budget)
 
 
 def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMode.FRACTIONAL) -> float:

@@ -688,7 +688,7 @@ class TestSimulate:
         conf = self._attr_config(tmp_path, "gamma=3\n")  # 8 / 3 samples per group
         assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: {conf}: gamma must be > 0, with n / gamma a whole number from 1 to "
+            f"error: {conf}: gamma must be > 0, with n / gamma a whole number from 2 to "
             f"{2**63 - 1} for each n of n_grid, got '3'\n")
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
@@ -710,6 +710,26 @@ class TestSimulate:
         assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: perturbed mean 1.3 > 1 for K=2, epsilon=0.4\n")
         assert not out.exists()
+
+    def test_alpha_the_hard_pair_cannot_reach(self, tmp_path, capsys, monkeypatch):
+        # The perturbed group has weight 1/k, so for k > 2 its gap epsilon is
+        # the CVaR only when 1 - alpha is about 1/k or less: k = 8 rejects
+        # alpha = 0.75, before any trial runs.  With k = 2 both groups have
+        # gap epsilon, so any alpha is taken, and k = 3 takes the alpha one
+        # ulp below 1 - 1/3.
+        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.75\nepsilon=0.3\nn_grid=10\ntrials=2\n")
+        out = tmp_path / "o"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "threshold_sweep", None)
+            assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {conf}: alpha must be in [0, 1), with the "
+                                           "hard pair's h1 instance at CVaR fairness >= epsilon, "
+                                           "got '0.75'\n")
+        assert not out.exists()
+        for config in ("k=2\nalpha=0.1\nepsilon=0.2", "k=3\nalpha=0.6666666666666666\nepsilon=0.3"):
+            conf = _write(tmp_path / "exp.cfg", config + "\nn_grid=10\ntrials=2\n")
+            assert main(["simulate", conf, "--out", str(out)]) == 0, config
+        capsys.readouterr()
 
     @pytest.mark.parametrize("key", ["k", "alpha", "epsilon", "n_grid"])
     def test_missing_key_rejected(self, tmp_path, capsys, key):
@@ -906,10 +926,10 @@ class TestExitContract:
 
     @pytest.mark.parametrize("command, config, want", [
         ("audit", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=1e-320\n",
-         f"gamma must be > 0, with budget / gamma a whole number from 1 to {2**63 - 1}"),
+         f"gamma must be > 0, with budget / gamma a whole number from 2 to {2**63 - 1}"),
         ("simulate", "k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid=10\ntrials=2\n"
                      "gamma=1e-320\n",
-         f"gamma must be > 0, with n / gamma a whole number from 1 to {2**63 - 1} for each n "
+         f"gamma must be > 0, with n / gamma a whole number from 2 to {2**63 - 1} for each n "
          "of n_grid"),
     ])
     def test_overflowing_gamma_in_config(self, tmp_path, capsys, command, config, want):
@@ -923,7 +943,7 @@ class TestExitContract:
         assert capsys.readouterr() == ("", f"error: {conf}: {want}, got '1e-320'\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("gamma", ["3", "10", "1e-320"])
+    @pytest.mark.parametrize("gamma", ["3", "10", "1e-320", "5"])  # 5: a block of 1
     def test_gamma_against_the_kept_rows(self, tmp_path, capsys, gamma):
         # Without a budget, the attribute-specific plan's budget is the number
         # of kept rows (here 5), known only once the data is read.
@@ -932,14 +952,14 @@ class TestExitContract:
         conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nplan=attr\ngamma={gamma}\n")
         assert main(["audit", data, conf]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {conf}: gamma must be > 0, with budget / gamma "
-                                           f"a whole number from 1 to {2**63 - 1}, for the budget "
+                                           f"a whole number from 2 to {2**63 - 1}, for the budget "
                                            f"of 5 kept rows, got {gamma!r}\n")
 
     @pytest.mark.parametrize("command, config, want", [
         ("audit", f"alpha=0.5\nepsilon=0.3\nbudget={10**20}\n",
          f"budget must be in [0, {2**63 - 1}], got '{10**20}'"),
         ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nn_grid=10,{10**20}\ntrials=2\n",
-         f"n_grid must be a list of budgets in [0, {2**63 - 1}], got '10,{10**20}'"),
+         f"n_grid must be a list of budgets in [2, {2**63 - 1}], got '10,{10**20}'"),
         ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid={10**20}\ntrials=2\n"
                      "gamma=1\n", f"n_grid must be a list of budgets in [1, {2**63 - 1}], "
                                    f"got '{10**20}'"),
@@ -958,8 +978,8 @@ class TestExitContract:
     _BASE = {"audit": {"alpha": "0.5", "epsilon": "0.3"},
              "simulate": {"k": "4", "alpha": "0.5", "epsilon": "0.3", "n_grid": "10",
                           "trials": "2"}}
-    _BLOCK = f"> 0, with budget / gamma a whole number from 1 to {2**63 - 1}"
-    _BLOCKS = f"> 0, with n / gamma a whole number from 1 to {2**63 - 1} for each n of n_grid"
+    _BLOCK = f"> 0, with budget / gamma a whole number from 2 to {2**63 - 1}"
+    _BLOCKS = f"> 0, with n / gamma a whole number from 2 to {2**63 - 1} for each n of n_grid"
     _THRESHOLD = "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"
     _SIM_EPSILON = "in (0, 0.5], with a threshold (1 - alpha) epsilon^2 / 2 > 0"
 
@@ -978,20 +998,24 @@ class TestExitContract:
         ("audit", "plan=attr\ngamma=0", _BLOCK),
         ("audit", "plan=attr\nbudget=10\ngamma=3", _BLOCK),
         ("audit", "plan=attr\nbudget=10\ngamma=20", _BLOCK),  # a block of 0.5
+        ("audit", "plan=attr\nbudget=10\ngamma=10", _BLOCK),  # a block of 1
         ("simulate", "k=0", ">= 2"),
         ("simulate", "k=1", ">= 2"),
         ("simulate", "alpha=2", "in [0, 1)"),
         ("simulate", "epsilon=0", _SIM_EPSILON),
         ("simulate", "epsilon=0.6", _SIM_EPSILON),
         ("simulate", "epsilon=1e-200", _SIM_EPSILON),  # the threshold underflows to 0
-        ("simulate", "n_grid=-5", f"a list of budgets in [0, {2**63 - 1}]"),
-        ("simulate", "n_grid=10,-5", f"a list of budgets in [0, {2**63 - 1}]"),
+        ("simulate", "n_grid=-5", f"a list of budgets in [2, {2**63 - 1}]"),
+        ("simulate", "n_grid=10,-5", f"a list of budgets in [2, {2**63 - 1}]"),
+        ("simulate", "n_grid=0", f"a list of budgets in [2, {2**63 - 1}]"),
+        ("simulate", "n_grid=10,1", f"a list of budgets in [2, {2**63 - 1}]"),
         ("simulate", "plan=attr\nn_grid=0", f"a list of budgets in [1, {2**63 - 1}]"),
         ("simulate", "eta=-1", ">= 0"),
         ("simulate", "plan=attr\neta=-1", ">= 0"),
         ("simulate", "gamma=-1", "> 0"),
         ("simulate", "plan=attr\ngamma=0", _BLOCKS),
         ("simulate", "plan=attr\nn_grid=10,20\ngamma=4", _BLOCKS),  # 10 / 4 is not whole
+        ("simulate", "plan=attr\nn_grid=10\ngamma=10", _BLOCKS),  # a block of 1
         # Two bad keys: the first in the read order is reported, whether the
         # other fails to parse or is out of its range.
         ("audit", "gamma=x\nalpha=2", "in [0, 1)"),

@@ -8,7 +8,6 @@ import pytest
 from conftest import _random_instances
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import Region, classify_region
-from fairaudit import metrics
 from fairaudit.errors import InstanceTooLarge
 from fairaudit.metrics import (
     FILL_CHUNK,
@@ -369,38 +368,24 @@ class TestEqualWeightFill:
             _assert_fill_matches(inst, alphas)
 
 
-def _spy_walks(monkeypatch):
-    """Record (number of selected groups or None for all K, ended) of every walk in gap order."""
-    walks = []
-    walk = metrics._walk_order
-
-    def spy(w, delta, ids, budget):
-        total, ended = walk(w, delta, ids, budget)
-        walks.append((None if ids is None else ids.size, ended))
-        return total, ended
-
-    monkeypatch.setattr(metrics, "_walk_order", spy)
-    return walks
-
-
-def _cut(inst, count):
-    """(cut, gaps): the cut the fill reads for `count`, the gap of rank count // stride
-    among every stride-th gap, stride = K // FILL_CHUNK."""
+def _ranked_gap(inst, count):
+    """(gap, gaps): the gap of rank count // stride among every stride-th gap,
+    stride = K // FILL_CHUNK, which is about the count-th largest gap."""
     delta = np.abs(inst.mu_array() - average_quality(inst))
     stride = inst.k // FILL_CHUNK
     return np.sort(delta[::stride])[-(count // stride)], delta
 
 
-def _tied_at_the_cut(k, alpha, rng, zero=0):
-    """Unequal weights at K = k with a run of 601 gaps tied at the fill's first cut.
+def _tied_near_the_boundary(k, alpha, rng, zero=0):
+    """Unequal weights at K = k with a run of 601 gaps tied at about the
+    (ceil((1 - alpha) K) + FILL_CHUNK)-th largest gap.
 
-    `zero` of the tied groups get weight 0.  Returns the instance and the
-    number of groups at or above the cut.
+    `zero` of the tied groups get weight 0.
     """
     count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
     w = rng.dirichlet(np.ones(k))
     inst = FairnessInstance(GroupWeights(w), rng.random(k))
-    cut, delta = _cut(inst, count)
+    cut, delta = _ranked_gap(inst, count)
     mu, lbar = inst.mu_array().copy(), average_quality(inst)
     ranked = np.argsort(-delta, kind="stable")
     at_cut = ranked[int(np.flatnonzero(delta[ranked] == cut)[0])]
@@ -416,58 +401,38 @@ def _tied_at_the_cut(k, alpha, rng, zero=0):
     w[band[zero]] += w[band[:zero]].sum()
     w[band[:zero]] = 0.0
     inst = FairnessInstance(GroupWeights(w / w.sum()), mu)
-    cut, delta = _cut(inst, count)
+    cut, delta = _ranked_gap(inst, count)
     assert (delta == cut).sum() == 601 and (delta > cut).sum() > count // 2
-    return inst, int((delta >= cut).sum())
+    return inst
 
 
-class TestSelectedFill:
-    """Unequal weights sort only the groups at or above the boundary gap, with the full sort's bits."""
+class TestUnequalWeightFill:
+    """Unequal weights fill in the stable order of all K gaps, with the one-pass fill's bits."""
 
     @pytest.mark.parametrize("k", [FILL_CHUNK - 1, FILL_CHUNK, FILL_CHUNK + 1,
                                    3 * FILL_CHUNK + 17, 65536])
-    def test_selection_matches_one_pass_fill(self, k, monkeypatch):
-        # alpha near 0 sorts all K groups; the larger alphas select fewer
-        # groups wherever one chunk past (1 - alpha) K is below K.
-        walks = _spy_walks(monkeypatch)
+    def test_matches_one_pass_fill(self, k):
         rng = np.random.default_rng(k + 1)
         alphas = (2.0**-52, 1e-12, 0.3, 0.75, 0.9, 1.0 - 2.0**-40, 1.0 - 1e-9)
         for raw in (rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7),
                     1.0 + np.arange(k) % 7):
             inst = FairnessInstance(GroupWeights(raw / raw.sum()), rng.random(k))
-            for alpha in alphas:
-                walks.clear()
-                _assert_fill_matches(inst, [alpha])
-                count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
-                if count < k:
-                    assert walks[-1][1] and walks[-1][0] < k, alpha
-                else:
-                    assert [ids for ids, _ in walks] == [None], alpha
+            _assert_fill_matches(inst, alphas)
 
     @pytest.mark.parametrize("zero", [0, 50, 600])
-    def test_ties_at_the_cut_off_are_all_selected(self, zero, monkeypatch):
-        # Gaps tied at the cut-off are all selected, in index order, zero-weight
-        # ones too, so the stable order of the tied groups is the full sort's.
-        walks = _spy_walks(monkeypatch)
+    def test_tied_gaps_keep_their_index_order(self, zero):
+        # A run of tied gaps, some of weight 0, is taken in index order.
         rng = np.random.default_rng(64 + zero)
         for k in (3 * FILL_CHUNK + 17, 65536):
             for alpha in (0.75, 0.9):
-                inst, selected = _tied_at_the_cut(k, alpha, rng, zero)
-                walks.clear()
-                _assert_fill_matches(inst, [alpha])
-                assert walks == [(selected, True)]
+                _assert_fill_matches(_tied_near_the_boundary(k, alpha, rng, zero), [alpha])
 
-    def test_a_sliver_past_the_selection_takes_a_larger_one(self, monkeypatch):
-        # The boundary group is the last one selected.  Taking it in part can
-        # leave a sliver of budget, which the next group takes: that group is
-        # not selected, so the fill selects again.
-        walks = _spy_walks(monkeypatch)
+    def test_a_sliver_past_the_boundary_goes_to_the_next_group(self):
+        # Taking the boundary group in part can leave a sliver of budget,
+        # which the next group in gap order takes.
         k, taken = 65536, 40000
         stride = k // FILL_CHUNK
-        count = taken + FILL_CHUNK  # the first count when ceil((1 - alpha) K) = taken
-        # Gaps fall with the index up to the boundary group, so the cut, the
-        # gap of rank count // stride among every stride-th one, is its gap.
-        last = stride * (count // stride - 1)
+        last = stride * ((taken + FILL_CHUNK) // stride - 1)  # the boundary group
         # The rest of 1 - alpha (about 0.52) that the boundary group takes can
         # round at a tie only when the mass before it (about 0.09) has a set
         # bit below 1 - alpha's last one, as it has with this seed.
@@ -482,55 +447,36 @@ class TestSelectedFill:
         lbar = raw[:last] @ top / (raw[:last].sum() + 0.6)
         mu = np.concatenate((top, [0.0], lbar + np.arange(k - last - 1) * 1e-9))
         inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
-        cut, delta = _cut(inst, count)
-        assert cut == delta[last] and (delta >= cut).sum() == last + 1
+        delta = np.abs(inst.mu_array() - average_quality(inst))
+        assert (delta >= delta[last]).sum() == last + 1
         filled = float(np.cumsum(inst.weights.as_array()[:last])[-1])
         # Budgets that 1 - alpha gives back exactly.
         budgets = 1.0 - (1.0 - rng.uniform((taken - 1) / k, taken / k, 400))
         slivers = [b for b in budgets if filled + (b - filled) < b]
         exact = [b for b in budgets if filled + (b - filled) == b]
-        # Twice `count` passes K, so the second walk sorts all K groups.
-        for budget, want in ((slivers[0], [(last + 1, False), (None, True)]),
-                             (exact[0], [(last + 1, True)])):
+        for budget in (slivers[0], exact[0]):
             alpha = 1.0 - budget
             assert 1.0 - alpha == budget and math.ceil(budget * k) == taken
-            walks.clear()
             _assert_fill_matches(inst, [alpha])
-            assert walks == want
 
-    def test_a_selection_short_of_the_budget_is_not_walked(self, monkeypatch):
-        # The 30000 largest gaps carry almost no mass, so the first selection
-        # cannot cover the budget; only the doubled one is sorted and walked.
-        walks = _spy_walks(monkeypatch)
+    def test_light_groups_with_the_largest_gaps(self):
+        # The 30000 largest gaps carry almost no mass, so the fill passes
+        # them all before it reaches the boundary group.
         k, light, alpha = 65536, 30000, 0.75
-        count = math.ceil((1.0 - alpha) * k) + FILL_CHUNK
         raw = np.where(np.arange(k) < light, 1e-6, 1.0)
         mu = np.where(np.arange(k) < light, 1.0 - np.arange(k) * 1e-7, 0.3 + np.arange(k) * 1e-8)
-        inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
-        _assert_fill_matches(inst, [alpha])
-        first, delta = _cut(inst, count)
-        assert (delta >= first).sum() < light
-        assert walks == [(int((delta >= _cut(inst, 2 * count)[0]).sum()), True)]
+        _assert_fill_matches(FairnessInstance(GroupWeights(raw / raw.sum()), mu), [alpha])
 
     @pytest.mark.parametrize("hot, alphas", [(slice(-16384, None), (0.3, 0.75, 0.9)),
                                              (slice(16384), (0.3, 0.75))])
-    def test_tied_gaps_sort_all_groups_once(self, hot, alphas, monkeypatch):
+    def test_tied_zipf_gaps(self, hot, alphas):
         # Zipf weights with the lightest or the heaviest quarter of the groups
-        # hot: two gaps.  The cut falls on the smaller gap, which selects all
-        # K groups, or on the larger one, whose groups carry less mass than
-        # the budget at every count that reads it (0.025 when the lightest are
-        # hot, 0.12 when the heaviest are).  Either way the fill sorts all K
-        # groups, once.
-        walks = _spy_walks(monkeypatch)
+        # hot: two gaps, each tied over many groups of unequal weight.
         k = 65536
         raw = 1.0 / np.arange(1, k + 1)
         mu = np.full(k, 0.4)
         mu[hot] = 0.6
-        inst = FairnessInstance(GroupWeights(raw / raw.sum()), mu)
-        for alpha in alphas:
-            walks.clear()
-            _assert_fill_matches(inst, [alpha])
-            assert walks == [(None, True)], alpha
+        _assert_fill_matches(FairnessInstance(GroupWeights(raw / raw.sum()), mu), alphas)
 
     def test_fill_leaves_the_means_alone(self):
         rng = np.random.default_rng(66)
