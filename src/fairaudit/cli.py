@@ -67,9 +67,13 @@ def read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
     A key outside `keys`, or a key given twice, is a ConfigError that names
     its line.  A leading UTF-8 BOM, as some editors write, is skipped.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}
     first: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -104,6 +108,8 @@ def _one_of(choices: tuple[str, ...]):
 _ALPHA = (lambda a: 0 <= a < 1, "in [0, 1)")
 _NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
 _POSITIVE = (lambda n: n >= 1, ">= 1")
+# The rule of an eta at which a weighted plan has a marginal.
+_ETA_POWERS = ">= 0, with some w_g^eta > 0"
 _PLANS = ("weighted", "attr")
 
 
@@ -138,13 +144,27 @@ def _estimable_block(n: int, gamma: float) -> bool:
     return whole_block(n, gamma) and round(n / gamma) >= 2
 
 
-def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None):
-    """The named sampling plan; without gamma, the attribute-specific plan's default."""
+def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None,
+               eta_error: str):
+    """The named sampling plan; without gamma, the attribute-specific plan's default.
+
+    A weighted plan whose (finite, non-negative) eta underflows every w_g^eta
+    to 0 is ConfigError(eta_error).
+    """
     if kind == "weighted":
-        return WeightedPlan.from_weights(w, eta, budget)
+        try:
+            v = weighted_marginal(w, eta)
+        except ValueError:
+            raise ConfigError(eta_error) from None
+        return WeightedPlan(v=v, budget=budget)
     if gamma is None:
         return AttributeSpecificPlan.default(w, budget)
     return AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
+
+
+def _eta_error(conf: dict[str, str], path: str, eta: float) -> str:
+    """The error of a config whose eta leaves a weighted plan no marginal."""
+    return f"{path}: eta must be {_ETA_POWERS}, got {conf.get('eta', repr(eta))!r}"
 
 
 def _warn_if_clipped(plan: AttributeSpecificPlan) -> None:
@@ -195,8 +215,9 @@ def cmd_audit(args) -> int:
     metric = MetricKind(setting("metric", str, "sp", *_one_of(("sp", "eo"))))
     plan_kind = setting("plan", str, "weighted", *_one_of(_PLANS))
     attr = plan_kind == "attr"
-    budget = setting("budget", int, None, lambda n: attr <= n <= _MAX_COUNT,
-                     f"in [{int(attr)}, {_MAX_COUNT}]")
+    least = 1 if attr else 2  # the weighted plan observes a group twice from n = 2
+    budget = setting("budget", int, None, lambda n: least <= n <= _MAX_COUNT,
+                     f"in [{least}, {_MAX_COUNT}]")
     eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
     block_rule = f"> 0, with budget / gamma a whole number from 2 to {_MAX_COUNT}"
     gamma = setting("gamma", float, None,
@@ -215,10 +236,13 @@ def cmd_audit(args) -> int:
         w = GroupWeights.uniform(counts.k) if source == "uniform" else GroupWeights(m / m.sum())
     if budget is None:  # the kept rows
         budget = int(counts.m.sum())
+        if not attr and budget < 2:
+            raise ConfigError(f"{args.input}: the weighted plan needs a budget of at least 2, got "
+                              f"{budget} kept row")
         if attr and gamma is not None and not _estimable_block(budget, gamma):
             raise ConfigError(f"{path}: gamma must be {block_rule}, for the budget of {budget} "
                               f"kept rows, got {conf['gamma']!r}")
-    plan = _make_plan(plan_kind, w, budget, eta, gamma)
+    plan = _make_plan(plan_kind, w, budget, eta, gamma, _eta_error(conf, path, eta))
     if attr:
         _warn_if_clipped(plan)
     cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)
@@ -251,7 +275,8 @@ def _group_name(g: int, k: int) -> str:
 def cmd_synth(args) -> int:
     from .adversarial import build_hard_pair, build_mixture_family
 
-    _check_options(args, [("k", *_POSITIVE), ("budget", *_POSITIVE), ("seed", *_NON_NEGATIVE)])
+    _check_options(args, [("k", *_POSITIVE), ("budget", *_POSITIVE), ("seed", *_NON_NEGATIVE),
+                          ("eta", *_NON_NEGATIVE)])
     k = args.k
     if args.kind == "hardpair":
         pair = build_hard_pair(k, args.epsilon)
@@ -259,7 +284,8 @@ def cmd_synth(args) -> int:
     else:  # mixture
         family = build_mixture_family(k, GroupWeights.uniform(k), args.alpha, args.epsilon)
         inst = family.member((1,) * len(family.q)) if args.side == "h1" else family.p0
-    plan = _make_plan(args.plan, inst.weights, args.budget, args.eta, args.gamma)
+    plan = _make_plan(args.plan, inst.weights, args.budget, args.eta, args.gamma,
+                      f"--eta must be {_ETA_POWERS}, got {args.eta!r}")
     rng = np.random.default_rng(args.seed)
     m = plan.draw_counts(rng)
     mu = inst.mu_array().tolist()
@@ -312,8 +338,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"{path}: alpha must be in [0, 1), with the hard pair's h1 instance at "
                           f"CVaR fairness >= epsilon, got {conf['alpha']!r}")
     points = []
+    eta_error = _eta_error(conf, path, eta)
     for n in n_grid:
-        plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma)
+        plan = _make_plan(plan_kind, pair.p0.weights, n, eta, gamma, eta_error)
         if attr:
             _warn_if_clipped(plan)
         cfg = TestConfig(alpha=alpha, epsilon=epsilon, plan=plan)

@@ -60,9 +60,7 @@ def read_audit(data: str, metric: MetricKind, sidecar: str | None = None):
     try:
         return counts, GroupWeights(values)
     except WeightError as exc:
-        if str(exc).startswith("weights sum"):
-            raise WeightError(f"{sidecar}: {exc}") from None
-        raise
+        raise WeightError(f"{sidecar}: {exc}") from None
 
 
 def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:

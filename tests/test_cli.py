@@ -9,12 +9,10 @@ import threading
 
 import pytest
 
-from fairaudit import adversarial, cli, reader
+from fairaudit import cli, reader
 from fairaudit.cli import (
-    EXIT_DATA,
     EXIT_H0,
     EXIT_H1,
-    EXIT_USAGE,
     _AUDIT_KEYS,
     _render_outcome,
     main,
@@ -169,7 +167,7 @@ class TestReadWeightSidecar:
             self._read(tmp_path, "weight,group\n0.5,a\nabc,b\n")
 
     def test_nan_weight_rejected(self, tmp_path):
-        with pytest.raises(WeightError, match="^weights must be finite$"):
+        with pytest.raises(WeightError, match=r"w\.csv: weights must be finite$"):
             self._read(tmp_path, "group,weight\na,nan\nb,0.5\n")
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
@@ -192,42 +190,6 @@ class TestAudit:
         for g in ("g0", "g1"):
             lines.extend(f"{g},0,0" for _ in range(rows_per_group))
         return _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
-
-    def test_identical_groups_exit_h0(self, tmp_path, capsys):
-        data = self._fair_csv(tmp_path)
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\n")
-        code = main(["audit", data, conf])
-        assert code == EXIT_H0
-        out = capsys.readouterr().out
-        assert "decision: H0" in out
-
-    def test_disparate_groups_exit_h1(self, tmp_path, capsys):
-        # Deterministic two-group data: F = 0.25 >= threshold 0.2.
-        rows = ["group,label,prediction", "g0,0,0", "g0,0,0", "g1,0,1", "g1,0,1"]
-        data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
-        conf = _write(
-            tmp_path / "c.cfg",
-            "alpha=0.2\nepsilon=0.7071067811865476\nplan=weighted\neta=0\n",
-        )
-        code = main(["audit", data, conf])
-        assert code == EXIT_H1
-        assert "decision: H1" in capsys.readouterr().out
-
-    def test_missing_column_exit_usage(self, tmp_path, capsys):
-        data = _write(tmp_path / "d.csv", "group,label\ng0,0\n")
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n")
-        code = main(["audit", data, conf])
-        assert code >= 64
-        assert "prediction" in capsys.readouterr().err
-
-    def test_sidecar_weights(self, tmp_path):
-        data = self._fair_csv(tmp_path)
-        sidecar = _write(tmp_path / "w.csv", "group,weight\ng0,0.3\ng1,0.7\n")
-        conf = _write(
-            tmp_path / "c.cfg",
-            f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}\n",
-        )
-        assert main(["audit", data, conf]) == EXIT_H0
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_sidecar_through_a_pipe(self, tmp_path, capsys):
@@ -270,127 +232,6 @@ class TestAudit:
 
         plain, bom = audit(False), audit(True)
         assert bom == plain and plain[0] in (EXIT_H0, EXIT_H1) and plain[1].err == ""
-
-    def test_header_only_exit_usage(self, tmp_path, capsys):
-        data = _write(tmp_path / "hdr.csv", "group,label,prediction\n")
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n")
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {data}: no data rows\n"
-
-    def test_sidecar_path_with_hash(self, tmp_path):
-        data = self._fair_csv(tmp_path)
-        run_dir = tmp_path / "run#3"
-        run_dir.mkdir()
-        sidecar = _write(run_dir / "w.csv", "group,weight\ng0,0.3\ng1,0.7\n")
-        conf = _write(
-            tmp_path / "c.cfg",
-            f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}  # sidecar\n",
-        )
-        assert main(["audit", data, conf]) == EXIT_H0
-
-    def test_nan_sidecar_weight_exit_data(self, tmp_path, capsys):
-        data = self._fair_csv(tmp_path)
-        sidecar = _write(tmp_path / "w.csv", "group,weight\ng0,nan\ng1,0.5\n")
-        conf = _write(
-            tmp_path / "c.cfg",
-            f"alpha=0.5\nepsilon=0.3\nplan=weighted\neta=0\nweights={sidecar}\n",
-        )
-        assert main(["audit", data, conf]) == EXIT_DATA
-        assert "weights must be finite" in capsys.readouterr().err
-
-    def test_equal_opportunity_conditioning(self, tmp_path, capsys):
-        # Only the four label-0 rows survive EO conditioning; budget defaults
-        # to the post-conditioning sample count, so the audit still runs.
-        rows = [
-            "group,label,prediction",
-            "g0,0,0", "g0,1,1", "g0,0,0",
-            "g1,0,0", "g1,1,1", "g1,0,0",
-        ]
-        data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nmetric=eo\neta=0\n")
-        assert main(["audit", data, conf]) == EXIT_H0
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        # A misspelt metric=eo would otherwise audit statistical parity.
-        rows = ["group,label,prediction", "g0,0,0", "g0,1,1", "g1,0,1", "g1,1,1"]
-        data = _write(tmp_path / "data.csv", "\n".join(rows) + "\n")
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n# eo\nmetirc=eo\neta=0\n")
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {conf}:4: unknown key 'metirc'\n"
-
-    @pytest.mark.parametrize("key", ["alpha", "epsilon"])
-    def test_missing_key_rejected(self, tmp_path, capsys, key):
-        data = _write(tmp_path / "data.csv", "group,label,prediction\ng0,0,0\ng1,0,1\n")
-        text = "".join(f"{k}={v}\n" for k, v in (("alpha", 0.5), ("epsilon", 0.3)) if k != key)
-        conf = _write(tmp_path / "c.cfg", text)
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {conf}: missing key {key!r}\n"
-
-    @pytest.mark.parametrize("key, value, expected", [
-        ("alpha", "half", "a number"),
-        ("epsilon", "0.3.1", "a number"),
-        ("budget", "1e3", "an integer"),
-        ("eta", "2/3", "a number"),
-        ("gamma", "", "a number"),
-    ])
-    def test_bad_number_rejected(self, tmp_path, capsys, key, value, expected):
-        # Checked before the data CSV is read, which here does not exist.
-        settings = {"alpha": "0.5", "epsilon": "0.3", key: value}
-        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
-        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
-        want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
-        assert capsys.readouterr().err == want
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
-    @pytest.mark.parametrize("key", ["alpha", "epsilon", "eta", "gamma"])
-    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
-        # Checked before the data CSV is read, which here does not exist.
-        settings = {"alpha": "0.5", "epsilon": "0.3", key: value}
-        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
-        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
-        want = f"error: {conf}: {key} must be a finite number, got {value!r}\n"
-        assert capsys.readouterr() == ("", want)
-
-    def test_nan_eta_gives_no_decision(self, tmp_path, capsys):
-        # eta=nan once audited as eta=0, and exited 0.
-        data = _write(tmp_path / "data.csv", "group,label,prediction\n"
-                      "a,0,1\na,0,0\nb,0,1\nb,0,1\nc,0,0\nc,0,0\n")
-        weights = _write(tmp_path / "w.csv", "group,weight\na,0.5\nb,0.3\nc,0.2\n")
-        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={weights}\neta=nan\n")
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: eta must be a finite number, got 'nan'\n")
-
-    def test_underflowing_eta_rejected(self, tmp_path, capsys):
-        data = _write(tmp_path / "data.csv", "group,label,prediction\na,0,1\nb,0,0\n")
-        weights = _write(tmp_path / "w.csv", "group,weight\na,0.5\nb,0.5\n")
-        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={weights}\neta=2000\n")
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: eta=2000.0 underflows every weight's power to 0\n")
-
-    def test_repeated_key_rejected(self, tmp_path, capsys):
-        # The last alpha once won without a word.
-        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nalpha=0.01\n")
-        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
-        assert capsys.readouterr() == (
-            "", f"error: {conf}:3: key 'alpha' repeated (first on line 1)\n")
-
-    @pytest.mark.parametrize("key, value, want", [
-        ("metric", "xx", "metric must be one of 'sp', 'eo', got 'xx'"),
-        ("metric", "EO", "metric must be one of 'sp', 'eo', got 'EO'"),
-        ("plan", "foo", "plan must be one of 'weighted', 'attr', got 'foo'"),
-        ("weights", "uniformm", "weights file not found: 'uniformm'"),
-        ("weights", "", "weights file not found: ''"),
-        ("weights", ".", "weights file is a directory: '.'"),
-    ])
-    def test_bad_choice_rejected(self, tmp_path, capsys, key, value, want):
-        # Checked before the data CSV is read, which here does not exist.
-        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\n{key}={value}\n")
-        assert main(["audit", str(tmp_path / "absent.csv"), conf]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
 
     def test_clipped_attr_plan_warns(self, tmp_path, capsys):
         # gamma * w = (4.5, 0.5): group a is clipped at 1, so the plan expects
@@ -449,28 +290,6 @@ class TestAudit:
         assert out.endswith("count[a]: 2\ncount[b]: 2\ncount[c]: 2\n"
                             "count[d]: 0  (warning: fewer than 2 samples)\n")
 
-    def test_weight_sum_error_names_the_sidecar(self, tmp_path, capsys):
-        data = self._fair_csv(tmp_path)
-        sidecar = _write(tmp_path / "w.csv", "group,weight\ng0,0.5\ng1,0.25\n")
-        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={sidecar}\n")
-        assert main(["audit", data, conf]) == EXIT_DATA
-        assert capsys.readouterr() == ("", f"error: {sidecar}: weights sum to 0.75, not 1\n")
-
-    def test_sidecar_missing_groups_named_a_few(self, tmp_path, capsys):
-        lines = ["group,label,prediction"] + [f"g{g:04d},0,0" for g in range(3000)]
-        data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
-        for name, sidecar in [("plain", "group,weight\ng0000,1.0\n"),
-                              ("quoted", 'group,weight\n"g0000",1.0\n')]:
-            side = _write(tmp_path / f"{name}.csv", sidecar)
-            conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nweights={side}\n")
-            assert main(["audit", data, conf]) == EXIT_USAGE
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err == (
-                f"error: {side}: missing weights for groups 'g0001', 'g0002', 'g0003', "
-                "'g0004', 'g0005' ... (2999 groups in all)\n"
-            )
-
     @pytest.mark.parametrize("plan", ["plan=weighted\neta=0\n", "plan=attr\nbudget=8\ngamma=4\n"],
                              ids=["weighted", "attr"])
     def test_audit_pins_no_inclusion_array(self, tmp_path, capsys, plan):
@@ -486,24 +305,6 @@ class TestAudit:
         assert main(["audit", data, conf]) in (EXIT_H0, EXIT_H1)
         assert "decision:" in capsys.readouterr().out
         assert inclusion_array.cache_info().currsize == 0
-
-    def test_attr_plan_mismatch_names_a_few_groups(self, tmp_path, capsys):
-        # 3000 groups against blocks of n/gamma = 2: every odd group has 3 rows.
-        lines = ["group,label,prediction"]
-        for g in range(3000):
-            lines.extend([f"g{g:04d},0,0"] * (3 if g % 2 else 2))
-        data = _write(tmp_path / "data.csv", "\n".join(lines) + "\n")
-        conf = _write(
-            tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=3000\ngamma=1500\n"
-        )
-        assert main(["audit", data, conf]) == EXIT_DATA
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err) < 200  # one short line, not one entry per offending group
-        assert err == (
-            "error: attribute-specific counts must be 0 or 2; groups 'g0001', 'g0003', "
-            "'g0005', 'g0007', 'g0009' ... (1500 groups in all) violate this\n"
-        )
 
 
 class TestSynthRoundTrip:
@@ -684,145 +485,6 @@ class TestSimulate:
             for n, expected in ((32, 16.0), (64, 32.0))
         ]
 
-    def test_gamma_with_fractional_block_rejected(self, tmp_path, capsys):
-        conf = self._attr_config(tmp_path, "gamma=3\n")  # 8 / 3 samples per group
-        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: {conf}: gamma must be > 0, with n / gamma a whole number from 2 to "
-            f"{2**63 - 1} for each n of n_grid, got '3'\n")
-
-    def test_zero_trials_rejected(self, tmp_path, capsys):
-        conf = _write(
-            tmp_path / "exp.cfg",
-            "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=0\n",
-        )
-        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {conf}: trials must be >= 1, got '0'\n"
-
-    _SETTINGS = {"k": "8", "alpha": "0.875", "epsilon": "0.3", "n_grid": "50,100",
-                 "trials": "20"}
-
-    def test_epsilon_too_large_for_k_exit_usage(self, tmp_path, capsys):
-        # The hard pair's perturbed mean 1/2 + epsilon K / (K - 1) passes 1.
-        conf = _write(tmp_path / "exp.cfg", "".join(
-            f"{k}={v}\n" for k, v in {**self._SETTINGS, "k": "2", "epsilon": "0.4"}.items()))
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: perturbed mean 1.3 > 1 for K=2, epsilon=0.4\n")
-        assert not out.exists()
-
-    def test_alpha_the_hard_pair_cannot_reach(self, tmp_path, capsys, monkeypatch):
-        # The perturbed group has weight 1/k, so for k > 2 its gap epsilon is
-        # the CVaR only when 1 - alpha is about 1/k or less: k = 8 rejects
-        # alpha = 0.75, before any trial runs.  With k = 2 both groups have
-        # gap epsilon, so any alpha is taken, and k = 3 takes the alpha one
-        # ulp below 1 - 1/3.
-        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.75\nepsilon=0.3\nn_grid=10\ntrials=2\n")
-        out = tmp_path / "o"
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "threshold_sweep", None)
-            assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: alpha must be in [0, 1), with the "
-                                           "hard pair's h1 instance at CVaR fairness >= epsilon, "
-                                           "got '0.75'\n")
-        assert not out.exists()
-        for config in ("k=2\nalpha=0.1\nepsilon=0.2", "k=3\nalpha=0.6666666666666666\nepsilon=0.3"):
-            conf = _write(tmp_path / "exp.cfg", config + "\nn_grid=10\ntrials=2\n")
-            assert main(["simulate", conf, "--out", str(out)]) == 0, config
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("key", ["k", "alpha", "epsilon", "n_grid"])
-    def test_missing_key_rejected(self, tmp_path, capsys, key):
-        text = "".join(f"{k}={v}\n" for k, v in self._SETTINGS.items() if k != key)
-        conf = _write(tmp_path / "exp.cfg", text)
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {conf}: missing key {key!r}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value, want", [
-        ("instance", "mixture", "instance must be one of 'hardpair', got 'mixture'"),
-        ("plan", "foo", "plan must be one of 'weighted', 'attr', got 'foo'"),
-    ])
-    def test_bad_choice_rejected(self, tmp_path, capsys, key, value, want):
-        conf = _write(tmp_path / "exp.cfg",
-                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value, expected", [
-        ("k", "8.0", "an integer"),
-        ("trials", "1e3", "an integer"),
-        ("base_seed", "0x10", "an integer"),
-        ("n_grid", "50,1e3", "comma-separated integers"),
-        ("n_grid", "50,,100", "comma-separated integers"),
-        ("alpha", "7/8", "a number"),
-        ("epsilon", "", "a number"),
-        ("target", "10%", "a number"),
-        ("eta", "two thirds", "a number"),
-        ("gamma", "n/2", "a number"),
-    ])
-    def test_bad_number_rejected(self, tmp_path, capsys, key, value, expected):
-        conf = _write(tmp_path / "exp.cfg",
-                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        want = f"error: {conf}: {key} must be {expected}, got {value!r}\n"
-        assert capsys.readouterr().err == want
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["alpha", "epsilon", "eta", "gamma", "target"])
-    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
-        conf = _write(tmp_path / "exp.cfg",
-                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        want = f"error: {conf}: {key} must be a finite number, got {value!r}\n"
-        assert capsys.readouterr() == ("", want)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value, rule", [
-        ("base_seed", "-1", ">= 0"),
-        ("target", "2", "in [0, 1]"),
-        ("target", "-1", "in [0, 1]"),
-        ("target", "1.0000001", "in [0, 1]"),
-    ])
-    def test_out_of_range_rejected(self, tmp_path, capsys, monkeypatch, key, value, rule):
-        # Checked before the hard pair is built.
-        monkeypatch.setattr(adversarial, "build_hard_pair", None)
-        conf = _write(tmp_path / "exp.cfg",
-                      "".join(f"{k}={v}\n" for k, v in {**self._SETTINGS, key: value}.items()))
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {key} must be {rule}, got {value!r}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("target", ["0", "1"])
-    def test_target_at_the_ends_of_its_range(self, tmp_path, capsys, target):
-        conf = _write(tmp_path / "exp.cfg", "".join(
-            f"{k}={v}\n" for k, v in {**self._SETTINGS, "target": target}.items()))
-        assert main(["simulate", conf, "--out", str(tmp_path / "o")]) == 0
-
-    def test_repeated_key_rejected(self, tmp_path, capsys):
-        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"
-                      "trials=100\n\nn_grid=100\n")
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: {conf}:7: key 'n_grid' repeated (first on line 4)\n")
-        assert not out.exists()
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        conf = _write(tmp_path / "exp.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\n"
-                      "trails=100\nbase_seed=4\n")
-        out = tmp_path / "o"
-        assert main(["simulate", conf, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {conf}:5: unknown key 'trails'\n"
-        assert not out.exists()
-
 
 class TestBounds:
     def test_report_contents(self, capsys):
@@ -856,240 +518,6 @@ class TestBounds:
         assert outputs[0] == outputs[1]
 
 
-_SYNTH = ["synth", "--k", "4", "--epsilon", "0.1", "--budget", "10"]
-
-
-class TestExitContract:
-    @pytest.mark.parametrize("argv, want", [
-        (["bounds", "--k", "0"], "--k must be >= 1, got 0"),
-        (["bounds", "--k", "16", "--alpha", "1"], "--alpha must be in [0, 1), got 1.0"),
-        (["bounds", "--k", "16", "--alpha", "-0.5"], "--alpha must be in [0, 1), got -0.5"),
-        (["bounds", "--k", "16", "--alpha", "nan"], "--alpha must be finite, got nan"),
-        (["bounds", "--k", "16", "--epsilon", "0"], "--epsilon must be > 0, got 0.0"),
-        (["bounds", "--k", "16", "--epsilon", "inf"], "--epsilon must be finite, got inf"),
-        (["bounds", "--k", "16", "--delta", "0"], "--delta must be in (0, 1), got 0.0"),
-        (["bounds", "--k", "16", "--delta", "2"], "--delta must be in (0, 1), got 2.0"),
-        (["bounds", "--k", "16", "--delta=-inf"], "--delta must be finite, got -inf"),
-        (["bounds", "--k", "16", "--n", "0"], "--n must be at least 2 each, got [0]"),
-        (["bounds", "--k", "16", "--n", "100", "1"], "--n must be at least 2 each, got [100, 1]"),
-        (_SYNTH[:2] + ["0"] + _SYNTH[3:] + ["--kind", "mixture"], "--k must be >= 1, got 0"),
-        (_SYNTH + ["--plan", "attr", "--gamma", "nan"], "--gamma must be finite, got nan"),
-        (_SYNTH + ["--eta", "inf"], "--eta must be finite, got inf"),
-        (_SYNTH + ["--alpha", "nan", "--kind", "mixture"], "--alpha must be finite, got nan"),
-        (_SYNTH[:3] + ["--epsilon=-inf"] + _SYNTH[5:], "--epsilon must be finite, got -inf"),
-        (_SYNTH + ["--seed", "-1"], "--seed must be >= 0, got -1"),
-        # An epsilon the mixture construction cannot take at this K is a bad option value.
-        (["synth", "--kind", "mixture", "--k", "8", "--epsilon", "100", "--budget", "10"],
-         "epsilon must be in (0, 0.25] for K=8, alpha=0.5"),
-        (_SYNTH[:6] + ["0"], "--budget must be >= 1, got 0"),
-        (_SYNTH[:6] + ["0", "--plan", "attr"], "--budget must be >= 1, got 0"),
-        (_SYNTH[:6] + ["-3"], "--budget must be >= 1, got -3"),
-        # n/gamma overflows to inf: the plan's own error, not an OverflowError.
-        (_SYNTH + ["--plan", "attr", "--gamma", "1e-320"],
-         "n/gamma must be a positive integer, got inf"),
-        # Budgets and blocks past int64, which numpy's samplers cannot take.
-        (_SYNTH[:6] + [str(10**20)],
-         f"budget must be at most {2**63 - 1}, got {10**20}"),
-        (_SYNTH[:6] + [str(10**20), "--plan", "attr", "--gamma", "1"],
-         f"n/gamma must be at most {2**63 - 1}, got 1e+20"),
-        # bounds: epsilon^4 underflows, a sample size overflows, epsilon^4 overflows.
-        (["bounds", "--k", "2", "--epsilon", "1e-200"],
-         "--epsilon must be larger: (1 - alpha)^2 epsilon^4 delta = 0.0 gives no finite "
-         "sample size, got 1e-200"),
-        (["bounds", "--k", "16", "--delta", "1e-320"],
-         "--delta must be larger: (1 - alpha)^2 epsilon^4 delta = 0.0 gives no finite "
-         "sample size, got 1e-320"),
-        (["bounds", "--k", "16", "--delta", "1e-310"],
-         "--delta must be larger: (1 - alpha)^2 epsilon^4 delta = 2.5e-315 gives no finite "
-         "sample size, got 1e-310"),
-        (["bounds", "--k", "16", "--epsilon", "1e-78", "--delta", "0.5"],
-         "--epsilon must be larger: (1 - alpha)^2 epsilon^4 delta = 1.25000000003e-313 gives "
-         "no finite sample size, got 1e-78"),
-        (["bounds", "--k", "16", "--epsilon", "1e200"], "--epsilon must be <= 1, got 1e+200"),
-        (["bounds", "--k", "16", "--epsilon", "1.5"], "--epsilon must be <= 1, got 1.5"),
-        (["bounds", "--k", "2", "--n", "2", str(10**309)],
-         f"--n must be <= 1.7976931348623157e+308 each, got [2, {10**309}]"),
-    ])
-    def test_bad_option_exit_usage(self, tmp_path, capsys, argv, want):
-        out = tmp_path / "synth.csv"
-        argv = argv + ["--out", str(out)] if argv[0] == "synth" else argv
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {want}\n")
-        assert not out.exists()
-
-    def test_bounds_at_the_edges_of_its_ranges(self, capsys):
-        # epsilon = 1 is the largest gap; the smallest deltas that still give
-        # finite sizes, and the largest float --n, print the report.
-        for argv in (["--epsilon", "1"], ["--delta", "1e-300"], ["--n", "2", str(2**1023)]):
-            assert main(["bounds", "--k", "16", *argv]) == 0
-            assert capsys.readouterr().out.startswith("K: 16\n")
-
-    @pytest.mark.parametrize("command, config, want", [
-        ("audit", "alpha=0.5\nepsilon=0.3\nplan=attr\nbudget=10\ngamma=1e-320\n",
-         f"gamma must be > 0, with budget / gamma a whole number from 2 to {2**63 - 1}"),
-        ("simulate", "k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid=10\ntrials=2\n"
-                     "gamma=1e-320\n",
-         f"gamma must be > 0, with n / gamma a whole number from 2 to {2**63 - 1} for each n "
-         "of n_grid"),
-    ])
-    def test_overflowing_gamma_in_config(self, tmp_path, capsys, command, config, want):
-        conf = _write(tmp_path / "c.cfg", config)
-        out = tmp_path / "out"
-        if command == "audit":
-            argv = ["audit", _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n"), conf]
-        else:
-            argv = ["simulate", conf, "--out", str(out)]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {want}, got '1e-320'\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("gamma", ["3", "10", "1e-320", "5"])  # 5: a block of 1
-    def test_gamma_against_the_kept_rows(self, tmp_path, capsys, gamma):
-        # Without a budget, the attribute-specific plan's budget is the number
-        # of kept rows (here 5), known only once the data is read.
-        data = _write(tmp_path / "d.csv", "group,label,prediction\n" + "g0,0,1\ng1,0,0\n" * 2
-                      + "g2,0,1\n")
-        conf = _write(tmp_path / "c.cfg", f"alpha=0.5\nepsilon=0.3\nplan=attr\ngamma={gamma}\n")
-        assert main(["audit", data, conf]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: gamma must be > 0, with budget / gamma "
-                                           f"a whole number from 2 to {2**63 - 1}, for the budget "
-                                           f"of 5 kept rows, got {gamma!r}\n")
-
-    @pytest.mark.parametrize("command, config, want", [
-        ("audit", f"alpha=0.5\nepsilon=0.3\nbudget={10**20}\n",
-         f"budget must be in [0, {2**63 - 1}], got '{10**20}'"),
-        ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nn_grid=10,{10**20}\ntrials=2\n",
-         f"n_grid must be a list of budgets in [2, {2**63 - 1}], got '10,{10**20}'"),
-        ("simulate", f"k=4\nalpha=0.5\nepsilon=0.3\nplan=attr\nn_grid={10**20}\ntrials=2\n"
-                     "gamma=1\n", f"n_grid must be a list of budgets in [1, {2**63 - 1}], "
-                                   f"got '{10**20}'"),
-    ])
-    def test_overflowing_budget_in_config(self, tmp_path, capsys, command, config, want):
-        conf = _write(tmp_path / "c.cfg", config)
-        out = tmp_path / "out"
-        if command == "audit":
-            argv = ["audit", _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n"), conf]
-        else:
-            argv = ["simulate", conf, "--out", str(out)]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {want}\n")
-        assert not out.exists()
-
-    _BASE = {"audit": {"alpha": "0.5", "epsilon": "0.3"},
-             "simulate": {"k": "4", "alpha": "0.5", "epsilon": "0.3", "n_grid": "10",
-                          "trials": "2"}}
-    _BLOCK = f"> 0, with budget / gamma a whole number from 2 to {2**63 - 1}"
-    _BLOCKS = f"> 0, with n / gamma a whole number from 2 to {2**63 - 1} for each n of n_grid"
-    _THRESHOLD = "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]"
-    _SIM_EPSILON = "in (0, 0.5], with a threshold (1 - alpha) epsilon^2 / 2 > 0"
-
-    @pytest.mark.parametrize("command, setting, rule", [
-        ("audit", "alpha=2", "in [0, 1)"),
-        ("audit", "alpha=-0.5", "in [0, 1)"),
-        ("audit", "epsilon=0", _THRESHOLD),
-        ("audit", "epsilon=-0.3", _THRESHOLD),  # a threshold in range, from a negative epsilon
-        ("audit", "epsilon=5", _THRESHOLD),
-        ("audit", "epsilon=1e-200", _THRESHOLD),  # the threshold underflows to 0
-        ("audit", "eta=-1", ">= 0"),
-        ("audit", "plan=attr\neta=-1", ">= 0"),  # an eta the plan does not use
-        ("audit", "gamma=-1", "> 0"),  # a gamma the weighted plan does not use
-        ("audit", "budget=-1", f"in [0, {2**63 - 1}]"),
-        ("audit", "plan=attr\nbudget=0", f"in [1, {2**63 - 1}]"),
-        ("audit", "plan=attr\ngamma=0", _BLOCK),
-        ("audit", "plan=attr\nbudget=10\ngamma=3", _BLOCK),
-        ("audit", "plan=attr\nbudget=10\ngamma=20", _BLOCK),  # a block of 0.5
-        ("audit", "plan=attr\nbudget=10\ngamma=10", _BLOCK),  # a block of 1
-        ("simulate", "k=0", ">= 2"),
-        ("simulate", "k=1", ">= 2"),
-        ("simulate", "alpha=2", "in [0, 1)"),
-        ("simulate", "epsilon=0", _SIM_EPSILON),
-        ("simulate", "epsilon=0.6", _SIM_EPSILON),
-        ("simulate", "epsilon=1e-200", _SIM_EPSILON),  # the threshold underflows to 0
-        ("simulate", "n_grid=-5", f"a list of budgets in [2, {2**63 - 1}]"),
-        ("simulate", "n_grid=10,-5", f"a list of budgets in [2, {2**63 - 1}]"),
-        ("simulate", "n_grid=0", f"a list of budgets in [2, {2**63 - 1}]"),
-        ("simulate", "n_grid=10,1", f"a list of budgets in [2, {2**63 - 1}]"),
-        ("simulate", "plan=attr\nn_grid=0", f"a list of budgets in [1, {2**63 - 1}]"),
-        ("simulate", "eta=-1", ">= 0"),
-        ("simulate", "plan=attr\neta=-1", ">= 0"),
-        ("simulate", "gamma=-1", "> 0"),
-        ("simulate", "plan=attr\ngamma=0", _BLOCKS),
-        ("simulate", "plan=attr\nn_grid=10,20\ngamma=4", _BLOCKS),  # 10 / 4 is not whole
-        ("simulate", "plan=attr\nn_grid=10\ngamma=10", _BLOCKS),  # a block of 1
-        # Two bad keys: the first in the read order is reported, whether the
-        # other fails to parse or is out of its range.
-        ("audit", "gamma=x\nalpha=2", "in [0, 1)"),
-        ("audit", "budget=1e3\nmetric=xx", "one of 'sp', 'eo'"),
-        ("simulate", "k=x\ntrials=0", ">= 1"),
-        ("simulate", "plan=foo\nalpha=2", "in [0, 1)"),
-    ])
-    def test_out_of_range_config_value(self, tmp_path, capsys, monkeypatch, command, setting,
-                                       rule):
-        """A key out of its range: an error that names the file and the key (the
-        last line of `setting`), raised before the data CSV (here absent) is
-        read or the instance built.  TestSimulate covers `trials`, `base_seed`
-        and `target`."""
-        settings = dict(self._BASE[command])
-        settings.update(line.split("=") for line in setting.splitlines())
-        key, value = setting.splitlines()[-1].split("=")
-        conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
-        out = tmp_path / "out"
-        monkeypatch.setattr(adversarial, "build_hard_pair", None)
-        if command == "audit":
-            argv = ["audit", str(tmp_path / "absent.csv"), conf]
-        else:
-            argv = ["simulate", conf, "--out", str(out)]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {conf}: {key} must be {rule}, got {value!r}\n")
-        assert not out.exists()
-
-    def test_config_values_at_their_bounds(self, tmp_path, capsys):
-        """The edges of each range still run."""
-        for setting in ("alpha=0", "alpha=0.99", "epsilon=1", "eta=0", "budget=4",
-                        "plan=attr\nbudget=4\ngamma=2"):
-            settings = {**self._BASE["audit"], **dict(x.split("=") for x in setting.splitlines())}
-            conf = _write(tmp_path / "c.cfg", "".join(f"{k}={v}\n" for k, v in settings.items()))
-            data = _write(tmp_path / "d.csv", "group,label,prediction\n" + "g0,0,1\ng1,0,0\n" * 2)
-            assert main(["audit", data, conf]) in (EXIT_H0, EXIT_H1), setting
-        capsys.readouterr()
-
-    def test_memory_error_exit_usage(self, tmp_path, capsys, monkeypatch):
-        # Raised where the instance is built, before the output is opened.
-        def no_memory(*args):
-            raise MemoryError("Unable to allocate 72.8 TiB for an array")
-
-        out = tmp_path / "synth.csv"
-        monkeypatch.setattr(adversarial, "build_hard_pair", no_memory)
-        assert main(_SYNTH + ["--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: Unable to allocate 72.8 TiB for an array\n")
-        assert not out.exists()
-
-    def test_memory_error_while_writing_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        def no_memory(*args):
-            raise MemoryError
-
-        out = tmp_path / "synth.csv"
-        monkeypatch.setattr(cli, "_group_name", no_memory)
-        assert main(_SYNTH + ["--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: out of memory\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, want", [
-        ([], "the following arguments are required: command"),
-        (["audit"], "the following arguments are required: input, config"),
-        (["bounds", "--k", "x"], "argument --k: invalid int value: 'x'"),
-        (["frob"], "argument command: invalid choice: 'frob'"),
-        (["bounds", "--k", "4", "--bogus"], "unrecognized arguments: --bogus"),
-        (_SYNTH + ["--plan", "foo", "--out", "x.csv"], "argument --plan: invalid choice: 'foo'"),
-    ])
-    def test_usage_error_exit_usage(self, capsys, argv, want):
-        assert main(argv) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("usage: fairaudit") and want in err
-
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert capsys.readouterr().out.startswith("usage: fairaudit")
 
 
 def test_cli_import_loads_only_shared_modules():
