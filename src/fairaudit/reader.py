@@ -1,8 +1,8 @@
 """The audit reader: a data CSV (`group,label,prediction`) and an optional
 weight sidecar (`group,weight`) to per-group counts and weights, behind one
 call, `read_audit`.  Each file is read on its own into its sorted distinct
-groups, as packed keys by the vectorised reader of plain CSVs (see
-_plain_cells) and as names by csv.reader, which takes any other file; the
+groups, as packed keys by the block reader of plain CSVs (see
+_plain_blocks) and as names by csv.reader, which takes any other file; the
 two paths agree on every input, error messages included.
 """
 
@@ -71,7 +71,7 @@ def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) 
 
 def _read(path: str, plain, streamed):
     """(True, plain(path)), or (False, streamed(path)) for a file the
-    vectorised reader does not cover."""
+    block reader does not cover."""
     try:
         return True, plain(path)
     except _NotPlain:
@@ -129,12 +129,13 @@ def _bit(cell: str, column: str) -> int:
     return value
 
 
-# --- The vectorised reader for plain CSVs -----------------------------------
+# --- The block reader for plain CSVs ----------------------------------------
 #
 # The csv module parses a plain CSV exactly as splitting its lines on "," does,
-# so such a file can be reduced with whole-array numpy operations.  Anything
-# else raises _NotPlain and goes through csv.reader, which streams the file
-# and gives every error message; so the two paths agree on every input.
+# so such a file can be reduced with whole-array numpy operations, a block of
+# lines at a time, in memory that does not grow with its rows.  Anything else
+# raises _NotPlain and goes through csv.reader, which streams the file and
+# gives every error message; so the two paths agree on every input.
 
 # A packed group name: its UTF-8 bytes in big-endian uint64 words, NUL-padded,
 # one array per word.  With NUL bytes excluded, the word tuples sort as the
@@ -143,106 +144,118 @@ def _bit(cell: str, column: str) -> int:
 # pre-joined intersectional names such as "female|asian|20-30".
 _WORD = 8
 _KEY_WORDS = 4
-_SCAN_BYTES = 1 << 18
+# The bytes read at a time, through one reused buffer.
+_SCAN_BYTES = 1 << 16
+# The key words sorted at a time: one-word cell keys (1 MiB), or hashed rows.
+_PENDING = 1 << 17
 # An odd multiplier for hashing key words (the 64-bit golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"
 
 
 class _NotPlain(Exception):
-    """The input needs csv.reader: the vectorised reader does not cover it."""
+    """The input needs csv.reader: the block reader does not cover it."""
 
 
-def _plain_header(head: bytes, columns: tuple[str, ...]) -> list[str]:
-    """The header of a file that may be plain, from its first _SCAN_BYTES
-    bytes; _NotPlain if these hold no data row (a longer header, or no data),
-    or show that the file is not plain or its first group name too long."""
-    if head.startswith(codecs.BOM_UTF8):
-        raise _NotPlain
-    first_lines = head.split(b"\n", 2)
-    if len(first_lines) == 1:
-        raise _NotPlain
-    header = first_lines[0].removesuffix(b"\r").decode("utf-8", "replace").split(",")
-    ncol = len(header)
-    if len(set(header)) < ncol or not set(columns) <= set(header):
-        raise _NotPlain
-    row = first_lines[1].removesuffix(b"\r").split(b",")
-    if len(row) == ncol and len(row[header.index(columns[0])]) > _WORD * _KEY_WORDS:
-        raise _NotPlain
-    return header
-
-
-def _plain_cells(path: str, columns: tuple[str, ...]):
-    """The cells of the named columns of a plain CSV file; the first of
-    `columns` holds group names.
+def _plain_blocks(path: str, columns: tuple[str, ...]):
+    """The cells of the named columns of a plain CSV file, a block of lines at
+    a time; the first of `columns` holds group names.
 
     Plain means: a regular file (csv.reader streams a pipe) of valid UTF-8
-    with no BOM, NUL byte or quote; lines end in "\n" or "\r\n" (the last
+    with no BOM, NUL byte or quote; lines end in "\\n" or "\\r\\n" (the last
     one may end the file instead); the header names every column once and
     includes `columns`; every line, the header too, has as many cells as the
-    header and is no longer than csv.field_size_limit().  Returns the file's
-    bytes as a uint8 array and, per named column, the start and end offsets
-    of its cells, one per data row.  Raises _NotPlain for anything else,
-    including a file without data rows; without reading past the head when
-    the head shows it (see _plain_header).
+    header and is no longer than csv.field_size_limit().  The file is read
+    _SCAN_BYTES at a time into one buffer, and each block is cut at its last
+    "\\n" (a line longer than the buffer grows it).  Per block with data rows,
+    yields the buffer as a uint8 array and, per named column, the start and
+    end offsets of its cells in it.  The block starts at offset _WORD, after
+    the 8 bytes before it in the file, which end in its line end before (for
+    the first block, 7 zeros and a "\\n"), so _key_words never reads before
+    offset 0.  The next block overwrites the buffer.  Raises _NotPlain at the
+    first block that shows the file is not plain, or at the end if it has no
+    data rows.
     """
     if not Path(path).is_file():
         raise _NotPlain
+    limit = csv.field_size_limit()
+    buf = bytearray(_WORD + _SCAN_BYTES)
+    buf[_WORD - 1] = _LF  # the first line starts after a "\n", as every block's does
+    text = np.frombuffer(buf, np.uint8)
+    fill, header, rows = _WORD, None, 0
     with open(path, "rb") as fh:
-        header = _plain_header(fh.read(_SCAN_BYTES), columns)
-        fh.seek(0)
-        data = fh.read()
-    ncol = len(header)
-    if b'"' in data or b"\0" in data:
+        while True:
+            got = fh.readinto(text[fill:])
+            filled = fill + got
+            # Without a final newline, the end of the file ends the last line.
+            cut = buf.rfind(b"\n", _WORD, filled) + 1 if got else filled
+            if cut == _WORD:
+                break  # the end of the file, at the end of a line
+            if not cut:  # the line goes on past what has been read
+                if filled == len(buf):
+                    if filled - _WORD > limit:
+                        raise _NotPlain
+                    buf = buf + bytes(len(buf))
+                    text = np.frombuffer(buf, np.uint8)
+                fill = filled
+                continue
+            if buf.find(b'"', _WORD, cut) >= 0 or buf.find(b"\0", _WORD, cut) >= 0:
+                raise _NotPlain
+            has_cr = buf.find(b"\r", _WORD, cut) >= 0
+            if has_cr and buf.count(b"\r", _WORD, cut) != buf.count(b"\r\n", _WORD, cut):
+                raise _NotPlain
+            try:
+                str(memoryview(buf)[_WORD:cut], "utf-8")
+            except UnicodeDecodeError:
+                raise _NotPlain from None
+            first = header is None
+            if first:
+                at = buf.find(b"\n", _WORD, cut)
+                if at < 0 or buf.startswith(codecs.BOM_UTF8, _WORD):
+                    raise _NotPlain
+                header = buf[_WORD:at].removesuffix(b"\r").decode("utf-8", "replace").split(",")
+                ncol = len(header)
+                if len(set(header)) < ncol or not set(columns) <= set(header):
+                    raise _NotPlain
+                named = [header.index(name) for name in columns]
+            # The comma and newline offsets, from the line end before the block.
+            block = text[_WORD - 1 : cut]
+            is_delim = block == _LF
+            lines = int(np.count_nonzero(is_delim)) - bool(got)
+            is_delim |= block == _COMMA
+            delims = np.add(np.flatnonzero(is_delim), _WORD - 1, casting="same_kind",
+                            dtype=np.int32 if len(buf) < 2**31 else np.intp)
+            del block, is_delim
+            if not got:
+                delims = np.append(delims, cut)
+            # Every line has ncol - 1 commas iff the delimiters after the first
+            # fill a (lines, ncol) grid whose last column holds every newline.
+            line_end = delims[::ncol]
+            if (delims.size != 1 + ncol * lines
+                    or not (np.take(text, line_end[: lines + bool(got)]) == _LF).all()):
+                raise _NotPlain
+            length = line_end[1:] - line_end[:-1]
+            if first:
+                length[0] -= 1  # the header's, from the start of the file
+                delims, lines = delims[ncol:], lines - 1
+            if int(length.max()) > limit:
+                raise _NotPlain
+            if lines:
+                rows += lines
+                cells = []
+                for c in named:
+                    end = delims[c + 1 :: ncol]
+                    if has_cr and c == ncol - 1:
+                        end = end - (np.take(text, end - 1) == _CR)
+                    cells.append((delims[c:-1:ncol] + 1, end))
+                yield text, cells
+            if not got:
+                break
+            # The rest of the buffer moves to the front, after the 8 bytes before it.
+            fill = filled - cut + _WORD
+            text[:fill] = text[cut - _WORD : filled]
+    if not rows:
         raise _NotPlain
-    has_cr = b"\r" in data
-    if has_cr and data.count(b"\r") != data.count(b"\r\n"):
-        raise _NotPlain
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _NotPlain from None
-    text = np.frombuffer(data, np.uint8)
-    # Without a final newline, the end of the file ends the last line.
-    open_end = not data.endswith(b"\n")
-    offset = np.int32 if text.size < 2**31 else np.int64
-    # The comma and newline offsets, a block at a time to bound the temporaries.
-    found, newlines = [], 0
-    for at in range(0, text.size, _SCAN_BYTES):
-        block = text[at : at + _SCAN_BYTES]
-        is_delim = block == _LF
-        newlines += int(np.count_nonzero(is_delim))
-        is_delim |= block == _COMMA
-        found.append(np.add(np.flatnonzero(is_delim), at, dtype=offset, casting="same_kind"))
-    if open_end:
-        found.append(np.array([text.size], offset))
-    delims = np.concatenate(found)
-    del found
-    rows = delims.size // ncol - 1
-    # Every line has ncol - 1 commas iff the delimiters fill an (rows + 1, ncol)
-    # grid whose last column holds every newline (and the end, if open).
-    if (
-        rows < 1
-        or delims.size % ncol
-        or newlines != rows + 1 - open_end
-        or not np.all(np.take(text, delims[ncol - 1 : delims.size - open_end : ncol]) == _LF)
-    ):
-        raise _NotPlain
-    lines = delims.reshape(-1, ncol)
-    line_end = lines[:, -1]
-    if int(np.diff(line_end).max(initial=line_end[0])) > csv.field_size_limit():
-        raise _NotPlain
-    lines = lines[1:]
-    cells = []
-    for name in columns:
-        c = header.index(name)
-        start = line_end[:-1] + 1 if c == 0 else lines[:, c - 1] + 1
-        end = lines[:, c]
-        if has_cr and c == ncol - 1:
-            end = end - (text[end - 1] == _CR)
-        cells.append((start, end))
-    return text, cells
 
 
 def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -256,8 +269,8 @@ def _key_words(text: np.ndarray, start: np.ndarray, end: np.ndarray):
     # Word j holds cell bytes [8j, 8j + 8): the 8 bytes of text that end where
     # that chunk ends, shifted left past the bytes before the chunk (a shift by
     # 64 gives 0, for a chunk past the cell's end).  Every chunk ends at offset
-    # 8 or later, since the header in front of a cell has two named columns.
-    # view[i] is the big-endian word of text[i:i + 8], a strided view.
+    # 8 or later (see _plain_blocks).  view[i] is the big-endian word of
+    # text[i:i + 8], a strided view.
     view = np.ndarray((text.size - _WORD + 1,), ">u8", text, strides=(1,))
     last = end - _WORD
     for j in range(words):
@@ -276,7 +289,8 @@ def _key_word(view, start, last, length, j: int, is_last: bool) -> np.ndarray:
     # In place: the big-endian value, in native byte order.
     word = word.byteswap(inplace=True).view(word.dtype.newbyteorder())
     shift = length - _WORD * j
-    np.clip(shift, 0, _WORD, out=shift)
+    if not is_last or j:  # else every cell has 0 to 8 bytes
+        np.clip(shift, 0, _WORD, out=shift)
     shift -= _WORD
     shift *= -8
     # Shifting casts `shift` a buffer at a time: no uint64 copy of it.
@@ -306,116 +320,197 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _factorise(text: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """The distinct packed keys of the cells text[start:end], in name order,
-    and each cell's index among them.
-
-    A one-word key is its own sort key.  Longer keys are sorted by a hash of
-    their words, one uint64 per cell, and equal hashes are then checked to be
-    equal names, a word at a time; so no more than one word per cell is held
-    beside the hash.  A collision raises _NotPlain.
-    """
-    key = None
-    for word in _key_words(text, start, end):
-        if key is None:
-            key, words = word, 1
-        else:
-            key *= _MIX
-            key ^= word
-            words += 1
-    # An argsort-based inverse, freeing its temporaries as it goes
-    # (np.unique's costs peak memory).
-    order = np.argsort(key)
-    key = key[order]
-    first = _run_starts(key)
-    if words == 1:
-        distinct = [key[first]]
-    del key
-    if words > 1:
-        differs = np.empty(first.size - 1, bool)
-        for word in _key_words(text, start, end):
-            word = word[order]
-            np.not_equal(word[1:], word[:-1], out=differs)
-            del word
-            if np.any(differs > first[1:]):
-                raise _NotPlain  # two names with one hash: csv.reader takes the file
-        del differs
-    ids = np.cumsum(first, dtype=np.int32)
-    ids -= 1
-    if words > 1:  # the keys themselves, and the ids from hash order to name order
-        firsts = order[first]
-        distinct = list(_key_words(text, start[firsts], end[firsts]))
-        rank = np.lexsort(distinct[::-1])
-        distinct = [word[rank] for word in distinct]
-        position = np.empty_like(ids, shape=rank.size)
-        position[rank] = np.arange(rank.size, dtype=ids.dtype)
-        ids = position[ids]
-    inverse = np.empty_like(ids)
-    inverse[order] = ids
-    return distinct, inverse
-
-
 def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """0/1 cells as uint8; _NotPlain unless every cell is a literal "0" or "1"."""
-    bits = np.take(text, start)  # faster than text[start] with int32 offsets
+    # Lengths first: an empty last cell of an open last line starts at the end.
+    if not (end - start == 1).all():
+        raise _NotPlain
+    bits = np.take(text, start)  # faster than text[start]
     bits -= np.uint8(_ZERO)
-    if not np.all(end - start == 1) or np.any(bits > 1):
+    if (bits > 1).any():
         raise _NotPlain
     return bits
 
 
-def _run_counts(key: np.ndarray):
-    """The distinct names of sorted one-word keys whose low byte holds a
-    2-bit (label, prediction) pattern, and their counts per (name, label,
-    prediction) as a (K, 2, 2) array: the lengths of the runs of equal keys.
-    """
-    at = np.flatnonzero(_run_starts(key))
-    length = np.diff(at, append=key.size)
-    key = key[at]
-    # The runs of one name are adjacent; its first run starts a new name.
-    name = key & ~np.uint64(0xFF)
-    first = _run_starts(name)
-    distinct = [name[first]]
-    del name
-    cell = np.cumsum(first, dtype=np.intp)
-    cell -= 1
-    cell <<= 2
-    cell |= key.view(np.int64) & 3
-    cells = np.zeros(4 * distinct[0].size, np.int64)
-    cells[cell] = length
-    return distinct, cells.reshape(-1, 2, 2)
+class _SortedKeys:
+    """The cell counts of names of at most 7 bytes, by sorting (see
+    _records_plain): keys fill one pending array of _PENDING, which is sorted
+    in place when full, and at the end, and folded into the sorted distinct
+    keys so far and their counts."""
+
+    def __init__(self):
+        self.pending = np.empty(_PENDING, np.uint64)
+        self.size = 0
+        self.keys, self.counts = np.empty(0, np.uint64), np.empty(0, np.int64)
+
+    def add(self, key: np.ndarray) -> None:
+        while key.size:
+            room = key[: self.pending.size - self.size]
+            self.pending[self.size : self.size + room.size] = room
+            self.size += room.size
+            key = key[room.size :]
+            if self.size == self.pending.size:
+                self._fold()
+
+    def _fold(self) -> None:
+        if not self.size:
+            return
+        key = self.pending[: self.size]
+        key.sort()
+        self.size = 0
+        at = np.flatnonzero(_run_starts(key))
+        count = np.diff(at, append=key.size)
+        key = key[at]
+        if self.keys.size:
+            key = np.concatenate([self.keys, key])
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            at = np.flatnonzero(_run_starts(key))
+            key, count = key[at], np.add.reduceat(np.concatenate([self.counts, count])[order], at)
+        self.keys, self.counts = key, count
+
+    def cells(self):
+        """The distinct names (one-word packed keys) and their (K, 2, 2) cells."""
+        self._fold()
+        key, count = self.keys, self.counts
+        # The keys of one name are adjacent; its first starts a new name.
+        name = key & ~np.uint64(0xFF)
+        first = _run_starts(name)
+        distinct = [name[first]]
+        del name
+        cell = np.cumsum(first, dtype=np.intp)
+        cell -= 1
+        cell <<= 2
+        cell |= key.view(np.int64) & 3
+        cells = np.zeros(4 * distinct[0].size, np.int64)
+        cells[cell] = count
+        return distinct, cells.reshape(-1, 2, 2)
+
+
+def _hash(words: list) -> np.ndarray:
+    """One uint64 per packed name: its first word, then h * _MIX ^ word per
+    further word it has.  A name's zero words (past its end) leave h alone,
+    so it hashes the same in every block."""
+    h = words[0]
+    for word in words[1:]:
+        mixed = h * _MIX
+        mixed ^= word
+        h = np.where(word != 0, mixed, h)
+    return h
+
+
+class _HashedRows:
+    """Rows keyed by a hash of their group's packed words (_hash), each with a
+    value.  Pending rows are kept a block at a time and, once they hold
+    _PENDING key words, and at the end, folded into one row per distinct
+    hash, in hash order; a subclass's _reduce says which row and value each
+    hash keeps.  Equal hashes are checked to be equal names, a word at a
+    time: two names with one hash raise _NotPlain."""
+
+    def __init__(self, words: list, values: np.ndarray):
+        """Start from distinct one-word keys in name order and their values."""
+        self.hashes = words[0]
+        self.words = [self.hashes]  # a one-word key is its own hash
+        self.values = values
+        self.pending, self.size = [], 0
+
+    def add(self, words: list, values: np.ndarray) -> None:
+        self.pending.append((_hash(words), words, values))
+        self.size += values.shape[0] * len(words)
+        if self.size >= _PENDING:
+            self._fold()
+
+    def _fold(self) -> None:
+        if not self.pending:
+            return
+        parts = [(self.hashes, self.words, self.values), *self.pending]
+        self.pending, self.size = [], 0
+        hashes = np.concatenate([part[0] for part in parts])
+        order = np.argsort(hashes)
+        first = _run_starts(hashes[order])
+        nwords = max(len(part[1]) for part in parts)
+        words = [hashes]
+        if nwords > 1:
+            words, differs = [], np.empty(first.size - 1, bool)
+            for j in range(nwords):
+                word = np.concatenate([w[j] if j < len(w) else np.zeros(h.size, np.uint64)
+                                       for h, w, _ in parts])
+                ordered = word[order]
+                np.not_equal(ordered[1:], ordered[:-1], out=differs)
+                if (differs > first[1:]).any():
+                    raise _NotPlain  # two names with one hash: csv.reader takes the file
+                words.append(word)
+        # The rows kept, one per distinct hash in hash order, and their values.
+        keep, self.values = self._reduce(order, first, [part[2] for part in parts])
+        self.hashes = hashes[keep]
+        self.words = [self.hashes] if nwords == 1 else [word[keep] for word in words]
+
+    def result(self):
+        """The distinct packed keys in name order, and their values."""
+        self._fold()
+        words, values = self.words, self.values
+        if len(words) > 1:  # one-word keys, their own hashes, are in name order already
+            rank = np.lexsort(words[::-1])
+            words, values = [word[rank] for word in words], values[rank]
+        return words, values
+
+
+class _HashedCells(_HashedRows):
+    """The cells of names of up to 32 bytes: a row's value is its 2-bit
+    (label, prediction) pattern, and a name keeps its (2, 2) counts."""
+
+    def _reduce(self, order, first, values):
+        counts = values[0]  # the names' so far, then the rows' patterns
+        ids = np.empty(order.size, np.intp)
+        ids[order] = np.cumsum(first, dtype=np.intp)
+        ids -= 1
+        cells = np.zeros((int(ids.max()) + 1, 2, 2), np.int64)
+        cells[ids[: len(counts)]] = counts
+        code = ids[len(counts) :]
+        code <<= 2
+        code |= np.concatenate(values[1:])
+        cells += np.bincount(code, minlength=cells.size).reshape(cells.shape)
+        return order[first], cells
+
+
+class _LastValues(_HashedRows):
+    """The weight of each group's last row: the rows are in file order, so a
+    run of equal hashes keeps its row of the largest index."""
+
+    def _reduce(self, order, first, values):
+        last = np.maximum.reduceat(order, np.flatnonzero(first))
+        return last, np.concatenate(values)[last]
 
 
 def _records_plain(path: str):
-    """The vectorised reader of a plain data CSV (see _plain_cells) whose
-    names have at most 32 bytes and whose label and prediction cells are all
-    a literal 0 or 1: the sorted packed keys of its groups, and their
-    (K, 2, 2) cells.
+    """The block reader of a plain data CSV (see _plain_blocks) whose names
+    have at most 32 bytes and whose label and prediction cells are all a
+    literal 0 or 1: the sorted packed keys of its groups, and their (K, 2, 2)
+    cells.
 
-    Each row counts in the cell of its (name, label, prediction).  Names of
-    at most 7 bytes pack into one word whose free low byte takes the row's
-    2-bit (label, prediction) pattern; one in-place sort of these keys puts
-    each cell's rows in one run, whose length is its count.  Longer names
-    are factorised (_factorise), and 4 * id + pattern is bincounted.
+    Each row counts in the cell of its (name, label, prediction).  While all
+    names have at most 7 bytes, each packs into one word whose free low byte
+    takes the row's 2-bit (label, prediction) pattern; sorting these keys
+    puts each cell's rows in one run, whose length is its count (_SortedKeys).
+    From the first block with a longer name, the counts so far and every
+    further row are folded by hash (_HashedCells).
     """
-    text, (group, label, prediction) = _plain_cells(path, _RECORD_COLUMNS)
-    pattern = _bits(text, *label)
-    pattern <<= 1
-    pattern |= _bits(text, *prediction)
-    del label, prediction
-    start, end = group
-    if int((end - start).max()) >= _WORD:
-        distinct, ids = _factorise(text, start, end)
-        del text, group, start, end
-        cell = np.left_shift(ids, 2, dtype=np.intp)  # int32 would overflow at K >= 2**29
-        return distinct, np.bincount(cell | pattern, minlength=4 * distinct[0].size).reshape(-1, 2, 2)
-    (key,) = _key_words(text, start, end)
-    # The file's bytes and the cell offsets are freed before the sort.
-    del text, group, start, end
-    key |= pattern
-    del pattern
-    key.sort()
-    return _run_counts(key)
+    short, hashed = _SortedKeys(), None
+    for text, (group, label, prediction) in _plain_blocks(path, _RECORD_COLUMNS):
+        pattern = _bits(text, *label)
+        pattern <<= 1
+        pattern |= _bits(text, *prediction)
+        start, end = group
+        if hashed is None and int((end - start).max()) < _WORD:
+            (key,) = _key_words(text, start, end)
+            key |= pattern
+            short.add(key)
+            continue
+        if hashed is None:
+            hashed = _HashedCells(*short.cells())
+            short = None
+        hashed.add(list(_key_words(text, start, end)), pattern)
+    return short.cells() if hashed is None else hashed.result()
 
 
 def _records_csv(path: str):
@@ -465,36 +560,40 @@ def _same_as_previous(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> n
 
 
 def _sidecar_plain(path: str):
-    """The vectorised reader of a plain weight sidecar (see _plain_cells): the
-    sorted packed keys of its groups (_factorise), and the weight of each
-    group's last row.
+    """The block reader of a plain weight sidecar (see _plain_blocks): the
+    sorted packed keys of its groups, and the weight of each group's last row
+    (_LastValues).
 
     The weight cells are read by float() from their bytes, once per run of
     adjacent cells with one length and the same packed key words
-    (_same_as_previous), so a sidecar of uniform or per-stratum weights costs
-    a handful of float() calls.  A cell float() rejects raises _NotPlain, at
+    (_same_as_previous; a block's first cell goes on with the run of the
+    cell before it), so a sidecar of uniform or per-stratum weights costs a
+    handful of float() calls.  A cell float() rejects raises _NotPlain, at
     the start of its run: csv.reader then gives the error and its line
     number, or reads the cell as str (non-ASCII digits).
     """
-    text, (group, (start, end)) = _plain_cells(path, _SIDECAR_COLUMNS)
-    keys, inverse = _factorise(text, *group)
-    runs = np.flatnonzero(~_same_as_previous(text, start, end))
-    del group
-    repeats = runs.size < inverse.size
-    if repeats:
-        start, end = start[runs], end[runs]
-    cell = memoryview(text)
-    try:
-        # Iterating memoryviews builds no lists of offsets.
-        values = np.array([float(cell[a:b]) for a, b in zip(*map(memoryview, (start, end)))])
-    except ValueError:
-        raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
-    if repeats:
-        values = np.repeat(values, np.diff(runs, append=inverse.size))
-    # The last row of a repeated group wins.
-    rows = np.zeros(keys[0].size, np.intp)
-    np.maximum.at(rows, inverse, np.arange(inverse.size))
-    return keys, values[rows]
+    table = _LastValues([np.empty(0, np.uint64)], np.empty(0))
+    before = None  # the last weight cell so far, and its value
+    for text, (group, (start, end)) in _plain_blocks(path, _SIDECAR_COLUMNS):
+        runs = np.flatnonzero(~_same_as_previous(text, start, end))
+        cell = memoryview(text)
+        carried = before is not None and cell[int(start[0]) : int(end[0])] == before[0]
+        heads = runs[1:] if carried else runs
+        try:
+            # Iterating memoryviews builds no lists of offsets.
+            values = [float(cell[a:b])
+                      for a, b in zip(*map(memoryview, (start[heads], end[heads])))]
+        except ValueError:
+            raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
+        if carried:
+            values.insert(0, before[1])
+        values = np.array(values)
+        if runs.size < start.size:
+            values = np.repeat(values, np.diff(runs, append=start.size))
+        a, b = int(start[-1]), int(end[-1])
+        before = (bytes(cell[a:b]), values[-1]) if b - a <= _WORD * _KEY_WORDS else None
+        table.add(list(_key_words(text, *group)), values)
+    return table.result()
 
 
 def _sidecar_csv(path: str):

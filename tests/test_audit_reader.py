@@ -17,7 +17,10 @@ import csv
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +302,8 @@ EDGE_CASES = [
     ("crlf", (HEADER + ROWS).replace("\n", "\r\n").encode(), True),
     ("crlf_and_lf", (HEADER + "a,1,1\r\n" + ROWS).encode(), True),
     ("no_final_newline", (HEADER + ROWS).removesuffix("\n").encode(), True),
+    # An empty last cell at the end of the file: its start is the file's size.
+    ("no_final_newline_empty_last_cell", (HEADER + ROWS + "b,1,").encode(), False),
     ("crlf_no_final_newline", (HEADER + ROWS).replace("\n", "\r\n")[:-2].encode(), True),
     ("empty_group_name", (HEADER + ",0,1\n,1,0\n" + ROWS).encode(), True),
     ("prefix_names", (HEADER + "ab,0,1\na ,0,0\na,0,1\nab,0,0\na ,0,1\n").encode(), True),
@@ -362,7 +367,7 @@ def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, pl
     conf.write_text(f"alpha=0.5\nepsilon=0.3\neta=0\nmetric={kind.value}\n", encoding="utf-8")
     argv = ["audit", str(path), str(conf)]
     got = _audit(argv, capsys)
-    monkeypatch.setattr(reader, "_plain_cells", _not_plain)
+    monkeypatch.setattr(reader, "_plain_blocks", _not_plain)
     assert got == _audit(argv, capsys)
 
 
@@ -372,15 +377,15 @@ def test_long_first_name_rejected_from_the_head(tmp_path, monkeypatch):
     sizes = []
 
     class Reads(io.BufferedReader):
-        def read(self, size=-1):
-            sizes.append(size)
-            return super().read(size)
+        def readinto(self, buffer):
+            sizes.append(len(buffer))
+            return super().readinto(buffer)
 
     with monkeypatch.context() as patch:
         patch.setattr(reader, "open", lambda *args: Reads(io.FileIO(*args)), raising=False)
         with pytest.raises(reader._NotPlain):
-            reader._plain_cells(str(path), reader._RECORD_COLUMNS)
-    assert sizes == [reader._SCAN_BYTES]  # the head only
+            reader._records_plain(str(path))
+    assert sizes == [reader._SCAN_BYTES]  # the first block only
     assert read_records(str(path)).names == ("a", "b", "x" * 33)
 
 
@@ -481,31 +486,48 @@ class TestRenderOutcome:
         assert _render_outcome(outcome, ()) == _render_oracle(outcome, ())
 
 
+def _spy_adds(monkeypatch):
+    """Counts the blocks the sorted and the hashed data paths take."""
+    calls = {"_SortedKeys": 0, "_HashedCells": 0}
+    for name in calls:
+        cls = getattr(reader, name)
+
+        def spy(self, *args, _original=cls.add, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, "add", spy)
+    return calls
+
+
 def _csv_cells(data, columns):
-    """The oracle for _plain_cells: each named column's cells by csv.reader."""
+    """The oracle for _plain_blocks: each named column's cells by csv.reader."""
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     at = [rows[0].index(name) for name in columns]
     return [[row[c] for row in rows[1:]] for c in at]
 
 
-def _plain_cells(tmp_path, data, columns):
-    """_plain_cells of a file holding `data`."""
+def _plain_blocks(tmp_path, data, columns):
+    """_plain_blocks of a file holding `data`, each block's buffer copied
+    before the next overwrites it."""
     path = tmp_path / "cells.csv"
     path.write_bytes(data)
-    return reader._plain_cells(str(path), columns)
+    return [(text.copy(), cells) for text, cells in reader._plain_blocks(str(path), columns)]
 
 
 def _cells_of(tmp_path, data, columns):
-    """_plain_cells' cells as strings."""
-    text, cells = _plain_cells(tmp_path, data, columns)
-    raw = text.tobytes()
-    return [[raw[a:b].decode("utf-8") for a, b in zip(start.tolist(), end.tolist())]
-            for start, end in cells]
+    """_plain_blocks' cells as strings, over all blocks."""
+    got = [[] for _ in columns]
+    for text, cells in _plain_blocks(tmp_path, data, columns):
+        raw = text.tobytes()
+        for column, (start, end) in zip(got, cells):
+            column += [raw[a:b].decode("utf-8") for a, b in zip(start.tolist(), end.tolist())]
+    return got
 
 
 class TestPlainCellsOverBlocks:
     """Files over several _SCAN_BYTES blocks, at the real block size and at a
-    tiny one that puts block edges inside every few rows."""
+    tiny one that puts block edges inside every few rows, against csv.reader."""
 
     @staticmethod
     def _rows(rng, n, columns):
@@ -550,14 +572,168 @@ class TestPlainCellsOverBlocks:
         columns = ["group", "label", "prediction"]
         data = self._file(columns, self._rows(rng, size // 4, columns))
         assert len(data) > 2 * size
-        _plain_cells(tmp_path, data, reader._RECORD_COLUMNS)
+        _plain_blocks(tmp_path, data, reader._RECORD_COLUMNS)
         # At the start of a line (a group cell) that ends at or after a block
         # edge, and at the start of a line in the middle of the file.
         for at in (size - 1, size, 2 * size + 1, len(data) // 2):
             cut = data.index(b"\n", at - len(stray)) + 1
             bad = data[:cut] + stray.encode() + data[cut:]
             with pytest.raises(reader._NotPlain):
-                _plain_cells(tmp_path, bad, reader._RECORD_COLUMNS)
+                _plain_blocks(tmp_path, bad, reader._RECORD_COLUMNS)
+
+
+class TestBlockEdges:
+    """read_audit at tiny block sizes, which put block edges at every byte of
+    a line, and at a tiny pending capacity, so that keys are folded many
+    times: the block reader takes every file and agrees with csv.reader."""
+
+    BLOCKS = [1, 2, 5, 9, 16, 23, 40]
+
+    @staticmethod
+    def _read(data, sidecar):
+        """read_audit's names, counts and weights, or its error."""
+        try:
+            counts, w = read_audit(str(data), SP, sidecar and str(sidecar))
+        except FairauditError as exc:
+            return type(exc), str(exc)
+        return counts.names, counts.s.tolist(), counts.m.tolist(), w and w.w
+
+    def _check(self, tmp_path, monkeypatch, data, sidecar=None, blocks=BLOCKS):
+        data_path, side_path = tmp_path / "data.csv", None
+        data_path.write_bytes(data.encode("utf-8"))
+        if sidecar is not None:
+            side_path = tmp_path / "w.csv"
+            side_path.write_bytes(sidecar.encode("utf-8"))
+        with monkeypatch.context() as patch:
+            patch.setattr(reader, "_plain_blocks", _not_plain)
+            want = self._read(data_path, side_path)
+        assert len(want) == 4  # no error
+        for block in blocks:
+            for pending in (3, 1 << 17):
+                with monkeypatch.context() as patch:
+                    patch.setattr(reader, "_SCAN_BYTES", block)
+                    patch.setattr(reader, "_PENDING", pending)
+                    assert _is_plain(lambda: reader._records_plain(str(data_path)))
+                    if side_path:
+                        assert _is_plain(lambda: reader._sidecar_plain(str(side_path)))
+                    assert self._read(data_path, side_path) == want
+        return want
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"])
+    def test_crlf_and_multibyte_names(self, tmp_path, monkeypatch, eol):
+        rng = np.random.default_rng(60)
+        names = ["ü", "日本", "a€", "𝄞b", "z", "ßüßü"]  # of 2 to 8 bytes
+        rows = [f"{rng.choice(names)},{rng.integers(2)},{rng.integers(2)}" for _ in range(80)]
+        self._check(tmp_path, monkeypatch, eol.join([HEADER.strip(), *rows]) + eol)
+
+    def test_first_long_name_after_the_first_block(self, tmp_path, monkeypatch):
+        """Counts of short names, sorted and folded, then carried over to
+        the hashed path when a name of 8 bytes or more first appears."""
+        rng = np.random.default_rng(61)
+        short = [f"{rng.choice(['a', 'bb', 'ccc', 'ü'])},{rng.integers(2)},{rng.integers(2)}\n"
+                 for _ in range(20_000)]
+        late = ["female|asian|20-30,0,1\n", "abcdefgh,1,1\n", "bb,0,0\n", "abcdefg,1,0\n"]
+        data = HEADER + "".join(short) + "".join(late * 3)
+        assert len(data) > 2 * reader._SCAN_BYTES
+        with monkeypatch.context() as patch:
+            calls = _spy_adds(patch)
+            path = tmp_path / "d.csv"
+            path.write_text(data, encoding="utf-8")
+            reader._records_plain(str(path))
+        assert calls["_SortedKeys"] > 1 and calls["_HashedCells"] == 1
+        got = self._check(tmp_path, monkeypatch, HEADER + "".join(short[:300]) + "".join(late * 3))
+        assert "female|asian|20-30" in got[0]
+        self._check(tmp_path, monkeypatch, data, blocks=[reader._SCAN_BYTES])  # the real block size
+
+    def test_sidecar_runs_and_a_repeated_group_across_edges(self, tmp_path, monkeypatch):
+        """One float() per run of equal weight cells, however the blocks cut
+        it; a repeated group keeps the weight of its last row."""
+        names = [f"g{g:02d}" for g in range(32)]
+        rows = [("g05", "0.5")] + [(n, "0.03125") for n in names[:20]] + [("g07", "1")] + \
+            [(n, "0.03125") for n in names[20:]] + [("g07", "0.03125")]
+        sidecar = "group,weight\n" + "".join(f"{n},{w}\n" for n, w in rows)
+        data = HEADER + "".join(f"{n},0,{g % 2}\n" for g, n in enumerate(names))
+        assert self._check(tmp_path, monkeypatch, data, sidecar)[3] == (0.03125,) * 32
+        for block in self.BLOCKS:
+            parsed = []
+            with monkeypatch.context() as patch:
+                patch.setattr(reader, "_SCAN_BYTES", block)
+                patch.setattr(reader, "float", lambda b: parsed.append(bytes(b)) or float(b),
+                              raising=False)
+                reader._sidecar_plain(str(tmp_path / "w.csv"))
+            assert parsed == [b"0.5", b"0.03125", b"1", b"0.03125"]
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"])
+    def test_open_last_line(self, tmp_path, monkeypatch, eol):
+        data = eol.join([HEADER.strip(), "a,0,1", "abcdefghij,1,0", "a,0,0", "b,1,1"])
+        sidecar = eol.join(["weight,group", "0.25,a", "0.25,b", "0.5,abcdefghij"])
+        assert self._check(tmp_path, monkeypatch, data, sidecar)[2] == [2, 1, 1]
+
+
+class TestConstantMemory:
+    """The plain path's memory does not grow with the rows of a file."""
+
+    @staticmethod
+    def _write(path, rows, names, seed=0):
+        """A plain data CSV of `rows` random rows over the equally long
+        `names`, built as one fixed-width byte array."""
+        rng = np.random.default_rng(seed)
+        width = len(names[0])
+        packed = np.frombuffer("".join(names).encode(), np.uint8).reshape(len(names), width)
+        line = np.empty((rows, width + 5), np.uint8)
+        line[:, :width] = packed[rng.integers(0, len(names), rows)]
+        line[:, width] = line[:, width + 2] = ord(",")
+        line[:, width + 1] = rng.integers(ord("0"), ord("2"), rows)
+        line[:, width + 3] = rng.integers(ord("0"), ord("2"), rows)
+        line[:, width + 4] = ord("\n")
+        path.write_bytes(HEADER.encode() + line.tobytes())
+
+    @pytest.mark.parametrize("width", [3, 16], ids=["sorted", "hashed"])
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path, monkeypatch, width):
+        monkeypatch.setattr(reader, "_SCAN_BYTES", 4096)
+        monkeypatch.setattr(reader, "_PENDING", 2048)
+        names = [f"g{g:0{width - 1}d}" for g in range(64)]
+        peaks = []
+        for rows in (5_000, 40_000):
+            path = tmp_path / f"d{rows}.csv"
+            self._write(path, rows, names)
+            assert _is_plain(lambda: reader._records_plain(str(path)))
+            tracemalloc.start()
+            try:
+                counts, _ = read_audit(str(path), SP)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert counts.m.sum() == rows
+        assert peaks[1] - peaks[0] <= 16 * 1024, peaks
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+    def test_a_million_rows_in_a_fresh_interpreter(self, tmp_path):
+        """`fairaudit audit` of 1,000,000 rows (8 MB) peaks at most 4 MiB
+        above one of 1,000 rows, each in a fresh interpreter."""
+        names = [f"g{g:02d}" for g in range(64)]
+        conf = tmp_path / "c.cfg"
+        conf.write_text("alpha=0.5\nepsilon=0.3\nweights=empirical\n", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(reader.__file__).parents[1]),
+                                             *filter(None, [env.get("PYTHONPATH")])])
+        # A child's ru_maxrss starts from the size of the process that forked
+        # it, so a small interpreter without numpy starts the audit.
+        wrapper = ("import resource, subprocess, sys; "
+                   "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+                   "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        kib = 1024 if sys.platform == "darwin" else 1  # the unit of ru_maxrss
+        peak = {}
+        for rows in (1_000, 1_000_000):
+            path = tmp_path / f"d{rows}.csv"
+            self._write(path, rows, names)
+            out = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m",
+                                  "fairaudit.cli", "audit", str(path), str(conf)],
+                                 env=env, capture_output=True, text=True, check=True).stdout
+            code, maxrss = map(int, out.split())
+            assert code in (0, 3)
+            peak[rows] = maxrss / kib / 1024
+        assert peak[1_000_000] - peak[1_000] <= 4.0, peak
 
 
 def _spell(value, how):
@@ -593,7 +769,7 @@ class TestSidecarMatchesCsvReader:
 
         fast = audit()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reader, "_plain_cells", _not_plain)
+            patch.setattr(reader, "_plain_blocks", _not_plain)
             assert fast == audit()
         return fast
 
@@ -696,7 +872,8 @@ class TestSidecarMatchesCsvReader:
         path.write_bytes(text.encode("utf-8"))
         parsed = []
         with monkeypatch.context() as patch:
-            patch.setattr(reader, "float", lambda b: parsed.append(b) or float(b), raising=False)
+            patch.setattr(reader, "float", lambda b: parsed.append(bytes(b)) or float(b),
+                          raising=False)
             assert _is_plain(lambda: reader._sidecar_plain(str(path))) == plain
 
         def either():
@@ -774,7 +951,7 @@ class TestSidecarMatchesCsvReader:
             cells = edges if i == 40 else self._runs(
                 rng, pool, int(rng.integers(1, 300)), float(rng.uniform(1, 6)))
             data = ("group,weight\n" + "".join(f"g,{c}\n" for c in cells)).encode()
-            text, (_, weight) = _plain_cells(tmp_path, data, reader._SIDECAR_COLUMNS)
+            ((text, (_, weight)),) = _plain_blocks(tmp_path, data, reader._SIDECAR_COLUMNS)
             same = [i > 0 and c == cells[i - 1] and len(c) <= 32 for i, c in enumerate(cells)]
             assert reader._same_as_previous(text, *weight).tolist() == same
 
@@ -824,19 +1001,6 @@ class TestSortedCountsMatchCsvReader:
     carry the row's (label, prediction) bits in their low byte; longer names
     by the hashed argsort.  Both must agree with the csv.reader path."""
 
-    @staticmethod
-    def _spy(monkeypatch):
-        calls = {"_factorise": 0, "_run_counts": 0}
-        for name in calls:
-            original = getattr(reader, name)
-
-            def spy(*args, _original=original, _name=name):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(reader, name, spy)
-        return calls
-
     def _check(self, tmp_path, capsys, monkeypatch, text, kind, sidecar=None):
         """Counts, stdout, stderr and exit code of both paths; returns the counts."""
         path = tmp_path / "data.csv"
@@ -844,9 +1008,9 @@ class TestSortedCountsMatchCsvReader:
         names = {line.split(",")[0] for line in text.splitlines()[1:]}
         sorted_path = max(len(n.encode()) for n in names) <= 7
         with monkeypatch.context() as patch:
-            calls = self._spy(patch)
+            calls = _spy_adds(patch)
             fast = _outcome(lambda: _plain_counts(path, kind))
-            assert calls == {"_factorise": int(not sorted_path), "_run_counts": int(sorted_path)}
+            assert calls == {"_SortedKeys": int(sorted_path), "_HashedCells": int(not sorted_path)}
         assert fast == _outcome(lambda: _csv_counts(path, kind))
         conf = tmp_path / "c.cfg"
         weights = "uniform"
@@ -858,7 +1022,7 @@ class TestSortedCountsMatchCsvReader:
         argv = ["audit", str(path), str(conf)]
         got = _audit(argv, capsys)
         with monkeypatch.context() as patch:
-            patch.setattr(reader, "_plain_cells", _not_plain)
+            patch.setattr(reader, "_plain_blocks", _not_plain)
             assert got == _audit(argv, capsys)
         return fast
 
@@ -979,5 +1143,5 @@ def test_benchmark_audit_input_same_on_both_paths(tmp_path, capsys, monkeypatch)
     reader._sidecar_plain(str(tmp_path / "weights.csv"))  # takes both files
     fast = _audit(expect["argv"], capsys)
     assert fast[0] == expect["exit_code"]
-    monkeypatch.setattr(reader, "_plain_cells", _not_plain)
+    monkeypatch.setattr(reader, "_plain_blocks", _not_plain)
     assert _audit(expect["argv"], capsys) == fast

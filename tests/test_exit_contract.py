@@ -141,6 +141,9 @@ ROWS = [
         "error: d.csv: missing columns ['prediction']\n"),
     Row("audit-data-header-only", "audit hdr.csv c.cfg", {"hdr.csv": HEADER, "c.cfg": cfg(AUDIT)},
         64, "error: hdr.csv: no data rows\n"),
+    Row("audit-data-open-empty-cell", "audit d.csv c.cfg",
+        {"d.csv": HEADER + "a,0,1\nb,1,", "c.cfg": cfg(AUDIT)}, 64,
+        "error: d.csv:3: bad row (invalid literal for int() with base 10: '')\n"),
     Row("audit-one-kept-row", "audit d.csv c.cfg",
         {"d.csv": HEADER + "g0,0,1\n", "c.cfg": cfg(AUDIT)}, 64,
         "error: d.csv: the weighted plan needs a budget of at least 2, got 1 kept row\n"),
