@@ -331,6 +331,10 @@ def cmd_simulate(args) -> int:
                     lambda g: g > 0 and (not attr or all(_estimable_block(n, g) for n in n_grid)),
                     f"> 0, with n / gamma a whole number from 2 to {_MAX_COUNT} for each n of "
                     "n_grid" if attr else "> 0")
+    out_dir = Path(args.out)
+    made = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not made.is_dir():  # out_dir is made after the trials: fail before them
+        raise ConfigError(f"--out must name a directory, and {str(made)!r} is not one")
     pair = build_hard_pair(k, epsilon)
     # The one perturbed group has weight 1/k: for k > 2 its gap reaches the
     # CVaR only when 1 - alpha is about 1/k or less.
@@ -349,7 +353,6 @@ def cmd_simulate(args) -> int:
         axis="n", points=tuple(points), trials=trials, base_seed=base_seed, target=target
     )
     result = threshold_sweep(exp)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result, str(out_dir / "sweep.csv"))
     write_manifest(str(out_dir / "manifest.json"), dict(conf), base_seed)

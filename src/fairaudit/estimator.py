@@ -78,11 +78,6 @@ def _term_weights(
     place of the arrays give the one normalizer of groups that share w_g
     and p_g.
     """
-    if w.min() > 0:  # every group is active: plain division, same bits
-        if p2.min() <= 0.0:
-            raise ZeroInclusionProbability(int(np.argmax(p2 <= 0.0)))
-        c1 = w / p2
-        return (c1, c1) if p1 is p2 else (c1, w / p1)
     active = w > 0
     bad = active & (p2 <= 0.0)
     if np.any(bad):

@@ -146,7 +146,7 @@ _WORD = 8
 _KEY_WORDS = 4
 # The bytes read at a time, through one reused buffer.
 _SCAN_BYTES = 1 << 16
-# The key words sorted at a time: one-word cell keys (1 MiB), or hashed rows.
+# A fold starts once the pending blocks hold this many key words.
 _PENDING = 1 << 17
 # An odd multiplier for hashing key words (the 64-bit golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -223,8 +223,8 @@ def _plain_blocks(path: str, columns: tuple[str, ...]):
             is_delim = block == _LF
             lines = int(np.count_nonzero(is_delim)) - bool(got)
             is_delim |= block == _COMMA
-            delims = np.add(np.flatnonzero(is_delim), _WORD - 1, casting="same_kind",
-                            dtype=np.int32 if len(buf) < 2**31 else np.intp)
+            delims = np.flatnonzero(is_delim)
+            delims += _WORD - 1
             del block, is_delim
             if not got:
                 delims = np.append(delims, cut)
@@ -334,30 +334,26 @@ def _bits(text: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 class _SortedKeys:
     """The cell counts of names of at most 7 bytes, by sorting (see
-    _records_plain): keys fill one pending array of _PENDING, which is sorted
-    in place when full, and at the end, and folded into the sorted distinct
+    _records_plain): keys are kept a block at a time and, once they hold
+    _PENDING keys, and at the end, sorted and folded into the sorted distinct
     keys so far and their counts."""
 
     def __init__(self):
-        self.pending = np.empty(_PENDING, np.uint64)
-        self.size = 0
+        self.pending, self.size = [], 0
         self.keys, self.counts = np.empty(0, np.uint64), np.empty(0, np.int64)
 
     def add(self, key: np.ndarray) -> None:
-        while key.size:
-            room = key[: self.pending.size - self.size]
-            self.pending[self.size : self.size + room.size] = room
-            self.size += room.size
-            key = key[room.size :]
-            if self.size == self.pending.size:
-                self._fold()
+        self.pending.append(key)
+        self.size += key.size
+        if self.size >= _PENDING:
+            self._fold()
 
     def _fold(self) -> None:
-        if not self.size:
+        if not self.pending:
             return
-        key = self.pending[: self.size]
+        key = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending)
+        self.pending, self.size = [], 0
         key.sort()
-        self.size = 0
         at = np.flatnonzero(_run_starts(key))
         count = np.diff(at, append=key.size)
         key = key[at]
@@ -565,33 +561,24 @@ def _sidecar_plain(path: str):
     (_LastValues).
 
     The weight cells are read by float() from their bytes, once per run of
-    adjacent cells with one length and the same packed key words
-    (_same_as_previous; a block's first cell goes on with the run of the
-    cell before it), so a sidecar of uniform or per-stratum weights costs a
-    handful of float() calls.  A cell float() rejects raises _NotPlain, at
-    the start of its run: csv.reader then gives the error and its line
-    number, or reads the cell as str (non-ASCII digits).
+    adjacent cells of a block with one length and the same packed key words
+    (_same_as_previous), so a sidecar of uniform or per-stratum weights costs
+    a handful of float() calls per block.  A cell float() rejects raises
+    _NotPlain, at the start of its run: csv.reader then gives the error and
+    its line number, or reads the cell as str (non-ASCII digits).
     """
     table = _LastValues([np.empty(0, np.uint64)], np.empty(0))
-    before = None  # the last weight cell so far, and its value
     for text, (group, (start, end)) in _plain_blocks(path, _SIDECAR_COLUMNS):
         runs = np.flatnonzero(~_same_as_previous(text, start, end))
         cell = memoryview(text)
-        carried = before is not None and cell[int(start[0]) : int(end[0])] == before[0]
-        heads = runs[1:] if carried else runs
         try:
             # Iterating memoryviews builds no lists of offsets.
-            values = [float(cell[a:b])
-                      for a, b in zip(*map(memoryview, (start[heads], end[heads])))]
+            values = np.array([float(cell[a:b])
+                               for a, b in zip(*map(memoryview, (start[runs], end[runs])))])
         except ValueError:
             raise _NotPlain from None  # csv.reader names the line, or float() of str reads it
-        if carried:
-            values.insert(0, before[1])
-        values = np.array(values)
         if runs.size < start.size:
             values = np.repeat(values, np.diff(runs, append=start.size))
-        a, b = int(start[-1]), int(end[-1])
-        before = (bytes(cell[a:b]), values[-1]) if b - a <= _WORD * _KEY_WORDS else None
         table.add(list(_key_words(text, *group)), values)
     return table.result()
 

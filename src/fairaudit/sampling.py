@@ -92,6 +92,7 @@ class WeightedPlan:
             raise PlanMismatch(
                 f"weighted plan draws exactly n={self.budget} samples, observed {total}"
             )
+        _check_drawn(m, self.v.as_array(), names)
 
 
 def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
@@ -198,6 +199,17 @@ class AttributeSpecificPlan:
                 f"attribute-specific counts must be 0 or {self.block}; "
                 f"groups {shown_groups([names[g] for g in bad.tolist()])} violate this"
             )
+        _check_drawn(m, self.include_probs(), names)
+
+
+def _check_drawn(m: np.ndarray, p: np.ndarray, names) -> None:
+    """PlanMismatch naming the groups with samples whose inclusion probability `p` is 0."""
+    bad = np.flatnonzero((m > 0) & (p == 0))
+    if bad.size:
+        raise PlanMismatch(
+            f"groups {shown_groups([names[g] for g in bad.tolist()])} have samples "
+            "but zero inclusion probability under the plan"
+        )
 
 
 SamplingPlan = WeightedPlan | AttributeSpecificPlan

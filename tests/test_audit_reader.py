@@ -500,6 +500,32 @@ def _spy_adds(monkeypatch):
     return calls
 
 
+def _spy_weight_parses(monkeypatch):
+    """The bytes of each cell reader's float() parses, and the number of
+    weight cells in each block _plain_blocks yields."""
+    parsed, sizes = [], []
+    blocks = reader._plain_blocks
+
+    def spy(path, columns):
+        for text, cells in blocks(path, columns):
+            sizes.append(cells[1][0].size)
+            yield text, cells
+
+    monkeypatch.setattr(reader, "_plain_blocks", spy)
+    monkeypatch.setattr(reader, "float", lambda b: parsed.append(bytes(b)) or float(b),
+                        raising=False)
+    return parsed, sizes
+
+
+def _one_parse_per_run_per_block(cells, sizes):
+    """The weight cells (bytes) the sidecar reader parses: in file order, each
+    that starts a run of byte-identical cells of at most 32 bytes, or starts
+    a block; so at most runs + blocks of them."""
+    assert sum(sizes) == len(cells)
+    firsts = set(np.cumsum([0, *sizes[:-1]]).tolist())
+    return [c for i, c in enumerate(cells) if i in firsts or c != cells[i - 1] or len(c) > 32]
+
+
 def _csv_cells(data, columns):
     """The oracle for _plain_blocks: each named column's cells by csv.reader."""
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
@@ -646,8 +672,8 @@ class TestBlockEdges:
         self._check(tmp_path, monkeypatch, data, blocks=[reader._SCAN_BYTES])  # the real block size
 
     def test_sidecar_runs_and_a_repeated_group_across_edges(self, tmp_path, monkeypatch):
-        """One float() per run of equal weight cells, however the blocks cut
-        it; a repeated group keeps the weight of its last row."""
+        """One float() per run of equal weight cells in each block, however
+        the blocks cut it; a repeated group keeps the weight of its last row."""
         names = [f"g{g:02d}" for g in range(32)]
         rows = [("g05", "0.5")] + [(n, "0.03125") for n in names[:20]] + [("g07", "1")] + \
             [(n, "0.03125") for n in names[20:]] + [("g07", "0.03125")]
@@ -655,13 +681,11 @@ class TestBlockEdges:
         data = HEADER + "".join(f"{n},0,{g % 2}\n" for g, n in enumerate(names))
         assert self._check(tmp_path, monkeypatch, data, sidecar)[3] == (0.03125,) * 32
         for block in self.BLOCKS:
-            parsed = []
             with monkeypatch.context() as patch:
                 patch.setattr(reader, "_SCAN_BYTES", block)
-                patch.setattr(reader, "float", lambda b: parsed.append(bytes(b)) or float(b),
-                              raising=False)
+                parsed, sizes = _spy_weight_parses(patch)
                 reader._sidecar_plain(str(tmp_path / "w.csv"))
-            assert parsed == [b"0.5", b"0.03125", b"1", b"0.03125"]
+            assert parsed == _one_parse_per_run_per_block([w.encode() for _, w in rows], sizes)
 
     @pytest.mark.parametrize("eol", ["\r\n", "\n"])
     def test_open_last_line(self, tmp_path, monkeypatch, eol):
@@ -847,7 +871,7 @@ class TestSidecarMatchesCsvReader:
         self._check(tmp_path, "group,weight\na,0.5\nb,0.5\n", ("a", "b\0"), True)
 
     # Weight columns of up to 16384 rows, read by the plain path with one
-    # float() per run of byte-identical adjacent cells.
+    # float() per run of byte-identical adjacent cells in each block.
 
     @staticmethod
     def _bits(read):
@@ -870,10 +894,8 @@ class TestSidecarMatchesCsvReader:
         text = end.join([header, *rows]) + (end if final_newline else "")
         path = tmp_path / "w.csv"
         path.write_bytes(text.encode("utf-8"))
-        parsed = []
         with monkeypatch.context() as patch:
-            patch.setattr(reader, "float", lambda b: parsed.append(bytes(b)) or float(b),
-                          raising=False)
+            parsed, sizes = _spy_weight_parses(patch)
             assert _is_plain(lambda: reader._sidecar_plain(str(path))) == plain
 
         def either():
@@ -884,9 +906,8 @@ class TestSidecarMatchesCsvReader:
 
         got = self._bits(either)
         assert got == self._bits(lambda: reader._sidecar_csv(str(path))[1])
-        if plain:  # one float() per run, on the first cell's bytes
-            runs = [c for i, c in enumerate(cells) if i == 0 or c != cells[i - 1] or len(c) > 32]
-            assert parsed == [c.encode() for c in runs]
+        if plain:  # one float() per run per block, on the first cell's bytes
+            assert parsed == _one_parse_per_run_per_block([c.encode() for c in cells], sizes)
         return got
 
     @staticmethod

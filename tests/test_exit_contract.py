@@ -125,6 +125,12 @@ ROWS = [
       for name, cell, rest, rule in [("nan", "nan", "0.5", "finite"),
                                      ("inf", "inf", "0.5", "finite"),
                                      ("negative", "-0.5", "1.5", "non-negative")]),
+    # Rows of a group the sidecar weights 0, which no plan draws.
+    *(Row(f"audit-sidecar-zero-weight-{plan}", "audit data.csv c.cfg",
+          {"data.csv": TWO + "z,0,0\nz,0,1\n", "w.csv": "group,weight\ng0,0.5\ng1,0.5\nz,0\n",
+           "c.cfg": cfg(AUDIT, "eta=0\nweights=w.csv" + setting)}, 65,
+          "error: groups 'z' have samples but zero inclusion probability under the plan\n")
+      for plan, setting in [("weighted", ""), ("attr", "\nplan=attr\nbudget=4\ngamma=2")]),
     Row("audit-sidecar-sum", "audit data.csv c.cfg",
         {"data.csv": FAIR, "w.csv": "group,weight\ng0,0.5\ng1,0.25\n",
          "c.cfg": "alpha=0.5\nepsilon=0.3\nweights=w.csv\n"}, 65,
@@ -240,6 +246,10 @@ ROWS = [
     sim_fails("sim-alpha-unreachable", "k=8\nalpha=0.75\nepsilon=0.3\nn_grid=10\ntrials=2\n",
               "c.cfg: alpha must be in [0, 1), with the hard pair's h1 instance at CVaR "
               "fairness >= epsilon, got '0.75'"),
+    *(Row(f"sim-out-{name}", f"simulate c.cfg --out {out}",
+          {"c.cfg": cfg(SIM, "alpha=0.75\nn_grid=8\ntrials=10"), "afile": ""}, 64,
+          "error: --out must name a directory, and 'afile' is not one\n", no_build=True)
+      for name, out in [("file", "afile"), ("under-file", "afile/o")]),
     sim_fails("sim-epsilon-past-mean", cfg(SIM8, "k=2\nepsilon=0.4"),
               "perturbed mean 1.3 > 1 for K=2, epsilon=0.4"),
     sim_fails("sim-eta-underflow", cfg(SIM, "alpha=0.75\neta=2000"),
