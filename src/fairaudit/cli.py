@@ -27,15 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import _MAX_COUNT, GroupWeights, MetricKind
-from .cvar_test import Region, TestConfig, TestOutcome, classify_region, run_test_dataset
+from .cvar_test import (Region, TestConfig, TestOutcome, classify_region, run_test_dataset,
+                        threshold)
 from .errors import ConfigError, FairauditError
 from .reader import read_audit
 from .sampling import (
     OPTIMAL_ETA,
     AttributeSpecificPlan,
     WeightedPlan,
+    estimable_block,
     weighted_marginal,
-    whole_block,
 )
 from .simulator import (
     Experiment,
@@ -138,12 +139,6 @@ def _setting(conf: dict[str, str], path: str, key: str, parse, default, test, ru
     return value
 
 
-def _estimable_block(n: int, gamma: float) -> bool:
-    """Whether n / gamma is a whole block of 2 to _MAX_COUNT samples: the
-    estimator needs a group observed twice."""
-    return whole_block(n, gamma) and round(n / gamma) >= 2
-
-
 def _make_plan(kind: str, w: GroupWeights, budget: int, eta: float, gamma: float | None,
                eta_error: str):
     """The named sampling plan; without gamma, the attribute-specific plan's default.
@@ -210,7 +205,7 @@ def cmd_audit(args) -> int:
     setting = partial(_setting, conf, path)
     alpha = setting("alpha", float, _REQUIRED, *_ALPHA)
     epsilon = setting("epsilon", float, _REQUIRED,
-                      lambda e: e > 0 and 0 < (1 - alpha) * e * e / 2 <= 0.5,
+                      lambda e: e > 0 and 0 < threshold(alpha, e) <= 0.5,
                       "> 0, with a threshold (1 - alpha) epsilon^2 / 2 in (0, 0.5]")
     metric = MetricKind(setting("metric", str, "sp", *_one_of(("sp", "eo"))))
     plan_kind = setting("plan", str, "weighted", *_one_of(_PLANS))
@@ -221,7 +216,7 @@ def cmd_audit(args) -> int:
     eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
     block_rule = f"> 0, with budget / gamma a whole number from 2 to {_MAX_COUNT}"
     gamma = setting("gamma", float, None,
-                    lambda g: g > 0 and (not attr or budget is None or _estimable_block(budget, g)),
+                    lambda g: g > 0 and (not attr or budget is None or estimable_block(budget, g)),
                     block_rule if attr else "> 0")
     source = conf.get("weights", "uniform")
     sidecar = None if source in ("uniform", "empirical") else source
@@ -239,7 +234,7 @@ def cmd_audit(args) -> int:
         if not attr and budget < 2:
             raise ConfigError(f"{args.input}: the weighted plan needs a budget of at least 2, got "
                               f"{budget} kept row")
-        if attr and gamma is not None and not _estimable_block(budget, gamma):
+        if attr and gamma is not None and not estimable_block(budget, gamma):
             raise ConfigError(f"{path}: gamma must be {block_rule}, for the budget of {budget} "
                               f"kept rows, got {conf['gamma']!r}")
     plan = _make_plan(plan_kind, w, budget, eta, gamma, _eta_error(conf, path, eta))
@@ -316,7 +311,7 @@ def cmd_simulate(args) -> int:
     k = setting("k", int, _REQUIRED, lambda k: k >= 2, ">= 2")
     alpha = setting("alpha", float, _REQUIRED, *_ALPHA)
     epsilon = setting("epsilon", float, _REQUIRED,
-                      lambda e: 0 < e <= 0.5 and (1 - alpha) * e * e / 2 > 0,
+                      lambda e: 0 < e <= 0.5 and threshold(alpha, e) > 0,
                       "in (0, 0.5], with a threshold (1 - alpha) epsilon^2 / 2 > 0")
     target = setting("target", float, 0.1, lambda t: 0 <= t <= 1, "in [0, 1]")
     setting("instance", str, "hardpair", *_one_of(("hardpair",)))
@@ -328,7 +323,7 @@ def cmd_simulate(args) -> int:
                      f"a list of budgets in [{least}, {_MAX_COUNT}]")
     eta = setting("eta", float, OPTIMAL_ETA, *_NON_NEGATIVE)
     gamma = setting("gamma", float, None,
-                    lambda g: g > 0 and (not attr or all(_estimable_block(n, g) for n in n_grid)),
+                    lambda g: g > 0 and (not attr or all(estimable_block(n, g) for n in n_grid)),
                     f"> 0, with n / gamma a whole number from 2 to {_MAX_COUNT} for each n of "
                     "n_grid" if attr else "> 0")
     out_dir = Path(args.out)

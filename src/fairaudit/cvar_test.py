@@ -39,6 +39,11 @@ REGION_TOL = 1e-12
 P0_MAX_GAP = REGION_TOL / 2
 
 
+def threshold(alpha: float, epsilon: float) -> float:
+    """The test's threshold tau = (1 - alpha) * epsilon^2 / 2."""
+    return (1.0 - alpha) * epsilon * epsilon / 2.0
+
+
 class Decision(Enum):
     H0 = "H0"
     H1 = "H1"
@@ -70,7 +75,7 @@ class TestConfig:
 
     @property
     def threshold(self) -> float:
-        return (1.0 - self.alpha) * self.epsilon * self.epsilon / 2.0
+        return threshold(self.alpha, self.epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +89,7 @@ class TestOutcome:
 
 
 def _outcome(
-    s: np.ndarray, m: np.ndarray, w: GroupWeights, incl: np.ndarray, cfg: TestConfig
+    s: np.ndarray, m: np.ndarray, w: GroupWeights, incl: tuple, cfg: TestConfig
 ) -> TestOutcome:
     """Estimate F from per-group counts and decide H1 iff F >= the threshold."""
     stat = estimate_from_counts(s, m, w, incl)
@@ -106,7 +111,7 @@ def run_test_synthetic(
     plan = cfg.plan
     if plan.k != inst.k:
         raise ValueError("plan and instance disagree on K")
-    incl = plan.inclusion_probabilities()
+    incl = plan.inclusion_pair()
     m = plan.draw_counts(rng)
     return _outcome(rng.binomial(m, inst.mu_array()), m, inst.weights, incl, cfg)
 
@@ -121,7 +126,7 @@ def run_test_dataset(counts: GroupCounts, w: GroupWeights, cfg: TestConfig) -> T
     if not counts.k == w.k == plan.k:
         raise ValueError(f"counts cover {counts.k} groups, weights {w.k}, plan {plan.k}")
     plan.check_counts(counts.m, counts.names)
-    return _outcome(counts.s, counts.m, w, plan.inclusion_probabilities(), cfg)
+    return _outcome(counts.s, counts.m, w, plan.inclusion_pair(), cfg)
 
 
 def classify_region(inst: FairnessInstance, alpha: float, epsilon: float) -> Region:

@@ -46,17 +46,19 @@ def estimate_from_counts(
     s: Sequence[int],
     m: Sequence[int],
     w: GroupWeights,
-    incl: Sequence[tuple[float, float]],
+    incl: tuple[np.ndarray, np.ndarray],
 ) -> EstimatorValue:
     """Compute the statistic from per-group one-counts S_g and totals M_g.
 
-    F1 sums over the groups with w_g > 0 and M_g >= 2, F2 over those with
-    M_g >= 1, in group order; each term gathers its c, S and M once."""
+    `incl` is the plan's `inclusion_pair()`: float arrays of P[M_g >= 1] and
+    P[M_g >= 2], one entry per group; under the attribute-specific plan it
+    holds one array twice, which gives one normalizer array.  F1 sums over
+    the groups with w_g > 0 and M_g >= 2, F2 over those with M_g >= 1, in
+    group order; each term gathers its c, S and M once."""
     warr = w.as_array()
     sarr = np.asarray(s, dtype=float)
     marr = np.asarray(m, dtype=float)
-    incl_arr = np.asarray(incl, dtype=float)
-    c1, c2 = _term_weights(warr, incl_arr[:, 0], incl_arr[:, 1])
+    c1, c2 = _term_weights(warr, *incl)
     active = warr > 0  # zero-weight groups contribute identically zero
     at = np.flatnonzero(active & (marr >= 2))
     sg, mg = sarr.take(at), marr.take(at)
@@ -159,7 +161,8 @@ def estimate(
     """Compute the statistic from per-group loss-bit sequences."""
     s = [sum(group) for group in data]
     m = [len(group) for group in data]
-    return estimate_from_counts(s, m, w, incl)
+    p1, p2 = np.asarray(incl, dtype=float).T
+    return estimate_from_counts(s, m, w, (p1, p2))
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,9 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
         raise ValueError("plan and instance disagree on K")
     w = inst.weights
     mu = inst.mu_array().tolist()
-    incl = plan.inclusion_probabilities().tolist()
+    incl1, incl2 = (p.tolist() for p in plan.inclusion_pair())
     for g in range(k):
-        if w[g] > 0 and incl[g][1] <= 0.0:
+        if w[g] > 0 and incl2[g] <= 0.0:
             raise ZeroInclusionProbability(g)
 
     e_f1 = e_f2 = e_f = e_f2_sq = 0.0
@@ -268,7 +271,7 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
                 e_t2[g] += p * t2
                 e_t2_sq[g] += p * t2 * t2
                 if w[g] > 0:
-                    p1, p2 = incl[g]
+                    p1, p2 = incl1[g], incl2[g]
                     if p2 > 0:
                         f1 += (w[g] / p2) * t1
                     if p1 > 0:

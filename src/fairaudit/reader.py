@@ -29,7 +29,8 @@ def read_audit(data: str, metric: MetricKind, sidecar: str | None = None):
     """The audit's (GroupCounts, GroupWeights or None) from a data CSV and,
     if given, a weight sidecar.
 
-    Without a sidecar the groups are the data's.  With one they are the
+    Blank lines are skipped (see _records_plain).  Without a sidecar the
+    groups are the data's, ordered by name.  With one they are the
     sidecar's, joined to the data's by packed keys when both files are plain
     and by names otherwise: a group the sidecar lists with no data row has
     S = M = 0, and a data group it lacks is a ConfigError.  Each weight is
@@ -61,12 +62,6 @@ def read_audit(data: str, metric: MetricKind, sidecar: str | None = None):
         return counts, GroupWeights(values)
     except WeightError as exc:
         raise WeightError(f"{sidecar}: {exc}") from None
-
-
-def read_records(path: str, metric: MetricKind = MetricKind.STATISTICAL_PARITY) -> GroupCounts:
-    """Reduce a data CSV to per-group counts under the metric, ordered by
-    group name; blank lines are skipped (see _records_plain)."""
-    return read_audit(path, metric)[0]
 
 
 def _read(path: str, plain, streamed):

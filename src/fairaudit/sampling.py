@@ -82,10 +82,6 @@ class WeightedPlan:
         p1, p2 = np.array(pairs, dtype=float).T
         return p1[which], p2[which]
 
-    def inclusion_probabilities(self) -> np.ndarray:
-        """`inclusion_pair()` as a (K, 2) array."""
-        return np.stack(self.inclusion_pair(), 1)
-
     def check_counts(self, m: np.ndarray, names) -> None:
         total = int(m.sum())
         if total != self.budget:
@@ -115,6 +111,12 @@ def whole_block(n: int, gamma: float) -> bool:
     return math.isfinite(block) and abs(block - round(block)) <= 1e-9 and (
         1 <= round(block) <= _MAX_COUNT
     )
+
+
+def estimable_block(n: int, gamma: float) -> bool:
+    """Whether n / gamma is a whole block of 2 to _MAX_COUNT samples: the
+    estimator needs a group observed twice."""
+    return whole_block(n, gamma) and round(n / gamma) >= 2
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,10 @@ class AttributeSpecificPlan:
         return None if w0 is None else min(float(self.gamma) * w0, 1.0)
 
     def _require_estimable(self) -> None:
-        if self.block < 2:
+        if not estimable_block(self.budget, self.gamma):
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
-
-    def inclusion_probabilities(self) -> np.ndarray:
-        """`inclusion_pair()` as a (K, 2) array."""
-        return np.stack(self.inclusion_pair(), 1)
 
     def check_counts(self, m: np.ndarray, names) -> None:
         bad = np.flatnonzero((m != 0) & (m != self.block))
@@ -217,8 +215,8 @@ SamplingPlan = WeightedPlan | AttributeSpecificPlan
 
 @lru_cache(maxsize=256)
 def inclusion_array(plan: SamplingPlan) -> np.ndarray:
-    """The plan's inclusion probabilities as a cached read-only (K, 2) array."""
-    arr = plan.inclusion_probabilities()
+    """The plan's `inclusion_pair()` as a cached read-only (K, 2) array."""
+    arr = np.stack(plan.inclusion_pair(), 1)
     arr.flags.writeable = False
     return arr
 
@@ -234,7 +232,8 @@ def satisfies_tail_lemma(plan: WeightedPlan) -> list[bool | None]:
         raise TypeError("tail lemma applies to weighted plans only")
     n = plan.budget
     report: list[bool | None] = []
-    for vg, (p1, p2) in zip(plan.v.as_array().tolist(), plan.inclusion_probabilities()):
+    p1s, p2s = plan.inclusion_pair()
+    for vg, p1, p2 in zip(plan.v.as_array().tolist(), p1s.tolist(), p2s.tolist()):
         if n < 2 or n * vg > 1:
             report.append(None)
         else:

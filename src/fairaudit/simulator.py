@@ -24,10 +24,10 @@ kept with probability p_g / q.  Every group is then included in every trial
 independently with probability exactly p_g.  The plan-level set-up (term
 weights, classes, B) is built once per budget and shared by both sides; it
 reads p from the plan's `inclusion_pair()`, which hands the one array p for
-both P[M_g >= 1] and P[M_g >= 2], without a (K, 2) inclusion array, and
-when every p_g > 0 a class of all K groups keeps no member array.  The term
-weights w_g / P[M_g >= .] come from the estimator's one normalizer, which
-also serves the audit; one array of them serves the F1 and the F2 terms.
+both P[M_g >= 1] and P[M_g >= 2], and when every p_g > 0 a class of all K
+groups keeps no member array.  The term weights w_g / P[M_g >= .] come from
+the estimator's one normalizer, which also serves the audit; one array of
+them serves the F1 and the F2 terms.
 Every entry of an attribute-specific block has M = n/gamma, so its terms
 come from `estimate_entries`' one complex table of M + 1 values indexed by
 S, the F1 term in the real part and the F2 term in the imaginary part, with

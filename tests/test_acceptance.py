@@ -23,8 +23,8 @@ from fairaudit.adversarial import (
 )
 from fairaudit.bounds import le_cam_error_floor, p_error_attr, p_error_weighted, renyi_entropy
 from fairaudit.cli import EXIT_H0, EXIT_H1, main
-from fairaudit.core import FairnessInstance, GroupWeights
-from fairaudit.reader import read_records
+from fairaudit.core import FairnessInstance, GroupWeights, MetricKind
+from fairaudit.reader import read_audit
 from fairaudit.cvar_test import Region, TestConfig, classify_region, run_test_dataset
 from fairaudit.estimator import exact_moments
 from fairaudit.metrics import alpha_star, cvar_fairness, max_gap
@@ -123,9 +123,9 @@ def test_criterion_04_variance_lemmas():
     # the raw mean term only when seen once, so their variances are bounded
     # by twice the corresponding inclusion probability.
     for inst, plan, mom in _enumeration_sweep():
-        incl = plan.inclusion_probabilities()
+        incl1, incl2 = plan.inclusion_pair()
         for g in range(inst.k):
-            p1, p2 = incl[g]
+            p1, p2 = incl1[g], incl2[g]
             assert mom.var_term1[g] <= 2.0 * p2 + 1e-10
             assert mom.var_term2[g] <= 2.0 * p1 + 1e-10
     record_criterion(
@@ -380,7 +380,7 @@ def test_criterion_12_cli_round_trip(tmp_path, capsys):
     code = main(["audit", str(out_csv), str(conf)])
     out = capsys.readouterr().out
 
-    counts = read_records(str(out_csv))
+    counts = read_audit(str(out_csv), MetricKind.STATISTICAL_PARITY)[0]
     w = GroupWeights.uniform(counts.k)
     plan = WeightedPlan.from_weights(w, 0.0, 400)
     outcome = run_test_dataset(

@@ -28,7 +28,7 @@ import pytest
 
 from fairaudit import reader
 from fairaudit.cli import _render_outcome, main
-from fairaudit.reader import read_audit, read_records
+from fairaudit.reader import read_audit
 from fairaudit.core import GroupCounts, GroupWeights, MetricKind
 from fairaudit.cvar_test import Decision, TestConfig, TestOutcome, run_test_dataset
 from fairaudit.errors import ConfigError, EmptyAfterConditioning, FairauditError
@@ -129,7 +129,7 @@ class TestReducerMatchesOracle:
             names, s, m = _oracle_counts(path, kind)
             if not names:
                 continue  # no rows at all: covered by the fuzz table
-            readers = [lambda: read_records(str(path), kind)]
+            readers = [lambda: read_audit(str(path), kind)[0]]
             if plain:  # the vectorised reader must take it, not fall back
                 readers.append(lambda: _plain_counts(path, kind))
             for reader in readers:
@@ -360,7 +360,7 @@ def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, pl
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     assert _is_plain(lambda: _plain_counts(path, kind)) == plain
-    assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
+    assert _outcome(lambda: read_audit(str(path), kind)[0]) == _outcome(
         lambda: _csv_counts(path, kind)
     )
     conf = tmp_path / "c.cfg"
@@ -386,7 +386,7 @@ def test_long_first_name_rejected_from_the_head(tmp_path, monkeypatch):
         with pytest.raises(reader._NotPlain):
             reader._records_plain(str(path))
     assert sizes == [reader._SCAN_BYTES]  # the first block only
-    assert read_records(str(path)).names == ("a", "b", "x" * 33)
+    assert read_audit(str(path), SP)[0].names == ("a", "b", "x" * 33)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -396,12 +396,12 @@ def test_pipe_streams_through_csv_reader(tmp_path):
     os.mkfifo(pipe)
     writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
     writer.start()
-    counts = read_records(str(pipe))
+    counts = read_audit(str(pipe), SP)[0]
     writer.join(timeout=10)
     assert not writer.is_alive()
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    assert _outcome(lambda: counts) == _outcome(lambda: read_records(str(path)))
+    assert _outcome(lambda: counts) == _outcome(lambda: read_audit(str(path), SP)[0])
 
 
 @pytest.mark.parametrize("kind", [SP, EO])
@@ -417,7 +417,7 @@ def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
     path.write_bytes((HEADER + "abcdefgh1,0,1\nzzzzzzzz1,0,0\nabcdefgh1,0,0\n").encode())
     with pytest.raises(reader._NotPlain):
         reader._records_plain(str(path))
-    assert _outcome(lambda: read_records(str(path), kind)) == _outcome(
+    assert _outcome(lambda: read_audit(str(path), kind)[0]) == _outcome(
         lambda: _csv_counts(path, kind)
     )
 
@@ -474,7 +474,7 @@ class TestRenderOutcome:
         writer.writerows([name, 0, pred] for name, pred in rows)
         path = tmp_path / "d.csv"
         path.write_text(out.getvalue(), encoding="utf-8")
-        counts = read_records(str(path))
+        counts = read_audit(str(path), SP)[0]
         assert _is_plain(lambda: _plain_counts(path, SP)) is False
         assert set(counts.m.tolist()) == {1, 2, 3}
         outcome = self._outcome(np.concatenate([counts.m, [0]]))

@@ -22,8 +22,10 @@ from fairaudit.core import GroupWeights, MetricKind
 from fairaudit.cvar_test import TestConfig, run_test_dataset
 from fairaudit.errors import ConfigError, WeightError
 from fairaudit.estimator import estimate_from_counts
-from fairaudit.reader import read_audit, read_records
+from fairaudit.reader import read_audit
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
+
+SP = MetricKind.STATISTICAL_PARITY
 
 
 def _write(path, text):
@@ -70,7 +72,7 @@ class TestReadRecords:
             tmp_path / "d.csv",
             "group,label,prediction\nzeta,0,1\nalpha,0,0\nzeta,1,0\n",
         )
-        counts = read_records(path)
+        counts = read_audit(path, SP)[0]
         assert counts.names == ("alpha", "zeta")
         assert counts.m.tolist() == [1, 2]
         assert counts.s.tolist() == [0, 1]
@@ -78,31 +80,31 @@ class TestReadRecords:
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label\ng0,0\n")
         with pytest.raises(ConfigError) as err:
-            read_records(path)
+            read_audit(path, SP)[0]
         assert "prediction" in str(err.value)
 
     def test_bad_cell_reports_line(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,x\n")
         with pytest.raises(ConfigError) as err:
-            read_records(path)
+            read_audit(path, SP)[0]
         assert ":2:" in str(err.value)
 
 
     def test_header_only_has_no_data_rows(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label,prediction\n")
         with pytest.raises(ConfigError, match="no data rows"):
-            read_records(path)
+            read_audit(path, SP)[0]
 
     def test_bad_label_reports_line(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label,prediction\ng0,2,1\n")
         with pytest.raises(ConfigError) as err:
-            read_records(path)
+            read_audit(path, SP)[0]
         assert str(err.value) == f"{path}:2: bad row (label must be 0 or 1, got 2)"
 
     def test_bad_prediction_reports_line(self, tmp_path):
         path = _write(tmp_path / "d.csv", "group,label,prediction\ng0,0,1\n\ng1,1,-1\n")
         with pytest.raises(ConfigError) as err:
-            read_records(path)
+            read_audit(path, SP)[0]
         assert str(err.value) == f"{path}:4: bad row (prediction must be 0 or 1, got -1)"
 
     @pytest.mark.parametrize("column", ["label", "prediction"])
@@ -121,7 +123,7 @@ class TestReadRecords:
             reason = f"{column} must be 0 or 1, got {int(cell)}"
         except ValueError:
             reason = f"invalid literal for int() with base 10: {cell!r}"
-        for read in (read_records, reader._records_csv):
+        for read in (lambda p: read_audit(p, SP)[0], reader._records_csv):
             with pytest.raises(ConfigError) as err:
                 read(path)
             assert str(err.value) == f"{path}:3: bad row ({reason})"
@@ -129,7 +131,7 @@ class TestReadRecords:
     def test_short_row_reports_line(self, tmp_path):
         path = _write(tmp_path / "d.csv", "label,prediction,group\n0,1,a\n0,1\n")
         with pytest.raises(ConfigError, match=":3: bad row"):
-            read_records(path)
+            read_audit(path, SP)[0]
 
     def test_lenient_cells_blank_lines_and_repeated_columns(self, tmp_path):
         # int() accepts " 1" and "+0"; blank lines are skipped; a repeated
@@ -138,7 +140,7 @@ class TestReadRecords:
             tmp_path / "d.csv",
             "group,label,prediction,label\n\na,x, 1,+0\n\nb,y,+0,1\n",
         )
-        counts = read_records(path, MetricKind.EQUAL_OPPORTUNITY)
+        counts = read_audit(path, MetricKind.EQUAL_OPPORTUNITY)[0]
         assert counts.names == ("a", "b")
         assert counts.m.tolist() == [1, 0]
         assert counts.s.tolist() == [1, 0]
@@ -252,7 +254,7 @@ class TestAudit:
         w = GroupWeights([0.9, 0.1])
         plan = AttributeSpecificPlan(w=w, budget=10, gamma=5.0)
         outcome = run_test_dataset(
-            read_records(data), w, TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
+            read_audit(data, SP)[0], w, TestConfig(alpha=0.5, epsilon=0.3, plan=plan)
         )
         assert out == _render_outcome(outcome, ("a", "b")) + "\n"
         assert code == (EXIT_H1 if outcome.decision.value == "H1" else EXIT_H0)
@@ -328,7 +330,7 @@ class TestSynthRoundTrip:
         out = capsys.readouterr().out
 
         # Reproduce the outcome from the written file, in memory.
-        counts = read_records(str(out_csv))
+        counts = read_audit(str(out_csv), SP)[0]
         w = GroupWeights.uniform(counts.k)
         plan = WeightedPlan.from_weights(w, 2.0 / 3.0, 200)
         cfg = TestConfig(alpha=0.75, epsilon=0.2, plan=plan)
@@ -380,7 +382,7 @@ class TestSynthRoundTrip:
             ]
         )
         assert code == 0
-        counts = read_records(str(out_csv))
+        counts = read_audit(str(out_csv), SP)[0]
         assert int(counts.m.sum()) == 50
         assert counts.k <= 8
 
@@ -408,7 +410,7 @@ class TestSynthRoundTrip:
         code = main(["audit", str(out_csv), conf])
         out, err = capsys.readouterr()
 
-        seen = read_records(str(out_csv))
+        seen = read_audit(str(out_csv), SP)[0]
         assert seen.k < k
         s, m = [0] * k, [0] * k
         for name, sg, mg in zip(seen.names, seen.s.tolist(), seen.m.tolist()):
@@ -418,7 +420,7 @@ class TestSynthRoundTrip:
             cfg_plan = AttributeSpecificPlan(w=w, budget=128, gamma=64.0)
         else:
             cfg_plan = WeightedPlan.from_weights(w, 0.0, 256)
-        stat = estimate_from_counts(s, m, w, cfg_plan.inclusion_probabilities())
+        stat = estimate_from_counts(s, m, w, cfg_plan.inclusion_pair())
         tau = TestConfig(alpha=0.75, epsilon=0.3, plan=cfg_plan).threshold
         assert err == ""
         assert code == (EXIT_H1 if stat.f >= tau else EXIT_H0)

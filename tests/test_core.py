@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairaudit import core as core_module
-from fairaudit.reader import read_records
+from fairaudit.reader import read_audit
 from fairaudit.core import (
     FairnessInstance,
     GroupCounts,
@@ -339,7 +339,7 @@ class TestGroupCounts:
             lt=lambda a, b: compared.append(a) or a < b))
         path = tmp_path / "data.csv"
         path.write_text("group,label,prediction\nb,0,1\na,0,0\nc,1,1\n", encoding="utf-8")
-        counts = read_records(str(path), SP)
+        counts = read_audit(str(path), SP)[0]
         assert counts.names == ("a", "b", "c") and compared == []
         GroupCounts.from_cells(list(counts.names), np.ones((3, 2, 2), np.int64), SP)
         assert compared == ["a", "b"]
@@ -497,7 +497,7 @@ class TestRecordsToSamples:
             encoding="utf-8",
         )
         for kind in (SP, EO):
-            a, b = read_records(str(plain), kind), read_records(str(extra), kind)
+            a, b = read_audit(str(plain), kind)[0], read_audit(str(extra), kind)[0]
             assert a.names == b.names
             assert a.m.tolist() == b.m.tolist() and a.s.tolist() == b.s.tolist()
 

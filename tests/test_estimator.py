@@ -95,10 +95,9 @@ class TestEstimate:
             k = int(rng.integers(1, 5))
             data = [list(rng.integers(0, 2, size=int(rng.integers(0, 6)))) for _ in range(k)]
             w = GroupWeights(rng.dirichlet(np.ones(k)))
-            incl = [(1.0, 1.0)] * k
-            a = estimate(data, w, incl)
+            a = estimate(data, w, [(1.0, 1.0)] * k)
             b = estimate_from_counts(
-                [sum(d) for d in data], [len(d) for d in data], w, incl
+                [sum(d) for d in data], [len(d) for d in data], w, (np.ones(k), np.ones(k))
             )
             assert a.f1 == b.f1 and a.f2 == b.f2
 
@@ -107,11 +106,14 @@ class TestEstimate:
 
 
 def _masked_estimate(s, m, w, incl):
-    """estimate_from_counts in its boolean-mask form, the reference for its bits."""
+    """estimate_from_counts in its boolean-mask form, the reference for its bits.
+
+    It reads the pair `incl` as a (K, 2) stack whose columns it slices back
+    out, so the two normalizers are two divisions even when `p1 is p2`."""
     warr = w.as_array()
     sarr = np.asarray(s, dtype=float)
     marr = np.asarray(m, dtype=float)
-    incl_arr = np.asarray(incl, dtype=float)
+    incl_arr = np.stack(incl, 1)
     c1, c2 = _term_weights(warr, incl_arr[:, 0], incl_arr[:, 1])
     active = warr > 0
     mask2 = active & (marr >= 2)
@@ -147,7 +149,7 @@ class TestCountsKernel:
             w = GroupWeights(raw / raw.sum())
             p2 = rng.uniform(0.01, 1.0, k)
             equal = case % 2 == 0  # the attribute plan's (p, p), or a weighted pair
-            p1 = p2.copy() if equal else p2 + (1.0 - p2) * rng.random(k)
+            p1 = p2 if equal else p2 + (1.0 - p2) * rng.random(k)
             zero = raw == 0
             p1[zero] *= rng.random() < 0.5  # a zero-weight group may have p = 0
             p2[zero] *= p1[zero] > 0
@@ -155,7 +157,7 @@ class TestCountsKernel:
             s = rng.binomial(m, rng.random(k))
             if case % 3 == 0:
                 s, m = s.tolist(), m.tolist()  # Python sequences, as a caller may pass
-            incl = np.stack([p1, p2], 1)
+            incl = (p1, p2)
             got = estimate_from_counts(s, m, w, incl)
             assert _bits(got.f1, got.f2) == _bits(*_masked_estimate(s, m, w, incl)), case
             marr = np.asarray(m)
@@ -178,14 +180,55 @@ class TestCountsKernel:
         for _ in range(5):
             m = np.where(rng.random(k) < p, block, 0)
             s = rng.binomial(m, mu)
-            incl = np.stack([p, p], 1)
+            incl = (p, p)
             got = estimate_from_counts(s, m, w, incl)
             assert _bits(got.f1, got.f2) == _bits(*_masked_estimate(s, m, w, incl))
 
     def test_no_group_in_either_term(self):
         # Every M_g = 0: both gathers are empty, and each term is +0.0.
-        got = estimate_from_counts([0, 0], [0, 0], GroupWeights([0.5, 0.5]), [(1.0, 1.0)] * 2)
+        got = estimate_from_counts([0, 0], [0, 0], GroupWeights([0.5, 0.5]),
+                                   (np.ones(2), np.ones(2)))
         assert _bits(got.f1, got.f2) == _bits(0.0, 0.0)
+
+
+class TestPairMatchesStackedColumns:
+    """A plan's `inclusion_pair()` handed to estimate_from_counts gives the
+    bits of the (K, 2) path: the pair stacked, its columns sliced back out,
+    normalized and summed under masks (`_masked_estimate`)."""
+
+    @staticmethod
+    def _plan(kind, k, block, rng):
+        raw = rng.dirichlet(np.ones(k))
+        raw[1::4] = 0.0  # zero-weight groups, from K = 5 on
+        raw[0] = raw.sum()  # w_0 is at least 1/2: gamma * w_0 > 1 below
+        w = GroupWeights(raw / raw.sum())
+        if kind == "weighted":
+            return w, WeightedPlan.from_weights(w, 2.0 / 3.0, 3 * k)
+        gamma = k / 2 if k > 1 else 2.0
+        plan = AttributeSpecificPlan(w=w, budget=round(gamma * block), gamma=gamma)
+        assert plan.block == block and plan.gamma * w.as_array()[0] > 1.0  # clipped
+        return w, plan
+
+    @pytest.mark.parametrize("kind", ["weighted", "attr"])
+    @pytest.mark.parametrize("k", [1, 5, 16384])
+    def test_float_hex_equal(self, kind, k):
+        rng = np.random.default_rng(k)
+        for block in (2, 4, 6):
+            w, plan = self._plan(kind, k, block, rng)
+            pair = plan.inclusion_pair()
+            if kind == "attr":
+                assert pair[0] is pair[1]
+            assert (w.as_array() == 0).any() == (k > 1)
+            values = np.unique([0, 1, 2, block])
+            for first in values:  # K = 1 meets each M_g in turn
+                m = rng.choice(values, k)
+                m[0] = first
+                others = values[values != first][: k - 1]
+                m[1 : 1 + others.size] = others
+                s = rng.binomial(m, rng.random(k))
+                got = estimate_from_counts(s, m, w, pair)
+                want = _masked_estimate(s, m, w, pair)
+                assert (got.f1.hex(), got.f2.hex()) == (want[0].hex(), want[1].hex())
 
 
 def _weighted_plans(w, n):
@@ -264,7 +307,7 @@ class TestExactMoments:
         inst = FairnessInstance(w, [0.25, 0.75])
         plan = WeightedPlan.from_weights(w, 0.0, 3)
         mom = exact_moments(inst, plan)
-        incl = plan.inclusion_probabilities()
+        incl = plan.inclusion_pair()
         trials = 40_000
         rng = np.random.default_rng(25)
         observed: dict[float, int] = {}
@@ -302,7 +345,7 @@ class TestExactMoments:
 
 
 def _random_counts(rng):
-    """Random weights (some zero), inclusion pairs and (B, K) count matrices."""
+    """Random weights (some zero), an inclusion pair and (B, K) count matrices."""
     k = int(rng.integers(1, 9))
     b = int(rng.integers(1, 6))
     raw = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
@@ -315,13 +358,7 @@ def _random_counts(rng):
     m = rng.integers(0, top + 1, size=(b, k))
     m[rng.random((b, k)) < 0.3] = rng.integers(0, 2)  # plenty of M_g in {0, 1}
     s = rng.binomial(m, rng.random(k))
-    return w, [tuple(p) for p in incl], s, m
-
-
-def _weights_of(w, incl):
-    """The (F1, F2) normalizer pair of weights w and inclusion pairs incl."""
-    incl = np.asarray(incl, dtype=float)
-    return _term_weights(w.as_array(), incl[:, 0], incl[:, 1])
+    return w, (incl[:, 0].copy(), incl[:, 1].copy()), s, m
 
 
 def _random_attr_counts(rng, k):
@@ -340,7 +377,7 @@ class TestRowKernels:
         rng = np.random.default_rng(41)
         for _ in range(300):
             w, incl, s, m = _random_counts(rng)
-            f1, f2 = estimate_rows(s, m, _weights_of(w, incl))
+            f1, f2 = estimate_rows(s, m, _term_weights(w.as_array(), *incl))
             for b in range(s.shape[0]):
                 ref = estimate_from_counts(s[b], m[b], w, incl)
                 assert f1[b] == pytest.approx(ref.f1, rel=1e-12, abs=0.0)
@@ -355,7 +392,7 @@ class TestRowKernels:
             block = int(rng.integers(1, 8))
             m = np.where(m > 0, block, 0)
             s = rng.binomial(m, rng.random(m.shape[1]))
-            p = np.asarray(incl)[:, 1]
+            p = incl[1]
             weights = _term_weights(w.as_array(), p, p)
             assert weights[0] is weights[1]
             rows, groups = np.nonzero(m)
@@ -372,7 +409,7 @@ class TestRowKernels:
         rng = np.random.default_rng(k)
         for _ in range(10):
             w, p, s, m = _random_attr_counts(rng, k)
-            ref = estimate_from_counts(s, m, w, np.stack([p, p], 1))
+            ref = estimate_from_counts(s, m, w, (p, p))
             groups = np.flatnonzero(m)
             assert groups.size > k // 16  # many groups sampled, as on the benchmark
             weights = _term_weights(w.as_array(), p, p)
@@ -484,7 +521,7 @@ class TestRowKernels:
             if n % 2 == 0:
                 plans.append(AttributeSpecificPlan(w=w, budget=n, gamma=n / 2))
             for plan in plans:
-                weights = _weights_of(w, plan.inclusion_probabilities())
+                weights = _term_weights(w.as_array(), *plan.inclusion_pair())
                 mean = 0.0
                 for m, p_counts in _count_vectors(plan):
                     s = np.array(list(product(*[range(mg + 1) for mg in m])))

@@ -161,28 +161,34 @@ class TestAttributeSpecificPlan:
         assert abs(mean - n) <= 3 * se
 
 
+def _first_pair(plan):
+    """(P[M_0 >= 1], P[M_0 >= 2]) of the plan's first group."""
+    p1, p2 = plan.inclusion_pair()
+    return p1[0], p2[0]
+
+
 class TestInclusionProbabilities:
     def test_weighted_half(self):
         plan = WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=4)
-        p1, p2 = plan.inclusion_probabilities()[0]
+        p1, p2 = _first_pair(plan)
         assert abs(p1 - 0.9375) <= 1e-12
         assert abs(p2 - 0.6875) <= 1e-12
 
     def test_weighted_certain_group(self):
         plan = WeightedPlan(v=GroupWeights([1.0, 0.0]), budget=5)
-        assert tuple(plan.inclusion_probabilities()[0]) == (1.0, 1.0)
+        assert _first_pair(plan) == (1.0, 1.0)
 
     def test_attr_plain(self):
         w = GroupWeights([0.1] + [0.9 / 9] * 9)
         plan = AttributeSpecificPlan(w=w, budget=10, gamma=5.0)
-        p1, p2 = plan.inclusion_probabilities()[0]
+        p1, p2 = _first_pair(plan)
         assert abs(p1 - 0.5) <= 1e-12
         assert p1 == p2
 
     def test_attr_block_one_rejected(self):
         plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=4, gamma=4.0)
         with pytest.raises(EstimatorUndefined):
-            plan.inclusion_probabilities()
+            plan.inclusion_pair()
 
     def test_matches_direct_binomial_sum(self):
         # Cross-check the log1p/expm1 form against naive binomial tails.
@@ -191,7 +197,7 @@ class TestInclusionProbabilities:
             n = int(rng.integers(1, 30))
             v = float(rng.random())
             plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-            p1, p2 = plan.inclusion_probabilities()[0]
+            p1, p2 = _first_pair(plan)
             q = (1.0 - v) ** n
             assert abs(p1 - (1.0 - q)) <= 1e-12
             assert abs(p2 - (1.0 - q - n * v * (1.0 - v) ** (n - 1))) <= 1e-12
@@ -202,7 +208,7 @@ class TestInclusionProbabilities:
         n = 10**6
         v = 1e-12
         plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-        p1, p2 = plan.inclusion_probabilities()[0]
+        p1, p2 = _first_pair(plan)
         assert abs(p1 / (n * v) - 1.0) <= 1e-5
         assert abs(p2 / ((n * v) ** 2 / 2.0) - 1.0) <= 1e-4
 
@@ -211,7 +217,7 @@ class TestInclusionProbabilities:
             prev = (0.0, 0.0)
             for n in range(1, 30):
                 plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-                cur = plan.inclusion_probabilities()[0]
+                cur = _first_pair(plan)
                 assert cur[0] >= prev[0] - 1e-15
                 assert cur[1] >= prev[1] - 1e-15
                 prev = cur
@@ -219,14 +225,14 @@ class TestInclusionProbabilities:
         prev = (0.0, 0.0)
         for v in np.linspace(0.01, 0.99, 25):
             plan = WeightedPlan(v=GroupWeights([v, 1.0 - v]), budget=n)
-            cur = plan.inclusion_probabilities()[0]
+            cur = _first_pair(plan)
             assert cur[0] >= prev[0] - 1e-15
             assert cur[1] >= prev[1] - 1e-15
             prev = cur
 
     def test_empirical_frequency_weighted(self):
         plan = WeightedPlan(v=GroupWeights([0.15, 0.85]), budget=8)
-        p1, p2 = plan.inclusion_probabilities()[0]
+        p1, p2 = _first_pair(plan)
         trials = 100_000
         rng = np.random.default_rng(4)
         m0 = np.array([plan.draw_counts(rng)[0] for _ in range(trials)])
@@ -238,7 +244,7 @@ class TestInclusionProbabilities:
     def test_empirical_frequency_attr(self):
         w = GroupWeights([0.1, 0.4, 0.5])
         plan = AttributeSpecificPlan(w=w, budget=6, gamma=3.0)
-        probs = plan.inclusion_probabilities()
+        probs = zip(*plan.inclusion_pair())
         trials = 100_000
         rng = np.random.default_rng(5)
         counts = np.array([plan.draw_counts(rng) for _ in range(trials)])
@@ -262,7 +268,7 @@ class TestInclusionProbabilities:
             (weighted, [_binomial_inclusion(7, vg) for vg in weighted.v.w]),
             (attr, [(float(p), float(p)) for p in attr.include_probs()]),
         ):
-            arr = plan.inclusion_probabilities()
+            arr = inclusion_array(plan)
             assert arr.shape == (5, 2) and arr.dtype == np.float64
             assert [tuple(row) for row in arr.tolist()] == rows  # bit for bit
 
@@ -288,16 +294,6 @@ class TestPlanProtocol:
         assert p1 is p2
         assert p1.tolist() == plan.include_probs().tolist()
 
-    @pytest.mark.parametrize("plan", [
-        WeightedPlan.from_weights(W, OPTIMAL_ETA, 7),
-        AttributeSpecificPlan(w=W, budget=12, gamma=6.0),
-    ], ids=["weighted", "attr"])
-    def test_pair_is_the_columns_of_the_array(self, plan):
-        arr = plan.inclusion_probabilities()
-        p1, p2 = plan.inclusion_pair()
-        assert arr.shape == (5, 2) and arr.dtype == np.float64
-        assert arr[:, 0].tobytes() == p1.tobytes() and arr[:, 1].tobytes() == p2.tobytes()
-
     @staticmethod
     def _per_group(plan):
         """The per-group loop the weighted plan's memo replaced."""
@@ -313,7 +309,8 @@ class TestPlanProtocol:
                 raw[0] = 1.0
             plan = WeightedPlan(v=GroupWeights(raw / raw.sum()), budget=int(rng.integers(0, 5000)))
             want = self._per_group(plan)
-            assert plan.inclusion_probabilities().tobytes() == want.tobytes()
+            p1, p2 = plan.inclusion_pair()
+            assert p1.tobytes() == want[:, 0].tobytes() and p2.tobytes() == want[:, 1].tobytes()
 
     def test_weighted_memo_at_uniform_wide_v(self):
         plan = WeightedPlan.from_weights(GroupWeights.uniform(16384), 0.0, 115_000)
@@ -323,7 +320,7 @@ class TestPlanProtocol:
 
     def test_block_one_undefined_through_pair_and_array(self):
         plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=4, gamma=4.0)
-        for ask in (plan.inclusion_pair, plan.inclusion_probabilities):
+        for ask in (plan.inclusion_pair, lambda: inclusion_array(plan)):
             with pytest.raises(EstimatorUndefined, match="n/gamma < 2"):
                 ask()
 

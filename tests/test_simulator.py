@@ -112,7 +112,7 @@ class TestEstimateError:
         rng = np.random.default_rng(4)
         m = rng.multinomial(12, plan.v.as_array(), size=50)
         s = rng.binomial(m, inst.mu_array())
-        ref = [estimate_from_counts(s[b], m[b], w, plan.inclusion_probabilities())
+        ref = [estimate_from_counts(s[b], m[b], w, plan.inclusion_pair())
                for b in range(50)]
         np.testing.assert_allclose(f1, [r.f1 for r in ref], rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(f2, [r.f2 for r in ref], rtol=1e-14, atol=1e-15)
