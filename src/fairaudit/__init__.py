@@ -25,10 +25,10 @@ from .cvar_test import (
 )
 from .estimator import EstimatorValue, estimate, estimate_from_counts, exact_moments
 from .metrics import (
-    CVaRMode,
     alpha_star,
     average_quality,
     cvar_fairness,
+    cvar_fairness_subset,
     gap_vector,
     max_gap,
     separation_statistic,
@@ -42,7 +42,6 @@ from .sampling import (
 
 __all__ = [
     "AttributeSpecificPlan",
-    "CVaRMode",
     "Decision",
     "EstimatorValue",
     "FairnessInstance",
@@ -57,6 +56,7 @@ __all__ = [
     "average_quality",
     "classify_region",
     "cvar_fairness",
+    "cvar_fairness_subset",
     "empirical_instance",
     "estimate",
     "estimate_from_counts",

@@ -1,5 +1,6 @@
 """Closed-form sample-complexity and error-probability calculators.
 
+`build_report` gives the four sample sizes for one (w, alpha, epsilon, delta).
 Achievable bounds carry the explicit constants from their proofs (64e and
 128e for the weighted plan, 256 for the attribute-specific plan).  Converse
 bounds are order-of-growth only; their returned values use constant 1 and are
@@ -103,45 +104,6 @@ def _round_up(n: float) -> float:
     return math.ceil(n) if math.isfinite(n) else n
 
 
-def n_required(kind: str, *, w: GroupWeights | None = None, k: int | None = None,
-               alpha: float = 0.0, epsilon: float = 0.1, delta: float = 0.01) -> SampleSize:
-    """Sample size required by the achievability/converse formulas.
-
-    kind:
-      weighted_opt   - invert the weighted bound at its optimal tilt v = w^(2/3)
-                       so the bound equals delta (explicit constants)
-      attr           - 256 / ((1-alpha)^2 epsilon^4 delta) (explicit constant)
-      converse_maxgap- K / epsilon^2, order of growth only
-      converse_cvar  - alpha^2 sqrt(K) / (sqrt(1-alpha) epsilon^2), order only
-
-    An achievable size too large for a float is inf.
-    """
-    c = (1.0 - alpha) ** 2 * epsilon**4
-    if kind == "weighted_opt":
-        if w is None:
-            raise ValueError("weighted_opt requires w")
-        s_vv, s_v = _tilt_sums(w, weighted_marginal(w, OPTIMAL_ETA))
-        a1 = 64.0 * math.e * s_vv / c
-        a2 = 128.0 * math.e * s_v / c
-        # delta = a1/n^2 + a2/n  =>  delta n^2 - a2 n - a1 = 0
-        n = (a2 + math.sqrt(a2 * a2 + 4.0 * delta * a1)) / (2.0 * delta)
-        return SampleSize(n=_round_up(n), order_only=False)
-    if kind == "attr":
-        return SampleSize(n=_round_up(256.0 / (c * delta)), order_only=False)
-    if kind == "converse_maxgap":
-        if k is None:
-            raise ValueError("converse_maxgap requires k")
-        return SampleSize(n=k / epsilon**2, order_only=True)
-    if kind == "converse_cvar":
-        if k is None:
-            raise ValueError("converse_cvar requires k")
-        return SampleSize(
-            n=alpha**2 * math.sqrt(k) / (math.sqrt(1.0 - alpha) * epsilon**2),
-            order_only=True,
-        )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def le_cam_error_floor(k: int, epsilon: float, n: int) -> float:
     """Two-point lower bound on the error probability of any audit test.
 
@@ -169,13 +131,32 @@ class BoundReport:
 
 
 def build_report(w: GroupWeights, alpha: float, epsilon: float, delta: float = 0.01) -> BoundReport:
-    """All closed-form quantities for one (w, alpha, epsilon, delta)."""
+    """All closed-form quantities for one (w, alpha, epsilon, delta).
+
+    n_weighted        - the weighted bound inverted at its optimal tilt
+                        v = w^(2/3), so that it equals delta (explicit constants)
+    n_attr            - 256 / ((1-alpha)^2 epsilon^4 delta) (explicit constant)
+    n_converse_maxgap - K / epsilon^2, order of growth only
+    n_converse_cvar   - alpha^2 sqrt(K) / (sqrt(1-alpha) epsilon^2), order only
+
+    An achievable size too large for a float is inf.
+    """
+    renyi_23 = renyi_entropy(w, 2.0 / 3.0)
+    c = (1.0 - alpha) ** 2 * epsilon**4
+    s_vv, s_v = _tilt_sums(w, weighted_marginal(w, OPTIMAL_ETA))
+    a1 = 64.0 * math.e * s_vv / c
+    a2 = 128.0 * math.e * s_v / c
+    # delta = a1/n^2 + a2/n  =>  delta n^2 - a2 n - a1 = 0
+    n_weighted = (a2 + math.sqrt(a2 * a2 + 4.0 * delta * a1)) / (2.0 * delta)
     return BoundReport(
-        renyi_23=renyi_entropy(w, 2.0 / 3.0),
-        n_weighted=n_required("weighted_opt", w=w, alpha=alpha, epsilon=epsilon, delta=delta),
-        n_attr=n_required("attr", alpha=alpha, epsilon=epsilon, delta=delta),
-        n_converse_maxgap=n_required("converse_maxgap", k=w.k, epsilon=epsilon),
-        n_converse_cvar=n_required("converse_cvar", k=w.k, alpha=alpha, epsilon=epsilon),
+        renyi_23=renyi_23,
+        n_weighted=SampleSize(n=_round_up(n_weighted), order_only=False),
+        n_attr=SampleSize(n=_round_up(256.0 / (c * delta)), order_only=False),
+        n_converse_maxgap=SampleSize(n=w.k / epsilon**2, order_only=True),
+        n_converse_cvar=SampleSize(
+            n=alpha**2 * math.sqrt(w.k) / (math.sqrt(1.0 - alpha) * epsilon**2),
+            order_only=True,
+        ),
         alpha=alpha,
         epsilon=epsilon,
         delta=delta,

@@ -84,8 +84,9 @@ class GroupWeights:
 
     @staticmethod
     def uniform(k: int) -> "GroupWeights":
-        # k < 1 gives no groups, which the constructor rejects.
-        return GroupWeights(np.full(max(k, 0), 1.0 / k))
+        # k < 1 gives an empty vector, which the constructor rejects; the
+        # divisor stays positive so that k = 0 does not divide by zero first.
+        return GroupWeights(np.full(max(k, 0), 1.0 / max(k, 1)))
 
     def as_array(self) -> np.ndarray:
         return self._arr

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import FairnessInstance, GroupCounts, GroupWeights
 from .estimator import EstimatorValue, estimate_from_counts
-from .metrics import CVaRMode, cvar_fairness, max_gap
+from .metrics import cvar_fairness, max_gap
 from .sampling import SamplingPlan
 
 # Numeric tolerance used when classifying instances into the composite regions.
@@ -134,7 +134,7 @@ def classify_region(inst: FairnessInstance, alpha: float, epsilon: float) -> Reg
     # An invalid alpha goes on to cvar_fairness, which rejects it.
     if 0.0 <= alpha < 1.0 and max_gap(inst) <= P0_MAX_GAP:
         return Region.P0
-    value = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
+    value = cvar_fairness(inst, alpha)
     if value <= REGION_TOL:
         return Region.P0
     if value >= epsilon - REGION_TOL:

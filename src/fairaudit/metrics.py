@@ -3,15 +3,14 @@
 The central objects are the per-group gaps Delta(g) = |mu_g - Lbar| and the
 CVaR-style aggregate: the heaviest-gap groups carrying total mass at most
 1 - alpha, averaged and rescaled by 1/(1 - alpha).  The mass budget admits a
-continuous (fractional) relaxation and an exact subset maximization; the
-fractional form is the default, the subset form an enumeration oracle for
-small K.
+continuous (fractional) relaxation and an exact subset maximization:
+`cvar_fairness` is the fractional form, the metric the audit uses, and
+`cvar_fairness_subset` the subset form, an enumeration oracle for small K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 import numpy as np
@@ -23,11 +22,6 @@ from .errors import InstanceTooLarge
 EXACT_SUBSET_MAX_K = 25
 # Groups per step of the fractional fill, which stops at the boundary group.
 FILL_CHUNK = 4096
-
-
-class CVaRMode(Enum):
-    FRACTIONAL = "fractional"
-    EXACT_SUBSET = "exact_subset"
 
 
 @dataclass(frozen=True)
@@ -127,28 +121,36 @@ def _fractional_fill(w: np.ndarray, delta: np.ndarray, budget: float) -> float:
     return _walk(w[order], delta[order], budget)
 
 
-def cvar_fairness(inst: FairnessInstance, alpha: float, mode: CVaRMode = CVaRMode.FRACTIONAL) -> float:
-    """CVaR fairness at level alpha.
+def cvar_fairness(inst: FairnessInstance, alpha: float) -> float:
+    """CVaR fairness at level alpha, the fractional form.
 
-    Maximizes sum_{g in Q} w_g Delta(g) over group selections Q with mass
-    sum_{g in Q} w_g <= 1 - alpha, then rescales by 1/(1 - alpha).
-
-    Fractional mode solves the continuous relaxation (sort gaps descending,
-    greedily fill the mass budget, fractional share of the boundary group).
-    ExactSubset enumerates subsets and is limited to K <= EXACT_SUBSET_MAX_K.
+    Maximizes sum_g take_g Delta(g) over takes 0 <= take_g <= w_g of total
+    mass at most 1 - alpha, then rescales by 1/(1 - alpha): sort the gaps
+    descending, fill the mass budget greedily, and take a share of the
+    boundary group.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     budget = 1.0 - alpha
-    w = inst.weights.as_array()
     delta = _gaps(inst, average_quality(inst))
+    return float(_fractional_fill(inst.weights.as_array(), delta, budget) / budget)
 
-    if mode is CVaRMode.FRACTIONAL:
-        return float(_fractional_fill(w, delta, budget) / budget)
 
+def cvar_fairness_subset(inst: FairnessInstance, alpha: float) -> float:
+    """CVaR fairness at level alpha over whole groups: the enumeration oracle.
+
+    Maximizes sum_{g in Q} w_g Delta(g) over group subsets Q with mass
+    sum_{g in Q} w_g <= 1 - alpha, then rescales by 1/(1 - alpha).  It
+    enumerates every subset, so it is limited to K <= EXACT_SUBSET_MAX_K.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     k = inst.k
     if k > EXACT_SUBSET_MAX_K:
         raise InstanceTooLarge(f"exact subset enumeration limited to K <= {EXACT_SUBSET_MAX_K}")
+    budget = 1.0 - alpha
+    w = inst.weights.as_array()
+    delta = _gaps(inst, average_quality(inst))
     best = 0.0
     for r in range(1, k + 1):
         for q in combinations(range(k), r):

@@ -163,6 +163,15 @@ class TestBuildMixtureFamily:
     def test_rejects_out_of_range_epsilon(self):
         with pytest.raises(EpsilonOutOfRange):
             build_mixture_family(8, GroupWeights.uniform(8), 0.5, 0.9)
+        # Inside (0, alpha K^(1/3) / 4], but each of the 32 perturbed groups
+        # would move by tau * eps_g / w_g = 0.6.
+        with pytest.raises(EpsilonOutOfRange, match="^perturbation 0.6 exceeds 1/2 for group 0"):
+            build_mixture_family(64, GroupWeights.uniform(64), 0.5, 0.3)
+
+    def test_rejects_alpha_outside_open_unit_interval(self):
+        for alpha in (0.0, 1.0, -0.5):
+            with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
+                build_mixture_family(8, GroupWeights.uniform(8), alpha, 0.1)
 
     def test_rejects_empty_q(self):
         # floor((1-alpha)K) = 0: no groups available to perturb.
@@ -204,6 +213,11 @@ class TestChiSqMixtureBound:
             cur = chi_sq_mixture_bound(k, 0.5, 0.1, 50).statement
             assert cur < prev
             prev = cur
+
+    def test_rejects_alpha_outside_open_unit_interval(self):
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
+                chi_sq_mixture_bound(64, alpha, 0.1, 10)
 
     def test_proof_chain_dominates_statement_uniform(self):
         # With uniform weights (sum w^(2/3))^3 = K, so the proof-chain

@@ -371,6 +371,22 @@ def test_edge_cases_match_the_csv_reader(tmp_path, capsys, monkeypatch, data, pl
     assert got == _audit(argv, capsys)
 
 
+def test_line_over_the_field_limit_matches_the_csv_reader(tmp_path, monkeypatch):
+    """A line longer than csv.field_size_limit() is not plain, and the
+    csv.reader path reports its over-long field."""
+    monkeypatch.chdir(tmp_path)
+    path = Path("d.csv")
+    path.write_bytes(("group,label,prediction,note\na,0,1," + "x" * 53 + "\n").encode())
+    limit = csv.field_size_limit(40)
+    try:
+        assert not _is_plain(lambda: _plain_counts(path, SP))
+        got = _outcome(lambda: read_audit(str(path), SP)[0])
+        assert got == _outcome(lambda: _csv_counts(path, SP))
+    finally:
+        csv.field_size_limit(limit)
+    assert got == (ConfigError, "d.csv:2: field larger than field limit (40)")
+
+
 def test_long_first_name_rejected_from_the_head(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "x" * 33 + ",0,1\n" + ROWS * 100_000).encode())

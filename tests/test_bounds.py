@@ -8,7 +8,6 @@ import pytest
 from fairaudit.bounds import (
     build_report,
     le_cam_error_floor,
-    n_required,
     p_error_attr,
     p_error_weighted,
     renyi_entropy,
@@ -126,8 +125,10 @@ class TestPErrorAttr:
 
 
 class TestNRequired:
+    """The required sample sizes: the n_* fields of build_report."""
+
     def test_attr_value(self):
-        size = n_required("attr", alpha=0.0, epsilon=0.5, delta=0.01)
+        size = build_report(GroupWeights.uniform(16), 0.0, 0.5, 0.01).n_attr
         assert size.n == 409600
         assert not size.order_only
 
@@ -146,7 +147,7 @@ class TestNRequired:
             w = GroupWeights.uniform(k)
             v = weighted_marginal(w, OPTIMAL_ETA)
             for delta in (0.1, 0.01):
-                size = n_required("weighted_opt", w=w, alpha=0.5, epsilon=0.2, delta=delta)
+                size = build_report(w, 0.5, 0.2, delta).n_weighted
                 n = int(size.n)
                 assert p_error_weighted(w, v, n, 0.5, 0.2).value <= delta + 1e-9
                 assert p_error_weighted(w, v, n - 2, 0.5, 0.2).value > delta
@@ -154,36 +155,26 @@ class TestNRequired:
     def test_weighted_opt_sqrt_k_leading_term(self):
         # Large-K regime where the sqrt(K)/n^2 term dominates the K-free 1/n
         # term: doubling K multiplies n by about sqrt(2).
-        n1 = n_required("weighted_opt", w=GroupWeights.uniform(2**20), alpha=0.0,
-                        epsilon=0.5, delta=0.5).n
-        n2 = n_required("weighted_opt", w=GroupWeights.uniform(2**21), alpha=0.0,
-                        epsilon=0.5, delta=0.5).n
+        n1 = build_report(GroupWeights.uniform(2**20), 0.0, 0.5, 0.5).n_weighted.n
+        n2 = build_report(GroupWeights.uniform(2**21), 0.0, 0.5, 0.5).n_weighted.n
         assert abs(n2 / n1 - math.sqrt(2.0)) <= 0.05
 
     def test_converse_values_flagged(self):
-        size = n_required("converse_maxgap", k=64, epsilon=0.1)
+        size = build_report(GroupWeights.uniform(64), 0.0, 0.1).n_converse_maxgap
         assert size.order_only
         assert abs(size.n - 64 / 0.01) <= 1e-9
-        size = n_required("converse_cvar", k=256, alpha=0.5, epsilon=0.1)
+        size = build_report(GroupWeights.uniform(256), 0.5, 0.1).n_converse_cvar
         assert size.order_only
         expected = 0.25 * 16.0 / (math.sqrt(0.5) * 0.01)
         assert abs(size.n - expected) <= 1e-9
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            n_required("bogus")
-
-    def test_weighted_requires_w(self):
-        with pytest.raises(ValueError):
-            n_required("weighted_opt", alpha=0.5)
-
     def test_overflowing_sizes_are_inf(self):
         # (1 - alpha)^2 epsilon^4 delta = 2.5e-315 > 0, but both sizes overflow.
         w = GroupWeights.uniform(16)
-        for kind in ("weighted_opt", "attr"):
-            size = n_required(kind, w=w, alpha=0.5, epsilon=0.1, delta=1e-310)
+        report = build_report(w, 0.5, 0.1, 1e-310)
+        for size in (report.n_weighted, report.n_attr):
             assert size.n == math.inf and not size.order_only
-        assert n_required("attr", alpha=0.5, epsilon=0.1, delta=1e-300).n < math.inf
+        assert build_report(w, 0.5, 0.1, 1e-300).n_attr.n < math.inf
 
     def test_weighted_above_attr_and_growing(self):
         # With these proof constants the weighted requirement exceeds the
@@ -191,8 +182,8 @@ class TestNRequired:
         prev_ratio = 0.0
         for k in (2, 8, 64, 1024):
             w = GroupWeights.uniform(k)
-            nw = n_required("weighted_opt", w=w, alpha=0.5, epsilon=0.2).n
-            na = n_required("attr", alpha=0.5, epsilon=0.2).n
+            report = build_report(w, 0.5, 0.2)
+            nw, na = report.n_weighted.n, report.n_attr.n
             ratio = nw / na
             assert ratio > 1.0
             assert ratio > prev_ratio
@@ -228,7 +219,7 @@ class TestBuildReport:
     def test_uniform_16(self):
         report = build_report(GroupWeights.uniform(16), 0.5, 0.1, 0.01)
         assert abs(report.renyi_23 - 4.0) <= 1e-9
-        assert report.n_attr.n == n_required("attr", alpha=0.5, epsilon=0.1).n
+        assert report.n_attr.n == math.ceil(256.0 / (0.25 * 0.1**4 * 0.01))
         assert report.n_converse_maxgap.order_only
         assert report.n_converse_cvar.order_only
         assert report.delta == 0.01

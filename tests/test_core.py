@@ -37,6 +37,9 @@ class TestGroupWeights:
         w = GroupWeights.uniform(4)
         assert w.k == 4
         assert w.w == (0.25, 0.25, 0.25, 0.25)
+        for k in (0, -1):
+            with pytest.raises(WeightError, match="^weights must be a non-empty 1-d sequence$"):
+                GroupWeights.uniform(k)
 
     def test_sum_validated(self):
         w = GroupWeights([0.5, 0.5])
@@ -236,8 +239,9 @@ class TestConstructorParity:
             assert _outcome(lambda: GroupWeights.uniform(k).w) == _outcome(
                 lambda: _weights_reference([1.0 / k] * k)
             )
+        # No groups: the empty vector's error, also at k = 0.
         for k in (-2, 0):
-            want = _outcome(lambda: _weights_reference([1.0 / k] * k))
+            want = _outcome(lambda: _weights_reference([]))
             assert _outcome(lambda: GroupWeights.uniform(k).w) == want
 
     def test_arrays_match_tuples(self):
@@ -347,6 +351,12 @@ class TestGroupCounts:
     def test_rejects_non_integer_counts(self):
         with pytest.raises(ValueError):
             GroupCounts(["a"], [0.5], [1])
+
+    def test_rejects_2d_counts(self):
+        with pytest.raises(ValueError, match="^s must be 1-d$"):
+            GroupCounts(["a"], [[0]], [[1]])
+        with pytest.raises(ValueError, match="^m must be 1-d$"):
+            GroupCounts(["a"], [0], [[1]])
 
 
 class TestAuditSample:

@@ -335,6 +335,12 @@ class TestExactMoments:
         with pytest.raises(InstanceTooLarge):
             exact_moments(inst, plan)
 
+    def test_plan_of_another_k_rejected(self):
+        inst = FairnessInstance(GroupWeights([0.5, 0.5]), [0.5, 0.5])
+        plan = WeightedPlan.from_weights(GroupWeights.uniform(3), 1.0, 4)
+        with pytest.raises(ValueError, match="^plan and instance disagree on K$"):
+            exact_moments(inst, plan)
+
     def test_zero_inclusion_rejected(self):
         w = GroupWeights([0.5, 0.5])
         inst = FairnessInstance(w, [0.5, 0.5])

@@ -330,6 +330,10 @@ ROWS = [
          "--seed must be >= 0, got -1"),
         ("mixture-epsilon", "synth --kind mixture --k 8 --epsilon 100 --budget 10 --out bad.csv",
          "epsilon must be in (0, 0.25] for K=8, alpha=0.5"),
+        # Inside epsilon's range, but each perturbed mean would move by 0.6.
+        ("mixture-perturbation",
+         "synth --kind mixture --k 64 --epsilon 0.3 --budget 10 --out bad.csv",
+         "perturbation 0.6 exceeds 1/2 for group 0; reduce epsilon"),
         ("budget-zero", "synth --k 4 --epsilon 0.1 --budget 0 --out bad.csv",
          "--budget must be >= 1, got 0"),
         ("attr-budget-zero", "synth --k 4 --epsilon 0.1 --budget 0 --plan attr --out s.csv",

@@ -11,10 +11,10 @@ from fairaudit.cvar_test import Region, classify_region
 from fairaudit.errors import InstanceTooLarge
 from fairaudit.metrics import (
     FILL_CHUNK,
-    CVaRMode,
     alpha_star,
     average_quality,
     cvar_fairness,
+    cvar_fairness_subset,
     gap_vector,
     max_gap,
     separation_statistic,
@@ -127,33 +127,34 @@ class TestCVaRFairness:
         assert abs(cvar_fairness(FOUR_GROUP, 0.0) - 0.1875) <= 1e-12
 
     def test_single_group_budget_recovers_max(self):
-        for mode in CVaRMode:
-            assert abs(cvar_fairness(FOUR_GROUP, 0.75, mode) - 0.375) <= 1e-12
+        for metric in (cvar_fairness, cvar_fairness_subset):
+            assert abs(metric(FOUR_GROUP, 0.75) - 0.375) <= 1e-12
 
     def test_fractional_partial_group(self):
         # Budget 0.375 takes all of the worst group (0.25 mass at gap 0.375)
         # and 0.125 mass of the next at gap 0.125.
         expected = (0.25 * 0.375 + 0.125 * 0.125) / 0.375
-        got = cvar_fairness(FOUR_GROUP, 0.625, CVaRMode.FRACTIONAL)
+        got = cvar_fairness(FOUR_GROUP, 0.625)
         assert abs(got - expected) <= 1e-12
         assert abs(got - 0.2916666666666667) <= 1e-12
 
     def test_exact_subset_partial_budget(self):
         # At budget 0.375 only single-group subsets fit; best is the 0.375-gap
         # group: 0.25 * 0.375 / 0.375 = 0.25.
-        got = cvar_fairness(FOUR_GROUP, 0.625, CVaRMode.EXACT_SUBSET)
+        got = cvar_fairness_subset(FOUR_GROUP, 0.625)
         assert abs(got - 0.25) <= 1e-12
 
     def test_exact_subset_large_k_rejected(self):
         inst = FairnessInstance(GroupWeights.uniform(26), [0.5] * 26)
         with pytest.raises(InstanceTooLarge):
-            cvar_fairness(inst, 0.5, CVaRMode.EXACT_SUBSET)
+            cvar_fairness_subset(inst, 0.5)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            cvar_fairness(FOUR_GROUP, 1.0)
-        with pytest.raises(ValueError):
-            cvar_fairness(FOUR_GROUP, -0.1)
+        for metric in (cvar_fairness, cvar_fairness_subset):
+            with pytest.raises(ValueError):
+                metric(FOUR_GROUP, 1.0)
+            with pytest.raises(ValueError):
+                metric(FOUR_GROUP, -0.1)
 
     def test_sandwich_property(self):
         rng = np.random.default_rng(11)
@@ -169,8 +170,8 @@ class TestCVaRFairness:
         for _ in range(100):
             inst = random_instance(rng, k=int(rng.integers(2, 7)))
             for alpha in (0.1, 0.5, 0.8):
-                frac = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
-                exact = cvar_fairness(inst, alpha, CVaRMode.EXACT_SUBSET)
+                frac = cvar_fairness(inst, alpha)
+                exact = cvar_fairness_subset(inst, alpha)
                 assert frac >= exact - 1e-12
 
     def test_modes_agree_at_integral_budget(self):
@@ -182,8 +183,8 @@ class TestCVaRFairness:
             inst = FairnessInstance(GroupWeights.uniform(k), rng.random(k))
             for j in range(1, k + 1):
                 alpha = 1.0 - j / k
-                frac = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
-                exact = cvar_fairness(inst, alpha, CVaRMode.EXACT_SUBSET)
+                frac = cvar_fairness(inst, alpha)
+                exact = cvar_fairness_subset(inst, alpha)
                 assert abs(frac - exact) <= 1e-12
 
     def test_fractional_matches_loop_exactly(self):
@@ -206,8 +207,8 @@ class TestCVaRFairness:
         # The zero-weight group has the largest gap and comes first in gap
         # order; it must be skipped, not end the fill at zero mass.
         inst = FairnessInstance(GroupWeights([0.0, 0.5, 0.5]), [1.0, 0.0, 1.0])
-        frac = cvar_fairness(inst, 0.5, CVaRMode.FRACTIONAL)
-        assert frac == cvar_fairness(inst, 0.5, CVaRMode.EXACT_SUBSET) == 0.5
+        frac = cvar_fairness(inst, 0.5)
+        assert frac == cvar_fairness_subset(inst, 0.5) == 0.5
         assert classify_region(inst, 0.5, 0.5) is Region.P1
 
     def test_modes_agree_with_zero_weight_groups(self):
@@ -220,8 +221,8 @@ class TestCVaRFairness:
             w[rng.choice(k, size=4, replace=False)] = 0.25
             inst = FairnessInstance(GroupWeights(w), rng.random(k))
             for alpha in (0.0, 0.25, 0.5, 0.75):
-                frac = cvar_fairness(inst, alpha, CVaRMode.FRACTIONAL)
-                exact = cvar_fairness(inst, alpha, CVaRMode.EXACT_SUBSET)
+                frac = cvar_fairness(inst, alpha)
+                exact = cvar_fairness_subset(inst, alpha)
                 assert abs(frac - exact) <= 1e-12
 
     def test_zero_gap_instance(self):
@@ -519,6 +520,12 @@ class TestAlphaStar:
         inst = FairnessInstance(GroupWeights([0.9, 0.1]), [0.5, 0.9])
         assert abs(alpha_star(inst) - 0.9) <= 1e-12
 
+    def test_rejects_max_gap_on_zero_weight_groups_only(self):
+        # Lbar = 0.5, so the zero-weight group's gap 0.4 is the only maximum.
+        inst = FairnessInstance(GroupWeights([1.0, 0.0]), [0.5, 0.9])
+        with pytest.raises(ValueError, match="^no positive-weight group attains the maximum gap$"):
+            alpha_star(inst)
+
     def test_tie_takes_smallest_weight(self):
         inst = FairnessInstance(GroupWeights([0.7, 0.3]), [0.4, 0.4])
         # All gaps equal (zero); tie broken toward the lightest group.
@@ -529,8 +536,8 @@ class TestAlphaStar:
         for _ in range(300):
             inst = random_instance(rng)
             a = alpha_star(inst)
-            for mode in CVaRMode:
-                got = cvar_fairness(inst, a, mode)
+            for metric in (cvar_fairness, cvar_fairness_subset):
+                got = metric(inst, a)
                 assert abs(got - max_gap(inst)) <= 1e-12
 
 

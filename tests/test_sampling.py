@@ -114,6 +114,16 @@ class TestAttributeSpecificPlan:
         assert plan.gamma == 5.0
         assert plan.block == 2
 
+    @pytest.mark.parametrize("budget, gamma, message", [
+        (0, 1.0, "budget must be a positive integer, got 0"),
+        (-4, 1.0, "budget must be a positive integer, got -4"),
+        (10, 0.0, "gamma must be positive, got 0.0"),
+        (10, -5.0, "gamma must be positive, got -5.0"),
+    ])
+    def test_rejects_non_positive_budget_or_gamma(self, budget, gamma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=budget, gamma=gamma)
+
     def test_rejects_non_divisible_gamma(self):
         with pytest.raises(ValueError):
             AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=10, gamma=3.0)

@@ -559,6 +559,13 @@ class TestBlockScorer:
             classes += len(setup.classes) > 1
         assert min(replayed, shared, grouped, classes) >= 10 and replayed < 150
 
+    def test_plan_of_another_k_rejected(self):
+        plan = AttributeSpecificPlan(w=GroupWeights.uniform(3), budget=6, gamma=3.0)
+        inst = FairnessInstance(GroupWeights([0.5, 0.5]), [0.5, 0.5])
+        setup = simulator._setup(plan, inst.weights)
+        with pytest.raises(ValueError, match="^plan and instance disagree on K$"):
+            simulator._block_scorer(inst, plan, setup, {})
+
     def test_benchmark_shape(self):
         # Equal weights: the fair side draws no per-entry group index, the
         # unfair side (two means) looks up each entry's mean by its group.
