@@ -15,7 +15,6 @@ Exit codes are the machine contract: 0 = H0 (no violation detected),
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -30,7 +29,6 @@ from .core import _MAX_COUNT, GroupWeights, MetricKind
 from .cvar_test import (Region, TestConfig, TestOutcome, classify_region, run_test_dataset,
                         threshold)
 from .errors import ConfigError, FairauditError
-from .reader import read_audit
 from .sampling import (
     OPTIMAL_ETA,
     AttributeSpecificPlan,
@@ -200,6 +198,8 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
 
 
 def cmd_audit(args) -> int:
+    from .reader import read_audit
+
     path = args.config
     conf = read_config(path, _AUDIT_KEYS)
     setting = partial(_setting, conf, path)
@@ -268,6 +268,8 @@ def _group_name(g: int, k: int) -> str:
 
 
 def cmd_synth(args) -> int:
+    import csv
+
     from .adversarial import build_hard_pair, build_mixture_family
 
     _check_options(args, [("k", *_POSITIVE), ("budget", *_POSITIVE), ("seed", *_NON_NEGATIVE),

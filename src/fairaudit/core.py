@@ -35,7 +35,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class GroupWeights:
     """A stochastic vector w over dense group ids 0..K-1.
 
@@ -111,7 +111,7 @@ def _means_array(mu) -> np.ndarray:
     return np.array([float(x) for x in mu], dtype=float)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class FairnessInstance:
     """Ground truth: group weights plus per-group Bernoulli loss means.
 
@@ -177,7 +177,7 @@ def _count_array(values, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GroupCounts:
     """Per-group sufficient statistics of an audit dataset.
 

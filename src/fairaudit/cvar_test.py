@@ -57,6 +57,9 @@ class Region(Enum):
 
 @dataclass(frozen=True)
 class TestConfig:
+    """One audit's level alpha, tolerance epsilon and sampling plan; the
+    decision threshold is (1 - alpha) epsilon^2 / 2."""
+
     __test__ = False  # not a pytest test class despite the name
 
     alpha: float
@@ -80,6 +83,9 @@ class TestConfig:
 
 @dataclass(frozen=True, eq=False)
 class TestOutcome:
+    """One audit's decision, its statistic, the threshold it was held to, and
+    the per-group sample counts it saw."""
+
     __test__ = False  # not a pytest test class despite the name
 
     decision: Decision

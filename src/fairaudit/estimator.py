@@ -17,9 +17,8 @@ and loss pattern, for use as an independent oracle in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ ENUM_MAX_K = 4
 ENUM_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class EstimatorValue:
+class EstimatorValue(NamedTuple):
     f1: float
     f2: float
 
@@ -165,8 +163,7 @@ def estimate(
     return estimate_from_counts(s, m, w, (p1, p2))
 
 
-@dataclass(frozen=True)
-class ExactMoments:
+class ExactMoments(NamedTuple):
     """Exact enumeration results for the statistic under a plan."""
 
     e_f1: float

@@ -10,8 +10,8 @@ continuous (fractional) relaxation and an exact subset maximization:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ EXACT_SUBSET_MAX_K = 25
 FILL_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class GapVector:
+class GapVector(NamedTuple):
     delta: tuple[float, ...]
     lbar: float
 

@@ -59,7 +59,7 @@ class WeightedPlan:
     budget: int
 
     def __post_init__(self):
-        if self.budget < 0 or self.budget != int(self.budget):
+        if not 0 <= self.budget < math.inf or self.budget != int(self.budget):
             raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
         if self.budget > _MAX_COUNT:
             raise ValueError(f"budget must be at most {_MAX_COUNT}, got {self.budget}")
@@ -128,7 +128,7 @@ class AttributeSpecificPlan:
     gamma: float
 
     def __post_init__(self):
-        if self.budget <= 0 or self.budget != int(self.budget):
+        if not 0 < self.budget < math.inf or self.budget != int(self.budget):
             raise ValueError(f"budget must be a positive integer, got {self.budget}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")

@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 import platform
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ _BINOMIAL_INVERSION_MAX = 30.0
 _MAX_MEANS = 8
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
+class ErrorEstimate(NamedTuple):
     p_err_hat: float
     stderr: float
     trials: int
@@ -129,8 +128,7 @@ class ErrorEstimate:
     frac_h0_given_h1: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Setup:
+class _Setup(NamedTuple):
     """What every block of one plan needs, built once per sweep point.
 
     An attribute-specific set-up holds both S-indexed terms in one complex
@@ -535,8 +533,7 @@ class Experiment:
             raise ConfigError("sweep grid must be non-empty")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     axis: str
     rows: tuple[tuple[float, ErrorEstimate], ...]
     n_hat: float | None  # smallest axis value with p_hat <= target (if axis is n)

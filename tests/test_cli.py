@@ -522,14 +522,41 @@ class TestBounds:
 
 
 
-def test_cli_import_loads_only_shared_modules():
-    # A subcommand imports what only it needs (adversarial, bounds) when it
-    # runs.  The simulator stays a module-level import: the benchmark's tracer
-    # (bench/worker.py) looks up each module it traces in sys.modules.
-    code = (
-        "import sys, fairaudit.cli; "
-        "print(*(f'fairaudit.{m}' in sys.modules for m in ('adversarial', 'bounds', 'simulator')))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+# Runs each argv of sys.argv[1] through cli.main in one fresh interpreter, and
+# prints which fairaudit modules are loaded after the import and after each run.
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+import fairaudit.cli as cli
+
+def loaded():
+    return [f"fairaudit.{m}" in sys.modules for m in ("adversarial", "bounds", "reader", "simulator")]
+
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), *loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_loads_only_shared_modules(tmp_path):
+    # A subcommand imports what only it needs (adversarial, bounds, reader)
+    # when it runs.  The simulator stays a module-level import: the
+    # benchmark's tracer (bench/worker.py) looks up each module it traces in
+    # sys.modules.
+    sim = _write(tmp_path / "sim.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=5\n")
+    data = _write(tmp_path / "d.csv", "group,label,prediction\na,0,1\na,0,0\nb,0,0\nb,0,1\n")
+    audit = _write(tmp_path / "audit.cfg", "alpha=0.5\nepsilon=0.3\n")
+    runs = [["bounds", "--k", "16", "--alpha", "0.5", "--epsilon", "0.1"],
+            ["simulate", sim, "--out", str(tmp_path / "run")],
+            ["audit", data, audit]]
+    out = subprocess.run([sys.executable, "-c", _MODULES_LOADED, json.dumps(runs)],
+                         capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.split() == ["False", "False", "True"]
+    # Loaded: adversarial, bounds, reader, simulator; each run leads with its exit code.
+    assert json.loads(out.stdout) == [
+        [False, False, False, True],
+        [0, False, True, False, True],
+        [0, True, True, False, True],
+        [EXIT_H0, True, True, True, True],
+    ]

@@ -100,6 +100,14 @@ class TestWeightedPlan:
             with pytest.raises(ValueError, match=want):
                 WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=budget)
 
+    @pytest.mark.parametrize("budget, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (np.float64("nan"), "nan"),
+    ], ids=["inf", "-inf", "nan", "np-nan"])
+    def test_rejects_non_finite_budget(self, budget, shown):
+        # int() of these raised OverflowError or its own NaN ValueError.
+        with pytest.raises(ValueError, match=f"^budget must be a non-negative integer, got {shown}$"):
+            WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=budget)
+
 
 class TestAttributeSpecificPlan:
     def test_deterministic_when_gamma_w_large(self):
@@ -123,6 +131,13 @@ class TestAttributeSpecificPlan:
     def test_rejects_non_positive_budget_or_gamma(self, budget, gamma, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=budget, gamma=gamma)
+
+    @pytest.mark.parametrize("budget, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (np.float64("nan"), "nan"),
+    ], ids=["inf", "-inf", "nan", "np-nan"])
+    def test_rejects_non_finite_budget(self, budget, shown):
+        with pytest.raises(ValueError, match=f"^budget must be a positive integer, got {shown}$"):
+            AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=budget, gamma=2.0)
 
     def test_rejects_non_divisible_gamma(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
-from fairaudit.estimator import _ratio_terms, estimate_from_counts, exact_moments
+from fairaudit.estimator import (EstimatorValue, ExactMoments, _ratio_terms, estimate_from_counts,
+                                 exact_moments)
+from fairaudit.metrics import GapVector
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
     Experiment,
@@ -1068,3 +1070,60 @@ class TestOutputs:
         h1 = json.loads(p1.read_text())["config_sha256"]
         h2 = json.loads(p2.read_text())["config_sha256"]
         assert h1 != h2
+
+
+_ESTIMATE = simulator.ErrorEstimate(p_err_hat=0.125, stderr=0.0625, trials=64,
+                                    frac_h1_given_h0=0.0, frac_h0_given_h1=0.25)
+
+
+class TestRecords:
+    """The value-only records are named tuples.  They keep the field order,
+    repr text and immutability they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("record, fields, text", [
+        (EstimatorValue(f1=0.25, f2=0.5), "f1 f2", "EstimatorValue(f1=0.25, f2=0.5)"),
+        (ExactMoments(e_f1=0.5, e_f2=0.25, e_f=0.4375, e_f2_sq=0.0625, var_term1=(0.1, 0.2),
+                      var_term2=(0.3, 0.4), distribution=((0.0, 0.75), (1.0, 0.25))),
+         "e_f1 e_f2 e_f e_f2_sq var_term1 var_term2 distribution",
+         "ExactMoments(e_f1=0.5, e_f2=0.25, e_f=0.4375, e_f2_sq=0.0625, var_term1=(0.1, 0.2), "
+         "var_term2=(0.3, 0.4), distribution=((0.0, 0.75), (1.0, 0.25)))"),
+        (GapVector(delta=(0.1, 0.3), lbar=0.4), "delta lbar",
+         "GapVector(delta=(0.1, 0.3), lbar=0.4)"),
+        (_ESTIMATE, "p_err_hat stderr trials frac_h1_given_h0 frac_h0_given_h1",
+         "ErrorEstimate(p_err_hat=0.125, stderr=0.0625, trials=64, frac_h1_given_h0=0.0, "
+         "frac_h0_given_h1=0.25)"),
+        (simulator.SweepResult(axis="n", rows=((50, _ESTIMATE),), n_hat=None, target=0.1),
+         "axis rows n_hat target",
+         "SweepResult(axis='n', rows=((50, ErrorEstimate(p_err_hat=0.125, stderr=0.0625, "
+         "trials=64, frac_h1_given_h0=0.0, frac_h0_given_h1=0.25)),), n_hat=None, target=0.1)"),
+        (simulator._Setup(weights=None, classes=(), terms=None, block=8192),
+         "weights classes terms block", "_Setup(weights=None, classes=(), terms=None, block=8192)"),
+    ], ids="EstimatorValue ExactMoments GapVector ErrorEstimate SweepResult _Setup".split())
+    def test_repr_fields_frozen_and_value_equality(self, record, fields, text):
+        assert repr(record) == text
+        assert record._fields == tuple(fields.split())
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert record._replace(**{record._fields[-1]: "other"}) != record
+
+    def test_validated_records_still_take_dataclasses_replace(self):
+        exp = _sweep_experiment([50, 150])
+        point = exp.points[0]
+        cfg = dataclasses.replace(point.cfg, alpha=0.5)
+        assert (cfg.alpha, cfg.epsilon, cfg.plan) == (0.5, point.cfg.epsilon, point.cfg.plan)
+        moved = dataclasses.replace(point, axis_value=75, cfg=cfg)
+        assert (moved.axis_value, moved.h0, moved.h1, moved.cfg) == (75, point.h0, point.h1, cfg)
+        one = dataclasses.replace(exp, points=(moved,), trials=3)
+        assert (one.axis, one.points, one.trials, one.base_seed, one.target) == (
+            "n", (moved,), 3, exp.base_seed, exp.target)
+        # replace runs each class's checks, and the copies stay frozen.
+        with pytest.raises(ValueError, match="alpha must be in"):
+            dataclasses.replace(cfg, alpha=1.0)
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            dataclasses.replace(exp, trials=0)
+        for obj, name in ((cfg, "alpha"), (moved, "axis_value"), (one, "trials")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
