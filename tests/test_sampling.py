@@ -104,7 +104,6 @@ class TestWeightedPlan:
         (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (np.float64("nan"), "nan"),
     ], ids=["inf", "-inf", "nan", "np-nan"])
     def test_rejects_non_finite_budget(self, budget, shown):
-        # int() of these raised OverflowError or its own NaN ValueError.
         with pytest.raises(ValueError, match=f"^budget must be a non-negative integer, got {shown}$"):
             WeightedPlan(v=GroupWeights([0.5, 0.5]), budget=budget)
 
