@@ -6,8 +6,7 @@ F >= (1 - alpha) * epsilon^2 / 2, with ties deciding H1.
 
 Both single audits, on a known instance (`run_test_synthetic`) and on
 collected counts (`run_test_dataset`), end in one outcome builder that
-estimates F, applies this rule and builds the `TestOutcome`; the Monte Carlo
-engine applies the same rule to a block of trials in `simulator._block_h1`.
+estimates F, applies this rule and builds the `TestOutcome`.
 
 The threshold sits halfway between the two composite regions: instances with
 zero CVaR fairness have separation statistic D = 0, while instances with CVaR

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FairnessInstance, GroupWeights
 from .errors import InstanceTooLarge, ZeroInclusionProbability
-from .sampling import AttributeSpecificPlan, SamplingPlan, WeightedPlan
+from .sampling import SamplingPlan
 
 # Exhaustive enumeration limits for the exact-moment oracle.
 ENUM_MAX_K = 4
@@ -32,6 +32,8 @@ ENUM_MAX_N = 8
 
 
 class EstimatorValue(NamedTuple):
+    """F1 and F2 of one audit, or arrays of them, one entry per trial; `f` is F1 - F2^2."""
+
     f1: float
     f2: float
 
@@ -97,6 +99,23 @@ def _ratio_terms(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
+def term_table(m: int, c: float | None = None) -> np.ndarray:
+    """`estimate_entries`' table of an entry's two terms when M = m, indexed by S.
+
+    The F1 term `_ratio_terms(np.arange(m + 1), m)[0]` is the real part and
+    the F2 term the imaginary part, with the bits of the per-entry division.
+    A scalar normalizer c scales each part on its own: (t * c)[S] has the
+    bits of t[S] * c.
+    """
+    table = np.empty(m + 1, dtype=complex)
+    table.real, table.imag = _ratio_terms(np.arange(m + 1), m)
+    if c is not None:
+        t1, t2 = table.real, table.imag  # views: each part scales in place
+        t1 *= c
+        t2 *= c
+    return table
+
+
 def estimate_rows(
     s: np.ndarray, m: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,23 +141,20 @@ def estimate_entries(
     """F1 and F2 of `n_rows` trials given only their groups with M_g > 0.
 
     Entry i says that trial rows[i] saw s[i] ones in the m samples of group
-    groups[i]; `c` is the one normalizer of both terms (w_g / p_g under the
-    attribute-specific plan), or None when `table` already carries it, as
-    it can when all groups share one normalizer c: (t * c)[S] has the bits
-    of t[S] * c.  Only `c` reads the groups, so they may be None without
-    it.  Groups a trial did not sample contribute nothing, so the cost is
-    proportional to the number of entries, not to K.
+    groups[i], and `table` is `term_table(m)`, or `term_table(m, c)` when all
+    groups share one normalizer c.  `c` is the per-group normalizer of both
+    terms (w_g / p_g under the attribute-specific plan), or None when the
+    table carries it.  Only `c` reads the groups, so they may be None
+    without it.  Groups a trial did not sample contribute nothing, so the
+    cost is proportional to the number of entries, not to K.
 
-    Both terms are looked up by S in one complex `table` of M + 1 values,
-    the F1 term `_ratio_terms(np.arange(m + 1), m)[0]` in the real part and
-    the F2 term in the imaginary part, which a caller builds once per block
-    size m.  One `np.add.at` then sums both into a complex array: it adds
-    the real and the imaginary parts separately, entry by entry in entry
-    order, so F1 and F2 have the bits of one `np.bincount` per term.  The
-    normalizer scales each part on its own, not by a complex product, whose
-    cross terms can change a bit at inf, NaN or -0.  Any index into a table
-    of those values serves in place of S, such as a row of a table of S
-    values composed with it.
+    Each entry looks both terms up at once, and one `np.add.at` sums them
+    into a complex array: it adds the real and the imaginary parts
+    separately, entry by entry in entry order, so F1 and F2 have the bits of
+    one `np.bincount` per term.  `c` scales each part on its own, not by a
+    complex product, whose cross terms can change a bit at inf, NaN or -0.
+    Any index into a table of those values serves in place of S, such as a
+    row of a table of S values composed with it.
     """
     e = table.take(s)
     if c is not None:
@@ -178,46 +194,6 @@ class ExactMoments(NamedTuple):
     distribution: tuple[tuple[float, float], ...]
 
 
-def _count_vectors(plan: SamplingPlan):
-    """Yield (counts, probability) over all reachable count vectors."""
-    k = plan.k
-    n = plan.budget
-    if isinstance(plan, WeightedPlan):
-        v = plan.v.as_array()
-        log_fact = [math.lgamma(i + 1) for i in range(n + 1)]
-
-        def rec(g, remaining, counts):
-            if g == k - 1:
-                yield tuple(counts + [remaining])
-                return
-            for c in range(remaining + 1):
-                yield from rec(g + 1, remaining - c, counts + [c])
-
-        for m in rec(0, n, []):
-            logp = log_fact[n]
-            ok = True
-            for g in range(k):
-                if m[g] > 0 and v[g] == 0.0:
-                    ok = False
-                    break
-                logp -= log_fact[m[g]]
-                if m[g] > 0:
-                    logp += m[g] * math.log(v[g])
-            if ok:
-                yield np.asarray(m), math.exp(logp)
-    elif isinstance(plan, AttributeSpecificPlan):
-        block = plan.block
-        probs = plan.include_probs()
-        for mask in product((0, 1), repeat=k):
-            p = 1.0
-            for g in range(k):
-                p *= probs[g] if mask[g] else 1.0 - probs[g]
-            if p > 0.0:
-                yield np.asarray([block if mask[g] else 0 for g in range(k)]), p
-    else:
-        raise TypeError(f"unknown plan type {type(plan)!r}")
-
-
 def _binom_pmf(m: int, mu: float) -> list[float]:
     """Probabilities of s ones out of m Bernoulli(mu) draws, s = 0..m."""
     return [math.comb(m, s) * mu**s * (1.0 - mu) ** (m - s) for s in range(m + 1)]
@@ -226,9 +202,10 @@ def _binom_pmf(m: int, mu: float) -> list[float]:
 def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
     """Exact moments of the statistic by exhaustive enumeration.
 
-    Enumerates every count vector and, per group, every possible one-count
-    with its probability (losses within a group are exchangeable, so the
-    one-count is a sufficient statistic for the loss pattern).
+    Enumerates every count vector of the plan's `count_law()` and, per
+    group, every possible one-count with its probability (losses within a
+    group are exchangeable, so the one-count is a sufficient statistic for
+    the loss pattern).
     """
     k = inst.k
     n = plan.budget
@@ -250,7 +227,7 @@ def exact_moments(inst: FairnessInstance, plan: SamplingPlan) -> ExactMoments:
     e_t2_sq = np.zeros(k)
     dist: dict[float, float] = {}
 
-    for m, p_counts in _count_vectors(plan):
+    for m, p_counts in plan.count_law():
         pmfs = [_binom_pmf(int(m[g]), mu[g]) for g in range(k)]
         for s in product(*[range(int(m[g]) + 1) for g in range(k)]):
             p = p_counts

@@ -11,8 +11,9 @@ Two plans are supported:
 Each plan answers what the audit and the sweeps ask of it:
 `inclusion_pair()` gives P[M_g >= 1] and P[M_g >= 2], the normalizers of
 the debiased estimator (one array twice under the attribute-specific plan,
-where both equal p_g), and `check_counts` raises PlanMismatch on observed
-counts the plan cannot produce.
+where both equal p_g), `check_counts` raises PlanMismatch on observed
+counts the plan cannot produce, and `count_law()` enumerates every count
+vector the plan draws with its probability, for the exact-moment oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -59,10 +61,7 @@ class WeightedPlan:
     budget: int
 
     def __post_init__(self):
-        if not 0 <= self.budget < math.inf or self.budget != int(self.budget):
-            raise ValueError(f"budget must be a non-negative integer, got {self.budget}")
-        if self.budget > _MAX_COUNT:
-            raise ValueError(f"budget must be at most {_MAX_COUNT}, got {self.budget}")
+        _check_budget(self.budget, 0)
 
     @staticmethod
     def from_weights(w: GroupWeights, eta: float, budget: int) -> "WeightedPlan":
@@ -81,6 +80,21 @@ class WeightedPlan:
         pairs = [_binomial_inclusion(self.budget, x) for x in values.tolist()]
         p1, p2 = np.array(pairs, dtype=float).T
         return p1[which], p2[which]
+
+    def count_law(self):
+        """Yield (counts, probability) of Multinomial(n, v), over reachable counts in order."""
+        n, v = self.budget, self.v.as_array()
+        log_fact = [math.lgamma(i + 1) for i in range(n + 1)]
+        for head in product(range(n + 1), repeat=self.k - 1):
+            m = (*head, n - sum(head))
+            if m[-1] < 0 or any(mg > 0 and vg == 0.0 for mg, vg in zip(m, v)):
+                continue
+            logp = log_fact[n]
+            for mg, vg in zip(m, v):
+                logp -= log_fact[mg]
+                if mg > 0:
+                    logp += mg * math.log(vg)
+            yield np.asarray(m), math.exp(logp)
 
     def check_counts(self, m: np.ndarray, names) -> None:
         total = int(m.sum())
@@ -103,20 +117,40 @@ def _binomial_inclusion(n: int, v: float) -> tuple[float, float]:
     return (p_ge1, max(0.0, p_ge2))
 
 
-def whole_block(n: int, gamma: float) -> bool:
-    """Whether n / gamma is a whole number (to within 1e-9) of 1 to _MAX_COUNT
-    samples, as AttributeSpecificPlan's block must be: rounding would corrupt
-    the budget identity sum_g E[M_g] = n."""
+def _check_budget(budget, least: int) -> None:
+    """ValueError unless budget is an integer from `least` to _MAX_COUNT, the
+    largest count numpy's samplers take; checked before any float division."""
+    if not least <= budget < math.inf or budget != int(budget):
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"budget must be a {kind} integer, got {budget}")
+    if budget > _MAX_COUNT:
+        raise ValueError(f"budget must be at most {_MAX_COUNT}, got {budget}")
+
+
+def whole_block(n: int, gamma: float) -> int:
+    """The block n / gamma of an attribute-specific plan, else ValueError naming the
+    first rule broken: a budget of 1 to _MAX_COUNT, gamma > 0, and a whole block
+    (to within 1e-9) of 1 to _MAX_COUNT, since rounding would corrupt the budget
+    identity sum_g E[M_g] = n."""
+    _check_budget(n, 1)
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     block = n / gamma
-    return math.isfinite(block) and abs(block - round(block)) <= 1e-9 and (
-        1 <= round(block) <= _MAX_COUNT
-    )
+    whole = math.isfinite(block) and abs(block - round(block)) <= 1e-9
+    if whole and 1 <= round(block) <= _MAX_COUNT:
+        return round(block)
+    big = math.isfinite(block) and block > _MAX_COUNT  # past _MAX_COUNT, every float is whole
+    rule = f"at most {_MAX_COUNT}" if big else "a positive integer"
+    raise ValueError(f"n/gamma must be {rule}, got {block}")
 
 
 def estimable_block(n: int, gamma: float) -> bool:
     """Whether n / gamma is a whole block of 2 to _MAX_COUNT samples: the
     estimator needs a group observed twice."""
-    return whole_block(n, gamma) and round(n / gamma) >= 2
+    try:
+        return whole_block(n, gamma) >= 2
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -128,18 +162,12 @@ class AttributeSpecificPlan:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.budget < math.inf or self.budget != int(self.budget):
-            raise ValueError(f"budget must be a positive integer, got {self.budget}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not whole_block(self.budget, self.gamma):
-            block = self.budget / self.gamma  # past _MAX_COUNT, every float is whole
-            big = math.isfinite(block) and block > _MAX_COUNT
-            rule = f"at most {_MAX_COUNT}" if big else "a positive integer"
-            raise ValueError(f"n/gamma must be {rule}, got {block}")
+        whole_block(self.budget, self.gamma)
 
     @staticmethod
     def default(w: GroupWeights, budget: int) -> "AttributeSpecificPlan":
+        """The plan of blocks of 2 samples, gamma = budget / 2."""
+        _check_budget(budget, 1)  # before the division
         return AttributeSpecificPlan(w=w, budget=budget, gamma=budget / 2)
 
     @property
@@ -149,7 +177,7 @@ class AttributeSpecificPlan:
     @property
     def block(self) -> int:
         """Number of samples drawn from each included group."""
-        return int(round(self.budget / self.gamma))
+        return whole_block(self.budget, self.gamma)
 
     def include_probs(self) -> np.ndarray:
         """p_g = min(gamma * w_g, 1) per group."""
@@ -185,10 +213,20 @@ class AttributeSpecificPlan:
         return None if w0 is None else min(float(self.gamma) * w0, 1.0)
 
     def _require_estimable(self) -> None:
-        if not estimable_block(self.budget, self.gamma):
+        if self.block < 2:
             raise EstimatorUndefined(
                 "attribute-specific plan with n/gamma < 2 can never observe a group twice"
             )
+
+    def count_law(self):
+        """Yield (counts, probability) over vectors of the block (w.p. p_g) or 0 per group."""
+        block, probs = self.block, self.include_probs()
+        for mask in product((0, 1), repeat=self.k):
+            p = 1.0
+            for g, included in enumerate(mask):
+                p *= probs[g] if included else 1.0 - probs[g]
+            if p > 0.0:
+                yield np.asarray(mask) * block, p
 
     def check_counts(self, m: np.ndarray, names) -> None:
         bad = np.flatnonzero((m != 0) & (m != self.block))

@@ -11,9 +11,8 @@ includes.  Block i of side s (0 for the fair instance, 1 for the unfair one)
 draws from its own generator, numpy.random.default_rng([base_seed, s, i]),
 so results depend only on (base_seed, side, block index, the plan and the
 instance, trials), not on the order in which blocks are evaluated.  A block's
-kernel, from `_block_scorer`, returns each trial's F1 and F2; `_block_h1`
-alone forms F = F1 - F2^2 and counts F >= tau, so the engine states the
-decision rule once.
+kernel, from `_block_scorer`, returns each trial's F1 and F2, and `_block_h1`
+counts the trials whose `EstimatorValue.f` meets the audit's threshold.
 
 The attribute-specific draw costs O(included groups), not O(K): groups with
 p_g > 0 are split into classes by the binary exponent of p_g, so that within
@@ -28,21 +27,16 @@ both P[M_g >= 1] and P[M_g >= 2], and when every p_g > 0 a class of all K
 groups keeps no member array.  The term weights w_g / P[M_g >= .] come from
 the estimator's one normalizer, which also serves the audit; one array of
 them serves the F1 and the F2 terms.
-Every entry of an attribute-specific block has M = n/gamma, so its terms
-come from `estimate_entries`' one complex table of M + 1 values indexed by
-S, the F1 term in the real part and the F2 term in the imaginary part, with
-the bits of the per-entry division, built once per budget.  A block looks
-each entry up once and sums both terms per trial with one `np.add.at` into
-a complex array, which adds the two parts separately in entry order: the
-bits of one `np.bincount` per term, at about half the cost.  When the
-plan's weights and the instance's are each all equal (as on the hard pair),
-every group has the same p and the same normalizer c = w_0 / p, the same
-float operations on the same values as the per-group arrays.  The set-up is
-then built from these scalars: one class of all K groups with no member or
-ratio array, and a term table whose parts are each prescaled by c, since
-(t * c)[S] has the bits of t[S] * c, so a block gathers no per-entry
-normalizer.  B still comes from numpy's pairwise sum of K copies of p, the
-one K-sized array such a set-up allocates.
+Every entry of an attribute-specific block has M = n/gamma, so the set-up
+holds the estimator's `term_table(M)`, built once per budget, and a block
+sums it with `estimate_entries`.  When the plan's weights and the
+instance's are each all equal (as on the hard pair), every group has the
+same p and the same normalizer c = w_0 / p, the same float operations on
+the same values as the per-group arrays.  The set-up is then built from
+these scalars: one class of all K groups with no member or ratio array,
+and `term_table(M, c)`, so a block gathers no per-entry normalizer.  B
+still comes from numpy's pairwise sum of K copies of p, the one K-sized
+array such a set-up allocates.
 
 A block's loss draw and its terms meet in one table lookup.  The loss
 replay (below) is a set of tables: a function that draws each entry's row
@@ -98,7 +92,7 @@ from . import __version__
 from .core import FairnessInstance, GroupWeights
 from .cvar_test import Region, TestConfig, classify_region
 from .errors import ConfigError
-from .estimator import _ratio_terms, _term_weights, estimate_entries, estimate_rows
+from .estimator import EstimatorValue, _term_weights, estimate_entries, estimate_rows, term_table
 from .sampling import AttributeSpecificPlan, SamplingPlan
 
 # Count entries per block of trials: B = max(1, BLOCK_ELEMS // E).  It keeps
@@ -129,20 +123,14 @@ class ErrorEstimate(NamedTuple):
 
 
 class _Setup(NamedTuple):
-    """What every block of one plan needs, built once per sweep point.
-
-    An attribute-specific set-up holds both S-indexed terms in one complex
-    table, so that a block looks each entry up once and sums both terms with
-    one `np.add.at`.
-    """
+    """What every block of one plan needs, built once per sweep point."""
 
     # Per-group F1 and F2 normalizers, or None when `terms` carry the one
     # normalizer that all groups share.
     weights: tuple[np.ndarray, np.ndarray] | None
     # Attribute-specific plan only: (members or None for all K groups, their
     # number, q, p_g / q or None when all members have p_g = q) per inclusion
-    # class, and the estimator's S-indexed term table for M = n/gamma: F1
-    # terms in the real part, F2 terms in the imaginary part.
+    # class, and the estimator's `term_table` for M = n/gamma.
     classes: tuple[tuple[np.ndarray | None, int, float, np.ndarray | None], ...]
     terms: np.ndarray | None
     block: int  # trials per block
@@ -182,24 +170,19 @@ def _setup(plan: SamplingPlan, w: GroupWeights) -> _Setup:
     if not isinstance(plan, AttributeSpecificPlan):
         weights = _term_weights(w.as_array(), *plan.inclusion_pair())
         return _Setup(weights, (), None, max(1, BLOCK_ELEMS // plan.k))
-    terms = np.empty(plan.block + 1, dtype=complex)
-    terms.real, terms.imag = _ratio_terms(np.arange(plan.block + 1), plan.block)
     p = plan.shared_inclusion()
     if p is not None and w.shared is not None:
         # Equal weights: every group has p and the normalizer c = w_0 / p, so
-        # the one class needs no member array and the term table carries c,
-        # scaled into each part on its own.
+        # the one class needs no member array and the term table carries c.
         p0 = np.float64(p)
         c, _ = _term_weights(np.float64(w.shared), p0, p0)
-        weights, classes = None, ((None, plan.k, p, None),)
-        t1, t2 = terms.real, terms.imag
-        t1 *= c
-        t2 *= c
+        weights, classes, terms = None, ((None, plan.k, p, None),), term_table(plan.block, c)
         expected = np.full(plan.k, p).sum()  # numpy's pairwise sum, as below: it fixes B
     else:
         # p1 is p2 = p here, so one normalizer w_g / p_g serves the F1 and F2 terms.
         p, _ = plan.inclusion_pair()
         weights, classes = _term_weights(w.as_array(), p, p), _inclusion_classes(p)
+        terms = term_table(plan.block)
         expected = p.sum()
     return _Setup(weights, classes, terms, max(1, BLOCK_ELEMS // max(1, math.ceil(expected))))
 
@@ -432,9 +415,9 @@ def _block_scorer(
 
 
 def _block_h1(score, tau: float, base_seed: int, side: int, index: int, size: int) -> int:
-    """H1 decisions, F1 - F2^2 >= tau, in one block of trials drawn from its own generator."""
-    f1, f2 = score(np.random.default_rng([base_seed, side, index]), size)
-    return int(np.count_nonzero(f1 - f2 * f2 >= tau))
+    """H1 decisions, F >= tau, in one block of trials drawn from its own generator."""
+    stat = EstimatorValue(*score(np.random.default_rng([base_seed, side, index]), size))
+    return int(np.count_nonzero(stat.f >= tau))
 
 
 def _side_h1(

@@ -15,13 +15,13 @@ from fairaudit.estimator import (
     EstimatorValue,
     _binom_pmf,
     _ratio_terms,
-    _count_vectors,
     _term_weights,
     estimate,
     estimate_entries,
     estimate_from_counts,
     estimate_rows,
     exact_moments,
+    term_table,
 )
 from fairaudit.metrics import average_quality, separation_statistic
 from fairaudit.sampling import (
@@ -529,7 +529,7 @@ class TestRowKernels:
             for plan in plans:
                 weights = _term_weights(w.as_array(), *plan.inclusion_pair())
                 mean = 0.0
-                for m, p_counts in _count_vectors(plan):
+                for m, p_counts in plan.count_law():
                     s = np.array(list(product(*[range(mg + 1) for mg in m])))
                     p = np.full(len(s), p_counts)
                     for g in range(k):
@@ -540,17 +540,9 @@ class TestRowKernels:
 
 
 def _table(m, c=None, redraw=False):
-    """estimate_entries' S-indexed complex term table for block size m.
-
-    F1 terms in the real part, F2 terms in the imaginary part, each times c
-    if given; with `redraw`, one more row of NaN in both parts, as the
-    simulator marks numpy's redraw.
-    """
-    t1, t2 = _ratio_terms(np.arange(m + 1), m)
-    if c is not None:
-        t1, t2 = t1 * c, t2 * c
-    table = np.empty(m + 1, dtype=complex)
-    table.real, table.imag = t1, t2
+    """`term_table(m, c)`; with `redraw`, one more row of NaN in both parts,
+    as the simulator marks numpy's redraw."""
+    table = term_table(m, c)
     return np.append(table, complex(math.nan, math.nan)) if redraw else table
 
 

@@ -350,8 +350,13 @@ ROWS = [
         ("budget-overflow", f"synth --k 4 --epsilon 0.1 --budget {10**20} --out bad.csv",
          f"budget must be at most {MAX}, got {10**20}"),
         ("block-overflow",
-         f"synth --k 4 --epsilon 0.1 --budget {10**20} --plan attr --gamma 1 --out s.csv",
+         f"synth --k 4 --epsilon 0.1 --budget {10**18} --plan attr --gamma 0.01 --out s.csv",
          f"n/gamma must be at most {MAX}, got 1e+20"),
+        # A budget past float range, rejected before n/gamma or the default's n/2.
+        *((f"attr-budget-overflow{name}", f"synth --kind hardpair --side h0 --k 4 --epsilon 0.3 "
+           f"--plan attr --budget {10**400}{gamma} --out x.csv",
+           f"budget must be at most {MAX}, got {10**400}") for name, gamma in [
+              ("", ""), ("-gamma", " --gamma 2")]),
     ]),
 
     # bounds.

@@ -154,13 +154,25 @@ class TestAttributeSpecificPlan:
 
     def test_block_up_to_int64_max(self):
         # The largest float block below 2**63 is drawn; 2**63 itself is rejected.
-        plan = AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=2**64 - 2048, gamma=2.0)
-        assert plan.draw_counts(np.random.default_rng(0)).tolist() == [2**63 - 1024] * 2
-        for budget, gamma, block in ((2**63, 1.0, "9.223372036854776e+18"),
-                                     (10**20, 1.0, "1e+20"), (10**20, 0.5, "2e+20")):
+        plan = AttributeSpecificPlan(w=GroupWeights([1.0]), budget=2**63 - 1024, gamma=1.0)
+        assert plan.draw_counts(np.random.default_rng(0)).tolist() == [2**63 - 1024]
+        for budget, gamma, block in ((2**63 - 1, 1.0, "9.223372036854776e+18"),
+                                     (10**18, 0.01, "1e+20"), (10**18, 0.005, "2e+20")):
             want = f"^n/gamma must be at most {2**63 - 1}, got {re.escape(block)}$"
             with pytest.raises(ValueError, match=want):
                 AttributeSpecificPlan(w=GroupWeights([0.5, 0.5]), budget=budget, gamma=gamma)
+
+    @pytest.mark.parametrize("budget", [2**63, 2**64 - 2048, 10**20, 10**400],
+                             ids=["2^63", "2^64-2048", "10^20", "10^400"])
+    @pytest.mark.parametrize("gamma", [2.0, 1e-320, None], ids=["gamma", "tiny-gamma", "default"])
+    def test_rejects_budget_past_int64(self, budget, gamma):
+        # Checked before any float division, which 10**400 would overflow.
+        w = GroupWeights([0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^budget must be at most {2**63 - 1}, got {budget}$"):
+            if gamma is None:
+                AttributeSpecificPlan.default(w, budget)
+            else:
+                AttributeSpecificPlan(w=w, budget=budget, gamma=gamma)
 
     def test_expected_included_counts_clipped_groups_once(self):
         # gamma * w = (4.5, 0.5): the first group is clipped at 1, so the plan

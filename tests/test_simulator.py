@@ -15,8 +15,8 @@ from fairaudit.adversarial import build_hard_pair
 from fairaudit.core import FairnessInstance, GroupWeights
 from fairaudit.cvar_test import TestConfig
 from fairaudit.errors import ConfigError, EstimatorUndefined, ZeroInclusionProbability
-from fairaudit.estimator import (EstimatorValue, ExactMoments, _ratio_terms, estimate_from_counts,
-                                 exact_moments)
+from fairaudit.estimator import (EstimatorValue, ExactMoments, _binom_pmf, _ratio_terms,
+                                 estimate_from_counts, exact_moments)
 from fairaudit.metrics import GapVector
 from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
 from fairaudit.simulator import (
@@ -529,6 +529,83 @@ def _random_attr_case(rng):
     pool = rng.choice([0.5, 0.9, 0.1, 1.0, 0.25, 0.75, 1e-9, 1 - 1e-9, 0.6], size=9, replace=False)
     means = pool[: int(rng.integers(1, 10))]
     return FairnessInstance(w, rng.choice(means, size=k)), plan
+
+
+# The level of the law-level checks below: each rejects a correct replay
+# with probability 1e-3, and their seeds are fixed.
+LAW_LEVEL = 1e-3
+
+
+def _chi_square_sf(x, df):
+    """P[chi^2_df >= x]: one minus the series of the regularized lower incomplete gamma."""
+    a, z = df / 2, x / 2
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= z / (a + n)
+        total += term
+    return 1.0 - math.exp(a * math.log(z) - z - math.lgamma(a)) * total
+
+
+def _chi_square_p(observed, probs):
+    """Pearson's chi-square p-value of counts `observed` under a law `probs` summing to 1.
+
+    Adjacent cells merge until each expects at least 5 draws; a remainder
+    joins the last cell.
+    """
+    n = int(np.sum(observed))
+    cells, obs, exp = [], 0, 0.0
+    for o, p in zip(np.asarray(observed).tolist(), np.asarray(probs).tolist()):
+        obs, exp = obs + o, exp + n * p
+        if exp >= 5.0:
+            cells.append((obs, exp))
+            obs, exp = 0, 0.0
+    last_obs, last_exp = cells.pop()
+    cells.append((last_obs + obs, last_exp + exp))
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return _chi_square_sf(stat, len(cells) - 1)
+
+
+class TestReplayLaws:
+    """Each replay samples its law, by a chi-square goodness-of-fit test at LAW_LEVEL.
+
+    The checks read no numpy call that a replay stands for, so they hold on
+    any numpy whose generator draws uniform and exponential variates.
+    """
+
+    def test_chi_square_tail(self):
+        # Closed forms: chi^2_2 is Exp(1/2), and chi^2_1 is the square of a normal.
+        for x in (0.01, 0.5, 3.0, 13.8, 40.0):
+            assert _chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-9)
+            assert _chi_square_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0.05, 0.3])
+    def test_inverted_geometric_gaps_are_geometric(self, q):
+        cap = 200
+        gaps = simulator._inverted_geometric(np.random.default_rng(601), -math.log1p(-q),
+                                             20_000, cap)
+        assert gaps.min() >= 1
+        x = np.arange(1, cap + 1)
+        probs = (1.0 - q) ** (x - 1) * q
+        probs[-1] = (1.0 - q) ** (cap - 1)  # the capped cell holds the tail
+        observed = np.bincount(gaps, minlength=cap + 1)[1:]
+        assert _chi_square_p(observed, probs) > LAW_LEVEL
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_loss_rows_map_to_binomial_counts(self, m):
+        # Two means in one instance, one on each side of 1/2, so the rows of
+        # both branches of the table (x and m - x) are read.
+        means = (0.15, 0.6)
+        mu = np.tile(means, 10)
+        index, results, by_group = simulator._loss_sampler(mu, m)
+        assert by_group
+        groups = np.random.default_rng(602).integers(0, mu.size, 40_000)
+        s = results[index(np.random.default_rng(603), groups.size, groups)]
+        assert s.min() >= 0  # no redraw row at this size
+        for mean in means:
+            observed = np.bincount(s[mu[groups] == mean], minlength=m + 1)
+            assert _chi_square_p(observed, _binom_pmf(m, mean)) > LAW_LEVEL
 
 
 class TestBlockScorer:
