@@ -176,6 +176,10 @@ def _warn_if_clipped(plan: AttributeSpecificPlan) -> None:
         )
 
 
+# The characters at which str.splitlines() ends a line.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
     lines = [
         f"decision: {outcome.decision.value}",
@@ -193,7 +197,16 @@ def _render_outcome(outcome: TestOutcome, names: Sequence[str]) -> str:
         parts[0::2] = names
         parts[1::2] = map(tails.__getitem__, which.tolist())
         parts[-1] = parts[-1].removesuffix("\ncount[")
-        lines.append("count[" + "".join(parts))
+        block = "count[" + "".join(parts)
+        # Below 0x20 the block's UTF-8 holds just its K - 1 line ends unless
+        # a name holds a control character; the other breaks are not ASCII.
+        if (np.count_nonzero(np.frombuffer(block.encode(), np.uint8) < 0x20) >= len(names)
+                or not block.isascii() and any(map(block.__contains__, _LINE_BREAKS[-3:]))):
+            # A name that holds a line break prints as its repr: one line a group.
+            parts[0::2] = [repr(n) if any(map(n.__contains__, _LINE_BREAKS)) else n
+                           for n in names]
+            block = "count[" + "".join(parts)
+        lines.append(block)
     return "\n".join(lines)
 
 
@@ -268,8 +281,6 @@ def _group_name(g: int, k: int) -> str:
 
 
 def cmd_synth(args) -> int:
-    import csv
-
     from .adversarial import build_hard_pair, build_mixture_family
 
     _check_options(args, [("k", *_POSITIVE), ("budget", *_POSITIVE), ("seed", *_NON_NEGATIVE),
@@ -286,14 +297,15 @@ def cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     m = plan.draw_counts(rng)
     mu = inst.mu_array().tolist()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    # csv.writer's bytes: no name needs quoting, and lines end in "\r\n".  A
+    # group without rows draws nothing, so skipping it keeps the stream.
+    with open(args.out, "wb") as fh:
         try:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "label", "prediction"])
-            for g in range(k):
+            fh.write(b"group,label,prediction\r\n")
+            for g in np.flatnonzero(m).tolist():
                 bits = rng.binomial(1, mu[g], size=int(m[g]))
-                for bit in bits:
-                    writer.writerow([_group_name(g, k), 0, int(bit)])
+                row = f"{_group_name(g, k)},0,".encode()
+                fh.write(np.where(bits, row + b"1\r\n", row + b"0\r\n").tobytes())
         except Exception:  # such as a group too large to draw: leave no partial file
             fh.close()
             os.remove(args.out)

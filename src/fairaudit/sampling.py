@@ -44,8 +44,6 @@ def weighted_marginal(w: GroupWeights, eta: float) -> GroupWeights:
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     arr = w.as_array()
-    if not np.any(arr > 0):
-        raise ValueError("weights have empty support")
     v = np.where(arr > 0, arr, 0.0) ** eta if eta > 0 else (arr > 0).astype(float)
     total = v.sum()
     if total == 0:

@@ -156,6 +156,10 @@ class TestBuildMixtureFamily:
                     for pos, g in enumerate(family.q):
                         assert family.tau * family.eps_g[pos] / w[g] <= 0.5 + 1e-12
 
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(ValueError, match="^weight vector length must equal k$"):
+            build_mixture_family(8, GroupWeights.uniform(4), 0.5, 0.1)
+
     def test_rejects_non_uniform(self):
         with pytest.raises(NonUniformWeights):
             build_mixture_family(2, GroupWeights([0.4, 0.6]), 0.5, 0.05)

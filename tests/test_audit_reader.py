@@ -439,7 +439,8 @@ def test_hash_collision_falls_back(tmp_path, monkeypatch, kind):
 
 
 def _render_oracle(outcome, names):
-    """The per-group f-string rendering that `_render_outcome` replaced."""
+    """The per-group f-string rendering that `_render_outcome` replaced; a
+    name at which str.splitlines() breaks prints as its repr."""
     lines = [
         f"decision: {outcome.decision.value}",
         f"statistic: {outcome.statistic.f!r}",
@@ -449,7 +450,8 @@ def _render_oracle(outcome, names):
     ]
     warn = "  (warning: fewer than 2 samples)"
     lines += [
-        f"count[{name}]: {m}{warn if m < 2 else ''}"
+        f"count[{name if len((name + '.').splitlines()) == 1 else repr(name)}]: "
+        f"{m}{warn if m < 2 else ''}"
         for name, m in zip(names, outcome.counts.tolist())
     ]
     return "\n".join(lines)
@@ -496,6 +498,23 @@ class TestRenderOutcome:
         outcome = self._outcome(np.concatenate([counts.m, [0]]))
         names = counts.names + ("~",)
         assert _render_outcome(outcome, names) == _render_oracle(outcome, names)
+
+    @pytest.mark.parametrize("pad", ["", "ü", "日"], ids=["ascii", "latin-1", "wide"])
+    def test_names_with_line_breaks_and_other_controls(self, pad):
+        # Each character at which str.splitlines() breaks, and controls at
+        # which it does not (tab, NUL, \x1f, \x7f, \x84): alone among plain
+        # names, then all together.
+        breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        controls = "\t\x00\x1f\x7f\x84"
+        named = [f"{pad}a{c}b" for c in breaks + controls]
+        for names in [[pad, name, "z"] for name in named] + [named + ["\r\n", pad, "z"]]:
+            outcome = self._outcome(range(len(names)))
+            out = _render_outcome(outcome, names)
+            assert out == _render_oracle(outcome, names)
+            assert len(out.splitlines()) == 5 + len(names)
+            for m, name in enumerate(names):
+                shown = repr(name) if any(c in name for c in breaks) else name
+                assert f"\ncount[{shown}]: {m}" in out
 
     def test_no_groups(self):
         outcome = self._outcome([])

@@ -1,15 +1,18 @@
 """Tests for the command-line front end."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from fairaudit import cli, reader
+from fairaudit.adversarial import build_hard_pair, build_mixture_family
 from fairaudit.cli import (
     EXIT_H0,
     EXIT_H1,
@@ -23,7 +26,13 @@ from fairaudit.cvar_test import TestConfig, run_test_dataset
 from fairaudit.errors import ConfigError, WeightError
 from fairaudit.estimator import estimate_from_counts
 from fairaudit.reader import read_audit
-from fairaudit.sampling import AttributeSpecificPlan, WeightedPlan, inclusion_array
+from fairaudit.sampling import (
+    OPTIMAL_ETA,
+    AttributeSpecificPlan,
+    WeightedPlan,
+    inclusion_array,
+    weighted_marginal,
+)
 
 SP = MetricKind.STATISTICAL_PARITY
 
@@ -278,6 +287,18 @@ class TestAudit:
             "count[c d]: 1  (warning: fewer than 2 samples)\n"
         )
 
+    @pytest.mark.parametrize("name, cell", [("v\x0bw", "v\x0bw"), ("a\nb", '"a\nb"')],
+                             ids=["plain", "csv_reader"])
+    def test_name_with_a_line_break_prints_as_its_repr(self, tmp_path, capsys, name, cell):
+        # The block reader takes \x0b in a name, the csv.reader path also \n:
+        # printed raw, either would split its count line in two.
+        data = _write(tmp_path / "data.csv",
+                      f"group,label,prediction\n{cell},0,1\n{cell},0,0\nb,0,0\nb,0,1\n")
+        conf = _write(tmp_path / "c.cfg", "alpha=0.5\nepsilon=0.3\n")
+        assert main(["audit", data, conf]) == EXIT_H0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines[5:]) == [f"count[{name!r}]: 2", "count[b]: 2"]
+
     @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
     def test_sidecar_lists_groups_the_data_lacks(self, tmp_path, capsys, quote):
         # The sidecar's groups are the universe: d has no row, so no sample.
@@ -385,6 +406,52 @@ class TestSynthRoundTrip:
         counts = read_audit(str(out_csv), SP)[0]
         assert int(counts.m.sum()) == 50
         assert counts.k <= 8
+
+    @pytest.mark.parametrize("kind, side, k, plan, budget, seed", [
+        ("hardpair", "h1", 4, ["--plan", "weighted"], 200, 11),
+        ("hardpair", "h0", 4, ["--plan", "attr"], 8, 3),
+        ("mixture", "h1", 8, ["--plan", "weighted", "--eta", "0"], 50, 2),
+        ("mixture", "h0", 8, ["--plan", "attr", "--gamma", "2"], 40, 5),
+        ("hardpair", "h1", 4096, ["--plan", "weighted"], 100, 5),  # K >> n
+        ("mixture", "h1", 4096, ["--plan", "attr"], 64, 0),  # K >> n
+        ("hardpair", "h1", 2, ["--plan", "attr", "--gamma", "1"], 30000, 0),  # g1 only
+        ("hardpair", "h1", 2, ["--plan", "attr", "--gamma", "1"], 30000, 1),  # no rows
+    ])
+    def test_synth_writes_the_csv_writer_rows(self, tmp_path, capsys, kind, side, k, plan,
+                                              budget, seed):
+        out_csv = tmp_path / "synth.csv"
+        assert main(["synth", "--kind", kind, "--side", side, "--k", str(k), "--alpha", "0.75",
+                     "--epsilon", "0.2", "--budget", str(budget), "--seed", str(seed),
+                     "--out", str(out_csv), *plan]) == 0
+        # The same draws replayed, one binomial call per group (with or
+        # without rows) and one csv.writer row per draw.
+        w = GroupWeights.uniform(k)
+        if kind == "hardpair":
+            pair = build_hard_pair(k, 0.2)
+            inst = pair.p1 if side == "h1" else pair.p0
+        else:
+            family = build_mixture_family(k, w, 0.75, 0.2)
+            inst = family.member((1,) * len(family.q)) if side == "h1" else family.p0
+        if plan[1] == "weighted":
+            eta = float(plan[3]) if "--eta" in plan else OPTIMAL_ETA
+            sampling_plan = WeightedPlan(v=weighted_marginal(w, eta), budget=budget)
+        elif "--gamma" in plan:
+            sampling_plan = AttributeSpecificPlan(w=w, budget=budget, gamma=float(plan[3]))
+        else:
+            sampling_plan = AttributeSpecificPlan.default(w, budget)
+        rng = np.random.default_rng(seed)
+        m = sampling_plan.draw_counts(rng)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["group", "label", "prediction"])
+        for g in range(k):
+            for bit in rng.binomial(1, inst.mu[g], size=int(m[g])):
+                writer.writerow([f"g{g:0{len(str(k - 1))}d}", 0, int(bit)])
+        assert out_csv.read_bytes() == expected.getvalue().encode()
+        assert capsys.readouterr().out == f"wrote {int(m.sum())} rows to {out_csv}\n"
+        # The cases hold what they name: at K = 4096 most groups draw no row,
+        # and at K = 2 group g0 draws none.
+        assert (k < 4096 or np.count_nonzero(m) < k / 8) and (k != 2 or m[0] == 0)
 
     @pytest.mark.parametrize("plan, synth_plan", [
         ("plan=weighted\neta=0\nbudget=256\n", ["--plan", "weighted", "--eta", "0",
@@ -529,7 +596,8 @@ import contextlib, io, json, sys
 import fairaudit.cli as cli
 
 def loaded():
-    return [f"fairaudit.{m}" in sys.modules for m in ("adversarial", "bounds", "reader", "simulator")]
+    names = [f"fairaudit.{m}" for m in ("adversarial", "bounds", "reader", "simulator")] + ["csv"]
+    return [name in sys.modules for name in names]
 
 seen = [loaded()]
 for argv in json.loads(sys.argv[1]):
@@ -541,22 +609,26 @@ print(json.dumps(seen))
 
 def test_cli_import_loads_only_shared_modules(tmp_path):
     # A subcommand imports what only it needs (adversarial, bounds, reader)
-    # when it runs.  The simulator stays a module-level import: the
-    # benchmark's tracer (bench/worker.py) looks up each module it traces in
-    # sys.modules.
+    # when it runs, and only the audit's reader loads the csv module.  The
+    # simulator stays a module-level import: the benchmark's tracer
+    # (bench/worker.py) looks up each module it traces in sys.modules.
     sim = _write(tmp_path / "sim.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=5\n")
     data = _write(tmp_path / "d.csv", "group,label,prediction\na,0,1\na,0,0\nb,0,0\nb,0,1\n")
     audit = _write(tmp_path / "audit.cfg", "alpha=0.5\nepsilon=0.3\n")
-    runs = [["bounds", "--k", "16", "--alpha", "0.5", "--epsilon", "0.1"],
+    runs = [["synth", "--k", "8", "--epsilon", "0.3", "--budget", "40",
+             "--out", str(tmp_path / "synth.csv")],
+            ["bounds", "--k", "16", "--alpha", "0.5", "--epsilon", "0.1"],
             ["simulate", sim, "--out", str(tmp_path / "run")],
             ["audit", data, audit]]
     out = subprocess.run([sys.executable, "-c", _MODULES_LOADED, json.dumps(runs)],
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    # Loaded: adversarial, bounds, reader, simulator; each run leads with its exit code.
+    # Loaded: adversarial, bounds, reader, simulator, csv; each run leads with
+    # its exit code.
     assert json.loads(out.stdout) == [
-        [False, False, False, True],
-        [0, False, True, False, True],
-        [0, True, True, False, True],
-        [EXIT_H0, True, True, True, True],
+        [False, False, False, True, False],
+        [0, True, False, False, True, False],
+        [0, True, True, False, True, False],
+        [0, True, True, False, True, False],
+        [EXIT_H0, True, True, True, True, True],
     ]

@@ -261,6 +261,11 @@ class TestConstructorParity:
         assert x != FairnessInstance(a, [0.5, 0.8])
         assert x != FairnessInstance(GroupWeights([0.75, 0.25]), [0.5, 0.9])
 
+    def test_instance_is_not_equal_to_another_class(self):
+        x = FairnessInstance(GroupWeights([0.25, 0.75]), [0.5, 0.9])
+        assert x.__eq__((x.weights, x.mu)) is NotImplemented
+        assert x != (x.weights, x.mu) and x != x.weights
+
     def test_input_arrays_copied(self):
         raw, mu = np.array([0.25, 0.75]), np.array([0.5, 0.9])
         w = GroupWeights(raw)
