@@ -305,7 +305,7 @@ def cmd_synth(args) -> int:
             for g in np.flatnonzero(m).tolist():
                 bits = rng.binomial(1, mu[g], size=int(m[g]))
                 row = f"{_group_name(g, k)},0,".encode()
-                fh.write(np.where(bits, row + b"1\r\n", row + b"0\r\n").tobytes())
+                fh.write(np.where(bits, row + b"1\r\n", row + b"0\r\n"))
         except Exception:  # such as a group too large to draw: leave no partial file
             fh.close()
             os.remove(args.out)

@@ -615,10 +615,10 @@ def test_cli_import_loads_only_shared_modules(tmp_path):
     sim = _write(tmp_path / "sim.cfg", "k=8\nalpha=0.875\nepsilon=0.3\nn_grid=50\ntrials=5\n")
     data = _write(tmp_path / "d.csv", "group,label,prediction\na,0,1\na,0,0\nb,0,0\nb,0,1\n")
     audit = _write(tmp_path / "audit.cfg", "alpha=0.5\nepsilon=0.3\n")
-    runs = [["synth", "--k", "8", "--epsilon", "0.3", "--budget", "40",
-             "--out", str(tmp_path / "synth.csv")],
-            ["bounds", "--k", "16", "--alpha", "0.5", "--epsilon", "0.1"],
+    runs = [["bounds", "--k", "16", "--alpha", "0.5", "--epsilon", "0.1"],
             ["simulate", sim, "--out", str(tmp_path / "run")],
+            ["synth", "--k", "8", "--epsilon", "0.3", "--budget", "40",
+             "--out", str(tmp_path / "synth.csv")],
             ["audit", data, audit]]
     out = subprocess.run([sys.executable, "-c", _MODULES_LOADED, json.dumps(runs)],
                          capture_output=True, text=True, check=True,
@@ -627,7 +627,7 @@ def test_cli_import_loads_only_shared_modules(tmp_path):
     # its exit code.
     assert json.loads(out.stdout) == [
         [False, False, False, True, False],
-        [0, True, False, False, True, False],
+        [0, False, True, False, True, False],
         [0, True, True, False, True, False],
         [0, True, True, False, True, False],
         [EXIT_H0, True, True, True, True, True],
